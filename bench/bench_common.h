@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -107,7 +108,7 @@ inline std::vector<uint64_t> PoissonArrivalScheduleNs(std::size_t count,
 /// the classic one-event-at-a-time path) and returns events/sec. Drives
 /// the store directly so before/after layout comparisons isolate storage
 /// effects. `Store` is WalkStore, SalsaWalkStore, or a frozen
-/// bench/legacy layout (which predates the batched API: batch > 1
+/// bench/legacy layout (which predates the window API: batch > 1
 /// aborts). When `stats_out` is non-null and the store reports
 /// WalkUpdateStats, the accumulated stats of the whole stream are
 /// returned through it. When `per_batch` is non-null, each batch's
@@ -140,27 +141,37 @@ double MeasureIngestThroughput(std::size_t n, std::size_t R, double eps,
         store.OnEdgeInserted(g, e.src, e.dst, &rng);
       }
     }
-  } else if constexpr (requires {
-                         store.OnEdgesInserted(
-                             g, std::span<const Edge>{}, &rng);
-                       }) {
+  } else if constexpr (requires { Store::kRepairsInEdges; }) {
+    std::vector<EdgeEvent> window;
+    WindowDelta delta;
     for (std::size_t lo = 0; lo < edges.size(); lo += batch) {
       const std::size_t hi = std::min(edges.size(), lo + batch);
       const uint64_t t0 = per_batch != nullptr ? obs::NowNanos() : 0;
+      window.clear();
       for (std::size_t i = lo; i < hi; ++i) {
         if (!g.AddEdge(edges[i].src, edges[i].dst).ok()) std::abort();
+        window.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, edges[i]});
       }
-      stats.Accumulate(store.OnEdgesInserted(
-          g, std::span<const Edge>(edges.data() + lo, hi - lo), &rng));
+      delta.Build(window, Store::kRepairsInEdges);
+      stats.Accumulate(store.RepairWindow(g, delta, &rng));
       if (per_batch != nullptr) per_batch->Record(obs::NowNanos() - t0);
     }
   } else {
-    std::abort();  // frozen legacy layouts predate the batched API
+    std::abort();  // frozen legacy layouts predate the window API
   }
   const double events_per_sec =
       static_cast<double>(edges.size()) / timer.ElapsedSeconds();
   if (stats_out != nullptr) *stats_out = stats;
   return events_per_sec;
+}
+
+/// CPU seconds consumed so far by this whole process (every thread:
+/// pipeline, repair lanes and publisher included).
+inline double ProcessCpuSeconds() {
+  timespec ts{};
+  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) != 0) return 0.0;
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 /// Peak resident set size of this process in bytes, or 0 where
@@ -236,7 +247,15 @@ class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}
 
+  /// Appends one metric. A repeated key is a bench bug (a JSON reader
+  /// keeps only one of the values), so it aborts.
   void Add(const std::string& key, double value) {
+    for (const auto& metric : metrics_) {
+      if (metric.first == key) {
+        std::fprintf(stderr, "duplicate report key: %s\n", key.c_str());
+        FASTPPR_CHECK_MSG(false, "JsonReport keys must be unique");
+      }
+    }
     metrics_.emplace_back(key, value);
   }
 

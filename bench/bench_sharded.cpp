@@ -28,6 +28,15 @@
 // structural-sharing contract that each frozen publish allocates about
 // one delta's worth of bytes, FASTPPR_CHECKed at <= 1.5.
 //
+// The deployment ladder closes the report: an interleaved insert/delete
+// churn stream (each event a delete with probability 1/2) cut into
+// windows of 4096, 1024 and 200 events, through the flat engine and
+// through the S=2 pipelined engine with a QueryService attached. It
+// reports process CPU per event (every thread counted) and repair
+// dispatches per shard per window, read from the repair_phase
+// histogram: the window coupling repairs each window in one dispatch
+// per shard, whatever the mix of inserts and deletes in it.
+//
 //   bench_sharded [--smoke] [--lockstep] [--json <path>]
 //
 // --smoke shrinks the stream to CI size (seconds, not minutes) so the
@@ -71,6 +80,65 @@ std::vector<EdgeEvent> PowerLawEvents(std::size_t n, uint64_t seed) {
     events.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
   }
   return events;
+}
+
+/// The deployment ladder's churn workload over the same power-law edge
+/// set: 80% of the edges bootstrap the graph, the rest are held out.
+/// Each event deletes a uniformly random live edge with probability
+/// 1/2, otherwise inserts a held-out edge (a deleted one once the pool
+/// is empty), so every event is valid.
+struct ChurnWorkload {
+  DiGraph initial;
+  std::vector<EdgeEvent> events;
+};
+
+ChurnWorkload MakeChurn(const std::vector<EdgeEvent>& edges, std::size_t n,
+                        std::size_t num_events, uint64_t seed) {
+  ChurnWorkload out{DiGraph(n), {}};
+  const std::size_t boot = edges.size() * 4 / 5;
+  std::vector<Edge> live, pool, deleted;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    (i < boot ? live : pool).push_back(edges[i].edge);
+  }
+  for (const Edge& e : live) {
+    FASTPPR_CHECK(out.initial.AddEdge(e.src, e.dst).ok());
+  }
+  auto take = [](std::vector<Edge>* v, std::size_t i) {
+    const Edge e = (*v)[i];
+    (*v)[i] = v->back();
+    v->pop_back();
+    return e;
+  };
+  Rng rng(seed);
+  out.events.reserve(num_events);
+  while (out.events.size() < num_events) {
+    const bool can_insert = !pool.empty() || !deleted.empty();
+    if (live.empty() || (can_insert && !rng.Bernoulli(0.5))) {
+      Edge e;
+      if (!pool.empty()) {
+        e = pool.back();
+        pool.pop_back();
+      } else {
+        e = take(&deleted, rng.UniformIndex(deleted.size()));
+      }
+      live.push_back(e);
+      out.events.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
+    } else {
+      const Edge e = take(&live, rng.UniformIndex(live.size()));
+      deleted.push_back(e);
+      out.events.push_back(EdgeEvent{EdgeEvent::Kind::kDelete, e});
+    }
+  }
+  return out;
+}
+
+/// Process CPU microseconds per event spent in `run`.
+template <typename RunFn>
+double CpuUsPerEvent(std::size_t num_events, const RunFn& run) {
+  const double cpu0 = ProcessCpuSeconds();
+  run();
+  return (ProcessCpuSeconds() - cpu0) * 1e6 /
+         static_cast<double>(num_events);
 }
 
 }  // namespace
@@ -422,6 +490,52 @@ int main(int argc, char** argv) {
     }
   }
   table.Print();
+
+  // Deployment ladder over interleaved churn (see the header comment).
+  const ChurnWorkload churn =
+      MakeChurn(events, n, smoke ? 8 * 1024 : 48 * 4096, 22);
+  std::printf("\ndeployment ladder: %zu interleaved churn events "
+              "(deletes with probability 1/2)%s\n",
+              churn.events.size(), lockstep ? " (lockstep)" : "");
+  TablePrinter ladder({"window", "flat CPU us/event",
+                       "S=2 + service CPU us/event",
+                       "repair dispatches per shard per window"});
+  for (const std::size_t w : {4096ul, 1024ul, 200ul}) {
+    IncrementalPageRank flat_churn(churn.initial, mc);
+    const double flat_us = CpuUsPerEvent(churn.events.size(), [&] {
+      TimeWindows(churn.events, w, [&](std::span<const EdgeEvent> ev) {
+        return flat_churn.ApplyEvents(ev);
+      });
+    });
+
+    ShardedOptions sopts{2, 2};
+    sopts.lockstep = lockstep;
+    ShardedEngine<IncrementalPageRank> engine(churn.initial, mc, sopts);
+    QueryService<IncrementalPageRank> service(&engine);
+    const uint64_t dispatches0 = engine.metric_handles().repair_phase->count();
+    const double sharded_us = CpuUsPerEvent(churn.events.size(), [&] {
+      TimeWindows(churn.events, w, [&](std::span<const EdgeEvent> ev) {
+        return service.Ingest(ev);
+      });
+      service.Quiesce();
+    });
+    const double windows = static_cast<double>(
+        (churn.events.size() + w - 1) / w);
+    const double dispatches_per_shard_window =
+        static_cast<double>(engine.metric_handles().repair_phase->count() -
+                            dispatches0) /
+        (2.0 * windows);
+
+    const std::string key = "churn_w" + std::to_string(w);
+    report.Add(key + "_flat_cpu_us_per_event", flat_us);
+    report.Add(key + "_s2_service_cpu_us_per_event", sharded_us);
+    report.Add(key + "_repair_dispatches_per_shard_window",
+               dispatches_per_shard_window);
+    ladder.AddRow({std::to_string(w), TablePrinter::Fmt(flat_us, 2),
+                   TablePrinter::Fmt(sharded_us, 2),
+                   TablePrinter::Fmt(dispatches_per_shard_window, 2)});
+  }
+  ladder.Print();
   std::printf("\nS=1 merged counts verified bit-identical to the flat "
               "engine; TopK/Score are lock-free seqlock snapshot reads "
               "and PersonalizedTopK walks frozen segment-snapshot views "

@@ -67,20 +67,11 @@ Status IncrementalPageRank::RemoveEdge(NodeId src, NodeId dst) {
   return Status::OK();
 }
 
-void IncrementalPageRank::RepairEdgesInserted(std::span<const Edge> edges) {
-  const WalkUpdateStats stats =
-      walks_.OnEdgesInserted(social_->graph(), edges, &rng_);
-  last_stats_.Accumulate(stats);
-  lifetime_stats_.Accumulate(stats);
-  arrivals_ += edges.size();
-}
-
-void IncrementalPageRank::RepairEdgesRemoved(std::span<const Edge> edges) {
-  const WalkUpdateStats stats =
-      walks_.OnEdgesRemoved(social_->graph(), edges, &rng_);
-  last_stats_.Accumulate(stats);
-  lifetime_stats_.Accumulate(stats);
-  removals_ += edges.size();
+void IncrementalPageRank::RepairWindow(const WindowDelta& delta) {
+  last_stats_ = walks_.RepairWindow(social_->graph(), delta, &rng_);
+  lifetime_stats_.Accumulate(last_stats_);
+  arrivals_ += delta.inserts();
+  removals_ += delta.removes();
 }
 
 Status IncrementalPageRank::ApplyEvent(const EdgeEvent& event) {
@@ -91,24 +82,20 @@ Status IncrementalPageRank::ApplyEvent(const EdgeEvent& event) {
 }
 
 Status IncrementalPageRank::ApplyEvents(std::span<const EdgeEvent> events) {
-  // Same-kind chunking via the shared protocol (ApplyEventsInChunks):
-  // within a chunk the graph is mutated first and the walk repairs are
-  // grouped by source; on failure the applied prefix is already
-  // repaired and consistent. last_event_stats() accumulates the batch.
-  BeginRepairWindow();
-  return ApplyEventsInChunks(
-      events, &chunk_scratch_,
+  // The shared window protocol (ApplyWindowPrefix): mutate until the
+  // first invalid event, then repair the applied prefix's net change
+  // once, so the store is consistent on failure too.
+  std::size_t applied = 0;
+  const Status result = ApplyWindowPrefix(
+      events,
       [this](const Edge& e, bool insert) {
         return insert ? social_->AddEdge(e.src, e.dst)
                       : social_->RemoveEdge(e.src, e.dst);
       },
-      [this](std::span<const Edge> applied, bool insert) {
-        if (insert) {
-          RepairEdgesInserted(applied);
-        } else {
-          RepairEdgesRemoved(applied);
-        }
-      });
+      &applied);
+  delta_.Build(events.first(applied), kRepairsInEdges);
+  RepairWindow(delta_);
+  return result;
 }
 
 Status IncrementalPageRank::SaveSnapshot(

@@ -82,26 +82,25 @@ class IncrementalPageRank {
 
   Status ApplyEvent(const EdgeEvent& event);
 
-  /// Batched ingestion: applies the events in order, amortizing RNG and
-  /// index maintenance across runs of same-kind events. Consecutive
-  /// same-kind events are mutated into the Social Store together, grouped
-  /// by source node, and repaired with one Binomial draw per
-  /// (node, degree-change) group — distributionally identical to applying
-  /// them one at a time, and bit-identical (same RNG stream) for a
-  /// 1-event span. On a failed mutation the successfully applied prefix
-  /// is repaired before the error is returned. last_event_stats() holds
-  /// the accumulated stats of the whole batch afterwards.
+  /// Windowed ingestion: applies the events to the Social Store in
+  /// order, stopping at the first invalid one, then repairs the walks
+  /// once for the applied prefix's net change (the window coupling of
+  /// DESIGN.md §1) — whatever the order of inserts and deletes inside
+  /// the window. Bit-identical (same RNG stream) to the sequential
+  /// AddEdge/RemoveEdge for a 1-event span. On a failed mutation the
+  /// applied prefix is repaired before the error is returned.
+  /// last_event_stats() holds the stats of the whole window afterwards.
   Status ApplyEvents(std::span<const EdgeEvent> events);
 
   /// Repair-only API for shared-store deployments: the orchestrator has
-  /// already applied the chunk's mutations to the shared Social Store;
-  /// repair this engine's walks against the (now frozen) graph.
-  /// last_event_stats() accumulates every Repair* call since the last
-  /// BeginRepairWindow(). Consumes the identical RNG stream as the
-  /// owning-store ApplyEvents path on the same chunk sequence.
-  void BeginRepairWindow() { last_stats_ = WalkUpdateStats{}; }
-  void RepairEdgesInserted(std::span<const Edge> edges);
-  void RepairEdgesRemoved(std::span<const Edge> edges);
+  /// already applied a window's prefix to the shared Social Store and
+  /// built its net delta (with the in side iff kRepairsInEdges); repair
+  /// this engine's walks once against the (now frozen) post-window
+  /// graph. last_event_stats() becomes the window's stats. Consumes the
+  /// identical RNG stream as the owning-store ApplyEvents path on the
+  /// same window.
+  void RepairWindow(const WindowDelta& delta);
+  static constexpr bool kRepairsInEdges = WalkStore::kRepairsInEdges;
 
   /// pi~_v with the paper's nR/eps normalization (Theorem 1).
   double Estimate(NodeId v) const { return walks_.Estimate(v); }
@@ -199,7 +198,7 @@ class IncrementalPageRank {
   WalkUpdateStats lifetime_stats_;
   uint64_t arrivals_ = 0;
   uint64_t removals_ = 0;
-  std::vector<Edge> chunk_scratch_;
+  WindowDelta delta_;  ///< ApplyEvents scratch
 };
 
 }  // namespace fastppr

@@ -58,20 +58,11 @@ Status IncrementalSalsa::RemoveEdge(NodeId src, NodeId dst) {
   return Status::OK();
 }
 
-void IncrementalSalsa::RepairEdgesInserted(std::span<const Edge> edges) {
-  const WalkUpdateStats stats =
-      walks_.OnEdgesInserted(social_->graph(), edges, &rng_);
-  last_stats_.Accumulate(stats);
-  lifetime_stats_.Accumulate(stats);
-  arrivals_ += edges.size();
-}
-
-void IncrementalSalsa::RepairEdgesRemoved(std::span<const Edge> edges) {
-  const WalkUpdateStats stats =
-      walks_.OnEdgesRemoved(social_->graph(), edges, &rng_);
-  last_stats_.Accumulate(stats);
-  lifetime_stats_.Accumulate(stats);
-  removals_ += edges.size();
+void IncrementalSalsa::RepairWindow(const WindowDelta& delta) {
+  last_stats_ = walks_.RepairWindow(social_->graph(), delta, &rng_);
+  lifetime_stats_.Accumulate(last_stats_);
+  arrivals_ += delta.inserts();
+  removals_ += delta.removes();
 }
 
 Status IncrementalSalsa::ApplyEvent(const EdgeEvent& event) {
@@ -82,20 +73,20 @@ Status IncrementalSalsa::ApplyEvent(const EdgeEvent& event) {
 }
 
 Status IncrementalSalsa::ApplyEvents(std::span<const EdgeEvent> events) {
-  BeginRepairWindow();
-  return ApplyEventsInChunks(
-      events, &chunk_scratch_,
+  // The shared window protocol (ApplyWindowPrefix): mutate until the
+  // first invalid event, then repair the applied prefix's net change
+  // once, so the store is consistent on failure too.
+  std::size_t applied = 0;
+  const Status result = ApplyWindowPrefix(
+      events,
       [this](const Edge& e, bool insert) {
         return insert ? social_->AddEdge(e.src, e.dst)
                       : social_->RemoveEdge(e.src, e.dst);
       },
-      [this](std::span<const Edge> applied, bool insert) {
-        if (insert) {
-          RepairEdgesInserted(applied);
-        } else {
-          RepairEdgesRemoved(applied);
-        }
-      });
+      &applied);
+  delta_.Build(events.first(applied), kRepairsInEdges);
+  RepairWindow(delta_);
+  return result;
 }
 
 std::vector<NodeId> IncrementalSalsa::TopKAuthorities(std::size_t k) const {

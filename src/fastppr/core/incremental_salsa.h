@@ -47,17 +47,16 @@ class IncrementalSalsa {
   Status RemoveEdge(NodeId src, NodeId dst);
   Status ApplyEvent(const EdgeEvent& event);
 
-  /// Batched ingestion twin of IncrementalPageRank::ApplyEvents: runs of
-  /// same-kind events are mutated together and repaired with one Binomial
-  /// draw per (pivot, degree-change) group on both endpoints. A 1-event
+  /// Windowed ingestion twin of IncrementalPageRank::ApplyEvents: one
+  /// repair per window, at both endpoints of every net change. A 1-event
   /// span is bit-identical to the sequential call.
   Status ApplyEvents(std::span<const EdgeEvent> events);
 
   /// Repair-only API for shared-store deployments (see
-  /// IncrementalPageRank for the contract).
-  void BeginRepairWindow() { last_stats_ = WalkUpdateStats{}; }
-  void RepairEdgesInserted(std::span<const Edge> edges);
-  void RepairEdgesRemoved(std::span<const Edge> edges);
+  /// IncrementalPageRank for the contract). The delta must carry its in
+  /// side.
+  void RepairWindow(const WindowDelta& delta);
+  static constexpr bool kRepairsInEdges = SalsaWalkStore::kRepairsInEdges;
 
   /// Authority-side visit frequency (comparable to SalsaExact).
   double AuthorityEstimate(NodeId v) const {
@@ -129,7 +128,7 @@ class IncrementalSalsa {
   WalkUpdateStats lifetime_stats_;
   uint64_t arrivals_ = 0;
   uint64_t removals_ = 0;
-  std::vector<Edge> chunk_scratch_;
+  WindowDelta delta_;  ///< ApplyEvents scratch
 };
 
 }  // namespace fastppr

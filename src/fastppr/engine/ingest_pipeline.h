@@ -2,15 +2,16 @@
 #define FASTPPR_ENGINE_INGEST_PIPELINE_H_
 
 // Queueing primitives for the pipelined ingest→repair→publish engine
-// (DESIGN.md §11). All three are deliberately simple mutex+cv
-// structures: every queue has exactly ONE producer and ONE consumer (or
-// one drain pass), depths are single digits, and the interesting
-// concurrency lives in the stage contract, not the queues.
+// (DESIGN.md §11). Deliberately simple mutex+cv structures: every queue
+// has exactly ONE producer and ONE consumer, depths are single digits,
+// and the interesting concurrency lives in the stage contract, not the
+// queues.
 //
 // Backpressure is by blocking Push at capacity, and the stage graph is
-// acyclic (caller → advance queue → pipeline thread → shard queues →
-// repair lanes; pipeline thread → publish queue → publisher), so a full
-// queue stalls exactly its upstream stage and nothing can deadlock.
+// acyclic (caller → advance queue → pipeline thread → one ParallelFor
+// over the shards; pipeline thread → publish queue → publisher), so a
+// full queue stalls exactly its upstream stage and nothing can
+// deadlock.
 
 #include <condition_variable>
 #include <cstddef>
@@ -18,7 +19,7 @@
 #include <mutex>
 #include <vector>
 
-#include "fastppr/graph/types.h"
+#include "fastppr/graph/edge_stream.h"
 #include "fastppr/util/check.h"
 
 namespace fastppr::pipe {
@@ -36,11 +37,18 @@ class BoundedQueue {
   /// Returns false (dropping the item) only after Close().
   bool Push(T item) {
     std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return closed_ || q_.size() < cap_; });
-    if (closed_) return false;
-    q_.push_back(std::move(item));
-    if (q_.size() > high_water_) high_water_ = q_.size();
-    not_empty_.notify_one();
+    return PushLocked(&lock, std::move(item));
+  }
+
+  /// Push as a hand-off: also blocks until the consumer has popped the
+  /// item (single producer, so the queue is then empty). The producer
+  /// thus runs at most one item ahead of the consumer and returns the
+  /// moment the consumer starts on its item. Returns false only after
+  /// Close().
+  bool Handoff(T item) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!PushLocked(&lock, std::move(item))) return false;
+    not_full_.wait(lock, [&] { return closed_ || q_.empty(); });
     return true;
   }
 
@@ -67,6 +75,15 @@ class BoundedQueue {
   }
 
  private:
+  bool PushLocked(std::unique_lock<std::mutex>* lock, T item) {
+    not_full_.wait(*lock, [&] { return closed_ || q_.size() < cap_; });
+    if (closed_) return false;
+    q_.push_back(std::move(item));
+    if (q_.size() > high_water_) high_water_ = q_.size();
+    not_empty_.notify_one();
+    return true;
+  }
+
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
@@ -76,73 +93,12 @@ class BoundedQueue {
   bool closed_ = false;
 };
 
-/// One item on the caller→pipeline advance queue: either one applied
-/// same-kind chunk (the repair unit) or a window boundary marker.
+/// One item on the caller→pipeline advance queue: one ingestion
+/// window's applied prefix (the repair unit, replayed in order into the
+/// repair replica) plus the window's submitted event count.
 struct PipelineItem {
-  enum class Kind { kChunk, kBoundary };
-  Kind kind = Kind::kChunk;
-  bool insert = true;              ///< kChunk: mutation direction
-  std::vector<Edge> edges;         ///< kChunk: the applied chunk
-                                   ///  (recycled buffer)
-  std::size_t window_events = 0;   ///< kBoundary: events in the window
-};
-
-/// Per-shard bounded repair work queues, drained by the ThreadPool's
-/// lanes. One producer (the pipeline thread); each lane drains its own
-/// queue with TryPop, so a drain pass is lock-cheap and exits when its
-/// queue is empty. Lanes are cache-line padded: lane s's mutex and
-/// deque never false-share with lane s+1 under parallel drains.
-class ShardRepairQueues {
- public:
-  struct Task {
-    const Edge* data = nullptr;
-    std::size_t count = 0;
-    bool insert = true;
-  };
-
-  ShardRepairQueues(std::size_t shards, std::size_t capacity)
-      : lanes_(shards), cap_(capacity) {
-    FASTPPR_CHECK(shards >= 1 && capacity >= 1);
-  }
-
-  std::size_t num_shards() const { return lanes_.size(); }
-
-  /// Blocks while lane `s` is at capacity (backpressure on the
-  /// pipeline thread).
-  void Push(std::size_t s, Task task) {
-    Lane& lane = lanes_[s];
-    std::unique_lock<std::mutex> lock(lane.mu);
-    lane.cv.wait(lock, [&] { return lane.q.size() < cap_; });
-    lane.q.push_back(task);
-    if (lane.q.size() > lane.hw) lane.hw = lane.q.size();
-  }
-
-  bool TryPop(std::size_t s, Task* out) {
-    Lane& lane = lanes_[s];
-    std::lock_guard<std::mutex> lock(lane.mu);
-    if (lane.q.empty()) return false;
-    *out = lane.q.front();
-    lane.q.pop_front();
-    lane.cv.notify_one();
-    return true;
-  }
-
-  std::size_t high_water(std::size_t s) const {
-    const Lane& lane = lanes_[s];
-    std::lock_guard<std::mutex> lock(lane.mu);
-    return lane.hw;
-  }
-
- private:
-  struct alignas(64) Lane {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Task> q;
-    std::size_t hw = 0;
-  };
-
-  std::vector<Lane> lanes_;
-  std::size_t cap_;
+  std::vector<EdgeEvent> applied;
+  std::size_t window_events = 0;
 };
 
 }  // namespace fastppr::pipe

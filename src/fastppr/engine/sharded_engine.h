@@ -15,28 +15,27 @@
 // replicas (which cost S× adjacency memory and S× mutation work).
 //
 // Single-writer epoch contract: each ingestion window is processed as
-// alternating phases. In the ingest phase ONE writer thread applies one
-// same-kind chunk of events to a graph; in the repair phase every shard
-// repairs its own walks in parallel against that graph, now frozen. The
-// graph's mutation epoch (AdjacencySlab::epoch) is recorded when a
-// repair phase starts and FASTPPR_CHECKed unchanged when it ends, so an
-// accidental mutation under concurrent repairs aborts loudly instead of
-// racing silently.
+// two phases. In the ingest phase ONE writer thread applies the window's
+// events to a graph (stopping at the first invalid one); in the repair
+// phase the applied prefix's net delta (WindowDelta) is built once and
+// every shard repairs its own walks in ONE parallel dispatch against
+// that graph, now frozen. The graph's mutation epoch
+// (AdjacencySlab::epoch) is recorded when the repair phase starts and
+// FASTPPR_CHECKed unchanged when it ends, so an accidental mutation
+// under concurrent repairs aborts loudly instead of racing silently.
 //
 // Execution modes (ShardedOptions::lockstep):
-//  * LOCKSTEP — the PR 2-8 model: the calling thread runs ingest and
-//    repair phases back to back on the one shared store and returns
-//    with the window fully applied.
+//  * LOCKSTEP — the barrier-synced model: the calling thread runs the
+//    ingest and repair phases back to back on the one shared store and
+//    returns with the window fully applied.
 //  * PIPELINED (default) — ingest of window k+1 overlaps repair of
 //    window k overlaps publish of window k-1. The caller mutates the
-//    PRIMARY store and hands each applied chunk to a pipeline thread
-//    over a bounded queue; the pipeline thread replays the chunk into a
-//    REPAIR REPLICA store (the one the shards are bound to), queues one
-//    repair task per shard into bounded per-shard queues, and drains
-//    them through the ThreadPool. Within one chunk the advance/repair
-//    alternation is unchanged — that is exactly the single-writer epoch
-//    contract, now honored by the pipeline thread — so the replica
-//    replays the primary's mutation sequence bit-identically and every
+//    PRIMARY store and hands the window's applied prefix over to a
+//    pipeline thread (returning once that thread has taken it); the
+//    pipeline thread replays the prefix in order into a REPAIR REPLICA
+//    store (the one the shards are bound to), builds the delta, and
+//    repairs every shard through one ThreadPool dispatch. The replica
+//    replays the primary's mutation sequence bit-identically, so every
 //    shard repairs against the identical frozen graph state it would
 //    have seen in lockstep. Window boundaries retire in FIFO order
 //    (windows_applied trails windows_submitted); getters that read
@@ -47,17 +46,17 @@
 // reroutes stored walks that VISIT u (Proposition 2), and walks visiting
 // u are sourced everywhere, so every shard must see every event. What is
 // partitioned by ShardOfNode is the repair work itself — each shard's
-// inverted index lists only its own walks' visits, so the Binomial
-// coupling repairs of one event split S ways (the Social-Store *write*
-// of the event belongs to shard_of(src); ShardRouter accounts it there).
+// inverted index lists only its own walks' visits, so the coupling
+// repairs of one window split S ways (the Social-Store *write* of an
+// event belongs to shard_of(src); ShardRouter accounts it there).
 //
 // Determinism contract: per-shard RNG streams depend only on (seed,
 // shard_count), never on thread count, scheduling or execution mode,
 // and sampling is defined over the bound slab's canonical slot order —
 // so results are bit-identical for any number of worker threads,
 // pipelined or lockstep, and a 1-shard engine consumes the identical
-// stream as the flat engine (Mix64(0) == 0; the flat engine's chunk
-// loop interleaves mutation and repair in exactly the same order).
+// stream as the flat engine (Mix64(0) == 0; the flat engine mutates and
+// repairs each window in exactly the same order).
 
 #include <algorithm>
 #include <atomic>
@@ -108,11 +107,6 @@ struct ShardedOptions {
   /// trades the ingest/repair/publish overlap for strictly synchronous
   /// semantics. Also the reference side of the differential tests.
   bool lockstep = false;
-  /// Pipelined mode: capacity of the caller→pipeline chunk queue
-  /// (backpressure bound on how far ingest may run ahead of repair).
-  std::size_t pipeline_queue_capacity = 8;
-  /// Pipelined mode: capacity of each shard's repair work queue.
-  std::size_t repair_queue_capacity = 16;
 };
 
 /// Routing policy for one ingestion window. Repairs broadcast (see the
@@ -131,12 +125,12 @@ class ShardRouter {
     return ShardOfNode(u, static_cast<uint32_t>(num_shards_));
   }
 
-  /// Accounts a chunk of *applied* mutations to their owning shards (by
+  /// Accounts a window's *applied* mutations to their owning shards (by
   /// edge source, mirroring SocialStore's write counting — rejected
   /// events are never counted).
-  void AccountWrites(std::span<const Edge> applied) {
-    for (const Edge& e : applied) {
-      ++writes_by_shard_[shard_of(e.src)];
+  void AccountWrites(std::span<const EdgeEvent> applied) {
+    for (const EdgeEvent& ev : applied) {
+      ++writes_by_shard_[shard_of(ev.edge.src)];
     }
   }
 
@@ -194,7 +188,7 @@ struct DurabilityOptions {
 /// S walk-store shards over one shared Social Store, behind one
 /// ApplyEvents front door. `Engine` is IncrementalPageRank or
 /// IncrementalSalsa (anything with the shared-store constructor, the
-/// BeginRepairWindow/RepairEdges* API, and the RankingCount merge API).
+/// RepairWindow/kRepairsInEdges API, and the RankingCount merge API).
 template <typename Engine>
 class ShardedEngine {
  public:
@@ -295,7 +289,7 @@ class ShardedEngine {
   /// The ONE shared Social Store all shards' repairs broadcast over —
   /// the PRIMARY the single-writer caller mutates. In pipelined mode
   /// the shards read the repair replica instead (same content at every
-  /// chunk boundary); in lockstep they read this store directly.
+  /// window boundary); in lockstep they read this store directly.
   SocialStore& social_store() { return *social_; }
   const SocialStore& social_store() const { return *social_; }
   const DiGraph& graph() const { return social_->graph(); }
@@ -392,22 +386,21 @@ class ShardedEngine {
     });
   }
 
-  /// Applies one ingestion window. Lockstep: alternating single-writer
-  /// ingest / parallel repair phases, one pair per same-kind chunk,
-  /// fully applied on return. Pipelined: the caller runs only the
-  /// primary-store mutations (and the WAL) and hands repair + publish
-  /// to the pipeline; the returned Status is already exact — it is
-  /// computed from the primary mutations, and the replica replays them
-  /// deterministically. An invalid event stops the window at that chunk
-  /// prefix; the applied prefix is repaired in every shard before the
-  /// window retires.
+  /// Applies one ingestion window. Lockstep: one single-writer ingest
+  /// phase, then one parallel repair phase, fully applied on return.
+  /// Pipelined: the caller runs only the primary-store mutations (and
+  /// the WAL) and hands repair + publish to the pipeline; the returned
+  /// Status is already exact — it is computed from the primary
+  /// mutations, and the replica replays them deterministically. An
+  /// invalid event stops the window there; the applied prefix is
+  /// repaired in every shard before the window retires.
   ///
   /// With durability enabled the window's raw event span is appended to
   /// the WAL and (by default) fsync'd BEFORE anything is applied:
-  /// log-ahead plus deterministic ingestion — ApplyEventsInChunks
-  /// replays a logged span identically, rejected events included — is
-  /// the whole recovery story. A WAL write error fails the window
-  /// before any state changed. WAL records are numbered by windows
+  /// log-ahead plus deterministic ingestion — ApplyWindowPrefix and the
+  /// window coupling replay a logged span identically, rejected events
+  /// included — is the whole recovery story. A WAL write error fails the
+  /// window before any state changed. WAL records are numbered by windows
   /// SUBMITTED, so the epoch-aligned framing is untouched by the
   /// pipeline lag; a checkpoint drains the pipeline to a boundary.
   Status ApplyEvents(std::span<const EdgeEvent> events) {
@@ -764,8 +757,8 @@ class ShardedEngine {
 
   void Init(const ShardedOptions& sharding, bool for_recovery) {
     // Pipelined mode: the repair replica starts as a bit-identical copy
-    // of the primary and replays its mutation sequence chunk by chunk —
-    // the shards bind to IT so repairs of window k read frozen state
+    // of the primary and replays its mutation sequence window by window
+    // — the shards bind to IT so repairs of window k read frozen state
     // while the caller already mutates the primary for window k+1.
     if (!sharding.lockstep) {
       repair_social_ =
@@ -790,9 +783,7 @@ class ShardedEngine {
     for (const auto& shard : shards_) shard_ptrs_.push_back(shard.get());
     InitMetrics();
     if (!sharding.lockstep) {
-      pipe_ = std::make_unique<Pipeline>(S,
-                                         sharding.pipeline_queue_capacity,
-                                         sharding.repair_queue_capacity);
+      pipe_ = std::make_unique<Pipeline>();
       pipe_->thread = std::thread([this] { PipelineLoop(); });
     }
   }
@@ -822,51 +813,22 @@ class ShardedEngine {
     const uint64_t window =
         windows_applied_.load(std::memory_order_relaxed);
     const uint64_t window_start = hot ? obs::NowNanos() : 0;
-    uint64_t phase_start = window_start;
-    for (auto& shard : shards_) shard->BeginRepairWindow();
-    // The shared chunk protocol (ApplyEventsInChunks) is what makes the
+    // The shared window protocol (ApplyWindowPrefix) is what makes the
     // S=1 engine consume the identical RNG stream as the flat engines:
-    // every mutate call below is an ingest-phase write by this (single
-    // writer) thread; every repair call is a parallel phase against the
-    // frozen graph.
-    const Status result = ApplyEventsInChunks(
-        events, &chunk_scratch_,
-        [this](const Edge& e, bool insert) {
-          return insert ? social_->AddEdge(e.src, e.dst)
-                        : social_->RemoveEdge(e.src, e.dst);
-        },
-        [this, hot, window, &phase_start](std::span<const Edge> applied,
-                                          bool insert) {
-          router_.AccountWrites(applied);
-          if (applied_.tracking()) {
-            for (const Edge& e : applied) applied_.Record(e);
-          }
-          if (hot) {
-            // The writer's mutation run for this chunk ends here.
-            const uint64_t now = obs::NowNanos();
-            om_.ingest_phase->Record(now - phase_start);
-            tracer_.Record(writer_track(), obs::Phase::kIngest, window,
-                           phase_start, now);
-          }
-          const uint64_t frozen = social_->epoch();
-          pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
-            const uint64_t t0 = hot ? obs::NowNanos() : 0;
-            if (insert) {
-              shards_[s]->RepairEdgesInserted(applied);
-            } else {
-              shards_[s]->RepairEdgesRemoved(applied);
-            }
-            if (hot) {
-              const uint64_t t1 = obs::NowNanos();
-              om_.repair_phase->Record(t1 - t0);
-              tracer_.Record(s, obs::Phase::kRepair, window, t0, t1);
-            }
-          });
-          FASTPPR_CHECK_MSG(
-              social_->epoch() == frozen,
-              "graph mutated during a parallel repair phase");
-          if (hot) phase_start = obs::NowNanos();
-        });
+    // the mutations are this (single writer) thread's ingest phase; the
+    // repair below is one parallel phase against the frozen graph.
+    std::size_t applied = 0;
+    const Status result =
+        ApplyWindowPrefix(events, MutatePrimary(), &applied);
+    const std::span<const EdgeEvent> prefix = events.first(applied);
+    router_.AccountWrites(prefix);
+    if (hot) {
+      const uint64_t now = obs::NowNanos();
+      om_.ingest_phase->Record(now - window_start);
+      tracer_.Record(writer_track(), obs::Phase::kIngest, window,
+                     window_start, now);
+    }
+    RepairShards(prefix, *social_, window, hot);
     const uint64_t epoch = window + 1;
     windows_submitted_.store(epoch, std::memory_order_relaxed);
     windows_applied_.store(epoch, std::memory_order_relaxed);
@@ -891,130 +853,107 @@ class ShardedEngine {
     return result;
   }
 
+  /// The caller's single-writer mutation of the primary store.
+  auto MutatePrimary() {
+    return [this](const Edge& e, bool insert) {
+      return insert ? social_->AddEdge(e.src, e.dst)
+                    : social_->RemoveEdge(e.src, e.dst);
+    };
+  }
+
   /// Pipelined front half (caller thread): primary-store mutations
-  /// only. Each applied chunk ships to the pipeline thread; the window
-  /// boundary marker retires the window over there in FIFO order.
+  /// only. The applied prefix ships to the pipeline thread as one item,
+  /// which retires the window over there in FIFO order.
   Status PipelinedApplyWindow(std::span<const EdgeEvent> events) {
     const bool hot = metrics_enabled();
     const uint64_t window =
         windows_submitted_.load(std::memory_order_relaxed);
     const uint64_t window_start = hot ? obs::NowNanos() : 0;
-    uint64_t phase_start = window_start;
-    const Status result = ApplyEventsInChunks(
-        events, &chunk_scratch_,
-        [this](const Edge& e, bool insert) {
-          return insert ? social_->AddEdge(e.src, e.dst)
-                        : social_->RemoveEdge(e.src, e.dst);
-        },
-        [this, hot, window, &phase_start](std::span<const Edge> applied,
-                                          bool insert) {
-          router_.AccountWrites(applied);
-          if (hot) {
-            const uint64_t now = obs::NowNanos();
-            om_.ingest_phase->Record(now - phase_start);
-            tracer_.Record(writer_track(), obs::Phase::kIngest, window,
-                           phase_start, now);
-          }
-          pipe::PipelineItem item;
-          item.kind = pipe::PipelineItem::Kind::kChunk;
-          item.insert = insert;
-          item.edges = TakeChunkBuffer();
-          item.edges.assign(applied.begin(), applied.end());
-          pipe_->advance.Push(std::move(item));
-          if (hot) {
-            om_.pipeline_ingest_queue_hw->Set(pipe_->advance.high_water());
-            phase_start = obs::NowNanos();
-          }
-        });
-    // Submitted is bumped BEFORE the boundary marker is queued, so
-    // windows_applied (stored by the pipeline thread when the marker
+    std::size_t applied = 0;
+    const Status result =
+        ApplyWindowPrefix(events, MutatePrimary(), &applied);
+    pipe::PipelineItem item;
+    item.applied.assign(events.begin(), events.begin() + applied);
+    item.window_events = events.size();
+    router_.AccountWrites(item.applied);
+    if (hot) {
+      const uint64_t now = obs::NowNanos();
+      om_.ingest_phase->Record(now - window_start);
+      tracer_.Record(writer_track(), obs::Phase::kIngest, window,
+                     window_start, now);
+    }
+    // Submitted is bumped BEFORE the window is handed over, so
+    // windows_applied (stored by the pipeline thread when the window
     // retires) can never be observed ahead of windows_submitted.
     windows_submitted_.store(window + 1, std::memory_order_release);
-    pipe::PipelineItem boundary;
-    boundary.kind = pipe::PipelineItem::Kind::kBoundary;
-    boundary.window_events = events.size();
-    pipe_->advance.Push(std::move(boundary));
+    pipe_->advance.Handoff(std::move(item));
     if (hot) {
-      // Caller-side window cost only (queueing included); repair cost
-      // lives in repair_phase and the tracer's lane tracks.
+      om_.pipeline_ingest_queue_hw->Set(pipe_->advance.high_water());
+      // Caller-side window cost only (the hand-off wait included);
+      // repair cost lives in repair_phase and the tracer's lane tracks.
       om_.ingest_window->Record(obs::NowNanos() - window_start);
     }
     return result;
   }
 
-  /// Pipeline thread main loop: replays chunks into the repair replica,
-  /// fans repairs out per shard, retires window boundaries in order.
+  /// Pipeline thread main loop: one item per window — advance the
+  /// replica, repair every shard, retire the boundary.
   void PipelineLoop() {
     pipe::PipelineItem item;
-    bool window_begun = false;
     while (pipe_->advance.Pop(&item)) {
-      if (!window_begun) {
-        for (auto& shard : shards_) shard->BeginRepairWindow();
-        window_begun = true;
-      }
-      if (item.kind == pipe::PipelineItem::Kind::kChunk) {
-        AdvanceAndRepair(item.insert, item.edges);
-        RecycleChunkBuffer(std::move(item.edges));
-      } else {
-        CompleteWindow(item.window_events);
-        window_begun = false;
-      }
+      AdvanceAndRepair(item.applied);
+      CompleteWindow(item.window_events);
     }
   }
 
-  /// One chunk on the pipeline thread: advance the replica (this thread
-  /// is the replica's single writer), then repair every shard against
-  /// the now-frozen replica through the per-shard work queues.
-  void AdvanceAndRepair(bool insert, const std::vector<Edge>& edges) {
+  /// One window on the pipeline thread: replay the applied prefix into
+  /// the replica in order (this thread is the replica's single writer,
+  /// so slot order stays identical to the primary's), then repair every
+  /// shard against the now-frozen replica.
+  void AdvanceAndRepair(std::span<const EdgeEvent> prefix) {
     const bool hot = metrics_enabled();
     const uint64_t window =
         windows_applied_.load(std::memory_order_relaxed);
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
     DiGraph* g = repair_social_->mutable_graph();
-    for (const Edge& e : edges) {
-      const Status s = insert ? g->AddEdge(e.src, e.dst)
-                              : g->RemoveEdge(e.src, e.dst);
-      // The caller ships only chunks the primary ACCEPTED; the replica
-      // replays the identical sequence from identical state, so a
-      // rejection here means the stores diverged.
+    for (const EdgeEvent& ev : prefix) {
+      const Status s = ev.kind == EdgeEvent::Kind::kInsert
+                           ? g->AddEdge(ev.edge.src, ev.edge.dst)
+                           : g->RemoveEdge(ev.edge.src, ev.edge.dst);
+      // The caller ships only the prefix the primary ACCEPTED; the
+      // replica replays the identical sequence from identical state, so
+      // a rejection here means the stores diverged.
       FASTPPR_CHECK_MSG(s.ok(), "repair replica diverged from primary");
-    }
-    if (applied_.tracking()) {
-      for (const Edge& e : edges) applied_.Record(e);
     }
     if (hot) {
       tracer_.Record(pipeline_track(), obs::Phase::kIngest, window, t0,
                      obs::NowNanos());
     }
-    const uint64_t frozen = repair_social_->epoch();
-    const std::size_t S = shards_.size();
-    for (std::size_t s = 0; s < S; ++s) {
-      pipe_->repair_queues.Push(
-          s, pipe::ShardRepairQueues::Task{edges.data(), edges.size(),
-                                           insert});
-      if (hot) {
-        om_.pipeline_repair_queue_hw->Set(
-            pipe_->repair_queues.high_water(s), s);
-      }
+    RepairShards(prefix, *repair_social_, window, hot);
+  }
+
+  /// The window's repair phase, shared by both modes: feeds the applied
+  /// edges to the frozen-adjacency publisher, builds the prefix's net
+  /// delta once, and repairs every shard in one parallel dispatch
+  /// against `frozen`, whose epoch must not move meanwhile. The delta
+  /// is read-only across the dispatch.
+  void RepairShards(std::span<const EdgeEvent> prefix,
+                    const SocialStore& frozen, uint64_t window, bool hot) {
+    if (applied_.tracking()) {
+      for (const EdgeEvent& ev : prefix) applied_.Record(ev.edge);
     }
-    pool_.ParallelFor(S, [&](std::size_t s) {
-      pipe::ShardRepairQueues::Task task;
-      while (pipe_->repair_queues.TryPop(s, &task)) {
-        const uint64_t r0 = hot ? obs::NowNanos() : 0;
-        const std::span<const Edge> chunk(task.data, task.count);
-        if (task.insert) {
-          shards_[s]->RepairEdgesInserted(chunk);
-        } else {
-          shards_[s]->RepairEdgesRemoved(chunk);
-        }
-        if (hot) {
-          const uint64_t r1 = obs::NowNanos();
-          om_.repair_phase->Record(r1 - r0);
-          tracer_.Record(s, obs::Phase::kRepair, window, r0, r1);
-        }
+    delta_.Build(prefix, Engine::kRepairsInEdges);
+    const uint64_t epoch = frozen.epoch();
+    pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
+      const uint64_t t0 = hot ? obs::NowNanos() : 0;
+      shards_[s]->RepairWindow(delta_);
+      if (hot) {
+        const uint64_t t1 = obs::NowNanos();
+        om_.repair_phase->Record(t1 - t0);
+        tracer_.Record(s, obs::Phase::kRepair, window, t0, t1);
       }
     });
-    FASTPPR_CHECK_MSG(repair_social_->epoch() == frozen,
+    FASTPPR_CHECK_MSG(frozen.epoch() == epoch,
                       "graph mutated during a parallel repair phase");
   }
 
@@ -1053,21 +992,6 @@ class ShardedEngine {
     return (pipe_ != nullptr ? repair_social_ : social_)->graph();
   }
 
-  std::vector<Edge> TakeChunkBuffer() {
-    std::lock_guard<std::mutex> lock(pipe_->free_mu);
-    if (pipe_->free_bufs.empty()) return {};
-    std::vector<Edge> buf = std::move(pipe_->free_bufs.back());
-    pipe_->free_bufs.pop_back();
-    buf.clear();
-    return buf;
-  }
-  void RecycleChunkBuffer(std::vector<Edge>&& buf) {
-    std::lock_guard<std::mutex> lock(pipe_->free_mu);
-    if (pipe_->free_bufs.size() < pipe_->free_cap) {
-      pipe_->free_bufs.push_back(std::move(buf));
-    }
-  }
-
   DurableManifest BuildManifest() const {
     DurableManifest m;
     m.num_nodes = num_nodes();
@@ -1084,8 +1008,9 @@ class ShardedEngine {
   /// Complete engine state in SaveTo-chain order: window counter,
   /// router ledger, shared store (graph slab + call counters), then
   /// every shard engine (walk slabs + RNG + stats). The transient
-  /// chunk scratch and applied-edge feed are excluded: both are empty
-  /// at every window boundary. The repair replica is excluded too — it
+  /// window delta and applied-edge feed are excluded: the delta is
+  /// rebuilt by every window and the feed is empty at every window
+  /// boundary. The repair replica is excluded too — it
   /// is bit-identical to the primary at every drained boundary and is
   /// rebuilt from it on restore, so the serialized form is identical
   /// between the pipelined and lockstep modes (the differential tests'
@@ -1132,18 +1057,13 @@ class ShardedEngine {
   /// non-copyable queue/thread machinery out of the lockstep layout and
   /// lets const getters drain through it.
   struct Pipeline {
-    Pipeline(std::size_t shards, std::size_t advance_cap,
-             std::size_t repair_cap)
-        : advance(advance_cap),
-          repair_queues(shards, repair_cap),
-          free_cap(advance_cap + 2) {}
-    pipe::BoundedQueue<pipe::PipelineItem> advance;
-    pipe::ShardRepairQueues repair_queues;
+    /// One window in hand-off (BoundedQueue::Handoff): ingest of window
+    /// k+1 overlaps repair of k and publish of k-1, and the caller
+    /// returns once the pipeline thread has taken its window, so an
+    /// acked window never waits behind another one in the queue.
+    pipe::BoundedQueue<pipe::PipelineItem> advance{1};
     std::mutex done_mu;
     std::condition_variable done_cv;
-    std::mutex free_mu;
-    std::vector<std::vector<Edge>> free_bufs;  ///< chunk buffer recycling
-    std::size_t free_cap;
     std::thread thread;  ///< last: joined before members die
   };
 
@@ -1156,7 +1076,10 @@ class ShardedEngine {
                                                  ///  writes; shards read)
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<Engine*> shard_ptrs_;  ///< raw view for BoundaryContext
-  std::vector<Edge> chunk_scratch_;
+  /// The current window's net delta: written by the window's single
+  /// writer (the caller in lockstep, the pipeline thread when
+  /// pipelined), read by every shard during the repair dispatch.
+  WindowDelta delta_;
   /// Windows the caller has finished submitting (synchronous; WAL
   /// numbering) vs windows fully applied (repairs + boundary sink).
   /// Equal in lockstep and at every drained boundary; applied trails

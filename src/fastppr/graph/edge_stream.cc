@@ -1,8 +1,77 @@
 #include "fastppr/graph/edge_stream.h"
 
+#include <algorithm>
+
 #include "fastppr/util/check.h"
 
 namespace fastppr {
+
+void WindowDelta::Build(std::span<const EdgeEvent> applied,
+                        bool with_in_side) {
+  inserts_ = 0;
+  removes_ = 0;
+  keyed_.clear();
+  for (const EdgeEvent& ev : applied) {
+    const bool insert = ev.kind == EdgeEvent::Kind::kInsert;
+    ++(insert ? inserts_ : removes_);
+    keyed_.push_back(Keyed{(uint64_t{ev.edge.src} << 32) | ev.edge.dst,
+                           insert ? 1 : -1});
+  }
+  BuildSide(&keyed_, &out_);
+  has_in_side_ = with_in_side;
+  if (with_in_side) {
+    for (Keyed& k : keyed_) k.key = (k.key << 32) | (k.key >> 32);
+    BuildSide(&keyed_, &in_);
+  } else {
+    in_.pivots.clear();
+    in_.removed.clear();
+    in_.added.clear();
+  }
+}
+
+std::size_t WindowDelta::Side::IndexOf(std::span<const Removed> removed,
+                                       NodeId x) {
+  const auto it = std::lower_bound(
+      removed.begin(), removed.end(), x,
+      [](const Removed& r, NodeId n) { return r.node < n; });
+  return it != removed.end() && it->node == x
+             ? static_cast<std::size_t>(it - removed.begin())
+             : removed.size();
+}
+
+void WindowDelta::BuildSide(std::vector<Keyed>* keyed, Side* side) {
+  side->pivots.clear();
+  side->removed.clear();
+  side->added.clear();
+  std::sort(keyed->begin(), keyed->end(),
+            [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+  for (std::size_t lo = 0; lo < keyed->size();) {
+    const uint64_t key = (*keyed)[lo].key;
+    int64_t net = 0;
+    for (; lo < keyed->size() && (*keyed)[lo].key == key; ++lo) {
+      net += (*keyed)[lo].sign;
+    }
+    if (net == 0) continue;  // inserted and deleted within the window
+    const NodeId pivot = static_cast<NodeId>(key >> 32);
+    const NodeId neighbour = static_cast<NodeId>(key);
+    if (side->pivots.empty() || side->pivots.back().node != pivot) {
+      const auto r = static_cast<uint32_t>(side->removed.size());
+      const auto a = static_cast<uint32_t>(side->added.size());
+      side->pivots.push_back(Pivot{pivot, r, r, a, a, 0});
+    }
+    Pivot& p = side->pivots.back();
+    if (net < 0) {
+      side->removed.push_back(
+          Removed{neighbour, static_cast<uint32_t>(-net)});
+      p.removed_end = static_cast<uint32_t>(side->removed.size());
+      p.removed_slots += static_cast<uint32_t>(-net);
+    } else {
+      side->added.insert(side->added.end(), static_cast<std::size_t>(net),
+                         neighbour);
+      p.added_end = static_cast<uint32_t>(side->added.size());
+    }
+  }
+}
 
 RandomPermutationStream::RandomPermutationStream(std::vector<Edge> edges,
                                                  Rng* rng)

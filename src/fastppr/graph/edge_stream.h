@@ -2,6 +2,7 @@
 #define FASTPPR_GRAPH_EDGE_STREAM_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -20,46 +21,100 @@ struct EdgeEvent {
   Edge edge;
 };
 
-/// The batched-ingestion chunk protocol shared by the flat engines and
-/// the sharded orchestrator — ONE definition, because the per-shard RNG
-/// streams are bit-identical to the flat engine's only while all of
-/// them chunk the stream identically.
-///
-/// Splits `events` into maximal same-kind runs, preserving stream order
-/// across runs. Per chunk: `mutate(edge, insert)` is applied per event
-/// until one fails; the successfully applied prefix (collected into
-/// `*scratch`, which is caller-owned reusable storage) is handed to
-/// `repair(applied, insert)` — so on failure the applied prefix is
-/// repaired before the failing Status is returned.
-template <typename MutateFn, typename RepairFn>
-Status ApplyEventsInChunks(std::span<const EdgeEvent> events,
-                           std::vector<Edge>* scratch,
-                           const MutateFn& mutate,
-                           const RepairFn& repair) {
-  std::size_t i = 0;
-  while (i < events.size()) {
-    std::size_t j = i;
-    while (j < events.size() && events[j].kind == events[i].kind) ++j;
-    const bool insert = events[i].kind == EdgeEvent::Kind::kInsert;
-
-    scratch->clear();
-    Status failure = Status::OK();
-    for (std::size_t t = i; t < j; ++t) {
-      Status s = mutate(events[t].edge, insert);
-      if (!s.ok()) {
-        failure = s;
-        break;
-      }
-      scratch->push_back(events[t].edge);
+/// The ingestion-window protocol shared by the flat engines, the
+/// sharded orchestrator and WAL replay: `mutate(edge, insert)` is
+/// applied per event, in order, until one fails — a window stops at its
+/// first invalid event. Returns that failure (OK when every event
+/// applied) and stores the applied prefix length in `*applied`; the
+/// caller repairs exactly that prefix, so on failure the applied part
+/// of the window is repaired before the failing Status is returned.
+template <typename MutateFn>
+Status ApplyWindowPrefix(std::span<const EdgeEvent> events,
+                         const MutateFn& mutate, std::size_t* applied) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const EdgeEvent& ev = events[i];
+    Status s = mutate(ev.edge, ev.kind == EdgeEvent::Kind::kInsert);
+    if (!s.ok()) {
+      *applied = i;
+      return s;
     }
-    if (!scratch->empty()) {
-      repair(std::span<const Edge>(*scratch), insert);
-    }
-    if (!failure.ok()) return failure;
-    i = j;
   }
+  *applied = events.size();
   return Status::OK();
 }
+
+/// The net effect of one applied window on the adjacency multisets —
+/// all the window coupling (DESIGN.md §1) needs, since it repairs
+/// against the graphs before and after the window, never against the
+/// order of its events. Grouped per pivot node: the neighbours whose
+/// parallel-copy count fell (with the net copies removed) and the new
+/// slots (one entry per net-inserted copy). Built in sorted
+/// (pivot, neighbour) order — never hash order — so the repairs' RNG
+/// consumption is a pure function of the window's net content. An
+/// insert and a delete of the same edge in one window cancel.
+class WindowDelta {
+ public:
+  struct Removed {
+    NodeId node;      ///< neighbour that lost copies
+    uint32_t copies;  ///< net copies removed
+  };
+  /// One pivot with a nonzero net change; [begin, end) ranges index
+  /// the side's removed() and added() arrays.
+  struct Pivot {
+    NodeId node;
+    uint32_t removed_begin;
+    uint32_t removed_end;
+    uint32_t added_begin;
+    uint32_t added_end;
+    uint32_t removed_slots;  ///< sum of the removed copies
+    uint32_t num_added() const { return added_end - added_begin; }
+  };
+  /// One side of the adjacency: out (pivot = source, neighbours are
+  /// targets) or in (pivot = target, neighbours are sources).
+  struct Side {
+    std::vector<Pivot> pivots;  ///< ascending node order
+    std::vector<Removed> removed;
+    std::vector<NodeId> added;
+
+    /// The pivot's removed neighbours, ascending by node.
+    std::span<const Removed> RemovedOf(const Pivot& p) const {
+      return {removed.data() + p.removed_begin,
+              p.removed_end - p.removed_begin};
+    }
+    /// Index of neighbour `x` in RemovedOf(p) (binary search), or its
+    /// size when x lost no copies at p.
+    static std::size_t IndexOf(std::span<const Removed> removed, NodeId x);
+    std::span<const NodeId> AddedOf(const Pivot& p) const {
+      return {added.data() + p.added_begin, p.num_added()};
+    }
+  };
+
+  /// Rebuilds the delta of an applied window prefix. `with_in_side`
+  /// also builds the in side (SALSA repairs both endpoints).
+  void Build(std::span<const EdgeEvent> applied, bool with_in_side);
+
+  const Side& out() const { return out_; }
+  const Side& in() const { return in_; }
+  bool has_in_side() const { return has_in_side_; }
+  /// Applied insert / delete events (gross, not net): the engines'
+  /// arrival and removal counters.
+  uint64_t inserts() const { return inserts_; }
+  uint64_t removes() const { return removes_; }
+
+ private:
+  struct Keyed {
+    uint64_t key;  ///< pivot << 32 | neighbour
+    int32_t sign;  ///< +1 insert, -1 delete
+  };
+  static void BuildSide(std::vector<Keyed>* keyed, Side* side);
+
+  Side out_;
+  Side in_;
+  bool has_in_side_ = false;
+  uint64_t inserts_ = 0;
+  uint64_t removes_ = 0;
+  std::vector<Keyed> keyed_;  ///< reusable sort scratch
+};
 
 /// Abstract edge-arrival process. Section 2.2 of the paper analyses three
 /// models: random permutation (the main theorem), Dirichlet, and

@@ -57,13 +57,11 @@ struct EngineMetrics {
   // Pipelined-engine stage queues (DESIGN.md §11); all report
   // high-water depths, each written by its single producer.
   Counter* pipeline_ingest_queue_hw = nullptr;   ///< caller→pipeline
-  Counter* pipeline_repair_queue_hw = nullptr;   ///< per-shard work
-                                                 ///  queues [shard]
   Counter* pipeline_publish_queue_hw = nullptr;  ///< boundary→publisher
 
   // --- latency histograms (nanoseconds; exported in µs) --------------
-  LatencyHistogram* ingest_phase = nullptr;   ///< per-chunk writer phase
-  LatencyHistogram* repair_phase = nullptr;   ///< per-shard repair phase
+  LatencyHistogram* ingest_phase = nullptr;   ///< per-window writer phase
+  LatencyHistogram* repair_phase = nullptr;   ///< per-shard window repair
   LatencyHistogram* publish_phase = nullptr;  ///< frozen-view publish
   LatencyHistogram* wal_fsync = nullptr;      ///< per-window fsync
   LatencyHistogram* ingest_window = nullptr;  ///< whole ApplyWindow
@@ -112,8 +110,6 @@ struct EngineMetrics {
     m.serve_queue_depth_hw = reg->RegisterGauge("serve_queue_depth_hw", 3);
     m.pipeline_ingest_queue_hw =
         reg->RegisterGauge("pipeline_ingest_queue_hw");
-    m.pipeline_repair_queue_hw =
-        reg->RegisterGauge("pipeline_repair_queue_hw", shards);
     m.pipeline_publish_queue_hw =
         reg->RegisterGauge("pipeline_publish_queue_hw");
     m.ingest_phase = reg->RegisterHistogram("ingest_phase");

@@ -1,14 +1,14 @@
 #ifndef FASTPPR_STORE_REPAIR_SCRATCH_H_
 #define FASTPPR_STORE_REPAIR_SCRATCH_H_
 
-// Batched-repair collection machinery shared by WalkStore and
-// SalsaWalkStore (companion to SlabPool; see DESIGN.md). Both stores
-// collect every switch/break decision of an ingestion window *before*
-// re-simulating any suffix — a fresh suffix is already distributed for
-// the new graph and must never be switched twice — keeping only the
-// earliest affected position per segment. The collection state
-// (epoch-stamped per-segment dedup, Floyd-sampling scratch) is identical
-// in both stores; it lives here once.
+// Window-repair collection machinery shared by WalkStore and
+// SalsaWalkStore (companion to SlabPool; see DESIGN.md §1). Both stores
+// collect every switch/break/resume decision of an ingestion window
+// *before* re-simulating any suffix — a fresh suffix is already
+// distributed for the post-window graph and must never be switched
+// twice — keeping only the earliest affected position per segment. The
+// collection state (epoch-stamped per-segment dedup, Floyd-sampling
+// scratch) is identical in both stores; it lives here once.
 
 #include <algorithm>
 #include <cstdint>
@@ -112,9 +112,17 @@ inline std::size_t DirtyCapForOwnedRows(const SlabPool& rows) {
   return std::min(rows.num_rows(), owned + owned / 2 + 64);
 }
 
-/// Reusable collection scratch for one batched update: zero steady-state
+/// What the window coupling decided for one collected position.
+enum class RepairKind : uint8_t {
+  kSwitch,  ///< step visit switches onto a uniformly chosen new slot
+  kResume,  ///< dangling tail at a pivot that had no edge before
+  kBreak,   ///< stored hop used a removed copy; redraws over all slots
+};
+
+/// Reusable collection scratch for one window repair: zero steady-state
 /// allocation. `Repair` is the store's pending-repair struct; it must
-/// expose public `seg` (uint64_t) and `pos` (uint32_t) members.
+/// expose public `seg` (uint64_t), `pos` (uint32_t) and `kind`
+/// (RepairKind) members.
 template <typename Repair>
 class RepairScratch {
  public:
@@ -137,7 +145,9 @@ class RepairScratch {
   }
 
   /// Records a repair candidate, keeping the earliest position per
-  /// segment.
+  /// segment. A break outranks a switch at the same position: the
+  /// broken hop redraws over every post-window slot, which keeps each
+  /// slot at probability 1/d_after (DESIGN.md §1).
   void Offer(const Repair& cand) {
     uint64_t& meta = meta_[cand.seg];
     if ((meta >> 32) != epoch_) {
@@ -146,7 +156,10 @@ class RepairScratch {
       return;
     }
     Repair& have = pending_[static_cast<uint32_t>(meta)];
-    if (cand.pos < have.pos) have = cand;
+    if (cand.pos < have.pos ||
+        (cand.pos == have.pos && cand.kind == RepairKind::kBreak)) {
+      have = cand;
+    }
   }
 
   bool empty() const { return pending_.empty(); }

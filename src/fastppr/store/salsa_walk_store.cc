@@ -258,97 +258,107 @@ uint64_t SalsaWalkStore::ExtendFromTail(const DiGraph& g, uint64_t seg,
   return end - 1 - start;
 }
 
-void SalsaWalkStore::CollectInsertGroup(Direction dir, NodeId pivot,
-                                        uint32_t group, uint32_t k,
-                                        std::size_t new_degree, Rng* rng,
-                                        WalkUpdateStats* stats) {
-  if (new_degree == k) {
-    // The pivot had no edge on this side before the batch: every segment
-    // dangling here resumes through a (uniformly chosen) new edge. The
-    // terminal visit already survived its reset draw, so the step is
-    // unconditional.
-    const EndReason reason = dir == Direction::kForward
-                                 ? EndReason::kDanglingFwd
-                                 : EndReason::kDanglingBwd;
-    slab::SlabPool& pool = DanglingPool(reason);
-    for (const uint64_t word : pool.RowSpan(pivot)) {
-      scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word), group,
-                                   k, dir, true});
+void SalsaWalkStore::CollectPivot(const DiGraph& g, Direction dir,
+                                  const WindowDelta::Side& side,
+                                  const WindowDelta::Pivot& p, Rng* rng,
+                                  WalkUpdateStats* stats) {
+  const bool forward = dir == Direction::kForward;
+  const NodeId pivot = p.node;
+  const std::span<const WindowDelta::Removed> removed = side.RemovedOf(p);
+  if (!removed.empty()) {
+    // Breaks: a stored step to x used a removed copy with probability
+    // r_x / (c_after(x) + r_x) (see WalkStore::CollectPivot).
+    remaining_.assign(removed.size(), 0);
+    for (const NodeId w :
+         forward ? g.OutNeighbors(pivot) : g.InNeighbors(pivot)) {
+      const std::size_t i = WindowDelta::Side::IndexOf(removed, w);
+      if (i < removed.size()) ++remaining_[i];
+    }
+    const auto row = StepPool(dir).RowSpan(pivot);
+    stats->entries_scanned += row.size();
+    for (const uint64_t word : row) {
+      const uint64_t seg = slab::Hi(word);
+      const uint32_t pos = slab::Lo(word);
+      FASTPPR_CHECK(pos + 1 < PathLen(seg));
+      const std::size_t i =
+          WindowDelta::Side::IndexOf(removed, PathNode(seg, pos + 1));
+      if (i == removed.size()) continue;
+      const double p_broken =
+          static_cast<double>(removed[i].copies) /
+          static_cast<double>(remaining_[i] + removed[i].copies);
+      if (!rng->Bernoulli(p_broken)) continue;  // used a surviving copy
+      scratch_.Offer(
+          PendingRepair{seg, pos, 0, 0, dir, slab::RepairKind::kBreak});
+    }
+  }
+
+  const uint32_t k = p.num_added();
+  if (k == 0) return;
+  const std::size_t d_after =
+      forward ? g.OutDegree(pivot) : g.InDegree(pivot);
+  FASTPPR_CHECK_MSG(d_after >= k, "graph must already contain the window");
+  if (d_after + p.removed_slots == k) {
+    // The pivot had no edge on this side before the window: every
+    // segment dangling here resumes through a (uniformly chosen) new
+    // slot. The terminal visit already survived its reset draw, so the
+    // step is unconditional.
+    const EndReason reason =
+        forward ? EndReason::kDanglingFwd : EndReason::kDanglingBwd;
+    for (const uint64_t word : DanglingPool(reason).RowSpan(pivot)) {
+      scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word),
+                                   p.added_begin, k, dir,
+                                   slab::RepairKind::kResume});
     }
     return;
   }
 
   const std::size_t w = StepPool(dir).Size(pivot);
   if (w == 0) return;
-  const uint64_t marks = rng->Binomial(
-      w, static_cast<double>(k) / static_cast<double>(new_degree));
+  const uint64_t marks =
+      rng->Binomial(w, static_cast<double>(k) / static_cast<double>(d_after));
   if (marks == 0) return;
-
   scratch_.SampleDistinct(w, marks, rng);
   stats->entries_scanned += scratch_.picked().size();
-  for (std::size_t idx : scratch_.picked()) {
+  for (const std::size_t idx : scratch_.picked()) {
     const uint64_t word =
         StepPool(dir).Get(pivot, static_cast<uint32_t>(idx));
-    scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word), group, k,
-                                 dir, false});
+    scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word),
+                                 p.added_begin, k, dir,
+                                 slab::RepairKind::kSwitch});
   }
 }
 
 WalkUpdateStats SalsaWalkStore::OnEdgeInserted(const DiGraph& g, NodeId u,
                                                NodeId v, Rng* rng) {
-  const Edge e{u, v};
-  return OnEdgesInserted(g, std::span<const Edge>(&e, 1), rng);
+  const EdgeEvent ev{EdgeEvent::Kind::kInsert, Edge{u, v}};
+  single_.Build(std::span<const EdgeEvent>(&ev, 1), kRepairsInEdges);
+  return RepairWindow(g, single_, rng);
 }
 
 WalkUpdateStats SalsaWalkStore::OnEdgeRemoved(const DiGraph& g, NodeId u,
                                               NodeId v, Rng* rng) {
-  const Edge e{u, v};
-  return OnEdgesRemoved(g, std::span<const Edge>(&e, 1), rng);
+  const EdgeEvent ev{EdgeEvent::Kind::kDelete, Edge{u, v}};
+  single_.Build(std::span<const EdgeEvent>(&ev, 1), kRepairsInEdges);
+  return RepairWindow(g, single_, rng);
 }
 
-WalkUpdateStats SalsaWalkStore::OnEdgesInserted(const DiGraph& g,
-                                                std::span<const Edge> edges,
-                                                Rng* rng) {
+WalkUpdateStats SalsaWalkStore::RepairWindow(const DiGraph& g,
+                                             const WindowDelta& delta,
+                                             Rng* rng) {
   WalkUpdateStats stats;
-  if (edges.empty()) return stats;
-  by_src_.assign(edges.begin(), edges.end());
-  by_dst_.assign(edges.begin(), edges.end());
-  if (edges.size() > 1) {
-    std::stable_sort(by_src_.begin(), by_src_.end(),
-                     [](const Edge& a, const Edge& b) {
-                       return a.src < b.src;
-                     });
-    std::stable_sort(by_dst_.begin(), by_dst_.end(),
-                     [](const Edge& a, const Edge& b) {
-                       return a.dst < b.dst;
-                     });
-  }
+  FASTPPR_CHECK_MSG(delta.has_in_side(),
+                    "SALSA repairs need the window's in side");
+  if (delta.out().pivots.empty()) return stats;
 
-  // Collect switch decisions from both endpoints of every edge *before*
-  // mutating: a suffix re-simulated for one pivot is already correct for
-  // the new graph and must not be switched again by another.
+  // Collect decisions at both endpoints of every changed edge *before*
+  // mutating: a suffix re-simulated for one pivot is already correct
+  // for the post-window graph and must not be switched again by another.
   scratch_.BeginEpoch();
-  for (std::size_t lo = 0; lo < by_src_.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < by_src_.size() && by_src_[hi].src == by_src_[lo].src) ++hi;
-    const NodeId u = by_src_[lo].src;
-    const std::size_t d = g.OutDegree(u);
-    FASTPPR_CHECK_MSG(d >= hi - lo,
-                      "graph must already contain the new edges");
-    CollectInsertGroup(Direction::kForward, u, static_cast<uint32_t>(lo),
-                       static_cast<uint32_t>(hi - lo), d, rng, &stats);
-    lo = hi;
+  for (const WindowDelta::Pivot& p : delta.out().pivots) {
+    CollectPivot(g, Direction::kForward, delta.out(), p, rng, &stats);
   }
-  for (std::size_t lo = 0; lo < by_dst_.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < by_dst_.size() && by_dst_[hi].dst == by_dst_[lo].dst) ++hi;
-    const NodeId v = by_dst_[lo].dst;
-    const std::size_t d = g.InDegree(v);
-    FASTPPR_CHECK_MSG(d >= hi - lo,
-                      "graph must already contain the new edges");
-    CollectInsertGroup(Direction::kBackward, v, static_cast<uint32_t>(lo),
-                       static_cast<uint32_t>(hi - lo), d, rng, &stats);
-    lo = hi;
+  for (const WindowDelta::Pivot& p : delta.in().pivots) {
+    CollectPivot(g, Direction::kBackward, delta.in(), p, rng, &stats);
   }
   if (scratch_.empty()) return stats;
   stats.store_called = 1;
@@ -357,137 +367,44 @@ WalkUpdateStats SalsaWalkStore::OnEdgesInserted(const DiGraph& g,
   for (const PendingRepair& plan : scratch_.pending()) {
     const uint64_t seg = plan.seg;
     RecordDirtySegment(seg);
-    // A switched hop lands uniformly on the group's new edges; a forward
-    // group's targets are destinations, a backward group's are sources.
-    // No draw for singleton groups (sequential RNG-stream parity).
-    auto draw_target = [&]() -> NodeId {
-      const std::size_t i =
-          plan.group_size == 1 ? 0 : rng->UniformIndex(plan.group_size);
-      return plan.dir == Direction::kForward
-                 ? by_src_[plan.group + i].dst
-                 : by_dst_[plan.group + i].src;
-    };
-    if (plan.from_dangling) {
-      UnregisterDangling(seg, plan.pos);
-    } else {
-      TruncateAfter(seg, plan.pos);
-      UnregisterStep(seg, plan.pos);
-    }
-    stats.walk_steps += ExtendFromTail(g, seg, draw_target(), rng);
     ++stats.segments_updated;
-  }
-  return stats;
-}
-
-WalkUpdateStats SalsaWalkStore::OnEdgesRemoved(const DiGraph& g,
-                                               std::span<const Edge> edges,
-                                               Rng* rng) {
-  WalkUpdateStats stats;
-  if (edges.empty()) return stats;
-  by_src_.assign(edges.begin(), edges.end());
-  by_dst_.assign(edges.begin(), edges.end());
-  if (edges.size() > 1) {
-    std::stable_sort(by_src_.begin(), by_src_.end(),
-                     [](const Edge& a, const Edge& b) {
-                       return a.src < b.src;
-                     });
-    std::stable_sort(by_dst_.begin(), by_dst_.end(),
-                     [](const Edge& a, const Edge& b) {
-                       return a.dst < b.dst;
-                     });
-  }
-
-  std::vector<RemovedTarget>& targets = removed_scratch_;
-  // Collect the broken-hop repairs for one pivot group: a stored step to
-  // a target with `removed` copies gone out of (removed + remaining)
-  // chose a removed copy with probability removed / (removed + remaining).
-  auto collect_group = [&](Direction dir, NodeId pivot, std::size_t lo,
-                           std::size_t hi) {
-    const bool forward = dir == Direction::kForward;
-    const std::vector<Edge>& chunk = forward ? by_src_ : by_dst_;
-    targets.clear();
-    for (std::size_t i = lo; i < hi; ++i) {
-      const NodeId t = forward ? chunk[i].dst : chunk[i].src;
-      bool found = false;
-      for (RemovedTarget& have : targets) {
-        if (have.node == t) {
-          ++have.removed;
-          found = true;
-          break;
-        }
-      }
-      if (!found) targets.push_back(RemovedTarget{t, 1, 0});
+    const bool forward = plan.dir == Direction::kForward;
+    // A switched or resumed hop lands uniformly on the pivot's new
+    // slots: destinations for a forward pivot, sources for a backward
+    // one. No draw for a single new slot (sequential RNG-stream parity).
+    auto draw_added = [&]() -> NodeId {
+      const std::vector<NodeId>& added =
+          forward ? delta.out().added : delta.in().added;
+      const uint32_t i =
+          plan.added_count == 1
+              ? 0
+              : static_cast<uint32_t>(rng->UniformIndex(plan.added_count));
+      return added[plan.added_begin + i];
+    };
+    if (plan.kind == slab::RepairKind::kResume) {
+      UnregisterDangling(seg, plan.pos);
+      stats.walk_steps += ExtendFromTail(g, seg, draw_added(), rng);
+      continue;
     }
-    auto neighbors = forward ? g.OutNeighbors(pivot) : g.InNeighbors(pivot);
-    for (NodeId w : neighbors) {
-      for (RemovedTarget& have : targets) {
-        if (have.node == w) {
-          ++have.remaining;
-          break;
-        }
-      }
-    }
-    const auto row = StepPool(dir).RowSpan(pivot);
-    stats.entries_scanned += row.size();
-    for (const uint64_t word : row) {
-      const uint64_t seg = slab::Hi(word);
-      const uint32_t pos = slab::Lo(word);
-      FASTPPR_CHECK(pos + 1 < PathLen(seg));
-      const NodeId next = PathNode(seg, pos + 1);
-      const RemovedTarget* t = nullptr;
-      for (const RemovedTarget& cand : targets) {
-        if (cand.node == next) {
-          t = &cand;
-          break;
-        }
-      }
-      if (t == nullptr) continue;
-      const double p_broken =
-          static_cast<double>(t->removed) /
-          static_cast<double>(t->remaining + t->removed);
-      if (!rng->Bernoulli(p_broken)) continue;  // used a surviving copy
-      scratch_.Offer(PendingRepair{seg, pos, static_cast<uint32_t>(lo),
-                                   static_cast<uint32_t>(hi - lo), dir,
-                                   false});
-    }
-  };
-
-  scratch_.BeginEpoch();
-  for (std::size_t lo = 0; lo < by_src_.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < by_src_.size() && by_src_[hi].src == by_src_[lo].src) ++hi;
-    collect_group(Direction::kForward, by_src_[lo].src, lo, hi);
-    lo = hi;
-  }
-  for (std::size_t lo = 0; lo < by_dst_.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < by_dst_.size() && by_dst_[hi].dst == by_dst_[lo].dst) ++hi;
-    collect_group(Direction::kBackward, by_dst_[lo].dst, lo, hi);
-    lo = hi;
-  }
-  if (scratch_.empty()) return stats;
-  stats.store_called = 1;
-
-  scratch_.OrderForApply();
-  for (const PendingRepair& plan : scratch_.pending()) {
-    const uint64_t seg = plan.seg;
-    RecordDirtySegment(seg);
     const NodeId pivot = PathNode(seg, plan.pos);
     TruncateAfter(seg, plan.pos);
     UnregisterStep(seg, plan.pos);
-    const bool forward = plan.dir == Direction::kForward;
-    const std::size_t degree_after =
+    if (plan.kind == slab::RepairKind::kSwitch) {
+      stats.walk_steps += ExtendFromTail(g, seg, draw_added(), rng);
+      continue;
+    }
+    const std::size_t d_after =
         forward ? g.OutDegree(pivot) : g.InDegree(pivot);
-    if (degree_after == 0) {
+    if (d_after == 0) {
       seg_end_[seg] = static_cast<uint8_t>(
           forward ? EndReason::kDanglingFwd : EndReason::kDanglingBwd);
       RegisterDangling(seg, plan.pos);
     } else {
-      NodeId fresh = forward ? g.RandomOutNeighbor(pivot, rng)
-                             : g.RandomInNeighbor(pivot, rng);
+      // Break: redraw over every post-window slot on this side.
+      const NodeId fresh = forward ? g.RandomOutNeighbor(pivot, rng)
+                                   : g.RandomInNeighbor(pivot, rng);
       stats.walk_steps += ExtendFromTail(g, seg, fresh, rng);
     }
-    ++stats.segments_updated;
   }
   return stats;
 }

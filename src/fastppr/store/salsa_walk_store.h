@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fastppr/graph/digraph.h"
+#include "fastppr/graph/edge_stream.h"
 #include "fastppr/graph/types.h"
 #include "fastppr/store/repair_scratch.h"
 #include "fastppr/store/walk_slab.h"
@@ -35,15 +36,15 @@ namespace fastppr {
 /// inverted-index rows (forward/backward steps, forward/backward dangling)
 /// with swap-remove semantics.
 ///
-/// Incremental maintenance mirrors WalkStore, but an arriving edge (u, v)
-/// can reroute walks at *both* endpoints: forward steps at u (switch
-/// probability 1/outdeg(u)) and backward steps at v (switch probability
-/// 1/indeg(v)) — this is one of the factors behind Theorem 6's 16x
-/// constant. Batched ingestion groups a chunk of same-kind events by
-/// forward pivot (source) and backward pivot (destination), draws one
-/// Binomial per (pivot, degree-change) group, and collects every switch
-/// decision before re-simulating any suffix; a 1-edge batch consumes the
-/// identical RNG stream as the sequential OnEdgeInserted/OnEdgeRemoved.
+/// Incremental maintenance mirrors WalkStore's window coupling, but an
+/// edge change (u, v) can reroute walks at *both* endpoints: forward
+/// steps at u (out-slots; switch probability k/outdeg(u)) and backward
+/// steps at v (in-slots; switch probability k/indeg(v)) — this is one of
+/// the factors behind Theorem 6's 16x constant. RepairWindow applies the
+/// same break/switch/resume rule to every source pivot (the delta's out
+/// side) and every target pivot (its in side) and collects every
+/// decision before re-simulating any suffix; OnEdgeInserted /
+/// OnEdgeRemoved are one-event windows.
 class SalsaWalkStore {
  public:
   static constexpr uint32_t kNoSlot = slab::kNoLo;
@@ -146,20 +147,19 @@ class SalsaWalkStore {
   bool dirty_overflowed() const { return dirty_.overflowed(); }
   void ClearDirtySegments() { dirty_.Clear(); }
 
-  /// Graph must already contain (u, v).
+  /// Repairs every stored walk for one applied window (see
+  /// WalkStore::RepairWindow): `g` is the post-window graph; `delta`
+  /// must carry its in side.
+  WalkUpdateStats RepairWindow(const DiGraph& g, const WindowDelta& delta,
+                               Rng* rng);
+  static constexpr bool kRepairsInEdges = true;
+
+  /// One-event windows. Graph must already contain (u, v).
   WalkUpdateStats OnEdgeInserted(const DiGraph& g, NodeId u, NodeId v,
                                  Rng* rng);
   /// Graph must no longer contain (u, v).
   WalkUpdateStats OnEdgeRemoved(const DiGraph& g, NodeId u, NodeId v,
                                 Rng* rng);
-
-  /// Batched twins (see WalkStore::OnEdgesInserted): `g` must already
-  /// reflect every edge of the span; a 1-edge span is bit-identical to
-  /// the sequential call.
-  WalkUpdateStats OnEdgesInserted(const DiGraph& g,
-                                  std::span<const Edge> edges, Rng* rng);
-  WalkUpdateStats OnEdgesRemoved(const DiGraph& g,
-                                 std::span<const Edge> edges, Rng* rng);
 
   /// Full invariant audit; test-only. Aborts on violation.
   void CheckConsistency(const DiGraph& g) const;
@@ -278,28 +278,26 @@ class SalsaWalkStore {
                           Rng* rng);
 
   /// One scheduled segment repair; earliest position per segment wins.
-  /// Collected for *both* endpoints of every updated edge before any
+  /// Collected for *both* endpoints of every changed edge before any
   /// mutation: a suffix re-simulated for one endpoint is already
   /// distributed for the new graph and must not be switched again.
+  /// Switches and resumes land on the `dir` side's
+  /// added[added_begin, +added_count).
   struct PendingRepair {
     uint64_t seg = 0;
     uint32_t pos = 0;
-    uint32_t group = 0;       ///< start of the pivot group in the scratch
-    uint32_t group_size = 0;  ///< edges in that group
+    uint32_t added_begin = 0;
+    uint32_t added_count = 0;
     Direction dir = Direction::kForward;
-    bool from_dangling = false;
-  };
-  struct RemovedTarget {
-    NodeId node;
-    uint32_t removed;
-    uint32_t remaining;
+    slab::RepairKind kind = slab::RepairKind::kSwitch;
   };
 
-  /// Collects the switch decisions for one pivot group of an insertion
-  /// chunk (pivot gained `k` edges; its final degree is `new_degree`).
-  void CollectInsertGroup(Direction dir, NodeId pivot, uint32_t group,
-                          uint32_t k, std::size_t new_degree, Rng* rng,
-                          WalkUpdateStats* stats);
+  /// Collects the break, switch and resume decisions at one pivot of
+  /// the `dir` side (out-slots for kForward, in-slots for kBackward).
+  void CollectPivot(const DiGraph& g, Direction dir,
+                    const WindowDelta::Side& side,
+                    const WindowDelta::Pivot& p, Rng* rng,
+                    WalkUpdateStats* stats);
 
   std::size_t walks_per_node_ = 0;
   double epsilon_ = 0.2;
@@ -324,13 +322,13 @@ class SalsaWalkStore {
   /// dirty_segments()).
   slab::DirtyFeed<uint64_t> dirty_;
 
-  // Reusable batched-update scratch: zero steady-state allocation. The
+  // Reusable window-repair scratch: zero steady-state allocation. The
   // collect-then-apply machinery is shared with WalkStore via
   // slab::RepairScratch (repair_scratch.h).
   slab::RepairScratch<PendingRepair> scratch_;
-  std::vector<Edge> by_src_;  ///< chunk sorted by source (forward pivots)
-  std::vector<Edge> by_dst_;  ///< chunk sorted by dest (backward pivots)
-  std::vector<RemovedTarget> removed_scratch_;
+  /// Post-window copies of each removed neighbour at the current pivot.
+  std::vector<uint32_t> remaining_;
+  WindowDelta single_;  ///< OnEdgeInserted / OnEdgeRemoved windows
 };
 
 }  // namespace fastppr

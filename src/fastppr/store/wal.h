@@ -5,11 +5,12 @@
 //
 // One record per ApplyEvents window, appended and fsync'd BEFORE the
 // window is applied to the engine (log-ahead). Because the engine's
-// ingestion is deterministic — ApplyEventsInChunks applies/repairs a
-// logged event span identically on replay, including rejected events —
-// a record of the raw event span is a complete description of the
-// window; recovery replays the tail through the normal ApplyEvents
-// path and lands bit-identical to the pre-crash engine.
+// ingestion is deterministic — ApplyWindowPrefix applies a logged event
+// span identically on replay, stopping at the same rejected event, and
+// the window coupling repairs the applied prefix identically — a record
+// of the raw event span is a complete description of the window;
+// recovery replays the tail through the normal ApplyEvents path and
+// lands bit-identical to the pre-crash engine.
 //
 // On-disk layout (all little-endian, same-architecture format):
 //

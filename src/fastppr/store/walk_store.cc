@@ -287,221 +287,152 @@ uint64_t WalkStore::ExtendPendingWalks(const DiGraph& g, Rng* rng) {
   return steps;
 }
 
-std::span<const Edge> WalkStore::GroupBySource(std::span<const Edge> edges) {
-  if (edges.size() == 1) return edges;
-  scratch_edges_.assign(edges.begin(), edges.end());
-  std::stable_sort(scratch_edges_.begin(), scratch_edges_.end(),
-                   [](const Edge& a, const Edge& b) { return a.src < b.src; });
-  return scratch_edges_;
-}
-
 WalkUpdateStats WalkStore::OnEdgeInserted(const DiGraph& g, NodeId u,
                                           NodeId v, Rng* rng) {
-  const Edge e{u, v};
-  return OnEdgesInserted(g, std::span<const Edge>(&e, 1), rng);
+  const EdgeEvent ev{EdgeEvent::Kind::kInsert, Edge{u, v}};
+  single_.Build(std::span<const EdgeEvent>(&ev, 1), kRepairsInEdges);
+  return RepairWindow(g, single_, rng);
 }
 
 WalkUpdateStats WalkStore::OnEdgeRemoved(const DiGraph& g, NodeId u,
                                          NodeId v, Rng* rng) {
-  const Edge e{u, v};
-  return OnEdgesRemoved(g, std::span<const Edge>(&e, 1), rng);
+  const EdgeEvent ev{EdgeEvent::Kind::kDelete, Edge{u, v}};
+  single_.Build(std::span<const EdgeEvent>(&ev, 1), kRepairsInEdges);
+  return RepairWindow(g, single_, rng);
 }
 
-WalkUpdateStats WalkStore::OnEdgesInserted(const DiGraph& g,
-                                           std::span<const Edge> edges,
-                                           Rng* rng) {
+void WalkStore::CollectPivot(const DiGraph& g, const WindowDelta::Side& side,
+                             const WindowDelta::Pivot& p, Rng* rng,
+                             WalkUpdateStats* stats) {
+  const NodeId u = p.node;
+  const std::span<const WindowDelta::Removed> removed = side.RemovedOf(p);
+  if (!removed.empty()) {
+    // Breaks. A stored step to x chose uniformly among the c_before(x) =
+    // c_after(x) + r_x parallel copies, so it used a removed copy with
+    // probability r_x / (c_after(x) + r_x). The scan is O(W(u)) cheap
+    // index reads (entries_scanned); only re-simulation counts as walk
+    // work, matching the paper's accounting.
+    remaining_.assign(removed.size(), 0);
+    for (const NodeId w : g.OutNeighbors(u)) {
+      const std::size_t i = WindowDelta::Side::IndexOf(removed, w);
+      if (i < removed.size()) ++remaining_[i];
+    }
+    const auto row = steps_.RowSpan(u);
+    stats->entries_scanned += row.size();
+    for (const uint64_t word : row) {
+      const uint64_t seg = slab::Hi(word);
+      const uint32_t pos = slab::Lo(word);
+      FASTPPR_CHECK(pos + 1 < PathLen(seg));
+      const std::size_t i =
+          WindowDelta::Side::IndexOf(removed, PathNode(seg, pos + 1));
+      if (i == removed.size()) continue;
+      const double p_broken =
+          static_cast<double>(removed[i].copies) /
+          static_cast<double>(remaining_[i] + removed[i].copies);
+      if (!rng->Bernoulli(p_broken)) continue;  // used a surviving copy
+      scratch_.Offer(
+          PendingRepair{seg, pos, 0, 0, slab::RepairKind::kBreak});
+    }
+  }
+
+  const uint32_t k = p.num_added();
+  if (k == 0) return;
+  const std::size_t d_after = g.OutDegree(u);
+  FASTPPR_CHECK_MSG(d_after >= k, "graph must already contain the window");
+  if (d_after + p.removed_slots == k) {
+    // u had no out-edge before the window: every segment dangling at u
+    // resumes through a (uniformly chosen) new slot. The terminal visit
+    // already survived its reset draw, so the step is unconditional —
+    // this stays exact even under kRedoFromSource, since re-rolling the
+    // draw would make reset-terminated segments an absorbing state.
+    for (const uint64_t word : dangling_.RowSpan(u)) {
+      scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word),
+                                   p.added_begin, k,
+                                   slab::RepairKind::kResume});
+    }
+    return;
+  }
+  // Switches: each step visit at u independently moves to a uniformly
+  // chosen new slot with probability k / d_after.
+  const std::size_t w = steps_.Size(u);
+  if (w == 0) return;
+  const uint64_t marks =
+      rng->Binomial(w, static_cast<double>(k) / static_cast<double>(d_after));
+  if (marks == 0) return;
+  // Choose `marks` distinct visit indices uniformly (Floyd's algorithm);
+  // the earliest marked position per segment wins inside Offer().
+  scratch_.SampleDistinct(w, marks, rng);
+  stats->entries_scanned += scratch_.picked().size();
+  for (const std::size_t idx : scratch_.picked()) {
+    const uint64_t word = steps_.Get(u, static_cast<uint32_t>(idx));
+    scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word),
+                                 p.added_begin, k,
+                                 slab::RepairKind::kSwitch});
+  }
+}
+
+WalkUpdateStats WalkStore::RepairWindow(const DiGraph& g,
+                                        const WindowDelta& delta, Rng* rng) {
   WalkUpdateStats stats;
-  if (edges.empty()) return stats;
-  std::span<const Edge> grouped = GroupBySource(edges);
+  const WindowDelta::Side& side = delta.out();
+  if (side.pivots.empty()) return stats;
 
-  // Collect every switch decision before re-simulating anything: a fresh
-  // suffix is already distributed for the new graph and must not be
-  // switched again by a later group (same invariant as the SALSA store).
+  // Collect every decision before re-simulating anything: a fresh suffix
+  // is already distributed for the post-window graph and must not be
+  // switched again by a later pivot.
   scratch_.BeginEpoch();
-  for (std::size_t lo = 0; lo < grouped.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < grouped.size() && grouped[hi].src == grouped[lo].src) ++hi;
-    const NodeId u = grouped[lo].src;
-    const std::size_t k = hi - lo;
-    const std::size_t d = g.OutDegree(u);
-    FASTPPR_CHECK_MSG(d >= k, "graph must already contain the new edges");
-    const uint32_t group = static_cast<uint32_t>(lo);
-    const uint32_t ksz = static_cast<uint32_t>(k);
-
-    if (d == k) {
-      // u had no out-edge before this batch: every segment dangling at u
-      // resumes through a (uniformly chosen) new edge. The terminal visit
-      // already survived its reset draw, so the step is unconditional —
-      // this stays exact even under kRedoFromSource, since re-rolling the
-      // draw would make reset-terminated segments an absorbing state.
-      const auto row = dangling_.RowSpan(u);
-      for (const uint64_t word : row) {
-        scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word), group,
-                                     ksz, true});
-      }
-      lo = hi;
-      continue;
-    }
-
-    // Coupling step (Proposition 2, telescoped over the group): going from
-    // degree d-k to d, each stored visit at u with an outgoing step
-    // switches with probability k/d, landing uniformly on the new targets.
-    const std::size_t w = steps_.Size(u);
-    if (w == 0) {
-      lo = hi;
-      continue;
-    }
-    const uint64_t marks =
-        rng->Binomial(w, static_cast<double>(k) / static_cast<double>(d));
-    if (marks == 0) {
-      lo = hi;
-      continue;
-    }
-    // Choose `marks` distinct visit indices uniformly (Floyd's algorithm);
-    // the earliest marked position per segment wins inside Offer().
-    scratch_.SampleDistinct(w, marks, rng);
-    stats.entries_scanned += scratch_.picked().size();
-    for (std::size_t idx : scratch_.picked()) {
-      const uint64_t word = steps_.Get(u, static_cast<uint32_t>(idx));
-      scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word), group,
-                                   ksz, false});
-    }
-    lo = hi;
+  for (const WindowDelta::Pivot& p : side.pivots) {
+    CollectPivot(g, side, p, rng, &stats);
   }
   if (scratch_.empty()) return stats;
   stats.store_called = 1;
 
   // Apply phase: one repair per touched segment, re-simulated on the
-  // final graph.
+  // post-window graph.
   scratch_.OrderForApply();
   walk_queue_.clear();
   for (const PendingRepair& plan : scratch_.pending()) {
     const uint64_t seg = plan.seg;
     RecordDirtySegment(seg);
-    // A switched hop lands uniformly on the group's new targets. No draw
-    // for singleton groups, so a 1-edge batch matches the sequential RNG
-    // stream bit for bit.
-    auto draw_target = [&]() -> NodeId {
-      if (plan.group_size == 1) return grouped[plan.group].dst;
-      return grouped[plan.group + rng->UniformIndex(plan.group_size)].dst;
+    ++stats.segments_updated;
+    // A switched or resumed hop lands uniformly on the pivot's new
+    // slots. No draw for a single new slot, so a one-event window
+    // matches the sequential RNG stream bit for bit.
+    auto draw_added = [&]() -> NodeId {
+      const uint32_t i =
+          plan.added_count == 1
+              ? 0
+              : static_cast<uint32_t>(rng->UniformIndex(plan.added_count));
+      return side.added[plan.added_begin + i];
     };
-    if (plan.from_dangling) {
+    if (plan.kind == slab::RepairKind::kResume) {
       UnregisterDangling(seg, plan.pos);
       walk_queue_.push_back(PendingWalk{seg, PathNode(seg, plan.pos),
-                                       draw_target(), plan.pos});
-    } else if (policy_ == UpdatePolicy::kRedoFromSource) {
-      ResetSegmentToSource(seg);
-      walk_queue_.push_back(
-          PendingWalk{seg, PathNode(seg, 0), kInvalidNode, 0});
-    } else {
-      TruncateAfter(seg, plan.pos);
-      UnregisterStep(seg, plan.pos);  // tail becomes pending
-      walk_queue_.push_back(PendingWalk{seg, PathNode(seg, plan.pos),
-                                       draw_target(), plan.pos});
+                                       draw_added(), plan.pos});
+      continue;
     }
-    ++stats.segments_updated;
-  }
-  stats.walk_steps += ExtendPendingWalks(g, rng);
-  return stats;
-}
-
-WalkUpdateStats WalkStore::OnEdgesRemoved(const DiGraph& g,
-                                          std::span<const Edge> edges,
-                                          Rng* rng) {
-  WalkUpdateStats stats;
-  if (edges.empty()) return stats;
-  std::span<const Edge> grouped = GroupBySource(edges);
-
-  std::vector<RemovedTarget>& targets = removed_scratch_;
-
-  scratch_.BeginEpoch();
-  for (std::size_t lo = 0; lo < grouped.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < grouped.size() && grouped[hi].src == grouped[lo].src) ++hi;
-    const NodeId u = grouped[lo].src;
-
-    targets.clear();
-    for (std::size_t i = lo; i < hi; ++i) {
-      const NodeId v = grouped[i].dst;
-      bool found = false;
-      for (RemovedTarget& t : targets) {
-        if (t.node == v) {
-          ++t.removed;
-          found = true;
-          break;
-        }
-      }
-      if (!found) targets.push_back(RemovedTarget{v, 1, 0});
-    }
-    // Multiplicity of each removed target still present after the batch:
-    // a stored step to v chose uniformly among (remaining + removed)
-    // parallel copies, so it chose a removed copy with probability
-    // removed / (remaining + removed).
-    for (NodeId w : g.OutNeighbors(u)) {
-      for (RemovedTarget& t : targets) {
-        if (t.node == w) {
-          ++t.remaining;
-          break;
-        }
-      }
-    }
-
-    // Scan the visits at u for stored steps into a removed target. The
-    // scan is O(W(u)) cheap index reads (entries_scanned); only actual
-    // re-simulation counts as walk work, matching the paper's accounting.
-    const auto row = steps_.RowSpan(u);
-    stats.entries_scanned += row.size();
-    for (const uint64_t word : row) {
-      const uint64_t seg = slab::Hi(word);
-      const uint32_t pos = slab::Lo(word);
-      FASTPPR_CHECK(pos + 1 < PathLen(seg));
-      const NodeId next = PathNode(seg, pos + 1);
-      const RemovedTarget* t = nullptr;
-      for (const RemovedTarget& cand : targets) {
-        if (cand.node == next) {
-          t = &cand;
-          break;
-        }
-      }
-      if (t == nullptr) continue;
-      const double p_broken =
-          static_cast<double>(t->removed) /
-          static_cast<double>(t->remaining + t->removed);
-      if (!rng->Bernoulli(p_broken)) continue;  // used a surviving copy
-      scratch_.Offer(PendingRepair{seg, pos, static_cast<uint32_t>(lo),
-                                   static_cast<uint32_t>(hi - lo), false});
-    }
-    lo = hi;
-  }
-  if (scratch_.empty()) return stats;
-  stats.store_called = 1;
-
-  scratch_.OrderForApply();
-  walk_queue_.clear();
-  for (const PendingRepair& plan : scratch_.pending()) {
-    const uint64_t seg = plan.seg;
-    RecordDirtySegment(seg);
     if (policy_ == UpdatePolicy::kRedoFromSource) {
       ResetSegmentToSource(seg);
       walk_queue_.push_back(
           PendingWalk{seg, PathNode(seg, 0), kInvalidNode, 0});
-      ++stats.segments_updated;
       continue;
     }
     const NodeId pivot = PathNode(seg, plan.pos);
     TruncateAfter(seg, plan.pos);
-    UnregisterStep(seg, plan.pos);
-    if (g.OutDegree(pivot) == 0) {
+    UnregisterStep(seg, plan.pos);  // tail becomes pending
+    if (plan.kind == slab::RepairKind::kSwitch) {
+      walk_queue_.push_back(PendingWalk{seg, pivot, draw_added(), plan.pos});
+    } else if (g.OutDegree(pivot) == 0) {
       // The visit survived its reset draw but the pivot is now dangling.
       seg_end_[seg] = static_cast<uint8_t>(EndReason::kDangling);
       RegisterDangling(seg, plan.pos);
     } else {
-      // Re-draw the step among the remaining out-edges, then continue
-      // with fresh randomness (no reset draw: the original one survived).
-      NodeId fresh = g.RandomOutNeighbor(pivot, rng);
-      walk_queue_.push_back(PendingWalk{seg, pivot, fresh, plan.pos});
+      // Re-draw the broken step over every post-window slot, then
+      // continue with fresh randomness (no reset draw: the original one
+      // survived).
+      walk_queue_.push_back(PendingWalk{
+          seg, pivot, g.RandomOutNeighbor(pivot, rng), plan.pos});
     }
-    ++stats.segments_updated;
   }
   stats.walk_steps += ExtendPendingWalks(g, rng);
   return stats;

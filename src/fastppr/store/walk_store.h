@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fastppr/graph/digraph.h"
+#include "fastppr/graph/edge_stream.h"
 #include "fastppr/graph/types.h"
 #include "fastppr/store/repair_scratch.h"
 #include "fastppr/store/walk_slab.h"
@@ -84,28 +85,24 @@ enum class UpdatePolicy {
 /// with swap-remove semantics — no per-segment or per-node heap vectors.
 ///
 /// Incremental maintenance implements the coupling argument of
-/// Proposition 2 exactly:
-///  * insert (u,v), new outdegree d >= 2: every stored visit at u with an
-///    outgoing step independently switches its next hop to v with
-///    probability 1/d; switched suffixes are re-simulated. Work is
-///    proportional to the number of switches (sampled as a Binomial), not
-///    to the number of visits.
-///  * insert (u,v), new outdegree 1: every segment that terminated at u as
-///    dangling resumes through v (this is where Example 1's adversarial
-///    Omega(n) cost lives).
-///  * delete (u,v): every stored step u->v re-draws among the remaining
-///    out-edges (visits at u are scanned; scans are counted separately).
-///
-/// Batched ingestion (OnEdgesInserted / OnEdgesRemoved) generalizes the
-/// coupling to a group of same-kind events: edges are grouped by source
-/// node, the Binomial switch count is drawn once per (node, degree-change)
-/// group — for a node going from degree d to D the per-visit switch
-/// probability is (D-d)/D and a switched hop lands uniformly on the new
-/// targets, which telescopes to exactly the sequential per-edge coupling —
-/// and all switch/break decisions are collected before any suffix is
-/// re-simulated so fresh (new-graph-distributed) suffixes are never
-/// switched twice. A 1-edge batch consumes the identical RNG stream as the
-/// sequential OnEdgeInserted/OnEdgeRemoved, which are thin wrappers.
+/// Proposition 2, once per ingestion window (RepairWindow; DESIGN.md §1
+/// has the derivation). Per source u with a net change — d_after slots
+/// after the window, r_x net removed copies of u->x, k net new slots:
+///  * a stored hop u->x breaks with probability r_x / (c_after(x) + r_x)
+///    and redraws uniformly over all d_after slots (visits at u are
+///    scanned; scans are counted separately);
+///  * every step visit at u switches with probability k / d_after onto a
+///    uniformly chosen new slot — one Binomial draw plus Floyd sampling,
+///    so work is proportional to the switches, not to the visits; a
+///    break wins a tie with a switch at the same position;
+///  * if u had no out-edge before the window, every segment dangling at
+///    u resumes unconditionally through a new slot (this is where
+///    Example 1's adversarial Omega(n) cost lives); if u has none after
+///    it, broken visits become dangling tails.
+/// All decisions are collected before any suffix is re-simulated, the
+/// earliest affected position per segment wins, and suffixes are drawn
+/// on the post-window graph, so fresh suffixes are never switched
+/// twice. OnEdgeInserted / OnEdgeRemoved are one-event windows.
 class WalkStore {
  public:
   static constexpr uint32_t kNoSlot = slab::kNoLo;
@@ -229,8 +226,17 @@ class WalkStore {
   bool dirty_overflowed() const { return dirty_.overflowed(); }
   void ClearDirtySegments() { dirty_.Clear(); }
 
-  /// Must be called after `g` already contains the new edge (u, v).
-  /// `rng` drives the coupling randomness.
+  /// Repairs every stored walk for one applied window: `g` is the
+  /// post-window graph and `delta` the window's net change (its out
+  /// side). `rng` drives the coupling randomness.
+  WalkUpdateStats RepairWindow(const DiGraph& g, const WindowDelta& delta,
+                               Rng* rng);
+  /// Whether RepairWindow reads the delta's in side (build it with
+  /// WindowDelta::Build(applied, kRepairsInEdges)).
+  static constexpr bool kRepairsInEdges = false;
+
+  /// One-event windows. Must be called after `g` already contains the
+  /// new edge (u, v).
   WalkUpdateStats OnEdgeInserted(const DiGraph& g, NodeId u, NodeId v,
                                  Rng* rng);
 
@@ -238,19 +244,6 @@ class WalkStore {
   /// `g`.
   WalkUpdateStats OnEdgeRemoved(const DiGraph& g, NodeId u, NodeId v,
                                 Rng* rng);
-
-  /// Batched insertion: `g` must already contain every edge of `edges`
-  /// (and nothing else new). Edges are grouped by source node; the switch
-  /// count per group is one Binomial draw and all repairs are collected
-  /// before any suffix is re-simulated. Distributionally identical to
-  /// applying the edges one at a time; bit-identical to the sequential
-  /// path for a 1-edge span.
-  WalkUpdateStats OnEdgesInserted(const DiGraph& g,
-                                  std::span<const Edge> edges, Rng* rng);
-
-  /// Batched removal twin: `g` must no longer contain any edge of `edges`.
-  WalkUpdateStats OnEdgesRemoved(const DiGraph& g,
-                                 std::span<const Edge> edges, Rng* rng);
 
   /// Full invariant audit (index/backpointer/counter consistency and edge
   /// validity of every stored hop). O(n + total visits); test-only.
@@ -353,9 +346,9 @@ class WalkStore {
 
   /// Records a repaired segment into the snapshot delta feed (called
   /// once per scheduled repair at plan-drain time — the repair plan is
-  /// already per-segment deduplicated within a batch, so no flag array
+  /// already per-segment deduplicated within a window, so no flag array
   /// and no extra cache line on the hot path; duplicates across the
-  /// batches of one window are possible and harmless).
+  /// windows between two publishes are possible and harmless).
   void RecordDirtySegment(uint64_t seg) { dirty_.Record(seg); }
 
   /// Drops all path entries with index > keep_pos (counters + index).
@@ -391,27 +384,22 @@ class WalkStore {
                           const std::vector<uint32_t>& lengths,
                           const std::vector<uint8_t>& ends);
 
-  // --- batched-repair scratch (see OnEdgesInserted) -----------------
-  /// One scheduled segment repair: the earliest switched/broken position
-  /// per segment wins; everything after it is re-simulated.
+  // --- window-repair scratch (see RepairWindow) ---------------------
+  /// One scheduled segment repair: the earliest affected position per
+  /// segment wins; everything after it is re-simulated. Switches and
+  /// resumes land on delta.out().added[added_begin, +added_count).
   struct PendingRepair {
     uint64_t seg = 0;
     uint32_t pos = 0;
-    uint32_t group = 0;          ///< start of the source group in the batch
-    uint32_t group_size = 0;     ///< edges in that group
-    bool from_dangling = false;  ///< exact resume, no truncation needed
+    uint32_t added_begin = 0;
+    uint32_t added_count = 0;
+    slab::RepairKind kind = slab::RepairKind::kSwitch;
   };
 
-  /// Per-group scratch for batched removals: a distinct removed target
-  /// with its removal count and surviving multiplicity.
-  struct RemovedTarget {
-    NodeId node;
-    uint32_t removed;
-    uint32_t remaining;
-  };
-
-  /// Sorts `scratch_edges_` by source and returns it as grouping input.
-  std::span<const Edge> GroupBySource(std::span<const Edge> edges);
+  /// Collects the break, switch and resume decisions at one pivot.
+  void CollectPivot(const DiGraph& g, const WindowDelta::Side& side,
+                    const WindowDelta::Pivot& p, Rng* rng,
+                    WalkUpdateStats* stats);
 
   std::size_t walks_per_node_ = 0;
   double epsilon_ = 0.2;
@@ -436,13 +424,14 @@ class WalkStore {
   /// dirty_segments()).
   slab::DirtyFeed<uint64_t> dirty_;
 
-  // Reusable batched-update scratch: zero steady-state allocation. The
+  // Reusable window-repair scratch: zero steady-state allocation. The
   // collect-then-apply machinery is shared with SalsaWalkStore via
   // slab::RepairScratch (repair_scratch.h).
   slab::RepairScratch<PendingRepair> scratch_;
-  std::vector<Edge> scratch_edges_;
-  std::vector<RemovedTarget> removed_scratch_;
+  /// Post-window copies of each removed target at the current pivot.
+  std::vector<uint32_t> remaining_;
   std::vector<PendingWalk> walk_queue_;
+  WindowDelta single_;  ///< OnEdgeInserted / OnEdgeRemoved windows
 };
 
 }  // namespace fastppr

@@ -21,6 +21,7 @@
 //    `*Pipelined*` filter the CI TSan job runs at FASTPPR_STRESS_THREADS).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -90,6 +91,19 @@ void StreamWindows(const std::vector<EdgeEvent>& events,
     apply(std::span<const EdgeEvent>(events.data() + i, hi - i));
     i = hi;
     window = window * 2 + 1;
+  }
+}
+
+/// Blocks until the reader threads have completed a first read (or 10 s
+/// passed, should a reader have failed), so the writer's stream overlaps
+/// live readers however fast ingestion runs and however a loaded
+/// scheduler orders the threads.
+void AwaitFirstRead(const std::atomic<uint64_t>& reads) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reads.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
 }
 
@@ -401,6 +415,7 @@ TEST(QueryServiceTest, ConcurrentReadersSeeCoherentSnapshots) {
   };
   std::thread r1(reader);
   std::thread r2(reader);
+  AwaitFirstRead(reads);
 
   // Writer: ingest the stream in small windows (every window publishes).
   std::size_t i = 0;
@@ -472,6 +487,9 @@ TEST(QueryServiceTest, ScratchReadsMatchAllocatingReads) {
                                             ShardedOptions{3, 2});
   QueryService<IncrementalPageRank> service(&engine);
   ASSERT_TRUE(service.Ingest(events).ok());
+  // Ingest acks before the window is repaired and published: without
+  // the barrier, the two reads compared below can straddle a publish.
+  service.Quiesce();
 
   ReadScratch scratch;
   int64_t total_into = 0;
@@ -682,6 +700,7 @@ TEST(QueryServiceTest, DenseMapResolutionDuringPublishRotation) {
   };
   std::thread r1(reader, 5);
   std::thread r2(reader, 37);
+  AwaitFirstRead(reads);
 
   std::size_t i = 0;
   while (i < events.size()) {
@@ -758,6 +777,7 @@ TEST(QueryServiceTest, PersonalizedReadsConcurrentWithIngestion) {
   };
   std::thread r1(reader, 1);
   std::thread r2(reader, 29);
+  AwaitFirstRead(reads);
 
   std::size_t i = 0;
   while (i < events.size()) {
@@ -803,6 +823,7 @@ TEST(QueryServiceTest, PersonalizedSalsaReadsConcurrentWithIngestion) {
   };
   std::thread r1(reader, 3);
   std::thread r2(reader, 71);
+  AwaitFirstRead(reads);
 
   std::size_t i = 0;
   while (i < events.size()) {
@@ -902,6 +923,7 @@ TEST(QueryServiceTest, PipelinedStressReadersAndMidPipelineRecovery) {
   for (std::size_t r = 0; r < readers; ++r) {
     pool.emplace_back(reader, 7 + 31 * r);
   }
+  AwaitFirstRead(reads);
 
   std::size_t i = 0;
   std::size_t window_idx = 0;
