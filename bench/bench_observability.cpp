@@ -197,12 +197,11 @@ int main(int argc, char** argv) {
   AddHistogramKeys(&report, "publish", *om.publish_phase);
 
   // --- Part 3: per-phase utilization over the serving run's timeline.
-  // Ingest busy time lands on two tracks in the (default) pipelined
-  // mode — the caller mutating the primary and the pipeline thread
-  // advancing the repair replica — so it normalizes by 2; repair has S
-  // executor lanes; publish is the single publisher thread.
+  // Ingest busy time lands on the writer track only (the caller
+  // mutating the one store); repair has S executor lanes; publish is
+  // the single publisher thread.
   const auto totals = engine->phase_tracer()->ComputeTotals();
-  const double util_ingest = totals.Utilization(obs::Phase::kIngest, 2.0);
+  const double util_ingest = totals.Utilization(obs::Phase::kIngest);
   const double util_repair =
       totals.Utilization(obs::Phase::kRepair, static_cast<double>(S));
   const double util_publish = totals.Utilization(obs::Phase::kPublish);

@@ -37,12 +37,10 @@
 // histogram: the window coupling repairs each window in one dispatch
 // per shard, whatever the mix of inserts and deletes in it.
 //
-//   bench_sharded [--smoke] [--lockstep] [--json <path>]
+//   bench_sharded [--smoke] [--json <path>]
 //
 // --smoke shrinks the stream to CI size (seconds, not minutes) so the
-// report path is exercised on every push. --lockstep runs the
-// barrier-synced escape hatch instead of the pipeline (results are
-// bit-identical either way; the S=1/flat audit below holds for both).
+// report path is exercised on every push.
 
 #include <atomic>
 #include <cstdio>
@@ -145,10 +143,8 @@ double CpuUsPerEvent(std::size_t num_events, const RunFn& run) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool lockstep = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--lockstep") == 0) lockstep = true;
   }
 
   Banner("Sharded parallel engine: ingestion scaling + query service QPS",
@@ -179,7 +175,6 @@ int main(int argc, char** argv) {
   report.Add("num_events", m);
   report.Add("window", static_cast<double>(window));
   report.Add("smoke", smoke ? 1.0 : 0.0);
-  report.Add("lockstep", lockstep ? 1.0 : 0.0);
 
   // Flat baseline: one engine, same windows. Best-of-three fresh runs
   // (the box is shared; determinism makes the reps bit-identical).
@@ -233,8 +228,7 @@ int main(int argc, char** argv) {
     // engine and service of the last rep serve the query sections below
     // — every rep's final state is bit-identical by the determinism
     // contract.
-    ShardedOptions sopts{S, S};
-    sopts.lockstep = lockstep;
+    const ShardedOptions sopts{S, S};
     std::unique_ptr<ShardedEngine<IncrementalPageRank>> engine_holder;
     std::unique_ptr<QueryService<IncrementalPageRank>> service_holder;
     const double ingest_eps_sec = BestOfN(3, [&] {
@@ -258,13 +252,12 @@ int main(int argc, char** argv) {
 
     // Pipeline stage utilization over the ingest run just timed (the
     // tracer covers this engine's lifetime, which so far is exactly
-    // that run). Ingest is recorded on two tracks in pipelined mode
-    // (primary mutate + replica advance), repair on S lanes, publish on
-    // one; pipeline_overlap_util sums the raw busy fractions — above
-    // 1.0 only when the stages genuinely overlap on spare cores.
+    // that run). Ingest is recorded on the writer track only, repair
+    // on S lanes, publish on one; pipeline_overlap_util sums the raw
+    // busy fractions — above 1.0 only when the stages genuinely overlap
+    // on spare cores.
     const auto totals = engine.phase_tracer()->ComputeTotals();
-    const double util_ingest =
-        totals.Utilization(obs::Phase::kIngest, lockstep ? 1.0 : 2.0);
+    const double util_ingest = totals.Utilization(obs::Phase::kIngest);
     const double util_repair =
         totals.Utilization(obs::Phase::kRepair, static_cast<double>(S));
     const double util_publish = totals.Utilization(obs::Phase::kPublish);
@@ -316,9 +309,8 @@ int main(int argc, char** argv) {
         static_cast<double>(score_queries) / score_timer.ElapsedSeconds();
     if (sink < 0.0) std::abort();  // keep the loop observable
 
-    // Untimed warm-up: the first personalized read after a read-free
-    // ingest pays the demand-driven snapshot rebuild (see DESIGN.md
-    // section 6); the timed loop below measures steady-state walks.
+    // Untimed warm-up: the timed loop below measures steady-state
+    // walks, not the first read's cold caches.
     {
       std::vector<ScoredNode> ranked;
       if (!service.PersonalizedTopK(0, 10, 5000, true, 0, &ranked).ok()) {
@@ -495,8 +487,8 @@ int main(int argc, char** argv) {
   const ChurnWorkload churn =
       MakeChurn(events, n, smoke ? 8 * 1024 : 48 * 4096, 22);
   std::printf("\ndeployment ladder: %zu interleaved churn events "
-              "(deletes with probability 1/2)%s\n",
-              churn.events.size(), lockstep ? " (lockstep)" : "");
+              "(deletes with probability 1/2)\n",
+              churn.events.size());
   TablePrinter ladder({"window", "flat CPU us/event",
                        "S=2 + service CPU us/event",
                        "repair dispatches per shard per window"});
@@ -508,9 +500,8 @@ int main(int argc, char** argv) {
       });
     });
 
-    ShardedOptions sopts{2, 2};
-    sopts.lockstep = lockstep;
-    ShardedEngine<IncrementalPageRank> engine(churn.initial, mc, sopts);
+    ShardedEngine<IncrementalPageRank> engine(churn.initial, mc,
+                                              ShardedOptions{2, 2});
     QueryService<IncrementalPageRank> service(&engine);
     const uint64_t dispatches0 = engine.metric_handles().repair_phase->count();
     const double sharded_us = CpuUsPerEvent(churn.events.size(), [&] {

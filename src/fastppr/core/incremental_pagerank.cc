@@ -1,13 +1,8 @@
 #include "fastppr/core/incremental_pagerank.h"
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "fastppr/core/ranking.h"
-#include "fastppr/graph/graph_io.h"
-#include "fastppr/store/walk_store_io.h"
 #include "fastppr/util/check.h"
 
 namespace fastppr {
@@ -96,85 +91,6 @@ Status IncrementalPageRank::ApplyEvents(std::span<const EdgeEvent> events) {
   delta_.Build(events.first(applied), kRepairsInEdges);
   RepairWindow(delta_);
   return result;
-}
-
-Status IncrementalPageRank::SaveSnapshot(
-    const std::string& directory) const {
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) return Status::IOError("cannot create " + directory);
-  FASTPPR_RETURN_IF_ERROR(
-      WriteSnapEdgeList(directory + "/graph.txt", graph().Edges()));
-  return SaveWalkStore(walks_, directory + "/walks.bin");
-}
-
-Status IncrementalPageRank::LoadSnapshot(
-    const std::string& directory, const MonteCarloOptions& opts,
-    std::unique_ptr<IncrementalPageRank>* engine) {
-  // Node ids inside an engine snapshot are already dense and must be
-  // preserved exactly (ReadSnapEdgeList would remap by first appearance),
-  // so read the raw pairs directly.
-  std::vector<Edge> edges;
-  {
-    std::ifstream in(directory + "/graph.txt");
-    if (!in.is_open()) {
-      return Status::IOError("cannot open " + directory + "/graph.txt");
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream ls(line);
-      uint64_t src = 0, dst = 0;
-      if (!(ls >> src >> dst)) {
-        return Status::Corruption("malformed graph snapshot line");
-      }
-      edges.push_back(
-          Edge{static_cast<NodeId>(src), static_cast<NodeId>(dst)});
-    }
-  }
-  std::size_t num_nodes = 0;
-  for (const Edge& e : edges) {
-    num_nodes = std::max<std::size_t>(
-        num_nodes, std::max<std::size_t>(e.src, e.dst) + 1);
-  }
-
-  // Try loading the walks against graphs of growing size: the snapshot
-  // validates the node count itself.
-  auto attempt = [&](std::size_t n,
-                     std::unique_ptr<IncrementalPageRank>* out) {
-    MonteCarloOptions adjusted = opts;
-    // Snapshots always describe a full (unsharded) store.
-    adjusted.shard_index = 0;
-    adjusted.shard_count = 1;
-    auto candidate =
-        std::make_unique<IncrementalPageRank>(0, adjusted);
-    DiGraph* g = candidate->social_->mutable_graph();
-    g->EnsureNodes(n);
-    for (const Edge& e : edges) {
-      FASTPPR_RETURN_IF_ERROR(g->AddEdge(e.src, e.dst));
-    }
-    FASTPPR_RETURN_IF_ERROR(
-        LoadWalkStore(directory + "/walks.bin", *g, &candidate->walks_));
-    candidate->walks_.set_update_policy(opts.update_policy);
-    candidate->options_.walks_per_node = candidate->walks_.walks_per_node();
-    candidate->options_.epsilon = candidate->walks_.epsilon();
-    *out = std::move(candidate);
-    return Status::OK();
-  };
-  // First try with the edge-derived node count; if the stored universe
-  // was larger (isolated nodes), the walk loader reports the mismatch —
-  // retry with the count embedded in the walks snapshot.
-  Status s = attempt(num_nodes, engine);
-  if (s.ok()) return s;
-  if (!s.IsInvalidArgument()) return s;
-  // Read the node count from the walks header for the retry.
-  uint64_t stored_nodes = 0;
-  if (!PeekWalkStoreNodeCount(directory + "/walks.bin", &stored_nodes)
-           .ok() ||
-      stored_nodes < num_nodes) {
-    return s;
-  }
-  return attempt(stored_nodes, engine);
 }
 
 std::vector<NodeId> IncrementalPageRank::TopK(std::size_t k) const {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "fastppr/graph/digraph.h"
@@ -138,18 +137,6 @@ class IncrementalPageRank {
   /// Writer-side access for the snapshot publisher (dirty-feed draining).
   WalkStore* mutable_walk_store() { return &walks_; }
   const DiGraph& graph() const { return social_->graph(); }
-
-  /// Persists the engine (graph + walk segments) to `directory` as
-  /// `graph.txt` (SNAP edge list) and `walks.bin` (binary snapshot), so a
-  /// restart resumes incremental maintenance without re-initializing.
-  Status SaveSnapshot(const std::string& directory) const;
-
-  /// Restores an engine saved by SaveSnapshot. The options' R and epsilon
-  /// are taken from the snapshot; `opts.seed` seeds the post-restore
-  /// update randomness.
-  static Status LoadSnapshot(const std::string& directory,
-                             const MonteCarloOptions& opts,
-                             std::unique_ptr<IncrementalPageRank>* engine);
 
   /// Test hook: full invariant audit.
   void CheckConsistency() const {

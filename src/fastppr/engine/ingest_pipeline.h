@@ -7,11 +7,12 @@
 // and the interesting concurrency lives in the stage contract, not the
 // queues.
 //
-// Backpressure is by blocking Push at capacity, and the stage graph is
-// acyclic (caller → advance queue → pipeline thread → one ParallelFor
-// over the shards; pipeline thread → publish queue → publisher), so a
-// full queue stalls exactly its upstream stage and nothing can
-// deadlock.
+// The stage graph is acyclic (caller → advance queue → pipeline thread
+// → one ParallelFor over the shards; pipeline thread → publish queue →
+// publisher). The caller drains the previous window before it pushes
+// the next, so the advance queue never blocks; the publish queue's
+// blocking Push at capacity stalls exactly its upstream stage, and
+// nothing can deadlock.
 
 #include <condition_variable>
 #include <cstddef>
@@ -37,18 +38,11 @@ class BoundedQueue {
   /// Returns false (dropping the item) only after Close().
   bool Push(T item) {
     std::unique_lock<std::mutex> lock(mu_);
-    return PushLocked(&lock, std::move(item));
-  }
-
-  /// Push as a hand-off: also blocks until the consumer has popped the
-  /// item (single producer, so the queue is then empty). The producer
-  /// thus runs at most one item ahead of the consumer and returns the
-  /// moment the consumer starts on its item. Returns false only after
-  /// Close().
-  bool Handoff(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!PushLocked(&lock, std::move(item))) return false;
-    not_full_.wait(lock, [&] { return closed_ || q_.empty(); });
+    not_full_.wait(lock, [&] { return closed_ || q_.size() < cap_; });
+    if (closed_) return false;
+    q_.push_back(std::move(item));
+    if (q_.size() > high_water_) high_water_ = q_.size();
+    not_empty_.notify_one();
     return true;
   }
 
@@ -75,15 +69,6 @@ class BoundedQueue {
   }
 
  private:
-  bool PushLocked(std::unique_lock<std::mutex>* lock, T item) {
-    not_full_.wait(*lock, [&] { return closed_ || q_.size() < cap_; });
-    if (closed_) return false;
-    q_.push_back(std::move(item));
-    if (q_.size() > high_water_) high_water_ = q_.size();
-    not_empty_.notify_one();
-    return true;
-  }
-
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
@@ -94,8 +79,8 @@ class BoundedQueue {
 };
 
 /// One item on the caller→pipeline advance queue: one ingestion
-/// window's applied prefix (the repair unit, replayed in order into the
-/// repair replica) plus the window's submitted event count.
+/// window's applied prefix (the repair unit) plus the window's
+/// submitted event count.
 struct PipelineItem {
   std::vector<EdgeEvent> applied;
   std::size_t window_events = 0;

@@ -24,14 +24,11 @@
 // refcounts when the last pin drops.
 //
 // Publish pipelining: the service implements the engine's BoundarySink,
-// so snapshot publishing is driven by window-boundary callbacks instead
-// of the Ingest caller. In pipelined engine mode the callback runs on
-// the pipeline thread; it captures the boundary-frozen state (counts +
-// delta payloads) and hands assembly to a dedicated PUBLISHER thread —
-// publish of window k-1 overlaps repair of window k and ingest of
-// window k+1. In lockstep mode the callback runs inline on the caller
-// and frozen refreshes stay demand-gated (a writer with no personalized
-// readers skips them).
+// so snapshot publishing is driven by window-boundary callbacks on the
+// engine's pipeline thread instead of the Ingest caller. The callback
+// captures the boundary-frozen state (counts + delta payloads) at every
+// boundary and hands assembly to a dedicated PUBLISHER thread — publish
+// of window k-1 overlaps repair of window k and ingest of window k+1.
 //
 // Consistency model:
 //  * Merged count reads: every per-shard read is torn-free and stamped
@@ -41,8 +38,8 @@
 //  * Personalized reads: the segment views and the adjacency view are
 //    flipped together, so one walk observes ONE epoch throughout
 //    (SnapshotInfo reports min_epoch == max_epoch). Reads lag live
-//    ingestion by at most the pipeline depth (lockstep: the in-flight
-//    window); Quiesce() is the freshness barrier.
+//    ingestion by at most the pipeline depth; Quiesce() is the
+//    freshness barrier.
 
 #include <atomic>
 #include <condition_variable>
@@ -198,9 +195,9 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   static constexpr bool kIsSalsa =
       requires(const Engine& e) { e.AuthorityEstimate(NodeId{0}); };
   using Ctx = typename ShardedEngine<Engine>::BoundaryContext;
-  /// Boundary→publisher queue depth (pipelined engine mode): how many
-  /// captured-but-unassembled windows may stack up before window
-  /// boundaries backpressure on the publisher.
+  /// Boundary→publisher queue depth: how many captured-but-unassembled
+  /// windows may stack up before window boundaries backpressure on the
+  /// publisher.
   static constexpr std::size_t kPublishQueueCap = 4;
 
  public:
@@ -228,9 +225,7 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     for (std::size_t s = 0; s < engine_->num_shards(); ++s) {
       seg_builders_.emplace_back(ownership_, s);
     }
-    if (!engine_->lockstep()) {
-      publisher_ = std::thread([this] { PublisherLoop(); });
-    }
+    publisher_ = std::thread([this] { PublisherLoop(); });
     engine_->SetBoundarySink(this);
     {
       std::lock_guard<std::mutex> lock(window_mu_);
@@ -264,9 +259,8 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   ShardedEngine<Engine>* engine() { return engine_; }
 
   /// Applies one ingestion window; snapshots publish at the window
-  /// boundary (inline in lockstep, downstream of the pipeline
-  /// otherwise). On a failed event the applied prefix is still
-  /// repaired and published.
+  /// boundary, downstream of the engine's pipeline. On a failed event
+  /// the applied prefix is still repaired and published.
   Status Ingest(std::span<const EdgeEvent> window) {
     std::lock_guard<std::mutex> lock(window_mu_);
     return engine_->ApplyEvents(window);
@@ -285,15 +279,15 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
 
   /// The freshness barrier: blocks until every window submitted through
   /// Ingest() is fully applied AND its snapshot publishes are live.
-  /// No-op cost in lockstep mode. (Differential tests compare states
-  /// across engines at quiesced boundaries.)
+  /// (Differential tests compare states across engines at quiesced
+  /// boundaries.)
   void Quiesce() {
     engine_->Drain();
     WaitPublisherIdle();
   }
 
   /// Epoch of the most recent window boundary's count publish (frozen
-  /// views may trail by the publish queue depth in pipelined mode).
+  /// views may trail by the publish queue depth).
   uint64_t published_epoch() const {
     return published_epoch_.load(std::memory_order_acquire);
   }
@@ -457,17 +451,14 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
                           std::vector<ScoredNode>* ranked,
                           WalkStats* walk_stats = nullptr,
                           SnapshotInfo* info = nullptr) {
-    // Fail fast before pinning views or arming a frozen refresh: a
-    // request that is already dead must cost the service nothing.
+    // Fail fast before pinning views: a request that is already dead
+    // must cost the service nothing.
     if (options.deadline.expired()) {
       return Status::DeadlineExceeded("deadline expired before walk start");
     }
     const bool hot = engine_->metrics_enabled();
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
     if (hot) om_.snapshot_pins->Add(1, engine_->shard_of(seed));
-    // Arm the next window boundary's frozen refresh (lockstep's demand
-    // gate; pipelined publishes unconditionally, so the flag is inert).
-    frozen_demand_.store(true, std::memory_order_relaxed);
     std::shared_ptr<const FrozenViewSet> pin;
     {
       std::lock_guard<std::mutex> lock(view_mu_);
@@ -475,35 +466,6 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     }
     FASTPPR_CHECK_MSG(pin != nullptr && pin->graph != nullptr,
                       "no published snapshot to serve from");
-    if (engine_->lockstep() && pin->graph->epoch() != published_epoch() &&
-        window_mu_.try_lock()) {
-      // Lockstep only: the view lags the engine (frozen publishes were
-      // skipped while no personalized reads were in flight) and the
-      // writer is idle, so this reader pays the refresh itself, then
-      // re-pins — holding the window mutex across the rebuild, so a
-      // writer arriving exactly now waits for it (the one
-      // reader-stalls-writer exception; it needs an idle writer to
-      // trigger, so it cannot recur under steady ingestion). If the
-      // writer is mid-window instead, the stale view is served as-is
-      // (stamped in `info`) and the demand flag freshens the next
-      // boundary. The pipelined mode never takes this branch: views
-      // refresh at every boundary, and transient lag is just the
-      // pipeline depth.
-      std::lock_guard<std::mutex> lock(window_mu_, std::adopt_lock);
-      if (hot) om_.snapshot_refreshes->Add(1);
-      const Ctx ctx = engine_->QuiescentBoundaryContext();
-      PublishJob job;
-      job.epoch = ctx.epoch;
-      job.full = false;
-      CaptureJob(ctx, /*full=*/false, &job);
-      AssembleAndFlip(std::move(job));
-      // The demand flag stays armed: clearing it here could erase a
-      // demand another reader raised concurrently, letting the writer
-      // skip a boundary it owed — the cost of leaving it set is at most
-      // one redundant (delta, usually empty) publish.
-      std::lock_guard<std::mutex> view_lock(view_mu_);
-      pin = frozen_view_;
-    }
     if (info != nullptr) {
       // Audited, not assumed: min/max span the adjacency AND every
       // segment view, so the single-epoch contract's assertions in the
@@ -573,15 +535,12 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   /// path, so every item's answer is bit-identical to an unbatched
   /// PersonalizedTopK at the same epoch (the differential test's
   /// contract). Item statuses are reported per item; the call itself
-  /// cannot fail. The lockstep self-refresh branch is intentionally
-  /// skipped: batching is a serving-tier feature and the tier runs
-  /// pipelined, where views refresh at every boundary anyway.
+  /// cannot fail.
   void PersonalizedTopKInto(std::span<PersonalizedBatchQuery> batch,
                             PersonalizedScratch* scratch,
                             serve::ClockFn clock = &obs::NowNanos) {
     if (batch.empty()) return;
     const bool hot = engine_->metrics_enabled();
-    frozen_demand_.store(true, std::memory_order_relaxed);
     std::shared_ptr<const FrozenViewSet> pin;
     {
       std::lock_guard<std::mutex> lock(view_mu_);
@@ -692,42 +651,25 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     double epsilon_;
   };
 
-  /// The engine's window-boundary callback (BoundarySink): pipeline
-  /// thread in pipelined mode, the Ingest caller in lockstep.
+  /// The engine's window-boundary callback (BoundarySink), on its
+  /// pipeline thread.
   void OnWindowBoundary(const Ctx& ctx) override {
     PublishBoundary(ctx, /*full=*/false);
   }
 
   /// One boundary's publish work on the boundary thread: seqlock count
-  /// flips (cheap, every window), then the frozen-view delta capture —
-  /// assembled inline in lockstep (demand-gated), handed to the
-  /// publisher thread otherwise.
+  /// flips, then the frozen-view delta capture, handed to the publisher
+  /// thread.
   void PublishBoundary(const Ctx& ctx, bool full) {
     PublishCounts(ctx);
     // Advance the published epoch BEFORE the frozen flip: a reader that
     // pins a view must never observe its epoch ahead of
     // published_epoch() (the staleness invariant the tests assert).
     published_epoch_.store(ctx.epoch, std::memory_order_release);
-    const bool lockstep = engine_->lockstep();
-    if (lockstep && !full &&
-        !frozen_demand_.exchange(false, std::memory_order_relaxed)) {
-      // Demand-driven frozen refresh: the delta copies are paid only
-      // when a personalized read happened since the last frozen publish
-      // — a lockstep writer with no personalized readers ingests at
-      // full speed while the dirty feeds accumulate (bounded by their
-      // overflow caps). The pipelined mode publishes every boundary
-      // instead: the work rides the publisher thread, off the ingest
-      // critical path.
-      return;
-    }
     PublishJob job;
     job.epoch = ctx.epoch;
     job.full = full;
     CaptureJob(ctx, full, &job);
-    if (lockstep) {
-      AssembleAndFlip(std::move(job));
-      return;
-    }
     {
       std::lock_guard<std::mutex> lock(idle_mu_);
       ++inflight_;
@@ -787,16 +729,14 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     ctx.applied->Clear();
     // The single-writer contract, checked like the engine's repair
     // phases: the boundary graph must not have moved while we copied
-    // from it (in pipelined mode the PRIMARY may move freely — the
-    // capture reads the repair replica).
+    // from it (the caller's next mutation waits for this boundary).
     FASTPPR_CHECK_MSG(ctx.graph->epoch() == graph_epoch,
                       "graph mutated during a snapshot capture");
   }
 
   /// Publisher half: fold the capture into the shared chains and flip
-  /// the view pointer. Runs on the publisher thread in pipelined mode
-  /// (overlapping the next windows' ingest and repair), inline on the
-  /// boundary thread in lockstep.
+  /// the view pointer. Runs on the publisher thread, overlapping the
+  /// next windows' ingest and repair.
   void AssembleAndFlip(PublishJob&& job) {
     const bool hot = engine_->metrics_enabled();
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
@@ -860,14 +800,12 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   /// thread (Capture) and the publisher thread (Assemble), whose member
   /// footprints are disjoint.
   mutable std::mutex view_mu_;
-  std::atomic<bool> frozen_demand_{false};
   std::shared_ptr<const FrozenViewSet> frozen_view_;
   std::vector<SegmentSnapshotBuilder> seg_builders_;
   AdjacencySnapshotBuilder adj_builder_;
 
-  /// Publisher-thread state (pipelined engine mode only; the thread is
-  /// never started in lockstep). `inflight_` counts enqueued jobs not
-  /// yet flipped, guarded by `idle_mu_`.
+  /// Publisher-thread state. `inflight_` counts enqueued jobs not yet
+  /// flipped, guarded by `idle_mu_`.
   pipe::BoundedQueue<PublishJob> publish_q_{kPublishQueueCap};
   std::thread publisher_;
   std::mutex idle_mu_;

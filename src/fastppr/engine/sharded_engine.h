@@ -14,33 +14,28 @@
 // shards read the SAME slab-backed Social Store instead of per-shard
 // replicas (which cost S× adjacency memory and S× mutation work).
 //
-// Single-writer epoch contract: each ingestion window is processed as
-// two phases. In the ingest phase ONE writer thread applies the window's
-// events to a graph (stopping at the first invalid one); in the repair
-// phase the applied prefix's net delta (WindowDelta) is built once and
-// every shard repairs its own walks in ONE parallel dispatch against
-// that graph, now frozen. The graph's mutation epoch
-// (AdjacencySlab::epoch) is recorded when the repair phase starts and
-// FASTPPR_CHECKed unchanged when it ends, so an accidental mutation
-// under concurrent repairs aborts loudly instead of racing silently.
+// Single-writer epoch contract: the engine owns ONE SocialStore, and
+// each ingestion window is processed as two phases. In the ingest phase
+// the calling thread, the store's only writer, applies the window's
+// events (stopping at the first invalid one); in the repair phase the
+// pipeline thread builds the applied prefix's net delta (WindowDelta)
+// once and every shard repairs its own walks in ONE parallel dispatch
+// against the store, now frozen. The caller Drain()s the previous
+// window, whose repair and boundary sink are the store's only other
+// readers, before it mutates, so the two phases never overlap. The
+// graph's mutation epoch (AdjacencySlab::epoch) is recorded when the
+// repair phase starts and FASTPPR_CHECKed unchanged when it ends, so a
+// mutation under concurrent repairs aborts loudly instead of racing
+// silently.
 //
-// Execution modes (ShardedOptions::lockstep):
-//  * LOCKSTEP — the barrier-synced model: the calling thread runs the
-//    ingest and repair phases back to back on the one shared store and
-//    returns with the window fully applied.
-//  * PIPELINED (default) — ingest of window k+1 overlaps repair of
-//    window k overlaps publish of window k-1. The caller mutates the
-//    PRIMARY store and hands the window's applied prefix over to a
-//    pipeline thread (returning once that thread has taken it); the
-//    pipeline thread replays the prefix in order into a REPAIR REPLICA
-//    store (the one the shards are bound to), builds the delta, and
-//    repairs every shard through one ThreadPool dispatch. The replica
-//    replays the primary's mutation sequence bit-identically, so every
-//    shard repairs against the identical frozen graph state it would
-//    have seen in lockstep. Window boundaries retire in FIFO order
-//    (windows_applied trails windows_submitted); getters that read
-//    repair-side state Drain() the pipeline first, so every observable
-//    result is bit-identical to lockstep.
+// Execution: ApplyEvents appends and syncs the window's WAL record
+// (overlapping the previous window's repair), drains, mutates the
+// store, hands the applied prefix to the pipeline thread and returns
+// the exact status. The pipeline thread repairs every shard through one
+// ThreadPool dispatch and retires the window boundary (the boundary
+// sink, upstream of snapshot publishing). windows_applied trails
+// windows_submitted by at most one window; getters that read
+// repair-side state Drain() first.
 //
 // Event routing is a *broadcast*, not a split: an arriving edge (u, v)
 // reroutes stored walks that VISIT u (Proposition 2), and walks visiting
@@ -51,12 +46,12 @@
 // event belongs to shard_of(src); ShardRouter accounts it there).
 //
 // Determinism contract: per-shard RNG streams depend only on (seed,
-// shard_count), never on thread count, scheduling or execution mode,
-// and sampling is defined over the bound slab's canonical slot order —
-// so results are bit-identical for any number of worker threads,
-// pipelined or lockstep, and a 1-shard engine consumes the identical
-// stream as the flat engine (Mix64(0) == 0; the flat engine mutates and
-// repairs each window in exactly the same order).
+// shard_count), never on thread count or scheduling, and sampling is
+// defined over the store's canonical slot order — so results are
+// bit-identical for any number of worker threads and whether or not the
+// caller waits for each window, and a 1-shard engine consumes the
+// identical stream as the flat engine (Mix64(0) == 0; the flat engine
+// mutates and repairs each window in exactly the same order).
 
 #include <algorithm>
 #include <atomic>
@@ -101,12 +96,6 @@ struct ShardedOptions {
   /// Worker threads for parallel repair; 0 = min(num_shards,
   /// hardware_concurrency). Any value yields bit-identical results.
   std::size_t num_threads = 0;
-  /// Escape hatch: run the pre-pipeline barrier-synced execution model
-  /// (ApplyEvents returns with the window fully applied and no pipeline
-  /// thread exists). Results are bit-identical either way; lockstep
-  /// trades the ingest/repair/publish overlap for strictly synchronous
-  /// semantics. Also the reference side of the differential tests.
-  bool lockstep = false;
 };
 
 /// Routing policy for one ingestion window. Repairs broadcast (see the
@@ -197,21 +186,20 @@ class ShardedEngine {
   /// getters from the pipeline thread — that would self-deadlock.
   /// `shards` and `graph` are frozen until the callback returns (the
   /// boundary runs strictly after the window's last repair joined and
-  /// strictly before the next window's first replica mutation).
+  /// strictly before the next window's first mutation, which waits for
+  /// it in Drain()).
   struct BoundaryContext {
     uint64_t epoch = 0;                    ///< windows applied INCLUDING
                                            ///  this one
     std::span<Engine* const> shards;
     const DiGraph* graph = nullptr;        ///< the boundary-frozen graph
-                                           ///  (repair replica when
-                                           ///  pipelined)
     slab::DirtyFeed<Edge>* applied = nullptr;  ///< applied-edge feed
                                                ///  (owner may Clear it)
   };
 
   /// Window-boundary hook (the publish stage's upstream): invoked once
-  /// per applied window — on the pipeline thread in pipelined mode,
-  /// inline on the caller in lockstep — always at a quiescent boundary.
+  /// per applied window on the pipeline thread, always at a quiescent
+  /// boundary.
   class BoundarySink {
    public:
     virtual ~BoundarySink() = default;
@@ -224,7 +212,7 @@ class ShardedEngine {
         router_(sharding.num_shards),
         pool_(ResolveThreads(sharding)),
         social_(std::make_shared<SocialStore>(num_nodes)) {
-    Init(sharding, /*for_recovery=*/false);
+    Init(/*for_recovery=*/false);
   }
 
   ShardedEngine(const DiGraph& initial, const MonteCarloOptions& opts,
@@ -234,14 +222,12 @@ class ShardedEngine {
         pool_(ResolveThreads(sharding)),
         social_(std::make_shared<SocialStore>(initial.num_nodes())) {
     social_->ImportGraph(initial);
-    Init(sharding, /*for_recovery=*/false);
+    Init(/*for_recovery=*/false);
   }
 
   ~ShardedEngine() {
-    if (pipe_ != nullptr) {
-      pipe_->advance.Close();
-      if (pipe_->thread.joinable()) pipe_->thread.join();
-    }
+    advance_.Close();
+    if (pipeline_.joinable()) pipeline_.join();
   }
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -250,8 +236,8 @@ class ShardedEngine {
   std::size_t num_shards() const { return shards_.size(); }
   std::size_t num_threads() const { return pool_.num_threads(); }
   std::size_t num_nodes() const { return social_->num_nodes(); }
-  /// Live (primary-store) edge count; reflects every ApplyEvents that
-  /// returned, even while repairs are still in flight.
+  /// Live edge count; reflects every ApplyEvents that returned, even
+  /// while its repair is still in flight.
   std::size_t num_edges() const { return social_->num_edges(); }
   uint64_t arrivals() const {
     Drain();
@@ -269,10 +255,6 @@ class ShardedEngine {
     return windows_applied_.load(std::memory_order_relaxed);
   }
 
-  /// True when running the barrier-synced escape hatch
-  /// (ShardedOptions::lockstep); false in the pipelined default.
-  bool lockstep() const { return pipe_ == nullptr; }
-
   const MonteCarloOptions& options() const { return base_options_; }
   const ShardRouter& router() const { return router_; }
 
@@ -286,10 +268,8 @@ class ShardedEngine {
   }
   std::size_t shard_of(NodeId u) const { return router_.shard_of(u); }
 
-  /// The ONE shared Social Store all shards' repairs broadcast over —
-  /// the PRIMARY the single-writer caller mutates. In pipelined mode
-  /// the shards read the repair replica instead (same content at every
-  /// window boundary); in lockstep they read this store directly.
+  /// The ONE shared Social Store: the single-writer caller mutates it
+  /// and every shard's repairs read it.
   SocialStore& social_store() { return *social_; }
   const SocialStore& social_store() const { return *social_; }
   const DiGraph& graph() const { return social_->graph(); }
@@ -297,13 +277,12 @@ class ShardedEngine {
   /// Heap bytes of the shared graph storage. With per-shard replicas
   /// (the PR 2 architecture) this would be paid num_shards() times;
   /// sharing collapses it to one copy — the number bench_sharded
-  /// reports as the replica-elimination saving. The pipelined repair
-  /// replica adds a second copy (the overlap's memory price; reported
-  /// separately by RepairReplicaBytes).
+  /// reports as the replica-elimination saving.
   std::size_t GraphMemoryBytes() const { return social_->MemoryBytes(); }
-  std::size_t RepairReplicaBytes() const {
-    return pipe_ != nullptr ? repair_social_->MemoryBytes() : 0;
-  }
+  /// Bytes of graph copies kept for repair besides the one store:
+  /// always 0, since repairs read the store itself between mutations.
+  /// Kept for the benchmark's layer ledger (engine.replica_mb).
+  std::size_t RepairReplicaBytes() const { return 0; }
 
   /// The dense owned-segment addressing of this engine's partition (see
   /// store/segment_snapshot.h): a pure function of (num_nodes,
@@ -322,8 +301,8 @@ class ShardedEngine {
   /// accumulates into applied_edges() until the feed is cleared. Off by
   /// default so engines without a serving layer pay nothing; bounded at
   /// 4 edges per node (slab::DirtyFeed overflow — the next adjacency
-  /// snapshot then full-copies). In pipelined mode the feed is written
-  /// by the pipeline thread (it belongs to the repair/publish side).
+  /// snapshot then full-copies). The feed is written by the pipeline
+  /// thread (it belongs to the repair/publish side).
   void EnableAppliedEdgeTracking() {
     Drain();
     // Two attached services would consume each other's delta feeds and
@@ -367,31 +346,28 @@ class ShardedEngine {
     BoundaryContext ctx;
     ctx.epoch = windows_applied_.load(std::memory_order_relaxed);
     ctx.shards = std::span<Engine* const>(shard_ptrs_);
-    ctx.graph = &boundary_graph();
+    ctx.graph = &social_->graph();
     ctx.applied = &applied_;
     return ctx;
   }
 
   /// Blocks until every submitted window is fully applied (repairs run,
-  /// boundary sink returned). No-op in lockstep mode; never needed for
-  /// correctness by external callers — every getter that observes
-  /// repair-side state drains implicitly.
+  /// boundary sink returned). Never needed for correctness by external
+  /// callers — every getter that observes repair-side state drains
+  /// implicitly.
   void Drain() const {
-    if (pipe_ == nullptr) return;
     const uint64_t target = windows_submitted_.load(std::memory_order_acquire);
     if (windows_applied_.load(std::memory_order_acquire) >= target) return;
-    std::unique_lock<std::mutex> lock(pipe_->done_mu);
-    pipe_->done_cv.wait(lock, [&] {
+    std::unique_lock<std::mutex> lock(done_mu_);
+    done_cv_.wait(lock, [&] {
       return windows_applied_.load(std::memory_order_relaxed) >= target;
     });
   }
 
-  /// Applies one ingestion window. Lockstep: one single-writer ingest
-  /// phase, then one parallel repair phase, fully applied on return.
-  /// Pipelined: the caller runs only the primary-store mutations (and
-  /// the WAL) and hands repair + publish to the pipeline; the returned
-  /// Status is already exact — it is computed from the primary
-  /// mutations, and the replica replays them deterministically. An
+  /// Applies one ingestion window: the caller waits for the previous
+  /// window's repair and boundary, runs this window's store mutations
+  /// and hands repair + publish to the pipeline thread. The returned
+  /// Status is already exact — it is computed from the mutations. An
   /// invalid event stops the window there; the applied prefix is
   /// repaired in every shard before the window retires.
   ///
@@ -493,23 +469,11 @@ class ShardedEngine {
     return out;
   }
 
-  /// Test hook: audits the shared slab and every shard's store — and,
-  /// in pipelined mode, the repair replica's bit-level agreement with
-  /// the primary (same epoch, same edge set in canonical slot order).
+  /// Test hook: audits the shared slab and every shard's store.
   void CheckConsistency() const {
     Drain();
     social_->graph().slab().CheckConsistency();
     for (const auto& shard : shards_) shard->CheckConsistency();
-    if (pipe_ != nullptr) {
-      repair_social_->graph().slab().CheckConsistency();
-      FASTPPR_CHECK_MSG(
-          repair_social_->epoch() == social_->epoch() &&
-              repair_social_->num_edges() == social_->num_edges(),
-          "repair replica epoch/size diverged from primary");
-      FASTPPR_CHECK_MSG(
-          repair_social_->graph().Edges() == social_->graph().Edges(),
-          "repair replica edge set diverged from primary");
-    }
   }
 
   // --- observability (DESIGN.md §9) ----------------------------------
@@ -526,12 +490,10 @@ class ShardedEngine {
   const obs::EngineMetrics& metric_handles() const { return om_; }
   /// Phase timeline: track s < num_shards() carries shard s's repair
   /// spans; writer_track() the caller's ingest/fsync spans;
-  /// pipeline_track() the pipeline thread's replica-advance spans;
-  /// publish_track() the frozen-view publish spans (either mode).
+  /// publish_track() the frozen-view publish spans.
   obs::PhaseTracer* phase_tracer() { return &tracer_; }
   std::size_t writer_track() const { return shards_.size(); }
-  std::size_t pipeline_track() const { return shards_.size() + 1; }
-  std::size_t publish_track() const { return shards_.size() + 2; }
+  std::size_t publish_track() const { return shards_.size() + 1; }
 
   /// Turns the instrumentation's clock reads and atomics on/off at
   /// runtime (on by default). The cold path does no timing at all —
@@ -625,9 +587,8 @@ class ShardedEngine {
   ///                 missing (one file gone, or the WAL skips windows).
   /// Read-only: the directory is untouched, so Recover is idempotent
   /// and the result is not yet durable — call EnableDurability on the
-  /// recovered engine to resume logging. The returned engine runs the
-  /// default (pipelined) execution mode and is drained: replayed
-  /// windows are fully applied.
+  /// recovered engine to resume logging. The returned engine is
+  /// drained: replayed windows are fully applied.
   static Status Recover(const std::string& directory,
                         std::size_t num_threads,
                         std::unique_ptr<ShardedEngine>* out,
@@ -732,7 +693,7 @@ class ShardedEngine {
     return std::min(sharding.num_shards, hw > 0 ? hw : 1);
   }
 
-  /// Recovery construction (Recover): shards attach to the bound store
+  /// Recovery construction (Recover): shards attach to the shared store
   /// without generating walk segments — RestoreFrom replaces every
   /// member. Skipping the nR/eps generation is the "instant" in
   /// instant restart.
@@ -743,7 +704,7 @@ class ShardedEngine {
         router_(sharding.num_shards),
         pool_(ResolveThreads(sharding)),
         social_(std::make_shared<SocialStore>(num_nodes)) {
-    Init(sharding, /*for_recovery=*/true);
+    Init(/*for_recovery=*/true);
   }
 
   MonteCarloOptions ShardOptions(const MonteCarloOptions& opts,
@@ -755,195 +716,108 @@ class ShardedEngine {
     return shard_opts;
   }
 
-  void Init(const ShardedOptions& sharding, bool for_recovery) {
-    // Pipelined mode: the repair replica starts as a bit-identical copy
-    // of the primary and replays its mutation sequence window by window
-    // — the shards bind to IT so repairs of window k read frozen state
-    // while the caller already mutates the primary for window k+1.
-    if (!sharding.lockstep) {
-      repair_social_ =
-          std::make_shared<SocialStore>(social_->num_nodes());
-      repair_social_->CopyGraphFrom(*social_);
-    }
-    const std::shared_ptr<SocialStore>& bound =
-        sharding.lockstep ? social_ : repair_social_;
+  void Init(bool for_recovery) {
     const std::size_t S = router_.num_shards();
     shards_.reserve(S);
     for (std::size_t s = 0; s < S; ++s) {
       if (for_recovery) {
         shards_.push_back(std::make_unique<Engine>(
-            typename Engine::ForRecovery{}, bound,
+            typename Engine::ForRecovery{}, social_,
             ShardOptions(base_options_, s)));
       } else {
         shards_.push_back(std::make_unique<Engine>(
-            bound, ShardOptions(base_options_, s)));
+            social_, ShardOptions(base_options_, s)));
       }
     }
     shard_ptrs_.reserve(S);
     for (const auto& shard : shards_) shard_ptrs_.push_back(shard.get());
     InitMetrics();
-    if (!sharding.lockstep) {
-      pipe_ = std::make_unique<Pipeline>();
-      pipe_->thread = std::thread([this] { PipelineLoop(); });
-    }
+    pipeline_ = std::thread([this] { PipelineLoop(); });
   }
 
   void InitMetrics() {
     metrics_registry_ = std::make_shared<obs::MetricsRegistry>();
     om_ = obs::EngineMetrics::Register(metrics_registry_.get(),
                                        router_.num_shards());
-    // Tracks: S repair lanes + writer + pipeline + publish.
-    tracer_.Init(router_.num_shards() + 3);
+    // Tracks: S repair lanes + writer + publish.
+    tracer_.Init(router_.num_shards() + 2);
   }
 
+  /// The caller's half of one window, shared by ApplyEvents and WAL
+  /// replay: wait for the previous window to retire, mutate the store,
+  /// and hand the applied prefix to the pipeline thread as one item.
   Status ApplyWindow(std::span<const EdgeEvent> events) {
-    return pipe_ == nullptr ? LockstepApplyWindow(events)
-                            : PipelinedApplyWindow(events);
-  }
-
-  /// The pre-pipeline ApplyEvents body: one ingestion window processed
-  /// to completion by the calling thread. Shared by the lockstep mode's
-  /// front door and WAL replay.
-  Status LockstepApplyWindow(std::span<const EdgeEvent> events) {
     // Instrumentation is gated on one relaxed flag read per window: the
     // cold path takes zero clock reads, and hot-path timing never
     // touches the RNG streams, so the determinism contract is unchanged
     // either way.
     const bool hot = metrics_enabled();
     const uint64_t window =
-        windows_applied_.load(std::memory_order_relaxed);
-    const uint64_t window_start = hot ? obs::NowNanos() : 0;
-    // The shared window protocol (ApplyWindowPrefix) is what makes the
-    // S=1 engine consume the identical RNG stream as the flat engines:
-    // the mutations are this (single writer) thread's ingest phase; the
-    // repair below is one parallel phase against the frozen graph.
-    std::size_t applied = 0;
-    const Status result =
-        ApplyWindowPrefix(events, MutatePrimary(), &applied);
-    const std::span<const EdgeEvent> prefix = events.first(applied);
-    router_.AccountWrites(prefix);
-    if (hot) {
-      const uint64_t now = obs::NowNanos();
-      om_.ingest_phase->Record(now - window_start);
-      tracer_.Record(writer_track(), obs::Phase::kIngest, window,
-                     window_start, now);
-    }
-    RepairShards(prefix, *social_, window, hot);
-    const uint64_t epoch = window + 1;
-    windows_submitted_.store(epoch, std::memory_order_relaxed);
-    windows_applied_.store(epoch, std::memory_order_relaxed);
-    if (hot) {
-      om_.ingest_window->Record(obs::NowNanos() - window_start);
-      om_.events_ingested->Add(events.size());
-      om_.windows_applied->Set(epoch);
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const WalkUpdateStats st = shards_[s]->last_event_stats();
-        om_.walks_repaired->Add(st.segments_updated, s);
-        om_.walk_steps->Add(st.walk_steps, s);
-      }
-    }
-    if (BoundarySink* sink = sink_.load(std::memory_order_acquire)) {
-      BoundaryContext ctx;
-      ctx.epoch = epoch;
-      ctx.shards = std::span<Engine* const>(shard_ptrs_);
-      ctx.graph = &social_->graph();
-      ctx.applied = &applied_;
-      sink->OnWindowBoundary(ctx);
-    }
-    return result;
-  }
-
-  /// The caller's single-writer mutation of the primary store.
-  auto MutatePrimary() {
-    return [this](const Edge& e, bool insert) {
-      return insert ? social_->AddEdge(e.src, e.dst)
-                    : social_->RemoveEdge(e.src, e.dst);
-    };
-  }
-
-  /// Pipelined front half (caller thread): primary-store mutations
-  /// only. The applied prefix ships to the pipeline thread as one item,
-  /// which retires the window over there in FIFO order.
-  Status PipelinedApplyWindow(std::span<const EdgeEvent> events) {
-    const bool hot = metrics_enabled();
-    const uint64_t window =
         windows_submitted_.load(std::memory_order_relaxed);
     const uint64_t window_start = hot ? obs::NowNanos() : 0;
+    // The previous window's repair and boundary sink are the store's
+    // only other readers; the single writer waits them out before it
+    // mutates.
+    Drain();
+    const uint64_t ingest_start = hot ? obs::NowNanos() : 0;
+    // The shared window protocol (ApplyWindowPrefix) is what makes the
+    // S=1 engine consume the identical RNG stream as the flat engines.
     std::size_t applied = 0;
-    const Status result =
-        ApplyWindowPrefix(events, MutatePrimary(), &applied);
+    const Status result = ApplyWindowPrefix(
+        events,
+        [this](const Edge& e, bool insert) {
+          return insert ? social_->AddEdge(e.src, e.dst)
+                        : social_->RemoveEdge(e.src, e.dst);
+        },
+        &applied);
     pipe::PipelineItem item;
     item.applied.assign(events.begin(), events.begin() + applied);
     item.window_events = events.size();
     router_.AccountWrites(item.applied);
     if (hot) {
       const uint64_t now = obs::NowNanos();
-      om_.ingest_phase->Record(now - window_start);
+      om_.ingest_phase->Record(now - ingest_start);
       tracer_.Record(writer_track(), obs::Phase::kIngest, window,
-                     window_start, now);
+                     ingest_start, now);
     }
     // Submitted is bumped BEFORE the window is handed over, so
     // windows_applied (stored by the pipeline thread when the window
     // retires) can never be observed ahead of windows_submitted.
     windows_submitted_.store(window + 1, std::memory_order_release);
-    pipe_->advance.Handoff(std::move(item));
+    // The drain above emptied the queue, so this push never waits.
+    advance_.Push(std::move(item));
     if (hot) {
-      om_.pipeline_ingest_queue_hw->Set(pipe_->advance.high_water());
-      // Caller-side window cost only (the hand-off wait included);
-      // repair cost lives in repair_phase and the tracer's lane tracks.
+      // Caller-side window cost (the drain wait included); repair cost
+      // lives in repair_phase and the tracer's lane tracks.
       om_.ingest_window->Record(obs::NowNanos() - window_start);
     }
     return result;
   }
 
-  /// Pipeline thread main loop: one item per window — advance the
-  /// replica, repair every shard, retire the boundary.
+  /// Pipeline thread main loop: one item per window — repair every
+  /// shard, retire the boundary.
   void PipelineLoop() {
     pipe::PipelineItem item;
-    while (pipe_->advance.Pop(&item)) {
-      AdvanceAndRepair(item.applied);
+    while (advance_.Pop(&item)) {
+      RepairShards(item.applied);
       CompleteWindow(item.window_events);
     }
   }
 
-  /// One window on the pipeline thread: replay the applied prefix into
-  /// the replica in order (this thread is the replica's single writer,
-  /// so slot order stays identical to the primary's), then repair every
-  /// shard against the now-frozen replica.
-  void AdvanceAndRepair(std::span<const EdgeEvent> prefix) {
+  /// The window's repair phase: feeds the applied edges to the
+  /// frozen-adjacency publisher, builds the prefix's net delta once,
+  /// and repairs every shard in one parallel dispatch against the
+  /// store, whose epoch must not move meanwhile. The delta is read-only
+  /// across the dispatch.
+  void RepairShards(std::span<const EdgeEvent> prefix) {
     const bool hot = metrics_enabled();
     const uint64_t window =
         windows_applied_.load(std::memory_order_relaxed);
-    const uint64_t t0 = hot ? obs::NowNanos() : 0;
-    DiGraph* g = repair_social_->mutable_graph();
-    for (const EdgeEvent& ev : prefix) {
-      const Status s = ev.kind == EdgeEvent::Kind::kInsert
-                           ? g->AddEdge(ev.edge.src, ev.edge.dst)
-                           : g->RemoveEdge(ev.edge.src, ev.edge.dst);
-      // The caller ships only the prefix the primary ACCEPTED; the
-      // replica replays the identical sequence from identical state, so
-      // a rejection here means the stores diverged.
-      FASTPPR_CHECK_MSG(s.ok(), "repair replica diverged from primary");
-    }
-    if (hot) {
-      tracer_.Record(pipeline_track(), obs::Phase::kIngest, window, t0,
-                     obs::NowNanos());
-    }
-    RepairShards(prefix, *repair_social_, window, hot);
-  }
-
-  /// The window's repair phase, shared by both modes: feeds the applied
-  /// edges to the frozen-adjacency publisher, builds the prefix's net
-  /// delta once, and repairs every shard in one parallel dispatch
-  /// against `frozen`, whose epoch must not move meanwhile. The delta
-  /// is read-only across the dispatch.
-  void RepairShards(std::span<const EdgeEvent> prefix,
-                    const SocialStore& frozen, uint64_t window, bool hot) {
     if (applied_.tracking()) {
       for (const EdgeEvent& ev : prefix) applied_.Record(ev.edge);
     }
     delta_.Build(prefix, Engine::kRepairsInEdges);
-    const uint64_t epoch = frozen.epoch();
+    const uint64_t epoch = social_->epoch();
     pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
       const uint64_t t0 = hot ? obs::NowNanos() : 0;
       shards_[s]->RepairWindow(delta_);
@@ -953,7 +827,7 @@ class ShardedEngine {
         tracer_.Record(s, obs::Phase::kRepair, window, t0, t1);
       }
     });
-    FASTPPR_CHECK_MSG(frozen.epoch() == epoch,
+    FASTPPR_CHECK_MSG(social_->epoch() == epoch,
                       "graph mutated during a parallel repair phase");
   }
 
@@ -977,19 +851,15 @@ class ShardedEngine {
       BoundaryContext ctx;
       ctx.epoch = epoch;
       ctx.shards = std::span<Engine* const>(shard_ptrs_);
-      ctx.graph = &repair_social_->graph();
+      ctx.graph = &social_->graph();
       ctx.applied = &applied_;
       sink->OnWindowBoundary(ctx);
     }
     {
-      std::lock_guard<std::mutex> lock(pipe_->done_mu);
+      std::lock_guard<std::mutex> lock(done_mu_);
       windows_applied_.store(epoch, std::memory_order_release);
     }
-    pipe_->done_cv.notify_all();
-  }
-
-  const DiGraph& boundary_graph() const {
-    return (pipe_ != nullptr ? repair_social_ : social_)->graph();
+    done_cv_.notify_all();
   }
 
   DurableManifest BuildManifest() const {
@@ -1010,11 +880,7 @@ class ShardedEngine {
   /// every shard engine (walk slabs + RNG + stats). The transient
   /// window delta and applied-edge feed are excluded: the delta is
   /// rebuilt by every window and the feed is empty at every window
-  /// boundary. The repair replica is excluded too — it
-  /// is bit-identical to the primary at every drained boundary and is
-  /// rebuilt from it on restore, so the serialized form is identical
-  /// between the pipelined and lockstep modes (the differential tests'
-  /// oracle depends on this).
+  /// boundary.
   void SerializeTo(ArenaWriter* w) const {
     w->Pod(windows_applied_.load(std::memory_order_relaxed));
     router_.SaveTo(w);
@@ -1034,9 +900,6 @@ class ShardedEngine {
       return Status::Corruption(
           "checkpoint shard count disagrees with manifest");
     }
-    if (repair_social_ != nullptr) {
-      repair_social_->CopyGraphFrom(*social_);
-    }
     for (auto& shard : shards_) {
       if (!shard->LoadFrom(r)) return r->ToStatus("checkpoint shard");
     }
@@ -1053,42 +916,24 @@ class ShardedEngine {
     return durability_.directory + "/" + kWalFileName;
   }
 
-  /// Pipelined-mode state (null in lockstep). The unique_ptr keeps the
-  /// non-copyable queue/thread machinery out of the lockstep layout and
-  /// lets const getters drain through it.
-  struct Pipeline {
-    /// One window in hand-off (BoundedQueue::Handoff): ingest of window
-    /// k+1 overlaps repair of k and publish of k-1, and the caller
-    /// returns once the pipeline thread has taken its window, so an
-    /// acked window never waits behind another one in the queue.
-    pipe::BoundedQueue<pipe::PipelineItem> advance{1};
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::thread thread;  ///< last: joined before members die
-  };
-
   MonteCarloOptions base_options_;
   ShardRouter router_;
   ThreadPool pool_;
-  std::shared_ptr<SocialStore> social_;          ///< primary (caller writes)
-  std::shared_ptr<SocialStore> repair_social_;   ///< pipelined replica
-                                                 ///  (pipeline thread
-                                                 ///  writes; shards read)
+  std::shared_ptr<SocialStore> social_;  ///< the one store: the caller
+                                         ///  writes, the shards read
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<Engine*> shard_ptrs_;  ///< raw view for BoundaryContext
-  /// The current window's net delta: written by the window's single
-  /// writer (the caller in lockstep, the pipeline thread when
-  /// pipelined), read by every shard during the repair dispatch.
+  /// The current window's net delta: written by the pipeline thread,
+  /// read by every shard during the repair dispatch.
   WindowDelta delta_;
   /// Windows the caller has finished submitting (synchronous; WAL
   /// numbering) vs windows fully applied (repairs + boundary sink).
-  /// Equal in lockstep and at every drained boundary; applied trails
-  /// submitted by the pipeline depth otherwise.
+  /// Equal at every drained boundary; applied trails submitted by at
+  /// most one window otherwise.
   std::atomic<uint64_t> windows_submitted_{0};
   std::atomic<uint64_t> windows_applied_{0};
   slab::DirtyFeed<Edge> applied_;
   std::atomic<BoundarySink*> sink_{nullptr};
-  std::unique_ptr<Pipeline> pipe_;
 
   // Durability state (inert until EnableDurability).
   bool durable_ = false;
@@ -1104,6 +949,16 @@ class ShardedEngine {
   obs::EngineMetrics om_;
   obs::PhaseTracer tracer_;
   std::atomic<bool> metrics_hot_{true};
+
+  /// The pipeline: the caller->pipeline queue (one window; the caller
+  /// drains before it pushes), the retire signal Drain() waits on, and
+  /// the thread that repairs and retires windows. Declared after
+  /// everything the thread uses; started last in Init, joined in the
+  /// destructor.
+  pipe::BoundedQueue<pipe::PipelineItem> advance_{1};
+  mutable std::mutex done_mu_;
+  mutable std::condition_variable done_cv_;
+  std::thread pipeline_;
 };
 
 }  // namespace fastppr

@@ -25,11 +25,10 @@ namespace fastppr {
 /// results are bit-identical for any thread count, including 1.
 ///
 /// ParallelFor is not reentrant and must only be called from one thread
-/// at a time. The sharded engine honors this structurally: in lockstep
-/// mode only the ingesting caller dispatches, in pipelined mode only the
-/// pipeline thread does — never both. A violation (two dispatchers, or
-/// a task calling back into the pool) is FASTPPR_CHECKed instead of
-/// corrupting the generation protocol silently.
+/// at a time. The sharded engine honors this structurally: only its
+/// pipeline thread dispatches. A violation (two dispatchers, or a task
+/// calling back into the pool) is FASTPPR_CHECKed instead of corrupting
+/// the generation protocol silently.
 class ThreadPool {
  public:
   /// `num_threads` is the total parallelism: the calling thread plus

@@ -29,7 +29,6 @@ struct EngineMetrics {
   Counter* count_publishes = nullptr;       ///< seqlock count publishes
   Counter* snapshot_pins = nullptr;         ///< personalized view pins
                                             ///  [shard of seed]
-  Counter* snapshot_refreshes = nullptr;    ///< idle-writer self-refreshes
 
   // --- serving-tier counters (striped by query class: the stripe
   // index is serve::QueryClass — 0 TopK, 1 Score, 2 Personalized) ----
@@ -54,9 +53,8 @@ struct EngineMetrics {
   Counter* windows_applied = nullptr;       ///< ingestion epoch
   Counter* serve_queue_depth_hw = nullptr;  ///< per-class admission-queue
                                             ///  high-water depth [class]
-  // Pipelined-engine stage queues (DESIGN.md §11); all report
-  // high-water depths, each written by its single producer.
-  Counter* pipeline_ingest_queue_hw = nullptr;   ///< caller→pipeline
+  // The pipeline's publish queue (DESIGN.md §11): high-water depth,
+  // written by its single producer.
   Counter* pipeline_publish_queue_hw = nullptr;  ///< boundary→publisher
 
   // --- latency histograms (nanoseconds; exported in µs) --------------
@@ -88,7 +86,6 @@ struct EngineMetrics {
         reg->RegisterCounter("frozen_publishes_delta");
     m.count_publishes = reg->RegisterCounter("count_publishes");
     m.snapshot_pins = reg->RegisterCounter("snapshot_pins", shards);
-    m.snapshot_refreshes = reg->RegisterCounter("snapshot_refreshes");
     // Serving-tier outcome counters: one stripe per query class (3 =
     // serve::kNumQueryClasses; literal to keep obs/ free of serve/
     // includes — a static_assert in serve/serving_tier.h pins them).
@@ -108,8 +105,6 @@ struct EngineMetrics {
     m.serve_cache_evict = reg->RegisterCounter("serve_cache_evict", 8);
     m.windows_applied = reg->RegisterGauge("windows_applied");
     m.serve_queue_depth_hw = reg->RegisterGauge("serve_queue_depth_hw", 3);
-    m.pipeline_ingest_queue_hw =
-        reg->RegisterGauge("pipeline_ingest_queue_hw");
     m.pipeline_publish_queue_hw =
         reg->RegisterGauge("pipeline_publish_queue_hw");
     m.ingest_phase = reg->RegisterHistogram("ingest_phase");

@@ -28,7 +28,6 @@
 //     shared chain and yields the immutable frozen view. Touches only
 //     builder state, so it runs concurrently with the next window's
 //     ingest and repair.
-// The lockstep engine simply calls both back to back on the writer.
 
 #include <algorithm>
 #include <cstdint>
@@ -327,9 +326,8 @@ class AdjacencySnapshotBuilder {
 
   /// `applied` are the graph mutations since the last capture: edge
   /// (u, v) dirties u's out-row and (when captured) v's in-row. `g`
-  /// must be the graph frozen at the capture's window boundary — in the
-  /// pipelined engine that is the repair replica, NOT the primary the
-  /// caller keeps mutating.
+  /// must be the graph frozen at the capture's window boundary (the
+  /// engine's caller does not mutate it until the boundary returns).
   void Capture(const DiGraph& g, std::span<const Edge> applied,
                bool force_full, AdjacencyCapture* out) {
     if (force_full) {

@@ -17,12 +17,6 @@ void SocialStore::ImportGraph(const DiGraph& initial) {
   }
 }
 
-void SocialStore::CopyGraphFrom(const SocialStore& other) {
-  FASTPPR_CHECK_MSG(other.num_nodes() == num_nodes(),
-                    "repair replica node count mismatch");
-  graph_ = other.graph_;
-}
-
 Status SocialStore::AddEdge(NodeId src, NodeId dst) {
   Status s = graph_.AddEdge(src, dst);
   if (s.ok()) CountWrite(src);

@@ -55,13 +55,6 @@ class SocialStore {
   /// one initial-load path shared by every engine constructor.
   void ImportGraph(const DiGraph& initial);
 
-  /// Overwrites this store's graph with a bit-identical copy of
-  /// `other`'s (slab layout, epoch and all), leaving the call counters
-  /// untouched. The pipelined engine uses this to (re)base its repair
-  /// replica on the primary at construction and recovery; only safe
-  /// while neither store has a concurrent accessor.
-  void CopyGraphFrom(const SocialStore& other);
-
   /// Read path: counted per shard of the queried node. Safe to call from
   /// concurrent readers while the graph epoch is frozen.
   std::span<const NodeId> GetOutNeighbors(NodeId v);
@@ -73,7 +66,6 @@ class SocialStore {
   /// owning a local replica (e.g. offline baselines). Incremental engines
   /// use the counted accessors.
   const DiGraph& graph() const { return graph_; }
-  DiGraph* mutable_graph() { return &graph_; }
 
   /// The graph's mutation epoch (the single-writer freeze token).
   uint64_t epoch() const { return graph_.epoch(); }

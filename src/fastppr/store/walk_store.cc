@@ -61,60 +61,6 @@ void WalkStore::Init(const DiGraph& g, std::size_t walks_per_node,
   BuildFromFlatPaths(n, nodes, lengths, ends);
 }
 
-Status WalkStore::InitFromSegments(
-    const DiGraph& g, std::size_t walks_per_node, double epsilon,
-    uint64_t seed, const std::vector<std::vector<NodeId>>& paths,
-    const std::vector<EndReason>& ends) {
-  if (walks_per_node < 1 || epsilon <= 0.0 || epsilon >= 1.0) {
-    return Status::InvalidArgument("bad walk-store parameters");
-  }
-  const std::size_t n = g.num_nodes();
-  if (paths.size() != n * walks_per_node || ends.size() != paths.size()) {
-    return Status::InvalidArgument("segment count must be n * R");
-  }
-  // Validate before mutating any state.
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const auto& path = paths[i];
-    if (path.empty()) return Status::Corruption("empty segment");
-    const NodeId source = static_cast<NodeId>(i / walks_per_node);
-    if (path[0] != source) {
-      return Status::Corruption("segment does not start at its source");
-    }
-    for (std::size_t p = 0; p < path.size(); ++p) {
-      if (path[p] >= n) return Status::Corruption("node id out of range");
-      if (p + 1 < path.size() && !g.HasEdge(path[p], path[p + 1])) {
-        return Status::Corruption("stored hop is not an edge");
-      }
-    }
-    if (ends[i] == EndReason::kDangling &&
-        g.OutDegree(path.back()) != 0) {
-      return Status::Corruption("dangling tail at a node with out-edges");
-    }
-  }
-
-  walks_per_node_ = walks_per_node;
-  epsilon_ = epsilon;
-  rng_ = Rng(seed);
-  // Persistence snapshots always describe a full (unsharded) store.
-  shard_index_ = 0;
-  shard_count_ = 1;
-  owned_sources_ = n;
-
-  std::vector<NodeId> nodes;
-  std::vector<uint32_t> lengths(paths.size(), 0);
-  std::vector<uint8_t> flat_ends(paths.size(), 0);
-  std::size_t total = 0;
-  for (const auto& path : paths) total += path.size();
-  nodes.reserve(total);
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    nodes.insert(nodes.end(), paths[i].begin(), paths[i].end());
-    lengths[i] = static_cast<uint32_t>(paths[i].size());
-    flat_ends[i] = static_cast<uint8_t>(ends[i]);
-  }
-  BuildFromFlatPaths(n, nodes, lengths, flat_ends);
-  return Status::OK();
-}
-
 void WalkStore::BuildFromFlatPaths(std::size_t n,
                                    const std::vector<NodeId>& nodes,
                                    const std::vector<uint32_t>& lengths,

@@ -164,16 +164,6 @@ class WalkStore {
   void set_update_policy(UpdatePolicy policy) { policy_ = policy; }
   UpdatePolicy update_policy() const { return policy_; }
 
-  /// Rebuilds the store from externally supplied segment paths (the
-  /// persistence layer, walk_store_io.h). Every hop is validated against
-  /// `g`; the inverted index and counters are derived state and rebuilt
-  /// here. Returns InvalidArgument/Corruption on any mismatch, leaving
-  /// the store empty.
-  Status InitFromSegments(const DiGraph& g, std::size_t walks_per_node,
-                          double epsilon, uint64_t seed,
-                          const std::vector<std::vector<NodeId>>& paths,
-                          const std::vector<EndReason>& ends);
-
   std::size_t walks_per_node() const { return walks_per_node_; }
   double epsilon() const { return epsilon_; }
   std::size_t num_nodes() const { return visit_count_.size(); }
@@ -274,9 +264,8 @@ class WalkStore {
   }
 
   /// Restores SaveTo state (the checkpoint path — raw trusted-by-CRC
-  /// columns; the hop-revalidating logical snapshot path is
-  /// store/walk_store_io.h). Returns false on any structural
-  /// inconsistency; caller maps to Corruption.
+  /// columns). Returns false on any structural inconsistency; caller
+  /// maps to Corruption.
   template <typename Src>
   bool LoadFrom(Src* r) {
     uint64_t wpn = 0, owned = 0;

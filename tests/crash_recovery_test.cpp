@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <span>
@@ -140,8 +141,25 @@ std::map<uint64_t, std::vector<uint8_t>> BuildReferences(
   ::_exit(0);
 }
 
+/// Removes every directory FreshDir made once all tests have run.
+class FreshDirCleanup : public testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ec;  // a leftover directory must not fail the run
+    for (const std::string& dir : dirs) std::filesystem::remove_all(dir, ec);
+  }
+  std::vector<std::string> dirs;
+};
+FreshDirCleanup* const fresh_dirs = static_cast<FreshDirCleanup*>(
+    testing::AddGlobalTestEnvironment(new FreshDirCleanup));
+
+/// A per-process durability directory with no stale state (parallel
+/// runs of this binary never share one; forked children inherit the
+/// parent's path).
 std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/fastppr_crash_" + name;
+  const std::string dir = testing::TempDir() + "/fastppr_crash_" + name +
+                          "_" + std::to_string(::getpid());
+  fresh_dirs->dirs.push_back(dir);
   EXPECT_TRUE(EnsureDirectory(dir).ok());
   for (const char* f : {kCheckpointFileName, kWalFileName}) {
     EXPECT_TRUE(RemoveFileIfExists(dir + "/" + f).ok());

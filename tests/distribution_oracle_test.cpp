@@ -1,7 +1,7 @@
 // Distributional oracle for incremental walk maintenance.
 //
-// Bit-identity tests (flat == S=1, pipelined == lockstep) only compare
-// two engines running the same repair code; they cannot tell whether
+// Bit-identity tests (flat == S=1, back to back == drained per window)
+// only compare two runs of the same repair code; they cannot tell whether
 // that code keeps the stored walks distributed as fresh walks on the
 // current graph. This file checks the distribution itself, after long
 // interleaved insert/delete streams cut into windows of 1 to 4096

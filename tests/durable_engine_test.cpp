@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "fastppr/core/incremental_pagerank.h"
 #include "fastppr/core/incremental_salsa.h"
@@ -70,9 +72,24 @@ void ApplyInWindows(EngineT* engine, std::span<const EdgeEvent> events,
   }
 }
 
-/// A per-test durability directory with no stale state.
+/// Removes every directory FreshDir made once all tests have run.
+class FreshDirCleanup : public testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ec;  // a leftover directory must not fail the run
+    for (const std::string& dir : dirs) std::filesystem::remove_all(dir, ec);
+  }
+  std::vector<std::string> dirs;
+};
+FreshDirCleanup* const fresh_dirs = static_cast<FreshDirCleanup*>(
+    testing::AddGlobalTestEnvironment(new FreshDirCleanup));
+
+/// A per-test, per-process durability directory with no stale state
+/// (parallel runs of this binary never share one).
 std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/fastppr_dur_" + name;
+  const std::string dir = testing::TempDir() + "/fastppr_dur_" + name +
+                          "_" + std::to_string(::getpid());
+  fresh_dirs->dirs.push_back(dir);
   EXPECT_TRUE(EnsureDirectory(dir).ok());
   for (const char* f : {kCheckpointFileName, kWalFileName}) {
     EXPECT_TRUE(RemoveFileIfExists(dir + "/" + f).ok());

@@ -4,8 +4,9 @@
 //    invariant across worker thread counts;
 //  * partition invariants — every source node is owned by exactly one
 //    shard's walk store;
-//  * shared-graph invariants — all shards read one epoch-versioned
-//    Social Store, and the epoch only moves in ingest phases;
+//  * shared-graph invariants — all shards read the engine's one
+//    epoch-versioned Social Store (no repair replica), and the epoch
+//    only moves in ingest phases;
 //  * the seqlock snapshot buffers stay coherent under concurrent
 //    reader/writer load;
 //  * personalized queries through the frozen snapshot views match the
@@ -13,12 +14,14 @@
 //    with live ingestion (the PR 4 segment-snapshot serving path; this
 //    file is the TSan CI job's target, so those stress tests run under
 //    ThreadSanitizer on every push);
-//  * the pipelined execution model (PR 9) is bit-identical to the
-//    --lockstep escape hatch at EVERY published epoch (SerializeState
-//    differential at S in {1, 4}), and the three overlapped stages
-//    survive a TSan stress run against PersonalizedTopK readers with a
-//    mid-pipeline durability quiesce + bit-identical Recover (the
-//    `*Pipelined*` filter the CI TSan job runs at FASTPPR_STRESS_THREADS).
+//  * the pipelined execution model needs no second mode as its oracle:
+//    at S=1 it matches the flat PageRank and SALSA engines after every
+//    window, an engine fed back to back ends with the same
+//    SerializeState() as one drained after every window (S=4, two
+//    thread counts), and the three overlapped stages survive a TSan
+//    stress run against PersonalizedTopK readers with a mid-pipeline
+//    durability quiesce + bit-identical Recover (the `*Pipelined*`
+//    filter the CI TSan job runs at FASTPPR_STRESS_THREADS).
 
 #include <atomic>
 #include <chrono>
@@ -26,10 +29,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "fastppr/core/incremental_pagerank.h"
 #include "fastppr/core/incremental_salsa.h"
@@ -218,81 +223,100 @@ TEST(ShardedEngineTest, FourShardsInvariantAcrossThreadCounts) {
 }
 
 TEST(ShardedEngineTest, ShardsShareOneSocialStore) {
-  // PR 3: the per-shard graph replicas are gone — all S shards read ONE
-  // epoch-versioned Social Store, so repair-side graph memory is paid
-  // once. In the default pipelined mode that shared store is the repair
-  // replica (distinct from the caller-owned primary); in lockstep mode
-  // it is the primary itself.
+  // All S shards read the engine's ONE epoch-versioned Social Store —
+  // the store the caller mutates: no per-shard graph replicas and no
+  // repair replica, so graph memory is paid once.
   const std::size_t n = 120;
   const std::size_t S = 4;
   ShardedEngine<IncrementalPageRank> engine(n, Opts(2, 0.2, 3),
                                             ShardedOptions{S, 2});
-  ASSERT_FALSE(engine.lockstep());
   for (std::size_t s = 0; s < S; ++s) {
-    EXPECT_EQ(&engine.shard(s).social_store(),
-              &engine.shard(0).social_store());
-    EXPECT_EQ(&engine.shard(s).graph(), &engine.shard(0).graph());
-  }
-  EXPECT_NE(&engine.shard(0).social_store(), &engine.social_store());
-
-  ShardedOptions lopts{S, 2};
-  lopts.lockstep = true;
-  ShardedEngine<IncrementalPageRank> lockstep(n, Opts(2, 0.2, 3), lopts);
-  ASSERT_TRUE(lockstep.lockstep());
-  for (std::size_t s = 0; s < S; ++s) {
-    EXPECT_EQ(&lockstep.shard(s).social_store(),
-              &lockstep.social_store());
-    EXPECT_EQ(&lockstep.shard(s).graph(), &lockstep.graph());
+    EXPECT_EQ(&engine.shard(s).social_store(), &engine.social_store());
+    EXPECT_EQ(&engine.shard(s).graph(), &engine.graph());
   }
   EXPECT_GT(engine.GraphMemoryBytes(), 0u);
+  EXPECT_EQ(engine.RepairReplicaBytes(), 0u);
 
   const auto events = MixedStream(n, 77, 0.2);
   const uint64_t epoch_before = engine.social_store().epoch();
   StreamWindows(events, [&](std::span<const EdgeEvent> w) {
     ASSERT_TRUE(engine.ApplyEvents(w).ok());
   });
-  // Every successful mutation bumped the primary's epoch exactly once —
+  // Every successful mutation bumped the store's epoch exactly once —
   // the single-writer contract's freeze token moved only in ingest
-  // phases (a mutation during parallel repair would have aborted).
+  // phases (a mutation during a parallel repair would have aborted).
   EXPECT_EQ(engine.social_store().epoch(), epoch_before + events.size());
   EXPECT_EQ(engine.social_store().writes(), events.size());
-  // CheckConsistency drains the pipeline and proves the repair replica
-  // converged to the primary's exact edge set and epoch.
+  EXPECT_EQ(engine.RepairReplicaBytes(), 0u);
   engine.CheckConsistency();
 }
 
-TEST(ShardedEngineTest, PipelinedMatchesLockstepBitForBitPerEpoch) {
-  // The tentpole oracle: the pipelined engine (ingest k+1 overlapping
-  // repair k overlapping publish k-1) is bit-identical to the
-  // --lockstep escape hatch at EVERY published epoch — same serialized
-  // graph slabs, walk slabs, RNG streams, counters and ledgers — for
-  // S in {1, 4} and differing worker thread counts.
+/// The S=1 half of the pipelined engine's oracle: after every window,
+/// the 1-shard engine's merged counts, total and walk steps equal the
+/// flat engine's, which runs the same window protocol on one thread.
+template <typename Engine>
+void ExpectOneShardMatchesFlatPerWindow(std::size_t n, uint64_t stream_seed,
+                                        const MonteCarloOptions& mc) {
+  const auto events = MixedStream(n, stream_seed, 0.2);
+  Engine flat(n, mc);
+  ShardedEngine<Engine> sharded(n, mc, ShardedOptions{1, 2});
+  uint64_t epoch = 0;
+  StreamWindows(events, [&](std::span<const EdgeEvent> w) {
+    ASSERT_TRUE(flat.ApplyEvents(w).ok());
+    ASSERT_TRUE(sharded.ApplyEvents(w).ok());
+    ++epoch;
+    const std::vector<int64_t> merged = sharded.MergedRankingCounts();
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(merged[v], flat.RankingCount(v))
+          << "epoch=" << epoch << " v=" << v;
+    }
+    ASSERT_EQ(sharded.MergedRankingTotal(), flat.RankingTotal())
+        << "epoch=" << epoch;
+    ASSERT_EQ(sharded.lifetime_stats().walk_steps,
+              flat.lifetime_stats().walk_steps)
+        << "epoch=" << epoch;
+    ASSERT_EQ(sharded.windows_applied(), epoch);
+  });
+  flat.CheckConsistency();
+  sharded.CheckConsistency();
+}
+
+TEST(ShardedEngineTest, PipelinedOneShardMatchesFlatEnginesPerWindow) {
+  ExpectOneShardMatchesFlatPerWindow<IncrementalPageRank>(150, 131,
+                                                          Opts(3, 0.2, 71));
+  ExpectOneShardMatchesFlatPerWindow<IncrementalSalsa>(120, 137,
+                                                       Opts(2, 0.25, 73));
+}
+
+TEST(ShardedEngineTest, PipelinedBackToBackMatchesDrainedPerWindow) {
+  // The execution-order half of the oracle: an engine fed back to back
+  // (each ApplyEvents returns while its window may still be repairing
+  // or publishing) ends bit-identical to one drained after every window
+  // — same serialized graph slab, walk slabs, RNG streams, counters and
+  // ledgers — at S=4, with the back-to-back engine at 1 and at 4 worker
+  // threads against the drained one at 2.
   const std::size_t n = 150;
+  const std::size_t S = 4;
   const auto events = MixedStream(n, 131, 0.2);
   const MonteCarloOptions mc = Opts(3, 0.2, 71);
-  for (std::size_t S : {1ul, 4ul}) {
-    ShardedOptions popts{S, 4};
-    ShardedOptions lopts{S, 2};
-    lopts.lockstep = true;
-    ShardedEngine<IncrementalPageRank> pipelined(n, mc, popts);
-    ShardedEngine<IncrementalPageRank> lockstep(n, mc, lopts);
-    ASSERT_FALSE(pipelined.lockstep());
-    ASSERT_TRUE(lockstep.lockstep());
-
+  for (std::size_t threads : {1ul, 4ul}) {
+    ShardedEngine<IncrementalPageRank> back_to_back(
+        n, mc, ShardedOptions{S, threads});
+    ShardedEngine<IncrementalPageRank> drained(n, mc, ShardedOptions{S, 2});
     uint64_t epoch = 0;
     StreamWindows(events, [&](std::span<const EdgeEvent> w) {
-      ASSERT_TRUE(pipelined.ApplyEvents(w).ok());
-      ASSERT_TRUE(lockstep.ApplyEvents(w).ok());
+      ASSERT_TRUE(back_to_back.ApplyEvents(w).ok());
+      ASSERT_TRUE(drained.ApplyEvents(w).ok());
+      drained.Drain();
       ++epoch;
-      // SerializeState drains the pipeline: the comparison is defined
-      // at the window boundary the lockstep engine is already at.
-      ASSERT_EQ(pipelined.SerializeState(), lockstep.SerializeState())
-          << "S=" << S << " epoch=" << epoch;
-      ASSERT_EQ(pipelined.windows_applied(), epoch);
+      ASSERT_EQ(drained.windows_applied(), epoch);
     });
-    pipelined.CheckConsistency();
-    lockstep.CheckConsistency();
-    EXPECT_EQ(pipelined.TopK(10), lockstep.TopK(10));
+    EXPECT_EQ(back_to_back.SerializeState(), drained.SerializeState())
+        << "threads=" << threads;
+    EXPECT_EQ(back_to_back.windows_applied(), epoch);
+    back_to_back.CheckConsistency();
+    drained.CheckConsistency();
+    EXPECT_EQ(back_to_back.TopK(10), drained.TopK(10));
   }
 }
 
@@ -888,8 +912,10 @@ TEST(QueryServiceTest, PipelinedStressReadersAndMidPipelineRecovery) {
   if (const char* env = std::getenv("FASTPPR_STRESS_THREADS")) {
     readers = std::max<std::size_t>(1, std::atoi(env));
   }
-  const std::string dir =
-      ::testing::TempDir() + "fastppr_pipelined_stress_ckpt";
+  // Per-process, so parallel runs of this binary never share it.
+  const std::string dir = ::testing::TempDir() +
+                          "/fastppr_pipelined_stress_ckpt_" +
+                          std::to_string(::getpid());
   std::filesystem::remove_all(dir);
 
   ShardedEngine<IncrementalPageRank> engine(n, Opts(2, 0.25, 83),

@@ -204,8 +204,8 @@ TEST(SlabMemoryRegressionTest, BytesPerEdgeWithinCommittedBound) {
   EXPECT_GE(slab_bpe, 14.0);
 }
 
-// Full-capture publish through the capture/assemble split (the lockstep
-// publish path in one helper).
+// Full-capture publish through the capture/assemble split (both halves
+// in one helper).
 std::shared_ptr<const FrozenSegments> FullPublish(
     SegmentSnapshotBuilder* b, const WalkStore& store, uint64_t epoch) {
   snap::CapturedRows<uint64_t> cap;
