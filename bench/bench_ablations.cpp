@@ -108,18 +108,20 @@ int main() {
   TablePrinter a2({"walk length", "all-edges measured",
                    "bound 1+sum(X-R)+", "one-edge measured",
                    "bound 1+2*sum(X-R)+"});
+  PersonalizedWalkScratch scratch;
   for (uint64_t s : {1000u, 10000u, 50000u}) {
     double all_f = 0.0, one_f = 0.0, charge = 0.0;
     for (std::size_t i = 0; i < 20; ++i) {
       PersonalizedWalkResult a, b;
       NodeId seed_node = static_cast<NodeId>(17 * i + 3);
-      if (!all_mode.Walk(seed_node, s, 500 + i, &a).ok()) return 1;
-      if (!one_mode.Walk(seed_node, s, 500 + i, &b).ok()) return 1;
+      if (!all_mode.Walk(seed_node, s, 500 + i, &scratch, &a).ok()) return 1;
+      if (!one_mode.Walk(seed_node, s, 500 + i, &scratch, &b).ok()) return 1;
       all_f += static_cast<double>(a.fetches);
       one_f += static_cast<double>(b.fetches);
-      for (const auto& [node, visits] : b.visit_counts) {
+      // The scratch holds the one-edge walk's visits.
+      for (NodeId node : scratch.visited) {
         const double extra =
-            static_cast<double>(visits) -
+            static_cast<double>(scratch.counts[node]) -
             static_cast<double>(mc.walks_per_node);
         if (extra > 0.0) charge += extra;
       }

@@ -11,7 +11,6 @@
 #include <fstream>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -106,12 +105,10 @@ inline std::vector<uint64_t> PoissonArrivalScheduleNs(std::size_t count,
 /// streams `edges` (as insertions) through a fresh walk store over an
 /// initially empty n-node graph in `batch`-sized windows (batch <= 1 is
 /// the classic one-event-at-a-time path) and returns events/sec. Drives
-/// the store directly so before/after layout comparisons isolate storage
-/// effects. `Store` is WalkStore, SalsaWalkStore, or a frozen
-/// bench/legacy layout (which predates the window API: batch > 1
-/// aborts). When `stats_out` is non-null and the store reports
-/// WalkUpdateStats, the accumulated stats of the whole stream are
-/// returned through it. When `per_batch` is non-null, each batch's
+/// the store directly so the numbers isolate storage effects. `Store` is
+/// WalkStore or SalsaWalkStore. When `stats_out` is non-null, the
+/// accumulated WalkUpdateStats of the whole stream are returned through
+/// it. When `per_batch` is non-null, each batch's
 /// wall duration is recorded into it (nanoseconds; batch > 1 only —
 /// per-event timing would dominate the one-at-a-time path it measures).
 template <typename Store>
@@ -126,22 +123,13 @@ double MeasureIngestThroughput(std::size_t n, std::size_t R, double eps,
   store.Init(g, R, eps, store_seed);
   Rng rng(rng_seed);
   WalkUpdateStats stats;
-  constexpr bool kHasStats = std::is_same_v<
-      decltype(std::declval<Store&>().OnEdgeInserted(
-          std::declval<const DiGraph&>(), NodeId{0}, NodeId{0},
-          static_cast<Rng*>(nullptr))),
-      WalkUpdateStats>;
   WallTimer timer;
   if (batch <= 1) {
     for (const Edge& e : edges) {
       if (!g.AddEdge(e.src, e.dst).ok()) std::abort();
-      if constexpr (kHasStats) {
-        stats.Accumulate(store.OnEdgeInserted(g, e.src, e.dst, &rng));
-      } else {
-        store.OnEdgeInserted(g, e.src, e.dst, &rng);
-      }
+      stats.Accumulate(store.OnEdgeInserted(g, e.src, e.dst, &rng));
     }
-  } else if constexpr (requires { Store::kRepairsInEdges; }) {
+  } else {
     std::vector<EdgeEvent> window;
     WindowDelta delta;
     for (std::size_t lo = 0; lo < edges.size(); lo += batch) {
@@ -156,8 +144,6 @@ double MeasureIngestThroughput(std::size_t n, std::size_t R, double eps,
       stats.Accumulate(store.RepairWindow(g, delta, &rng));
       if (per_batch != nullptr) per_batch->Record(obs::NowNanos() - t0);
     }
-  } else {
-    std::abort();  // frozen legacy layouts predate the window API
   }
   const double events_per_sec =
       static_cast<double>(edges.size()) / timer.ElapsedSeconds();

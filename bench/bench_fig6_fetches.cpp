@@ -56,19 +56,21 @@ int main() {
     WalkStore store;
     store.Init(social.graph(), R, eps, 600 + R);
     PersonalizedPageRankWalker walker(&store, &social);
+    PersonalizedWalkScratch scratch;
 
     // Per-user alpha from the empirical long-walk distribution, fitted on
     // the paper's [2f, 20f] window.
     std::vector<double> alphas(users.size(), 0.76);
     for (std::size_t i = 0; i < users.size(); ++i) {
       PersonalizedWalkResult long_walk;
-      if (!walker.Walk(users[i], 50000, 7000 + i, &long_walk).ok()) {
+      if (!walker.Walk(users[i], 50000, 7000 + i, &scratch, &long_walk)
+               .ok()) {
         return 1;
       }
       std::vector<double> freqs;
-      freqs.reserve(long_walk.visit_counts.size());
-      for (const auto& [node, cnt] : long_walk.visit_counts) {
-        freqs.push_back(static_cast<double>(cnt));
+      freqs.reserve(scratch.visited.size());
+      for (NodeId node : scratch.visited) {
+        freqs.push_back(static_cast<double>(scratch.counts[node]));
       }
       std::sort(freqs.begin(), freqs.end(), std::greater<double>());
       const std::size_t f = social.graph().OutDegree(users[i]);
@@ -84,7 +86,8 @@ int main() {
       double bound = 0.0;
       for (std::size_t i = 0; i < users.size(); ++i) {
         PersonalizedWalkResult walk;
-        if (!walker.Walk(users[i], s, 9000 + 31 * i + s, &walk).ok()) {
+        if (!walker.Walk(users[i], s, 9000 + 31 * i + s, &scratch, &walk)
+                 .ok()) {
           return 1;
         }
         observed += static_cast<double>(walk.fetches);

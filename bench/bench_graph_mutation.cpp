@@ -1,14 +1,11 @@
 // Graph-mutation micro-bench: the slab-backed adjacency store
-// (graph/adjacency_slab.h, behind DiGraph) against the frozen seed
-// layout (bench/legacy/legacy_digraph.h, vector-of-vectors) on the
-// operations the incremental engines actually issue — bulk insertion,
-// random-order deletion (where legacy pays an O(degree) scan per hub
-// edge), mixed add/remove churn, HasEdge probes and random-neighbour
-// sampling sweeps — plus the bytes-per-edge each layout pays, after
-// bulk insertion AND after the churn phase (where the compact slab's
+// (graph/adjacency_slab.h, behind DiGraph) on the operations the
+// incremental engines actually issue — bulk insertion, random-order
+// deletion, mixed add/remove churn, HasEdge probes and random-neighbour
+// sampling sweeps — plus the bytes-per-edge it pays, after bulk
+// insertion AND after the churn phase (where the compact slab's
 // coalescing/compaction passes must keep fragmentation bounded). The
-// bytes_per_edge_compact key is the PR 5 memory-diet marker that CI
-// and the memory-regression tests grep for.
+// bytes_per_edge_compact key is the memory-diet marker CI greps for.
 //
 //   bench_graph_mutation [--smoke] [--json <path>]
 
@@ -23,7 +20,6 @@
 #include "fastppr/util/random.h"
 #include "fastppr/util/table_printer.h"
 #include "fastppr/util/timer.h"
-#include "legacy/legacy_digraph.h"
 
 using namespace fastppr;
 using namespace fastppr::bench;
@@ -43,13 +39,11 @@ struct MutationNumbers {
   double churn_bytes_per_edge = 0.0;
 };
 
-/// One full pass over a fixed op schedule; `Graph` is DiGraph or
-/// legacy::DiGraph (identical mutation API).
-template <typename Graph>
+/// One full pass over a fixed op schedule.
 MutationNumbers Measure(std::size_t n, const std::vector<Edge>& edges,
                         std::size_t churn_ops, std::size_t probes) {
   MutationNumbers out;
-  Graph g(n);
+  DiGraph g(n);
 
   {
     WallTimer t;
@@ -89,7 +83,7 @@ MutationNumbers Measure(std::size_t n, const std::vector<Edge>& edges,
 
   // Mixed churn on the live edge set: ~half removals of random live
   // copies, half re-insertions. Hub deletions are frequent (power-law
-  // sources), which is exactly where legacy's O(degree) scan hurts.
+  // sources).
   {
     std::vector<Edge> live = edges;
     Rng rng(101);
@@ -132,7 +126,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  Banner("Graph mutation: slab adjacency store vs legacy DiGraph",
+  Banner("Graph mutation: slab adjacency store",
          "the Social Store update path of Bahmani et al., VLDB 2010 "
          "(Section 1.1)");
 
@@ -149,45 +143,25 @@ int main(int argc, char** argv) {
   std::printf("power-law graph: n=%zu, m=%zu, churn=%zu ops%s\n\n", n,
               edges.size(), churn_ops, smoke ? " (smoke)" : "");
 
-  const MutationNumbers legacy_nums = BestOfTwo([&] {
-    return Measure<legacy::DiGraph>(n, edges, churn_ops, probes);
-  }, [](const MutationNumbers& m) { return m.churn_eps; });
-  const MutationNumbers slab_nums = BestOfTwo([&] {
-    return Measure<DiGraph>(n, edges, churn_ops, probes);
-  }, [](const MutationNumbers& m) { return m.churn_eps; });
+  const MutationNumbers slab_nums = BestOfTwo(
+      [&] { return Measure(n, edges, churn_ops, probes); },
+      [](const MutationNumbers& m) { return m.churn_eps; });
 
   TablePrinter table({"layout", "add/sec", "remove/sec", "churn ops/sec",
                       "HasEdge/sec", "sample/sec", "bytes/edge"});
-  auto row = [&](const char* name, const MutationNumbers& m) {
-    table.AddRow({name, TablePrinter::Fmt(m.add_eps, 0),
-                  TablePrinter::Fmt(m.remove_eps, 0),
-                  TablePrinter::Fmt(m.churn_eps, 0),
-                  TablePrinter::Fmt(m.probe_qps, 0),
-                  TablePrinter::Fmt(m.sample_qps, 0),
-                  TablePrinter::Fmt(m.bytes_per_edge, 1)});
-  };
-  row("legacy", legacy_nums);
-  row("slab", slab_nums);
+  table.AddRow({"slab", TablePrinter::Fmt(slab_nums.add_eps, 0),
+                TablePrinter::Fmt(slab_nums.remove_eps, 0),
+                TablePrinter::Fmt(slab_nums.churn_eps, 0),
+                TablePrinter::Fmt(slab_nums.probe_qps, 0),
+                TablePrinter::Fmt(slab_nums.sample_qps, 0),
+                TablePrinter::Fmt(slab_nums.bytes_per_edge, 1)});
   table.Print();
-  std::printf("\nchurn speedup: %.2fx, remove speedup: %.2fx "
-              "(slab removal never scans the heavy-tailed in-degree "
-              "side; legacy scans O(outdeg + indeg))\n",
-              slab_nums.churn_eps / legacy_nums.churn_eps,
-              slab_nums.remove_eps / legacy_nums.remove_eps);
 
   JsonReport report("graph_mutation");
   report.Add("num_nodes", static_cast<double>(n));
   report.Add("num_edges", static_cast<double>(edges.size()));
   report.Add("churn_ops", static_cast<double>(churn_ops));
   report.Add("smoke", smoke ? 1.0 : 0.0);
-  report.Add("legacy_add_events_per_sec", legacy_nums.add_eps);
-  report.Add("legacy_remove_events_per_sec", legacy_nums.remove_eps);
-  report.Add("legacy_churn_ops_per_sec", legacy_nums.churn_eps);
-  report.Add("legacy_hasedge_qps", legacy_nums.probe_qps);
-  report.Add("legacy_sample_qps", legacy_nums.sample_qps);
-  report.Add("legacy_bytes_per_edge", legacy_nums.bytes_per_edge);
-  report.Add("legacy_churn_bytes_per_edge",
-             legacy_nums.churn_bytes_per_edge);
   report.Add("slab_add_events_per_sec", slab_nums.add_eps);
   report.Add("slab_remove_events_per_sec", slab_nums.remove_eps);
   report.Add("slab_churn_ops_per_sec", slab_nums.churn_eps);
@@ -195,18 +169,12 @@ int main(int argc, char** argv) {
   report.Add("slab_sample_qps", slab_nums.sample_qps);
   report.Add("slab_bytes_per_edge", slab_nums.bytes_per_edge);
   report.Add("slab_churn_bytes_per_edge", slab_nums.churn_bytes_per_edge);
-  // The compact-encoding slab (PR 5: 24-bit size-class-relative twins,
-  // 8-byte BlockRefs, quarter-spaced coalescing arena). Same number as
-  // slab_bytes_per_edge — the explicit key is the before/after marker
-  // the memory-regression layer greps for (the pre-diet slab paid
-  // ~2.4x legacy; tests/snapshot_memory_test.cpp enforces <= 1.5x).
+  // The compact-encoding slab (24-bit size-class-relative twins, 8-byte
+  // BlockRefs, quarter-spaced coalescing arena). Same number as
+  // slab_bytes_per_edge — the explicit key is the marker CI greps for
+  // (tests/snapshot_memory_test.cpp bounds it at <= 1.5x an in-test
+  // vector-of-vectors model).
   report.Add("bytes_per_edge_compact", slab_nums.bytes_per_edge);
-  report.Add("compact_bytes_per_edge_vs_legacy",
-             slab_nums.bytes_per_edge / legacy_nums.bytes_per_edge);
-  report.Add("churn_speedup_vs_legacy",
-             slab_nums.churn_eps / legacy_nums.churn_eps);
-  report.Add("remove_speedup_vs_legacy",
-             slab_nums.remove_eps / legacy_nums.remove_eps);
   report.Add("peak_rss_bytes", static_cast<double>(PeakRssBytes()));
   report.WriteTo(JsonPathFromArgs(
       argc, argv, ResultsDir() + "/BENCH_graph_mutation.json"));

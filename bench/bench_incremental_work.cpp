@@ -20,7 +20,6 @@
 #include "fastppr/graph/generators.h"
 #include "fastppr/util/table_printer.h"
 #include "fastppr/util/timer.h"
-#include "legacy/legacy_walk_store.h"
 
 using namespace fastppr;
 using namespace fastppr::bench;
@@ -28,12 +27,11 @@ using namespace fastppr::bench;
 namespace {
 
 /// The shared ingestion loop (bench_common.h) with this bench's seeds.
-template <typename Store>
 double MeasureIngest(std::size_t n, std::size_t R, double eps,
                      const std::vector<Edge>& edges, std::size_t batch) {
-  return MeasureIngestThroughput<Store>(n, R, eps, edges, batch,
-                                        /*store_seed=*/33,
-                                        /*rng_seed=*/34);
+  return MeasureIngestThroughput<WalkStore>(n, R, eps, edges, batch,
+                                            /*store_seed=*/33,
+                                            /*rng_seed=*/34);
 }
 
 }  // namespace
@@ -192,41 +190,28 @@ int main(int argc, char** argv) {
               "bound (nR/eps^2) ln((m+n)/n) = %.0f\n",
               dir_steps, DirichletTotalWork(n, R, eps, m));
 
-  // Event throughput, before/after the slab refactor: the same power-law
-  // stream through the frozen pre-slab layout (bench/legacy) and the slab
-  // store, sequential and in batched ingestion windows (best of two runs
-  // per layout; see BestOfTwo).
-  const double legacy_seq = BestOfTwo([&] {
-    return MeasureIngest<legacy::WalkStore>(n, R, eps, edges, 1);
-  });
-  const double slab_seq = BestOfTwo(
-      [&] { return MeasureIngest<WalkStore>(n, R, eps, edges, 1); });
+  // Event throughput: the same power-law stream through the slab store,
+  // sequential and in batched ingestion windows (best of two runs each;
+  // see BestOfTwo).
+  const double slab_seq =
+      BestOfTwo([&] { return MeasureIngest(n, R, eps, edges, 1); });
   std::printf("\nevent throughput (same stream, store driven directly; "
               "batched windows repair each\nsegment once per window — see "
               "DESIGN.md — so throughput scales with the window):\n");
-  TablePrinter layout({"layout", "events/sec", "speedup vs pre-slab"});
-  layout.AddRow({"pre-slab (seed PR0), sequential",
-                 TablePrinter::Fmt(legacy_seq, 0), "1.00x"});
-  layout.AddRow({"slab arenas, sequential", TablePrinter::Fmt(slab_seq, 0),
-                 TablePrinter::Fmt(slab_seq / legacy_seq, 2) + "x"});
+  TablePrinter layout({"ingestion", "events/sec"});
+  layout.AddRow({"slab arenas, sequential", TablePrinter::Fmt(slab_seq, 0)});
 
   JsonReport report("incremental_work");
   report.Add("num_nodes", static_cast<double>(n));
   report.Add("num_events", static_cast<double>(m));
-  report.Add("legacy_seq_events_per_sec", legacy_seq);
   report.Add("slab_seq_events_per_sec", slab_seq);
-  report.Add("seq_speedup_vs_legacy", slab_seq / legacy_seq);
   for (std::size_t batch : {1024ul, 4096ul, 16384ul}) {
-    const double slab_batched = BestOfTwo([&] {
-      return MeasureIngest<WalkStore>(n, R, eps, edges, batch);
-    });
+    const double slab_batched =
+        BestOfTwo([&] { return MeasureIngest(n, R, eps, edges, batch); });
     layout.AddRow({"slab arenas, batch=" + std::to_string(batch),
-                   TablePrinter::Fmt(slab_batched, 0),
-                   TablePrinter::Fmt(slab_batched / legacy_seq, 2) + "x"});
+                   TablePrinter::Fmt(slab_batched, 0)});
     report.Add("slab_batch" + std::to_string(batch) + "_events_per_sec",
                slab_batched);
-    report.Add("batch" + std::to_string(batch) + "_speedup_vs_legacy",
-               slab_batched / legacy_seq);
   }
   layout.Print();
   report.Add("walk_steps_per_event",

@@ -4,11 +4,10 @@
 // stitched-walk steps and fetch operations.
 //
 // In addition to the google-benchmark suite, main() always runs a
-// power-law ingestion throughput measurement (slab store vs the frozen
-// pre-slab legacy layout, sequential and batched) and writes it as
-// machine-readable JSON — results/BENCH_micro.json by default,
-// overridable with --json <path> — so every future PR has a perf
-// trajectory to compare against.
+// power-law ingestion throughput measurement (the slab store, sequential
+// and batched) and writes it as machine-readable JSON —
+// results/BENCH_micro.json by default, overridable with --json <path> —
+// so every future PR has a perf trajectory to compare against.
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +21,6 @@
 #include "fastppr/graph/generators.h"
 #include "fastppr/store/walk_store.h"
 #include "fastppr/util/timer.h"
-#include "legacy/legacy_walk_store.h"
 
 namespace fastppr {
 namespace {
@@ -157,11 +155,12 @@ void BM_PersonalizedWalk(benchmark::State& state) {
   PersonalizedPageRankWalker walker(&engine.walk_store(),
                                     &engine.social_store());
   const uint64_t length = static_cast<uint64_t>(state.range(0));
+  PersonalizedWalkScratch scratch;
   uint64_t seed = 0;
   for (auto _ : state) {
     PersonalizedWalkResult result;
-    Status s = walker.Walk(static_cast<NodeId>(seed % n), length, ++seed,
-                           &result);
+    const NodeId start = static_cast<NodeId>(seed % n);
+    Status s = walker.Walk(start, length, ++seed, &scratch, &result);
     if (!s.ok()) std::abort();
     benchmark::DoNotOptimize(result.fetches);
   }
@@ -208,8 +207,8 @@ void WriteThroughputJson(const std::string& json_path) {
   const auto edges = PowerLawStream(n, 21);
   const double m = static_cast<double>(edges.size());
 
-  // The shared ingestion loop (bench_common.h): pre-slab legacy layout
-  // vs slab store, sequential and batched; best of two runs apiece.
+  // The shared ingestion loop (bench_common.h), sequential and batched;
+  // best of two runs apiece.
   double steps_per_event = 0.0;
   double batched_steps_per_event = 0.0;
   auto run_slab = [&](std::size_t batch, double* steps_out) {
@@ -220,37 +219,26 @@ void WriteThroughputJson(const std::string& json_path) {
     *steps_out = static_cast<double>(stats.walk_steps) / m;
     return events_per_sec;
   };
-  const double legacy_eps_sec = bench::BestOfTwo([&] {
-    return bench::MeasureIngestThroughput<legacy::WalkStore>(
-        n, R, eps, edges, 1, /*store_seed=*/33, /*rng_seed=*/34);
-  });
   const double slab_eps_sec =
       bench::BestOfTwo([&] { return run_slab(1, &steps_per_event); });
   const double batched_eps_sec = bench::BestOfTwo(
       [&] { return run_slab(kBatch, &batched_steps_per_event); });
 
   std::printf("power-law ingestion (n=%zu, m=%.0f, R=%zu, eps=%.2f):\n"
-              "  legacy sequential : %12.0f events/sec\n"
-              "  slab sequential   : %12.0f events/sec (%.2fx)\n"
-              "  slab batch=%-5zu  : %12.0f events/sec (%.2fx)\n"
+              "  slab sequential   : %12.0f events/sec\n"
+              "  slab batch=%-5zu  : %12.0f events/sec\n"
               "  walk steps/event  : %.3f sequential, %.3f batched\n",
-              n, m, R, eps, legacy_eps_sec, slab_eps_sec,
-              slab_eps_sec / legacy_eps_sec, kBatch, batched_eps_sec,
-              batched_eps_sec / legacy_eps_sec, steps_per_event,
-              batched_steps_per_event);
+              n, m, R, eps, slab_eps_sec, kBatch, batched_eps_sec,
+              steps_per_event, batched_steps_per_event);
 
   bench::JsonReport report("micro");
   report.Add("num_nodes", static_cast<double>(n));
   report.Add("num_events", m);
   report.Add("walks_per_node", static_cast<double>(R));
   report.Add("epsilon", eps);
-  report.Add("legacy_seq_events_per_sec", legacy_eps_sec);
   report.Add("slab_seq_events_per_sec", slab_eps_sec);
   report.Add("slab_batched_events_per_sec", batched_eps_sec);
   report.Add("batch_size", static_cast<double>(kBatch));
-  report.Add("seq_speedup_vs_legacy", slab_eps_sec / legacy_eps_sec);
-  report.Add("batched_speedup_vs_legacy",
-             batched_eps_sec / legacy_eps_sec);
   report.Add("walk_steps_per_event_seq", steps_per_event);
   report.Add("walk_steps_per_event_batched", batched_steps_per_event);
   report.WriteTo(json_path);

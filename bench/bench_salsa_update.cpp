@@ -13,7 +13,6 @@
 #include "fastppr/graph/generators.h"
 #include "fastppr/util/table_printer.h"
 #include "fastppr/util/timer.h"
-#include "legacy/legacy_salsa_walk_store.h"
 
 using namespace fastppr;
 using namespace fastppr::bench;
@@ -23,13 +22,12 @@ namespace {
 /// The shared ingestion loop (bench_common.h) with this bench's seeds
 /// (store driven directly; see bench_incremental_work for the PageRank
 /// twin).
-template <typename Store>
 double MeasureSalsaIngest(std::size_t n, std::size_t R, double eps,
                           const std::vector<Edge>& edges,
                           std::size_t batch) {
-  return MeasureIngestThroughput<Store>(n, R, eps, edges, batch,
-                                        /*store_seed=*/55,
-                                        /*rng_seed=*/56);
+  return MeasureIngestThroughput<SalsaWalkStore>(n, R, eps, edges, batch,
+                                                 /*store_seed=*/55,
+                                                 /*rng_seed=*/56);
 }
 
 }  // namespace
@@ -101,41 +99,27 @@ int main(int argc, char** argv) {
                                   0)});
   }
 
-  // Event throughput, before/after the slab refactor (same stream, SALSA
-  // store driven directly; legacy = the frozen pre-slab seed layout;
-  // best of two runs per layout).
-  const double legacy_seq = BestOfTwo([&] {
-    return MeasureSalsaIngest<legacy::SalsaWalkStore>(n, R, eps, edges, 1);
-  });
-  const double slab_seq = BestOfTwo([&] {
-    return MeasureSalsaIngest<SalsaWalkStore>(n, R, eps, edges, 1);
-  });
+  // Event throughput (same stream, SALSA store driven directly; best of
+  // two runs each).
+  const double slab_seq =
+      BestOfTwo([&] { return MeasureSalsaIngest(n, R, eps, edges, 1); });
   std::printf("\nSALSA event throughput (store driven directly; batched "
               "windows repair each\nsegment once per window, so throughput "
               "scales with the window):\n");
-  TablePrinter layout({"layout", "events/sec", "speedup vs pre-slab"});
-  layout.AddRow({"pre-slab (seed PR0), sequential",
-                 TablePrinter::Fmt(legacy_seq, 0), "1.00x"});
-  layout.AddRow({"slab arenas, sequential", TablePrinter::Fmt(slab_seq, 0),
-                 TablePrinter::Fmt(slab_seq / legacy_seq, 2) + "x"});
+  TablePrinter layout({"ingestion", "events/sec"});
+  layout.AddRow({"slab arenas, sequential", TablePrinter::Fmt(slab_seq, 0)});
 
   JsonReport report("salsa_update");
   report.Add("num_nodes", static_cast<double>(n));
   report.Add("num_events", static_cast<double>(m));
-  report.Add("legacy_seq_events_per_sec", legacy_seq);
   report.Add("slab_seq_events_per_sec", slab_seq);
-  report.Add("seq_speedup_vs_legacy", slab_seq / legacy_seq);
   for (std::size_t batch : {1024ul, 4096ul, 16384ul}) {
-    const double slab_batched = BestOfTwo([&] {
-      return MeasureSalsaIngest<SalsaWalkStore>(n, R, eps, edges, batch);
-    });
+    const double slab_batched = BestOfTwo(
+        [&] { return MeasureSalsaIngest(n, R, eps, edges, batch); });
     layout.AddRow({"slab arenas, batch=" + std::to_string(batch),
-                   TablePrinter::Fmt(slab_batched, 0),
-                   TablePrinter::Fmt(slab_batched / legacy_seq, 2) + "x"});
+                   TablePrinter::Fmt(slab_batched, 0)});
     report.Add("slab_batch" + std::to_string(batch) + "_events_per_sec",
                slab_batched);
-    report.Add("batch" + std::to_string(batch) + "_speedup_vs_legacy",
-               slab_batched / legacy_seq);
   }
   layout.Print();
   report.WriteTo(JsonPathFromArgs(

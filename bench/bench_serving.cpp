@@ -20,11 +20,7 @@
 //   * admitted_p{50,99,999}_ms_<pt> — admitted latency from the
 //                               scheduled arrival instant.
 //
-// Two dedicated closed-loop sections follow the sweep:
-//   * batched_qps_vs_unbatched — personalized-only throughput of the
-//     batched worker path (max_batch 16: one frozen-view pin + one
-//     dense scratch per batch) against the same tier at max_batch 1,
-//     result cache off in both. Batching must buy >= 1.2x.
+// A dedicated closed-loop section follows the sweep:
 //   * cache_hit_rate — a Zipf(s=1.1) repeat-seed workload through the
 //     epoch-keyed result cache (no ingestion, so one epoch): the hit
 //     rate the popularity skew earns. Must exceed 0.3.
@@ -36,7 +32,6 @@
 //     LIFO serves fresh requests; the doomed backlog is shed, not
 //     served late);
 //   * queues never exceed their configured bound;
-//   * batched_qps_vs_unbatched >= 1.2;
 //   * cache_hit_rate > 0.3 on the Zipf repeat-seed workload.
 //
 //   bench_serving [--smoke] [--json <path>]
@@ -149,11 +144,10 @@ serve::ServingTierOptions TierOptions(std::size_t workers) {
   // overload tail within 5x of the half-load service time.
   topt.queue.target_delay_ns = 1'000'000;   // 1 ms pressure target
   topt.queue.shed_interval_ns = 3'000'000;  // 4 ms controlled-delay horizon
-  // The sweep measures ADMISSION CONTROL: batching stays on (the
-  // production posture) but the result cache is off — the traffic draw
-  // repeats nodes occasionally, and a lucky hit would bypass the very
-  // queue dynamics the overload contracts assert. The cache gets its
-  // own Zipf section below.
+  // The sweep measures ADMISSION CONTROL, so the result cache is off:
+  // the traffic draw repeats nodes occasionally, and a lucky hit would
+  // bypass the very queue dynamics the overload contracts assert. The
+  // cache gets its own Zipf section below.
   topt.enable_result_cache = false;
   return topt;
 }
@@ -264,24 +258,6 @@ SweepResult RunOpenLoopPoint(PrService* service, std::size_t workers,
 
 double Ms(uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
-/// Uniformly random personalized-only traffic (distinct-ish seeds: the
-/// batched-vs-unbatched comparison must not be flattered by cache-like
-/// repetition — every request pays for its own walk).
-std::vector<MixedQuery> PersonalizedTraffic(std::size_t count,
-                                            std::size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<MixedQuery> queries;
-  queries.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    MixedQuery q;
-    q.cls = serve::QueryClass::kPersonalized;
-    q.node = static_cast<NodeId>(rng.NextUint64() % n);
-    q.rng_seed = rng.NextUint64();
-    queries.push_back(q);
-  }
-  return queries;
-}
-
 /// Zipf(s) sampler over ranks [0, n) by inverse CDF (rank r drawn with
 /// probability proportional to 1/(r+1)^s): the classic popularity skew
 /// of social recommendation traffic — a few hot seeds dominate, which
@@ -306,53 +282,6 @@ class ZipfSampler {
  private:
   std::vector<double> cdf_;
 };
-
-/// Closed-loop personalized-only throughput at a given max_batch (cache
-/// off, generous CoDel horizon so nothing sheds: every request is a
-/// full-fidelity walk and the two runs differ ONLY in batching). The
-/// in-flight window stays under the ladder's reduce rung, so batching
-/// never changes walk budgets — only pins and accumulation structure.
-double MeasurePersonalizedQps(PrService* service, std::size_t workers,
-                              const std::vector<MixedQuery>& traffic,
-                              uint64_t walk_length, std::size_t max_batch) {
-  serve::ServingTierOptions topt;
-  topt.num_workers = workers;
-  topt.queue.capacity = 128;
-  topt.queue.target_delay_ns = 200'000'000;
-  topt.queue.shed_interval_ns = 800'000'000;
-  topt.max_batch = max_batch;
-  topt.enable_result_cache = false;
-  PrTier tier(service, topt);
-  constexpr std::size_t kInFlight = 32;
-  std::atomic<uint64_t> done{0};
-  std::atomic<uint64_t> next{0};
-  WallTimer timer;
-  std::function<void()> submit_one = [&] {
-    const uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= traffic.size()) return;
-    serve::Request req = MakeRequest(traffic[i], walk_length);
-    req.on_done = [&](const serve::Response& resp) {
-      FASTPPR_CHECK_MSG(resp.status.ok(),
-                        "personalized closed loop must not shed");
-      FASTPPR_CHECK_MSG(!resp.degraded(),
-                        "personalized closed loop must stay full fidelity");
-      done.fetch_add(1, std::memory_order_relaxed);
-      submit_one();
-    };
-    tier.Submit(std::move(req));
-  };
-  for (std::size_t i = 0; i < kInFlight; ++i) submit_one();
-  while (done.load(std::memory_order_relaxed) < traffic.size()) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  const double elapsed = timer.ElapsedSeconds();
-  tier.Shutdown();
-  if (max_batch > 1) {
-    FASTPPR_CHECK_MSG(tier.batches_executed() > 0,
-                      "batched run formed no batches");
-  }
-  return static_cast<double>(traffic.size()) / elapsed;
-}
 
 }  // namespace
 
@@ -483,44 +412,6 @@ int main(int argc, char** argv) {
               "admitted p99 %.2f ms (half-load %.2f ms)\n",
               at_2x.goodput_qps, saturation_qps, 100.0 * at_2x.shed_rate,
               Ms(at_2x.admitted.p99_ns), Ms(at_half.admitted.p99_ns));
-
-  // --- Batched vs unbatched personalized serving. Identical traffic,
-  // identical tier, identical walk budgets; the only difference is
-  // max_batch (16: one frozen-view pin + one dense scratch per batch vs
-  // 1: per-request pins and per-walk hash maps). Answers are
-  // bit-identical either way (the differential test's contract), so
-  // the ratio is pure serving-path overhead. The walk budget here is an
-  // interactive one, NOT the sweep's deliberately expensive 8000: what
-  // batching amortizes is the per-request fixed cost (hash-map + vector
-  // allocations, the pin/audit round trip), and at interactive budgets
-  // that cost is a real fraction of the answer. At 8000 steps the
-  // shared walk core dominates both paths and the ratio tends to 1 —
-  // batching is a small-request optimization, measured as one. One
-  // worker, deliberately: batching changes PER-WORKER serving
-  // efficiency (workers scale independently), and a single worker in
-  // the completion-funded loop runs the whole serve→resubmit cycle on
-  // one thread, so the ratio measures the serving path instead of the
-  // box's scheduler interleaving.
-  const uint64_t batch_walk_length = 1500;
-  const std::size_t batch_requests = smoke ? 4000 : 16000;
-  const auto ptraffic = PersonalizedTraffic(batch_requests, n, 4242);
-  const double unbatched_qps = BestOfTwo([&] {
-    return MeasurePersonalizedQps(service.get(), /*workers=*/1, ptraffic,
-                                  batch_walk_length, /*max_batch=*/1);
-  });
-  const double batched_qps = BestOfTwo([&] {
-    return MeasurePersonalizedQps(service.get(), /*workers=*/1, ptraffic,
-                                  batch_walk_length, /*max_batch=*/16);
-  });
-  const double batch_ratio = batched_qps / unbatched_qps;
-  std::printf("\npersonalized closed loop: unbatched %.0f QPS, batched "
-              "%.0f QPS (%.2fx)\n",
-              unbatched_qps, batched_qps, batch_ratio);
-  report.Add("unbatched_personalized_qps", unbatched_qps);
-  report.Add("batched_personalized_qps", batched_qps);
-  report.Add("batched_qps_vs_unbatched", batch_ratio);
-  FASTPPR_CHECK_MSG(batch_ratio >= 1.2,
-                    "batching must buy >= 1.2x personalized throughput");
 
   // --- The result cache under Zipf repeat-seed traffic. No ingestion
   // runs here, so the frozen epoch is constant and every full-fidelity

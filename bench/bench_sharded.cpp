@@ -12,9 +12,8 @@
 // Since PR 3 the engine shares ONE epoch-versioned slab graph across
 // all shards, so the report also carries the memory story: measured
 // bytes-per-edge of the shared graph, what S per-shard replicas would
-// cost on the same slab layout (the PR 2 architecture — an exact S×)
-// and on the PR 2 legacy vector-of-vectors layout, plus the process
-// peak RSS. Since PR 5 it additionally reports the frozen-view memory
+// cost on the same slab layout (the PR 2 architecture — an exact S×),
+// plus the process peak RSS. Since PR 5 it additionally reports the frozen-view memory
 // of the query service: per-shard frozen segment bytes and the dense
 // owned-row table sizes versus the global-row-table model the pre-PR 5
 // snapshots carried (shardS_frozen_* keys).
@@ -58,7 +57,6 @@
 #include "fastppr/util/check.h"
 #include "fastppr/util/table_printer.h"
 #include "fastppr/util/timer.h"
-#include "legacy/legacy_digraph.h"
 
 using namespace fastppr;
 using namespace fastppr::bench;
@@ -190,30 +188,15 @@ int main(int argc, char** argv) {
   std::printf("flat engine: %.0f events/sec\n\n", flat_eps_sec);
 
   // Memory story of the shared graph. "Replica model" is what the PR 2
-  // architecture pays for the same final graph: S full copies — on this
-  // PR's slab layout (exact S x shared) and on PR 2's actual legacy
-  // vector-of-vectors layout (measured below).
+  // architecture pays for the same final graph: S full copies of the
+  // slab layout (exact S x shared).
   const double shared_graph_bytes =
       static_cast<double>(flat.social_store().MemoryBytes());
   const double shared_bytes_per_edge = shared_graph_bytes / m;
-  double legacy_graph_bytes = 0.0;
-  {
-    legacy::DiGraph legacy_graph(n);
-    for (const EdgeEvent& ev : events) {
-      const Status s =
-          ev.kind == EdgeEvent::Kind::kInsert
-              ? legacy_graph.AddEdge(ev.edge.src, ev.edge.dst)
-              : legacy_graph.RemoveEdge(ev.edge.src, ev.edge.dst);
-      if (!s.ok()) std::abort();
-    }
-    legacy_graph_bytes = static_cast<double>(legacy_graph.MemoryBytes());
-  }
   report.Add("graph_bytes_shared", shared_graph_bytes);
   report.Add("graph_bytes_per_edge", shared_bytes_per_edge);
-  report.Add("legacy_graph_bytes_per_replica", legacy_graph_bytes);
-  std::printf("graph memory: shared slab %.1f bytes/edge "
-              "(legacy layout: %.1f bytes/edge per replica)\n\n",
-              shared_bytes_per_edge, legacy_graph_bytes / m);
+  std::printf("graph memory: shared slab %.1f bytes/edge\n\n",
+              shared_bytes_per_edge);
 
   TablePrinter table({"shards", "threads", "ingest events/sec",
                       "vs flat", "TopK QPS", "Score QPS",
@@ -417,15 +400,12 @@ int main(int argc, char** argv) {
                   TablePrinter::Fmt(concurrent_qps, 0),
                   TablePrinter::Fmt(concurrent_personalized_qps, 0)});
     // Replica elimination, measured: one shared graph instead of S
-    // copies. The before side is S x bytes of the same graph — on this
-    // slab layout (what PR 2's architecture would pay here) and on
-    // PR 2's actual legacy layout.
+    // copies. The before side is S x bytes of the same graph on this
+    // slab layout (what PR 2's architecture would pay here).
     const double graph_bytes =
         static_cast<double>(engine.GraphMemoryBytes());
     const double replica_model_bytes =
         graph_bytes * static_cast<double>(S);
-    const double legacy_replica_bytes =
-        legacy_graph_bytes * static_cast<double>(S);
 
     const std::string prefix = "shard" + std::to_string(S);
     report.Add(prefix + "_threads",
@@ -456,12 +436,8 @@ int main(int argc, char** argv) {
                static_cast<double>(frozen.adjacency_bytes));
     report.Add(prefix + "_graph_bytes_shared", graph_bytes);
     report.Add(prefix + "_graph_bytes_replica_model", replica_model_bytes);
-    report.Add(prefix + "_graph_bytes_legacy_replicas",
-               legacy_replica_bytes);
     report.Add(prefix + "_graph_memory_reduction_vs_replica_model",
                replica_model_bytes / graph_bytes);
-    report.Add(prefix + "_graph_memory_reduction_vs_legacy_replicas",
-               legacy_replica_bytes / graph_bytes);
     report.Add(prefix + "_util_ingest", util_ingest);
     report.Add(prefix + "_util_repair", util_repair);
     report.Add(prefix + "_util_publish", util_publish);
@@ -531,15 +507,13 @@ int main(int argc, char** argv) {
               "engine; TopK/Score are lock-free seqlock snapshot reads "
               "and PersonalizedTopK walks frozen segment-snapshot views "
               "(single-epoch, never serializing with ingestion).\nOne "
-              "shared "
-              "epoch-versioned graph serves every shard: at S=4 the "
-              "replica architecture would pay 4.0x the graph memory on "
-              "this layout (%.1fx on the PR 2 legacy layout).\n",
-              4.0 * legacy_graph_bytes / shared_graph_bytes);
+              "shared epoch-versioned graph serves every shard: at S=4 "
+              "the replica architecture would pay 4.0x the graph memory "
+              "on this layout.\n");
 
-  // Whole-process high-water mark (covers the flat baseline, the
-  // transient legacy graph and every S): footprint context only — the
-  // per-configuration memory claims above are MemoryBytes() accounting.
+  // Whole-process high-water mark (covers the flat baseline and every
+  // S): footprint context only — the per-configuration memory claims
+  // above are MemoryBytes() accounting.
   report.Add("peak_rss_bytes", static_cast<double>(PeakRssBytes()));
   report.WriteTo(JsonPathFromArgs(argc, argv,
                                   ResultsDir() + "/BENCH_sharded.json"));

@@ -1,35 +1,8 @@
 #include "fastppr/core/ppr_walker.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace fastppr {
-
-std::vector<ScoredNode> RankVisits(
-    const std::unordered_map<NodeId, int64_t>& counts, std::size_t k,
-    uint64_t walk_length, const std::vector<NodeId>& exclude) {
-  std::unordered_set<NodeId> skip(exclude.begin(), exclude.end());
-  std::vector<ScoredNode> ranked;
-  ranked.reserve(counts.size());
-  for (const auto& [node, visits] : counts) {
-    if (skip.count(node)) continue;
-    ScoredNode s;
-    s.node = node;
-    s.visits = visits;
-    s.score = walk_length > 0 ? static_cast<double>(visits) /
-                                    static_cast<double>(walk_length)
-                              : 0.0;
-    ranked.push_back(s);
-  }
-  const std::size_t take = std::min(k, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + take, ranked.end(),
-                    [](const ScoredNode& a, const ScoredNode& b) {
-                      if (a.visits != b.visits) return a.visits > b.visits;
-                      return a.node < b.node;
-                    });
-  ranked.resize(take);
-  return ranked;
-}
 
 void RankVisitsDenseInto(const std::vector<int64_t>& counts,
                          const std::vector<NodeId>& touched,

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <concepts>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "fastppr/core/theory.h"
@@ -30,27 +29,27 @@ enum class FetchMode {
   kSegmentsAndOneEdge,
 };
 
+/// Appended positions between a walk's deadline polls: amortizes the
+/// clock read and bounds the overrun past expiry to a few µs of walk
+/// work.
+inline constexpr uint64_t kDeadlineCheckStride = 256;
+
 struct WalkerOptions {
   FetchMode fetch_mode = FetchMode::kSegmentsAndAllEdges;
   /// 0 = unlimited. Otherwise the walk aborts with ResourceExhausted once
   /// the fetch budget is spent (failure-injection hook for tests).
   uint64_t max_fetches = 0;
-  /// Cooperative cancellation: the accumulation loop polls
-  /// `deadline.expired()` and aborts with DeadlineExceeded instead of
-  /// burning budget on a request nobody is waiting for. Default:
-  /// infinite (no clock reads on the unexpiring fast path's polls are
-  /// avoided entirely — has_deadline() is a plain compare).
+  /// Cooperative cancellation: the walk loop polls `deadline.expired()`
+  /// every kDeadlineCheckStride appended positions and aborts with
+  /// DeadlineExceeded instead of burning budget on a request nobody is
+  /// waiting for. Default: infinite (has_deadline() is a plain compare,
+  /// so an unexpiring walk reads no clock).
   serve::Deadline deadline = serve::Deadline::Infinite();
-  /// Appended positions between deadline polls (amortizes the clock
-  /// read; must be >= 1). The default bounds overrun to ~a few µs of
-  /// walk work past expiry.
-  uint64_t deadline_check_stride = 256;
 };
 
-/// Outcome of one stitched personalized walk.
+/// Counters of one stitched personalized walk. The visits themselves
+/// are counted in the walk's scratch (PersonalizedWalkScratch).
 struct PersonalizedWalkResult {
-  /// Visits per node over the whole walk (the seed's resets included).
-  std::unordered_map<NodeId, int64_t> visit_counts;
   uint64_t length = 0;         ///< total positions appended
   uint64_t fetches = 0;        ///< calls to the walk database (Figure 6)
   uint64_t segments_used = 0;  ///< stored segments consumed
@@ -65,30 +64,25 @@ struct ScoredNode {
   double score = 0.0;  ///< visit frequency within the walk
 };
 
-/// Ranks visit counts into ScoredNodes (shared by both walkers).
-std::vector<ScoredNode> RankVisits(
-    const std::unordered_map<NodeId, int64_t>& counts, std::size_t k,
-    uint64_t walk_length, const std::vector<NodeId>& exclude);
-
-/// Dense-array variant of RankVisits for the reusable walk scratch:
-/// `touched` lists the nodes whose `counts` slot is live (in first-visit
-/// order), `excluded` is a dense flag array. The ranking it produces is
-/// bit-identical to RankVisits over the equivalent map — the partial_sort
-/// comparator (visits desc, node asc) is a strict total order over
-/// distinct nodes, so insertion order cannot leak into the output.
-/// `tmp` is caller-owned scratch whose capacity is retained across calls.
+/// Ranks a walk's dense visit counts into ScoredNodes (shared by both
+/// walkers): `touched` lists the nodes whose `counts` slot is live (in
+/// first-visit order), `excluded` is a dense flag array. The
+/// partial_sort comparator (visits desc, node asc) is a strict total
+/// order over distinct nodes, so the visit order cannot leak into the
+/// output. `tmp` is caller-owned scratch whose capacity is retained
+/// across calls.
 void RankVisitsDenseInto(const std::vector<int64_t>& counts,
                          const std::vector<NodeId>& touched,
                          const std::vector<uint8_t>& excluded, std::size_t k,
                          uint64_t walk_length, std::vector<ScoredNode>* tmp,
                          std::vector<ScoredNode>* ranked);
 
-/// Reusable per-thread scratch for batched PersonalizedTopK execution.
-/// Replaces the per-walk unordered_map accumulation with O(num_nodes)
-/// dense arrays that are allocated once (amortized across a batch) and
-/// reset in O(nodes touched) between walks. A walk that aborts mid-way
-/// (deadline, fetch budget) leaves the arrays dirty; Prepare() runs at
-/// the start of every use and self-heals from the touched lists.
+/// The dense accumulator of a personalized PageRank walk: O(num_nodes)
+/// arrays allocated once per scratch and reset in O(nodes touched)
+/// between walks, so one scratch serves any number of walks in turn
+/// (each serving worker owns one). A walk that aborts mid-way (deadline,
+/// fetch budget) leaves the arrays dirty; Prepare() runs at the start of
+/// every walk and self-heals from the touched lists.
 struct PersonalizedWalkScratch {
   /// used[v] == kNotFetched means v has not been fetched this walk;
   /// otherwise it holds the number of stored segments consumed at v.
@@ -127,7 +121,9 @@ struct PersonalizedWalkScratch {
 
 /// Algorithm 1 of the paper: a personalized PageRank walk from a seed that
 /// opportunistically consumes the stored walk segments (one use each) and
-/// falls back to manual steps on the fetched adjacency afterwards.
+/// falls back to manual steps on the fetched adjacency afterwards. Its
+/// visits are counted into a caller-owned PersonalizedWalkScratch, the
+/// walk's only accumulator.
 ///
 /// `StoreView` abstracts where the segments live: a flat WalkStore, a
 /// sharded view that routes GetSegment(u, k) to the shard owning u, or a
@@ -165,155 +161,36 @@ class BasicPersonalizedPageRankWalker {
       : BasicPersonalizedPageRankWalker(store, CheckedGraph(social),
                                         options) {}
 
-  /// Runs a stitched walk of (at least) `length` positions from `seed`.
+  /// Runs a stitched walk of (at least) `length` positions from `seed`,
+  /// counting its visits into `scratch`: on return `scratch->visited`
+  /// lists the visited nodes in first-visit order and
+  /// `scratch->counts[v]` holds v's visits. A walk that aborts
+  /// (deadline, fetch budget) leaves its partial counts there; the next
+  /// walk on the scratch resets them.
   Status Walk(NodeId seed, uint64_t length, uint64_t rng_seed,
+              PersonalizedWalkScratch* scratch,
               PersonalizedWalkResult* out) const {
-    if (seed >= graph_->num_nodes()) {
-      return Status::InvalidArgument("seed node out of range");
-    }
-    *out = PersonalizedWalkResult{};
-    MapWalkState state{out, {}};
-    return WalkCore(seed, length, rng_seed, state, out);
-  }
-
-  /// Returns the k most-visited nodes of a stitched walk of the given
-  /// length, excluding the seed itself and (optionally) the seed's direct
-  /// out-neighbours — a recommender never recommends existing friends
-  /// (Remark 3 of the paper).
-  Status TopK(NodeId seed, std::size_t k, uint64_t length,
-              bool exclude_friends, uint64_t rng_seed,
-              std::vector<ScoredNode>* ranked,
-              PersonalizedWalkResult* walk_stats = nullptr) const {
-    PersonalizedWalkResult walk;
-    FASTPPR_RETURN_IF_ERROR(Walk(seed, length, rng_seed, &walk));
-    std::vector<NodeId> exclude{seed};
-    if (exclude_friends) {
-      for (NodeId v : graph_->OutNeighbors(seed)) {
-        exclude.push_back(v);
-      }
-    }
-    *ranked = RankVisits(walk.visit_counts, k, walk.length, exclude);
-    if (walk_stats != nullptr) *walk_stats = std::move(walk);
-    return Status::OK();
-  }
-
-  /// TopK accumulating into a reusable dense scratch instead of per-walk
-  /// hash maps. The walk logic, RNG stream, deadline polls and fetch
-  /// accounting are shared with Walk() via WalkCore, and the ranking is
-  /// produced by the total-order comparator, so the output is
-  /// bit-identical to TopK() at the same (seed, length, rng_seed) —
-  /// asserted by the batched-vs-unbatched differential test. On return,
-  /// `walk_stats` (when provided) carries the counters but leaves
-  /// `visit_counts` empty: the dense scratch replaces the map.
-  Status TopKInto(NodeId seed, std::size_t k, uint64_t length,
-                  bool exclude_friends, uint64_t rng_seed,
-                  PersonalizedWalkScratch* scratch,
-                  std::vector<ScoredNode>* ranked,
-                  PersonalizedWalkResult* walk_stats = nullptr) const {
-    FASTPPR_CHECK(scratch != nullptr && ranked != nullptr);
+    FASTPPR_CHECK(scratch != nullptr && out != nullptr);
     if (seed >= graph_->num_nodes()) {
       return Status::InvalidArgument("seed node out of range");
     }
     scratch->Prepare(graph_->num_nodes());
-    PersonalizedWalkResult local;
-    PersonalizedWalkResult* stats =
-        walk_stats != nullptr ? walk_stats : &local;
-    *stats = PersonalizedWalkResult{};
-    DenseWalkState state{scratch};
-    FASTPPR_RETURN_IF_ERROR(WalkCore(seed, length, rng_seed, state, stats));
-    scratch->MarkExcluded(seed);
-    if (exclude_friends) {
-      for (NodeId v : graph_->OutNeighbors(seed)) {
-        scratch->MarkExcluded(v);
-      }
-    }
-    RankVisitsDenseInto(scratch->counts, scratch->visited, scratch->excluded,
-                        k, stats->length, &scratch->ranked_tmp, ranked);
-    return Status::OK();
-  }
-
-  /// TopK with the walk length chosen by equation (4) of the paper:
-  /// s_k = (c/(1-alpha)) * k * (n/k)^{1-alpha}, the length at which each
-  /// of the true top-k nodes is expected to be visited `c` times under
-  /// the power-law score model with exponent `alpha`.
-  Status TopKWithTheoryLength(NodeId seed, std::size_t k, double alpha,
-                              double c, bool exclude_friends,
-                              uint64_t rng_seed,
-                              std::vector<ScoredNode>* ranked,
-                              PersonalizedWalkResult* walk_stats =
-                                  nullptr) const {
-    if (!(alpha > 0.0 && alpha < 1.0)) {
-      return Status::InvalidArgument("alpha must be in (0, 1)");
-    }
-    if (k == 0) return Status::InvalidArgument("k must be positive");
-    const double s = WalkLengthForTopK(k, graph_->num_nodes(), alpha, c);
-    const uint64_t length =
-        static_cast<uint64_t>(std::llround(std::max(1.0, s)));
-    return TopK(seed, k, length, exclude_friends, rng_seed, ranked,
-                walk_stats);
-  }
-
- private:
-  /// Accumulation policies for WalkCore. The map state reproduces the
-  /// original per-walk containers; the dense state writes into a
-  /// PersonalizedWalkScratch. Both expose:
-  ///   Visit(v)        — count one appended position at v
-  ///   FindUsed(v)     — consumed-segment slot, nullptr if not fetched
-  ///   MarkFetched(v)  — create the slot at 0 (after the fetch charge)
-  struct MapWalkState {
-    PersonalizedWalkResult* out;
-    std::unordered_map<NodeId, uint32_t> used;
-    void Visit(NodeId v) { ++out->visit_counts[v]; }
-    uint32_t* FindUsed(NodeId v) {
-      auto it = used.find(v);
-      return it == used.end() ? nullptr : &it->second;
-    }
-    uint32_t* MarkFetched(NodeId v) {
-      return &used.emplace(v, 0u).first->second;
-    }
-  };
-
-  struct DenseWalkState {
-    PersonalizedWalkScratch* s;
-    void Visit(NodeId v) {
-      if (s->counts[v] == 0) s->visited.push_back(v);
-      ++s->counts[v];
-    }
-    uint32_t* FindUsed(NodeId v) {
-      uint32_t& slot = s->used[v];
-      return slot == PersonalizedWalkScratch::kNotFetched ? nullptr : &slot;
-    }
-    uint32_t* MarkFetched(NodeId v) {
-      s->used[v] = 0;
-      s->fetched.push_back(v);
-      return &s->used[v];
-    }
-  };
-
-  /// The walk loop shared by the map-based and dense paths. Callers have
-  /// already validated the seed and reset `out`'s counters; only the
-  /// accumulation containers differ between the two states, so the RNG
-  /// stream and every counter are identical across them by construction.
-  template <typename State>
-  Status WalkCore(NodeId seed, uint64_t length, uint64_t rng_seed,
-                  State& state, PersonalizedWalkResult* out) const {
+    *out = PersonalizedWalkResult{};
     // A request that arrives already expired does zero accumulation:
     // the serving tier counts it as deadline-expired, not served.
     const serve::Deadline& deadline = options_.deadline;
     if (deadline.expired()) {
       return Status::DeadlineExceeded("walk deadline expired");
     }
-    const uint64_t stride =
-        options_.deadline_check_stride == 0 ? 1
-                                            : options_.deadline_check_stride;
-    uint64_t next_deadline_poll = stride;
+    uint64_t next_deadline_poll = kDeadlineCheckStride;
     Rng rng(rng_seed);
     const std::size_t R = store_->walks_per_node();
     const double eps = store_->epsilon();
     const GraphView& g = *graph_;
+    PersonalizedWalkScratch& s = *scratch;
 
-    auto visit = [&state, out](NodeId v) {
-      state.Visit(v);
+    auto visit = [&s, out](NodeId v) {
+      if (s.counts[v]++ == 0) s.visited.push_back(v);
       ++out->length;
     };
     auto charge_fetch = [this, out]() -> bool {
@@ -325,28 +202,29 @@ class BasicPersonalizedPageRankWalker {
     NodeId cur = seed;
     visit(seed);
     while (out->length < length) {
-      // Cooperative cancellation, polled every `stride` appended
-      // positions (segment tails advance length in bulk, so the poll
-      // keys on length, not loop iterations).
+      // Cooperative cancellation, polled every kDeadlineCheckStride
+      // appended positions (segment tails advance length in bulk, so the
+      // poll keys on length, not loop iterations).
       if (deadline.has_deadline() && out->length >= next_deadline_poll) {
         if (deadline.expired()) {
           return Status::DeadlineExceeded("walk deadline expired");
         }
-        next_deadline_poll = out->length + stride;
+        next_deadline_poll = out->length + kDeadlineCheckStride;
       }
-      uint32_t* consumed = state.FindUsed(cur);
-      if (consumed == nullptr) {
+      uint32_t& consumed = s.used[cur];
+      if (consumed == PersonalizedWalkScratch::kNotFetched) {
         // First arrival: fetch the node (its segments + adjacency).
         if (!charge_fetch()) {
           return Status::ResourceExhausted("fetch budget exhausted");
         }
-        consumed = state.MarkFetched(cur);
+        consumed = 0;
+        s.fetched.push_back(cur);
       }
-      if (*consumed < R) {
+      if (consumed < R) {
         // Consume one stored segment: append its tail, then the session
         // is over and the walk resets to the seed.
-        const auto seg = store_->GetSegment(cur, *consumed);
-        ++*consumed;
+        const auto seg = store_->GetSegment(cur, consumed);
+        ++consumed;
         ++out->segments_used;
         for (std::size_t p = 1; p < seg.size() && out->length < length;
              ++p) {
@@ -386,6 +264,65 @@ class BasicPersonalizedPageRankWalker {
     return Status::OK();
   }
 
+  /// Returns the k most-visited nodes of a stitched walk of the given
+  /// length, excluding the seed itself and (optionally) the seed's direct
+  /// out-neighbours — a recommender never recommends existing friends
+  /// (Remark 3 of the paper). The walk accumulates into `scratch`, which
+  /// the caller reuses across calls.
+  Status TopKInto(NodeId seed, std::size_t k, uint64_t length,
+                  bool exclude_friends, uint64_t rng_seed,
+                  PersonalizedWalkScratch* scratch,
+                  std::vector<ScoredNode>* ranked,
+                  PersonalizedWalkResult* walk_stats = nullptr) const {
+    FASTPPR_CHECK(ranked != nullptr);
+    PersonalizedWalkResult local;
+    PersonalizedWalkResult* stats =
+        walk_stats != nullptr ? walk_stats : &local;
+    FASTPPR_RETURN_IF_ERROR(Walk(seed, length, rng_seed, scratch, stats));
+    scratch->MarkExcluded(seed);
+    if (exclude_friends) {
+      for (NodeId v : graph_->OutNeighbors(seed)) {
+        scratch->MarkExcluded(v);
+      }
+    }
+    RankVisitsDenseInto(scratch->counts, scratch->visited, scratch->excluded,
+                        k, stats->length, &scratch->ranked_tmp, ranked);
+    return Status::OK();
+  }
+
+  /// TopKInto on this thread's own scratch (a fresh one per call would
+  /// cost a page-faulting O(num_nodes) allocation per query).
+  Status TopK(NodeId seed, std::size_t k, uint64_t length,
+              bool exclude_friends, uint64_t rng_seed,
+              std::vector<ScoredNode>* ranked,
+              PersonalizedWalkResult* walk_stats = nullptr) const {
+    thread_local PersonalizedWalkScratch scratch;
+    return TopKInto(seed, k, length, exclude_friends, rng_seed, &scratch,
+                    ranked, walk_stats);
+  }
+
+  /// TopK with the walk length chosen by equation (4) of the paper:
+  /// s_k = (c/(1-alpha)) * k * (n/k)^{1-alpha}, the length at which each
+  /// of the true top-k nodes is expected to be visited `c` times under
+  /// the power-law score model with exponent `alpha`.
+  Status TopKWithTheoryLength(NodeId seed, std::size_t k, double alpha,
+                              double c, bool exclude_friends,
+                              uint64_t rng_seed,
+                              std::vector<ScoredNode>* ranked,
+                              PersonalizedWalkResult* walk_stats =
+                                  nullptr) const {
+    if (!(alpha > 0.0 && alpha < 1.0)) {
+      return Status::InvalidArgument("alpha must be in (0, 1)");
+    }
+    if (k == 0) return Status::InvalidArgument("k must be positive");
+    const double s = WalkLengthForTopK(k, graph_->num_nodes(), alpha, c);
+    const uint64_t length =
+        static_cast<uint64_t>(std::llround(std::max(1.0, s)));
+    return TopK(seed, k, length, exclude_friends, rng_seed, ranked,
+                walk_stats);
+  }
+
+ private:
   /// Aborts (instead of dereferencing) on a null social store.
   static const DiGraph* CheckedGraph(const SocialStore* social) {
     FASTPPR_CHECK(social != nullptr);

@@ -3,8 +3,6 @@
 
 #include <concepts>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fastppr/core/ppr_walker.h"
@@ -17,12 +15,11 @@
 
 namespace fastppr {
 
-/// Outcome of one stitched personalized SALSA walk. Hub-side and
-/// authority-side visits are tracked separately: a friend recommender
-/// ranks by authority score (relevance), Section 1.1 of the paper.
+/// Counters of one stitched personalized SALSA walk. The visits are
+/// counted in the walk's scratch (SalsaWalkScratch), hub side and
+/// authority side apart: a friend recommender ranks by authority score
+/// (relevance), Section 1.1 of the paper.
 struct SalsaWalkResult {
-  std::unordered_map<NodeId, int64_t> hub_counts;
-  std::unordered_map<NodeId, int64_t> authority_counts;
   uint64_t length = 0;
   uint64_t fetches = 0;
   uint64_t segments_used = 0;
@@ -30,11 +27,11 @@ struct SalsaWalkResult {
   uint64_t resets = 0;
 };
 
-/// Reusable per-thread scratch for batched TopKAuthoritiesInto — the
-/// SALSA analogue of PersonalizedWalkScratch: dense hub/authority count
-/// arrays plus per-direction consumed-segment slots, allocated once and
-/// reset in O(nodes touched) between walks. Prepare() self-heals from
-/// the touched lists even after a mid-walk abort.
+/// The dense accumulator of a personalized SALSA walk — the SALSA
+/// analogue of PersonalizedWalkScratch: hub/authority count arrays plus
+/// per-direction consumed-segment slots, allocated once and reset in
+/// O(nodes touched) between walks. Prepare() self-heals from the touched
+/// lists even after a mid-walk abort.
 struct SalsaWalkScratch {
   std::vector<int64_t> hub_counts;
   std::vector<int64_t> authority_counts;
@@ -85,7 +82,8 @@ struct SalsaWalkScratch {
 /// Algorithm 1 adapted to personalized SALSA: the walk alternates forward
 /// and backward steps, resets (to the seed, in hub role) only before
 /// forward steps, and stitches the stored SalsaWalkStore segments whose
-/// start direction matches the walk's current parity.
+/// start direction matches the walk's current parity. Its visits are
+/// counted into a caller-owned SalsaWalkScratch.
 ///
 /// `StoreView` abstracts where the segments live (flat SalsaWalkStore, a
 /// sharded view routing to the shard owning each node, or a frozen
@@ -112,143 +110,44 @@ class BasicPersonalizedSalsaWalker {
       : BasicPersonalizedSalsaWalker(store, CheckedGraph(social),
                                      options) {}
 
+  /// Runs a stitched walk of (at least) `length` positions from `seed`,
+  /// counting its hub-side and authority-side visits into `scratch`
+  /// (`hub_visited`/`hub_counts` and `authority_visited`/
+  /// `authority_counts`). A walk that aborts (deadline, fetch budget)
+  /// leaves its partial counts there; the next walk on the scratch
+  /// resets them.
   Status Walk(NodeId seed, uint64_t length, uint64_t rng_seed,
-              SalsaWalkResult* out) const {
-    if (seed >= graph_->num_nodes()) {
-      return Status::InvalidArgument("seed node out of range");
-    }
-    *out = SalsaWalkResult{};
-    MapWalkState state{out, {}, {}, {}};
-    return WalkCore(seed, length, rng_seed, state, out);
-  }
-
-  /// k highest-authority nodes accumulated into a reusable dense scratch
-  /// — bit-identical to TopKAuthorities() at the same (seed, length,
-  /// rng_seed); see BasicPersonalizedPageRankWalker::TopKInto.
-  Status TopKAuthoritiesInto(NodeId seed, std::size_t k, uint64_t length,
-                             bool exclude_friends, uint64_t rng_seed,
-                             SalsaWalkScratch* scratch,
-                             std::vector<ScoredNode>* ranked,
-                             SalsaWalkResult* walk_stats = nullptr) const {
-    FASTPPR_CHECK(scratch != nullptr && ranked != nullptr);
+              SalsaWalkScratch* scratch, SalsaWalkResult* out) const {
+    FASTPPR_CHECK(scratch != nullptr && out != nullptr);
     if (seed >= graph_->num_nodes()) {
       return Status::InvalidArgument("seed node out of range");
     }
     scratch->Prepare(graph_->num_nodes());
-    SalsaWalkResult local;
-    SalsaWalkResult* stats = walk_stats != nullptr ? walk_stats : &local;
-    *stats = SalsaWalkResult{};
-    DenseWalkState state{scratch};
-    FASTPPR_RETURN_IF_ERROR(WalkCore(seed, length, rng_seed, state, stats));
-    scratch->MarkExcluded(seed);
-    if (exclude_friends) {
-      for (NodeId v : graph_->OutNeighbors(seed)) {
-        scratch->MarkExcluded(v);
-      }
-    }
-    RankVisitsDenseInto(scratch->authority_counts,
-                        scratch->authority_visited, scratch->excluded, k,
-                        stats->length, &scratch->ranked_tmp, ranked);
-    return Status::OK();
-  }
-
-  /// k highest-authority nodes of a stitched walk, excluding the seed and
-  /// (optionally) its direct out-neighbours.
-  Status TopKAuthorities(NodeId seed, std::size_t k, uint64_t length,
-                         bool exclude_friends, uint64_t rng_seed,
-                         std::vector<ScoredNode>* ranked,
-                         SalsaWalkResult* walk_stats = nullptr) const {
-    SalsaWalkResult walk;
-    FASTPPR_RETURN_IF_ERROR(Walk(seed, length, rng_seed, &walk));
-    std::vector<NodeId> exclude{seed};
-    if (exclude_friends) {
-      for (NodeId v : graph_->OutNeighbors(seed)) {
-        exclude.push_back(v);
-      }
-    }
-    *ranked = RankVisits(walk.authority_counts, k, walk.length, exclude);
-    if (walk_stats != nullptr) *walk_stats = std::move(walk);
-    return Status::OK();
-  }
-
- private:
-  /// Accumulation policies for WalkCore (see the PageRank walker's
-  /// MapWalkState/DenseWalkState). SALSA splits the consumed-segment
-  /// slots by start direction and gates the fetch charge on a separate
-  /// fetched set; both states expose:
-  ///   Visit(v, hub)       — count one appended position on that side
-  ///   Fetched(v)          — has v's data been fetched this walk?
-  ///   MarkFetched(v)      — record the fetch (after the charge)
-  ///   Consumed(v, hub)    — consumed-segment slot for that direction
-  struct MapWalkState {
-    SalsaWalkResult* out;
-    std::unordered_map<NodeId, uint32_t> used_fwd;
-    std::unordered_map<NodeId, uint32_t> used_bwd;
-    std::unordered_set<NodeId> fetched;
-    void Visit(NodeId v, bool hub) {
-      if (hub) {
-        ++out->hub_counts[v];
-      } else {
-        ++out->authority_counts[v];
-      }
-    }
-    bool Fetched(NodeId v) const { return fetched.count(v) != 0; }
-    void MarkFetched(NodeId v) { fetched.insert(v); }
-    uint32_t& Consumed(NodeId v, bool hub) {
-      return hub ? used_fwd[v] : used_bwd[v];
-    }
-  };
-
-  struct DenseWalkState {
-    SalsaWalkScratch* s;
-    void Visit(NodeId v, bool hub) {
-      if (hub) {
-        if (s->hub_counts[v] == 0) s->hub_visited.push_back(v);
-        ++s->hub_counts[v];
-      } else {
-        if (s->authority_counts[v] == 0) s->authority_visited.push_back(v);
-        ++s->authority_counts[v];
-      }
-    }
-    bool Fetched(NodeId v) const { return s->fetched[v] != 0; }
-    void MarkFetched(NodeId v) {
-      s->fetched[v] = 1;
-      s->fetched_nodes.push_back(v);
-    }
-    uint32_t& Consumed(NodeId v, bool hub) {
-      return hub ? s->used_fwd[v] : s->used_bwd[v];
-    }
-  };
-
-  /// The walk loop shared by the map-based and dense paths; only the
-  /// accumulation containers differ, so the RNG stream and counters are
-  /// identical across them by construction. Callers have validated the
-  /// seed and reset `out`'s counters.
-  template <typename State>
-  Status WalkCore(NodeId seed, uint64_t length, uint64_t rng_seed,
-                  State& state, SalsaWalkResult* out) const {
+    *out = SalsaWalkResult{};
     // Deadline contract identical to the PageRank walker: zero
     // accumulation when already expired, cooperative poll every
-    // `deadline_check_stride` appended positions afterwards.
+    // kDeadlineCheckStride appended positions afterwards.
     const serve::Deadline& deadline = options_.deadline;
     if (deadline.expired()) {
       return Status::DeadlineExceeded("walk deadline expired");
     }
-    const uint64_t stride =
-        options_.deadline_check_stride == 0 ? 1
-                                            : options_.deadline_check_stride;
-    uint64_t next_deadline_poll = stride;
+    uint64_t next_deadline_poll = kDeadlineCheckStride;
     Rng rng(rng_seed);
     const std::size_t R = store_->walks_per_node();
     const double eps = store_->epsilon();
     const GraphView& g = *graph_;
+    SalsaWalkScratch& s = *scratch;
 
     // Parity: true = hub side (a forward step is due), false = authority.
     bool hub_side = true;
     NodeId cur = seed;
 
-    auto visit = [&state, out](NodeId v, bool hub) {
-      state.Visit(v, hub);
+    auto visit = [&s, out](NodeId v, bool hub) {
+      if (hub) {
+        if (s.hub_counts[v]++ == 0) s.hub_visited.push_back(v);
+      } else {
+        if (s.authority_counts[v]++ == 0) s.authority_visited.push_back(v);
+      }
       ++out->length;
     };
     auto charge_fetch = [this, out]() -> bool {
@@ -269,15 +168,16 @@ class BasicPersonalizedSalsaWalker {
         if (deadline.expired()) {
           return Status::DeadlineExceeded("walk deadline expired");
         }
-        next_deadline_poll = out->length + stride;
+        next_deadline_poll = out->length + kDeadlineCheckStride;
       }
-      if (!state.Fetched(cur)) {
+      if (!s.fetched[cur]) {
         if (!charge_fetch()) {
           return Status::ResourceExhausted("fetch budget exhausted");
         }
-        state.MarkFetched(cur);
+        s.fetched[cur] = 1;
+        s.fetched_nodes.push_back(cur);
       }
-      uint32_t& consumed = state.Consumed(cur, hub_side);
+      uint32_t& consumed = hub_side ? s.used_fwd[cur] : s.used_bwd[cur];
       if (consumed < R) {
         // Stored segments with matching start direction: [0, R) are
         // forward-start, [R, 2R) are backward-start.
@@ -328,6 +228,42 @@ class BasicPersonalizedSalsaWalker {
     return Status::OK();
   }
 
+  /// k highest-authority nodes of a stitched walk, excluding the seed and
+  /// (optionally) its direct out-neighbours. The walk accumulates into
+  /// `scratch`, which the caller reuses across calls.
+  Status TopKAuthoritiesInto(NodeId seed, std::size_t k, uint64_t length,
+                             bool exclude_friends, uint64_t rng_seed,
+                             SalsaWalkScratch* scratch,
+                             std::vector<ScoredNode>* ranked,
+                             SalsaWalkResult* walk_stats = nullptr) const {
+    FASTPPR_CHECK(ranked != nullptr);
+    SalsaWalkResult local;
+    SalsaWalkResult* stats = walk_stats != nullptr ? walk_stats : &local;
+    FASTPPR_RETURN_IF_ERROR(Walk(seed, length, rng_seed, scratch, stats));
+    scratch->MarkExcluded(seed);
+    if (exclude_friends) {
+      for (NodeId v : graph_->OutNeighbors(seed)) {
+        scratch->MarkExcluded(v);
+      }
+    }
+    RankVisitsDenseInto(scratch->authority_counts,
+                        scratch->authority_visited, scratch->excluded, k,
+                        stats->length, &scratch->ranked_tmp, ranked);
+    return Status::OK();
+  }
+
+  /// TopKAuthoritiesInto on this thread's own scratch (a fresh one per
+  /// call would cost a page-faulting O(num_nodes) allocation per query).
+  Status TopKAuthorities(NodeId seed, std::size_t k, uint64_t length,
+                         bool exclude_friends, uint64_t rng_seed,
+                         std::vector<ScoredNode>* ranked,
+                         SalsaWalkResult* walk_stats = nullptr) const {
+    thread_local SalsaWalkScratch scratch;
+    return TopKAuthoritiesInto(seed, k, length, exclude_friends, rng_seed,
+                               &scratch, ranked, walk_stats);
+  }
+
+ private:
   /// Aborts (instead of dereferencing) on a null social store.
   static const DiGraph* CheckedGraph(const SocialStore* social) {
     FASTPPR_CHECK(social != nullptr);

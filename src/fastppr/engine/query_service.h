@@ -13,15 +13,16 @@
 // repairs) never synchronizes with readers at all — only the publish at
 // each window boundary touches the shared buffers.
 //
-// Personalized reads (PersonalizedTopK) are served from *frozen
+// Personalized reads (PersonalizedTopKInto) are served from *frozen
 // segment-snapshot views* (store/segment_snapshot.h): structurally
 // shared immutable copies of each shard's walk segments plus the
-// adjacency, flipped as one pointer table under the view mutex. A
-// reader pins the whole table with one shared_ptr copy (mutex held only
+// adjacency, flipped as one pointer table under the view mutex. Each
+// request pins the whole table with one shared_ptr copy (mutex held only
 // across the pointer copy, never across a walk) and stitches its walk
-// with plain loads. Each publish allocates only the window's delta;
-// clean chunks are shared with the previous view and freed by their
-// refcounts when the last pin drops.
+// with plain loads into the caller's dense walk scratch (one per serving
+// worker; PersonalizedTopK uses a thread-local one). Each publish
+// allocates only the window's delta; clean chunks are shared with the
+// previous view and freed by their refcounts when the last pin drops.
 //
 // Publish pipelining: the service implements the engine's BoundarySink,
 // so snapshot publishing is driven by window-boundary callbacks on the
@@ -180,10 +181,10 @@ class SnapshotBuffer {
 
 /// Serving front door: ingest windows through Ingest(), read rankings
 /// concurrently through TopK()/Score(), run personalized queries
-/// concurrently through PersonalizedTopK(). `Engine` is
-/// IncrementalPageRank (TopK/Score rank by PageRank visit counts,
-/// PersonalizedTopK is Algorithm 1) or IncrementalSalsa (authority
-/// counts / personalized SALSA).
+/// concurrently through PersonalizedTopKInto()/PersonalizedTopK().
+/// `Engine` is IncrementalPageRank (TopK/Score rank by PageRank visit
+/// counts, the personalized read is Algorithm 1) or IncrementalSalsa
+/// (authority counts / personalized SALSA).
 ///
 /// Single-service contract: a QueryService owns its engine's snapshot
 /// delta feeds (dirty segments, applied edges) and its window-boundary
@@ -425,32 +426,29 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
                             static_cast<double>(total);
   }
 
+  /// The dense walk accumulator a personalized read runs on (each
+  /// serving worker owns one and reuses it across requests).
+  using PersonalizedScratch =
+      std::conditional_t<kIsSalsa, SalsaWalkScratch, PersonalizedWalkScratch>;
+
   /// Personalized top-k (Algorithm 1 stitched walk; authority-ranked for
   /// SALSA), served from the frozen segment + adjacency views published
-  /// at a window boundary. Runs concurrently with ingestion: the view
-  /// mutex is held only across the shared_ptr pins, never across the
-  /// walk, so readers never stall the writer and vice versa. The whole
-  /// walk observes one epoch (`info`: min_epoch == max_epoch).
-  Status PersonalizedTopK(NodeId seed, std::size_t k, uint64_t length,
-                          bool exclude_friends, uint64_t rng_seed,
-                          std::vector<ScoredNode>* ranked,
-                          WalkStats* walk_stats = nullptr,
-                          SnapshotInfo* info = nullptr) {
-    return PersonalizedTopK(seed, k, length, exclude_friends, rng_seed,
-                            WalkerOptions(), ranked, walk_stats, info);
-  }
-
-  /// PersonalizedTopK with explicit walker options — the serving tier's
-  /// entry point: `options.deadline` is polled inside the walk
-  /// accumulation loop (cooperative cancellation), so an expired
-  /// request returns DeadlineExceeded instead of burning walk budget;
-  /// `options.max_fetches` remains the fetch-budget fault hook.
-  Status PersonalizedTopK(NodeId seed, std::size_t k, uint64_t length,
-                          bool exclude_friends, uint64_t rng_seed,
-                          const WalkerOptions& options,
-                          std::vector<ScoredNode>* ranked,
-                          WalkStats* walk_stats = nullptr,
-                          SnapshotInfo* info = nullptr) {
+  /// at a window boundary and accumulated into the caller's `scratch`.
+  /// Runs concurrently with ingestion: the view mutex is held only
+  /// across the shared_ptr pin and unpin, never across the walk, so
+  /// readers never stall the writer and vice versa. The whole walk
+  /// observes one epoch (`info`: min_epoch == max_epoch).
+  /// `options.deadline` is polled inside the walk (cooperative
+  /// cancellation), so an expired request returns DeadlineExceeded
+  /// instead of burning walk budget; `options.max_fetches` remains the
+  /// fetch-budget fault hook.
+  Status PersonalizedTopKInto(NodeId seed, std::size_t k, uint64_t length,
+                              bool exclude_friends, uint64_t rng_seed,
+                              const WalkerOptions& options,
+                              PersonalizedScratch* scratch,
+                              std::vector<ScoredNode>* ranked,
+                              WalkStats* walk_stats = nullptr,
+                              SnapshotInfo* info = nullptr) {
     // Fail fast before pinning views: a request that is already dead
     // must cost the service nothing.
     if (options.deadline.expired()) {
@@ -484,13 +482,14 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     if constexpr (kIsSalsa) {
       BasicPersonalizedSalsaWalker<FrozenSegmentView, FrozenAdjacency>
           walker(&view, pin->graph.get(), options);
-      status = walker.TopKAuthorities(seed, k, length, exclude_friends,
-                                      rng_seed, ranked, walk_stats);
+      status = walker.TopKAuthoritiesInto(seed, k, length, exclude_friends,
+                                          rng_seed, scratch, ranked,
+                                          walk_stats);
     } else {
       BasicPersonalizedPageRankWalker<FrozenSegmentView, FrozenAdjacency>
           walker(&view, pin->graph.get(), options);
-      status = walker.TopK(seed, k, length, exclude_friends, rng_seed,
-                           ranked, walk_stats);
+      status = walker.TopKInto(seed, k, length, exclude_friends, rng_seed,
+                               scratch, ranked, walk_stats);
     }
     // Drop the pin under the view mutex: the flip and the last unpin
     // stay mutually ordered, so the chunk refcounts a dropped view
@@ -505,89 +504,18 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     return status;
   }
 
-  /// One request of a batched PersonalizedTopK execution: the inputs a
-  /// caller fills plus the per-item outputs the batch run writes back.
-  struct PersonalizedBatchQuery {
-    // Inputs.
-    NodeId seed = 0;
-    std::size_t k = 10;
-    uint64_t walk_length = 0;
-    bool exclude_friends = true;
-    uint64_t rng_seed = 0;
-    WalkerOptions options;
-    // Outputs.
-    Status status = Status::OK();
-    std::vector<ScoredNode> ranked;
-    SnapshotInfo snapshot;
-    uint64_t service_ns = 0;  ///< this item's walk+rank wall time
-  };
-
-  /// The reusable walker scratch batched execution shares across items
-  /// (serve/batcher.h owns one per worker thread).
-  using PersonalizedScratch =
-      std::conditional_t<kIsSalsa, SalsaWalkScratch, PersonalizedWalkScratch>;
-
-  /// Batched PersonalizedTopK: pins the frozen view ONCE for the whole
-  /// batch — one shared_ptr copy and one audited SnapshotInfo instead of
-  /// per-request pins — and accumulates every walk into `scratch`'s
-  /// dense arrays. Each item keeps its own RNG seed, walk length and
-  /// deadline, and the walk core + ranking are shared with the unbatched
-  /// path, so every item's answer is bit-identical to an unbatched
-  /// PersonalizedTopK at the same epoch (the differential test's
-  /// contract). Item statuses are reported per item; the call itself
-  /// cannot fail.
-  void PersonalizedTopKInto(std::span<PersonalizedBatchQuery> batch,
-                            PersonalizedScratch* scratch,
-                            serve::ClockFn clock = &obs::NowNanos) {
-    if (batch.empty()) return;
-    const bool hot = engine_->metrics_enabled();
-    std::shared_ptr<const FrozenViewSet> pin;
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin = frozen_view_;
-    }
-    FASTPPR_CHECK_MSG(pin != nullptr && pin->graph != nullptr,
-                      "no published snapshot to serve from");
-    SnapshotInfo si;
-    si.min_epoch = pin->graph->epoch();
-    si.max_epoch = pin->graph->epoch();
-    for (const auto& segs : pin->segments) {
-      si.min_epoch = std::min(si.min_epoch, segs->epoch());
-      si.max_epoch = std::max(si.max_epoch, segs->epoch());
-    }
-    const FrozenSegmentView view(&pin->segments, pin->ownership.get(),
-                                 walks_per_node_, epsilon_);
-    for (PersonalizedBatchQuery& q : batch) {
-      q.snapshot = si;
-      const uint64_t t0 = clock();
-      if (q.options.deadline.expired()) {
-        q.status =
-            Status::DeadlineExceeded("deadline expired before walk start");
-        q.service_ns = clock() - t0;
-        continue;
-      }
-      if constexpr (kIsSalsa) {
-        BasicPersonalizedSalsaWalker<FrozenSegmentView, FrozenAdjacency>
-            walker(&view, pin->graph.get(), q.options);
-        q.status = walker.TopKAuthoritiesInto(q.seed, q.k, q.walk_length,
-                                              q.exclude_friends, q.rng_seed,
-                                              scratch, &q.ranked);
-      } else {
-        BasicPersonalizedPageRankWalker<FrozenSegmentView, FrozenAdjacency>
-            walker(&view, pin->graph.get(), q.options);
-        q.status = walker.TopKInto(q.seed, q.k, q.walk_length,
-                                   q.exclude_friends, q.rng_seed, scratch,
-                                   &q.ranked);
-      }
-      q.service_ns = clock() - t0;
-      if (hot) om_.query_personalized->Record(q.service_ns);
-    }
-    // One pin for the whole batch: account it to the first item's shard.
-    if (hot) om_.snapshot_pins->Add(1, engine_->shard_of(batch[0].seed));
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin.reset();
-    }
+  /// PersonalizedTopKInto without a deadline, on this thread's own
+  /// scratch (a fresh one per call would cost a page-faulting
+  /// O(num_nodes) allocation per query).
+  Status PersonalizedTopK(NodeId seed, std::size_t k, uint64_t length,
+                          bool exclude_friends, uint64_t rng_seed,
+                          std::vector<ScoredNode>* ranked,
+                          WalkStats* walk_stats = nullptr,
+                          SnapshotInfo* info = nullptr) {
+    thread_local PersonalizedScratch scratch;
+    return PersonalizedTopKInto(seed, k, length, exclude_friends, rng_seed,
+                                WalkerOptions(), &scratch, ranked,
+                                walk_stats, info);
   }
 
   /// Epoch of the currently published frozen view — the result cache's

@@ -26,8 +26,7 @@ namespace fastppr {
 /// RemoveEdge is an O(outdeg(src)) contiguous locate plus an O(1)
 /// twin-backpointer unlink — the heavy-tailed in-degree side is never
 /// scanned (the seed layout paid one heap vector per node and an
-/// O(outdeg + indeg) double scan per removal; it survives as
-/// bench/legacy/legacy_digraph.h for before/after benchmarking).
+/// O(outdeg + indeg) double scan per removal).
 ///
 /// Determinism: sampling is defined over the slab's canonical slot
 /// order — neighbour k of v is the k-th live slot of v's block, a pure

@@ -38,10 +38,6 @@ struct EngineMetrics {
   Counter* serve_shed = nullptr;            ///< rejected (enqueue-full or
                                             ///  controlled-delay shed)
   Counter* serve_deadline_expired = nullptr;///< cancelled by deadline
-  Counter* serve_batches = nullptr;         ///< personalized batch
-                                            ///  executions (one pin each)
-  Counter* serve_batched_requests = nullptr;///< requests served inside
-                                            ///  those batches
 
   // --- result-cache counters (striped by cache shard: the stripe
   // index is serve::ResultCache's shard of the key) ------------------
@@ -94,9 +90,6 @@ struct EngineMetrics {
     m.serve_shed = reg->RegisterCounter("serve_shed", 3);
     m.serve_deadline_expired =
         reg->RegisterCounter("serve_deadline_expired", 3);
-    m.serve_batches = reg->RegisterCounter("serve_batches", 3);
-    m.serve_batched_requests =
-        reg->RegisterCounter("serve_batched_requests", 3);
     // Result-cache counters: one stripe per cache shard (8 =
     // serve::kResultCacheShards; literal for the same reason, pinned by
     // a static_assert in serve/result_cache.h).

@@ -12,7 +12,7 @@
 //
 // Deadlines are threaded by value through WalkerOptions into the walker
 // accumulation loops (cooperative cancellation: the loop polls
-// `expired()` every deadline_check_stride appended positions) and
+// `expired()` every kDeadlineCheckStride appended positions) and
 // through the serving tier's Request, where the remaining slack also
 // drives the degradation ladder (serve/serving_tier.h).
 

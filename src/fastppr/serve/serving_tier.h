@@ -26,12 +26,11 @@
 //    auditable: a degraded answer is never silently passed off as full
 //    fidelity.
 //
-//  * Batching — within one personalized class slice a worker coalesces
-//    the requests it dequeues into a batch (serve/batcher.h) executed
-//    through QueryService::PersonalizedTopKInto: one frozen-view pin
-//    and one reusable dense walker scratch for the whole batch, with
-//    per-request deadlines/RNG seeds preserved so every answer is
-//    bit-identical to its unbatched execution.
+//  * One execution path — every personalized request runs alone
+//    through QueryService::PersonalizedTopKInto (one frozen-view pin)
+//    on its worker's dense walk scratch, which the worker owns beside
+//    its ReadScratch and reuses across requests, aborted walks
+//    included.
 //  * Result cache — an epoch-keyed sharded LRU (serve/result_cache.h)
 //    consulted before admission: a hit bypasses the queue entirely and
 //    is labelled (`Response::cache_hit` + the entry's audited epochs).
@@ -59,7 +58,6 @@
 
 #include "fastppr/engine/query_service.h"
 #include "fastppr/serve/admission_queue.h"
-#include "fastppr/serve/batcher.h"
 #include "fastppr/serve/deadline.h"
 #include "fastppr/serve/result_cache.h"
 #include "fastppr/util/check.h"
@@ -149,39 +147,39 @@ struct ServingTierOptions {
   /// Per-class admission queues (same defaults unless overridden).
   AdmissionQueueOptions queue;
   /// Per-class capacity overrides, indexed by QueryClass (0 = use
-  /// `queue.capacity`). Batched personalized serving typically wants a
-  /// deeper walk queue than the cheap snapshot classes; the degradation
-  /// ladder reads each request's OWN class capacity, so the fractions
-  /// stay meaningful under asymmetric configs.
+  /// `queue.capacity`). Personalized serving typically wants a deeper
+  /// walk queue than the cheap snapshot classes; the degradation ladder
+  /// reads each request's OWN class capacity, so the fractions stay
+  /// meaningful under asymmetric configs.
   std::array<std::size_t, kNumQueryClasses> queue_capacity = {0, 0, 0};
-  /// Upper bound on requests coalesced into one personalized batch
-  /// (one frozen-view pin + one walker scratch per batch). 1 disables
-  /// batching: every request executes on the unbatched path.
-  std::size_t max_batch = 8;
   /// Epoch-keyed PersonalizedTopK result cache, consulted before
   /// admission. Invalidation is by construction (entries keyed by
   /// frozen epoch); disable for traffic with no seed repetition.
   bool enable_result_cache = true;
   ResultCacheOptions cache;
-  /// Ladder rung 1: queue depth (fraction of capacity) or deadline
-  /// slack below which a personalized walk runs at reduced budget.
+  /// Ladder rung 1: queue depth (fraction of capacity) past which a
+  /// personalized walk runs at reduced budget (also below
+  /// kReduceSlackNs of deadline slack).
   double reduce_depth_frac = 0.50;
-  uint64_t reduce_slack_ns = 2'000'000;    // < 2 ms slack: don't go full
-  uint64_t reduced_walk_divisor = 4;
-  /// Ladder rung 2: depth/slack past which the walk is skipped entirely
-  /// for the cheap stale-fallback answer.
+  /// Ladder rung 2: queue depth past which the walk is skipped entirely
+  /// for the cheap stale-fallback answer (also below kFallbackSlackNs).
   double fallback_depth_frac = 0.85;
-  uint64_t fallback_slack_ns = 300'000;    // < 300 µs slack: no walk
-  /// Time quantum of one class's turn in the worker rotation. Serving
-  /// one entry per class per turn would ration by COUNT — the class
-  /// with the highest arrival rate overflows first even when its
-  /// queries are 100x cheaper than everyone else's. A time slice is
-  /// cost-aware for free: a turn drains hundreds of cheap queries or a
-  /// couple of expensive walks, and no class can hold a worker longer
-  /// than slice + one query.
-  uint64_t class_slice_ns = 500'000;       // 500 µs per class turn
   ClockFn clock = &obs::NowNanos;
 };
+
+/// Deadline slack below which a personalized walk runs at reduced
+/// budget: its length divided by kReducedWalkDivisor.
+inline constexpr uint64_t kReduceSlackNs = 2'000'000;
+inline constexpr uint64_t kReducedWalkDivisor = 4;
+/// Deadline slack below which no walk runs (the stale fallback).
+inline constexpr uint64_t kFallbackSlackNs = 300'000;
+/// Time quantum of one class's turn in the worker rotation. Serving one
+/// entry per class per turn would ration by COUNT — the class with the
+/// highest arrival rate overflows first even when its queries are 100x
+/// cheaper than everyone else's. A time slice is cost-aware for free: a
+/// turn drains hundreds of cheap queries or a couple of expensive walks,
+/// and no class can hold a worker longer than slice + one query.
+inline constexpr uint64_t kClassSliceNs = 500'000;
 
 /// Outcome tallies, readable at any time (relaxed atomics). The
 /// fault-injection tests assert resolved() == submitted().
@@ -221,8 +219,6 @@ class ServingTier {
         cache_(options.cache) {
     FASTPPR_CHECK(service_ != nullptr);
     FASTPPR_CHECK(options_.num_workers >= 1);
-    FASTPPR_CHECK(options_.reduced_walk_divisor >= 1);
-    FASTPPR_CHECK(options_.max_batch >= 1);
     om_ = service_->engine()->metric_handles();
     workers_.reserve(options_.num_workers);
     for (std::size_t w = 0; w < options_.num_workers; ++w) {
@@ -345,13 +341,14 @@ class ServingTier {
   /// Result-cache lifetime totals (hits/misses/insertions/evictions).
   ResultCache::Stats cache_stats() const { return cache_.stats(); }
 
-  /// Personalized batch executions (each = one frozen-view pin) and the
-  /// requests served inside them. A batch of one still counts.
+  /// Both count executed personalized walks: each request is its own
+  /// batch of one (one frozen-view pin), so their ratio, the mean batch
+  /// size, is 1 whenever a walk ran.
   uint64_t batches_executed() const {
-    return batches_executed_.load(std::memory_order_relaxed);
+    return walks_executed_.load(std::memory_order_relaxed);
   }
   uint64_t batched_requests() const {
-    return batched_requests_.load(std::memory_order_relaxed);
+    return walks_executed_.load(std::memory_order_relaxed);
   }
 
   /// Test-only fault injection (slow shard, stalled dependency): when
@@ -494,18 +491,16 @@ class ServingTier {
     req.on_done(resp);
   }
 
-  /// Per-item context the batcher carries alongside each staged query.
-  struct BatchAux {
-    Request req;
-    uint64_t queue_ns = 0;
-    DegradeLevel degrade = DegradeLevel::kFull;
-    uint64_t fresh_epoch = 0;
+  /// One worker's reusable read buffers: the merged-count scratch of
+  /// the snapshot reads and the dense walk scratch of the personalized
+  /// ones.
+  struct WorkerScratch {
+    ReadScratch read;
+    typename Service::PersonalizedScratch walk;
   };
-  using Batcher = PersonalizedBatcher<Service, BatchAux>;
 
   void WorkerLoop() {
-    ReadScratch scratch;
-    Batcher batcher(options_.max_batch);
+    WorkerScratch scratch;
     std::size_t rotate = 0;
     for (;;) {
       bool did_work = false;
@@ -515,11 +510,7 @@ class ServingTier {
       // being rationed to one query per rotation.
       for (std::size_t i = 0; i < kNumQueryClasses; ++i) {
         const std::size_t cls = (rotate + i) % kNumQueryClasses;
-        const uint64_t slice_end =
-            options_.clock() + options_.class_slice_ns;
-        const bool batch_this_class =
-            cls == static_cast<std::size_t>(QueryClass::kPersonalized) &&
-            options_.max_batch > 1;
+        const uint64_t slice_end = options_.clock() + kClassSliceNs;
         for (;;) {
           Request req;
           uint64_t queue_ns = 0;
@@ -529,18 +520,11 @@ class ServingTier {
           queued_.fetch_sub(1, std::memory_order_relaxed);
           if (out == DequeueOutcome::kShed) {
             RespondShed(req, 0, queue_ns);
-          } else if (batch_this_class) {
-            CollectPersonalized(std::move(req), queue_ns, &scratch,
-                                &batcher);
-            if (batcher.full()) FlushBatch(&batcher);
           } else {
             Execute(req, queue_ns, &scratch);
           }
           if (options_.clock() >= slice_end) break;
         }
-        // Nothing staged outlives the class turn: whatever the slice
-        // collected executes now, against one pinned view.
-        if (batch_this_class) FlushBatch(&batcher);
         if (did_work) break;  // re-scan from the next class
       }
       ++rotate;
@@ -558,84 +542,6 @@ class ServingTier {
     }
   }
 
-  /// Batched-path admission of one dequeued personalized request. The
-  /// per-request decisions run at collect time, exactly as the
-  /// unbatched path runs them at execute time: deadline fail-fast, the
-  /// fault hook, and the degradation ladder (evaluated against the live
-  /// queue depth). Fallback-rung requests execute immediately — they
-  /// don't walk, so there is nothing to batch; the rest stage their
-  /// ladder-chosen budget for the next flush.
-  void CollectPersonalized(Request req, uint64_t queue_ns,
-                           ReadScratch* scratch, Batcher* batcher) {
-    Response resp;
-    resp.queue_ns = queue_ns;
-    if (req.deadline.expired()) {
-      RespondDeadline(req, &resp);
-      return;
-    }
-    if (fault_armed_.load(std::memory_order_acquire)) {
-      std::function<void(QueryClass)> hook;
-      {
-        std::lock_guard<std::mutex> lock(fault_mu_);
-        hook = fault_hook_;
-      }
-      if (hook) hook(req.cls);
-    }
-    resp.fresh_epoch = service_->published_epoch();
-    const std::size_t cls = static_cast<std::size_t>(req.cls);
-    resp.degrade = Ladder(req, queues_[cls].size());
-    if (resp.degrade == DegradeLevel::kStaleFallback) {
-      const uint64_t t0 = options_.clock();
-      const Status status = ExecutePersonalized(req, scratch, &resp);
-      resp.service_ns = options_.clock() - t0;
-      FinishExecuted(req, status, &resp);
-      return;
-    }
-    typename Batcher::Item item;
-    item.seed = req.node;
-    item.k = req.k;
-    item.walk_length =
-        resp.degrade == DegradeLevel::kReducedWalk
-            ? std::max<uint64_t>(
-                  1, req.walk_length / options_.reduced_walk_divisor)
-            : req.walk_length;
-    item.exclude_friends = req.exclude_friends;
-    item.rng_seed = req.rng_seed;
-    item.options.deadline = req.deadline;
-    BatchAux aux;
-    aux.queue_ns = queue_ns;
-    aux.degrade = resp.degrade;
-    aux.fresh_epoch = resp.fresh_epoch;
-    aux.req = std::move(req);
-    batcher->Add(std::move(item), std::move(aux));
-  }
-
-  /// Executes the staged batch through one pinned frozen view and turns
-  /// each item back into a Response on the shared finish path — the
-  /// same tallies, metrics and cache insert the unbatched path takes.
-  void FlushBatch(Batcher* batcher) {
-    if (batcher->empty()) return;
-    const std::size_t cls =
-        static_cast<std::size_t>(QueryClass::kPersonalized);
-    batches_executed_.fetch_add(1, std::memory_order_relaxed);
-    batched_requests_.fetch_add(batcher->size(), std::memory_order_relaxed);
-    if (service_->engine()->metrics_enabled()) {
-      om_.serve_batches->Add(1, cls);
-      om_.serve_batched_requests->Add(batcher->size(), cls);
-    }
-    batcher->Flush(service_, options_.clock,
-                   [this](BatchAux& aux, typename Batcher::Item& item) {
-                     Response resp;
-                     resp.queue_ns = aux.queue_ns;
-                     resp.degrade = aux.degrade;
-                     resp.fresh_epoch = aux.fresh_epoch;
-                     resp.snapshot = item.snapshot;
-                     resp.service_ns = item.service_ns;
-                     resp.ranked = std::move(item.ranked);
-                     FinishExecuted(aux.req, item.status, &resp);
-                   });
-  }
-
   /// The degradation ladder: queue depth (how far behind the tier is)
   /// and deadline slack (how much time this request has left) each
   /// push the answer down a rung; the worse of the two wins. The depth
@@ -647,17 +553,18 @@ class ServingTier {
         queues_[static_cast<std::size_t>(req.cls)].capacity());
     const uint64_t slack = req.deadline.remaining_nanos();
     if (static_cast<double>(depth) >= options_.fallback_depth_frac * cap ||
-        slack < options_.fallback_slack_ns) {
+        slack < kFallbackSlackNs) {
       return DegradeLevel::kStaleFallback;
     }
     if (static_cast<double>(depth) >= options_.reduce_depth_frac * cap ||
-        slack < options_.reduce_slack_ns) {
+        slack < kReduceSlackNs) {
       return DegradeLevel::kReducedWalk;
     }
     return DegradeLevel::kFull;
   }
 
-  void Execute(const Request& req, uint64_t queue_ns, ReadScratch* scratch) {
+  void Execute(const Request& req, uint64_t queue_ns,
+               WorkerScratch* scratch) {
     const std::size_t cls = static_cast<std::size_t>(req.cls);
     Response resp;
     resp.queue_ns = queue_ns;
@@ -684,7 +591,8 @@ class ServingTier {
     Status status;
     switch (req.cls) {
       case QueryClass::kTopK: {
-        resp.topk = service_->TopKInto(req.k, scratch, &resp.snapshot);
+        resp.topk =
+            service_->TopKInto(req.k, &scratch->read, &resp.snapshot);
         status = Status::OK();
         break;
       }
@@ -702,9 +610,8 @@ class ServingTier {
     FinishExecuted(req, status, &resp);
   }
 
-  /// The shared post-execution path (unbatched Execute AND the batch
-  /// flush sink): status routing, tallies, metrics, the cache insert,
-  /// and the single on_done.
+  /// The post-execution path: status routing, tallies, metrics, the
+  /// cache insert, and the single on_done.
   void FinishExecuted(const Request& req, const Status& status,
                       Response* resp) {
     const std::size_t cls = static_cast<std::size_t>(req.cls);
@@ -736,16 +643,17 @@ class ServingTier {
   /// frozen-view pin — the answer an overloaded recommender can still
   /// afford, labelled (degrade + epochs) so it is never mistaken for a
   /// personalized result.
-  Status ExecutePersonalized(const Request& req, ReadScratch* scratch,
+  Status ExecutePersonalized(const Request& req, WorkerScratch* scratch,
                              Response* resp) {
     if (resp->degrade == DegradeLevel::kStaleFallback) {
+      ReadScratch& read = scratch->read;
       int64_t total = 0;
-      service_->SnapshotCountsInto(scratch, &total, &resp->snapshot);
-      TopKByCountInto(scratch->counts, req.k, &scratch->ranked);
+      service_->SnapshotCountsInto(&read, &total, &resp->snapshot);
+      TopKByCountInto(read.counts, req.k, &read.ranked);
       resp->ranked.clear();
-      resp->ranked.reserve(scratch->ranked.size());
-      for (NodeId v : scratch->ranked) {
-        const int64_t visits = scratch->counts[v];
+      resp->ranked.reserve(read.ranked.size());
+      for (NodeId v : read.ranked) {
+        const int64_t visits = read.counts[v];
         resp->ranked.push_back(ScoredNode{
             v, visits,
             total == 0 ? 0.0
@@ -756,15 +664,15 @@ class ServingTier {
     }
     uint64_t length = req.walk_length;
     if (resp->degrade == DegradeLevel::kReducedWalk) {
-      length = std::max<uint64_t>(1, length / options_.reduced_walk_divisor);
+      length = std::max<uint64_t>(1, length / kReducedWalkDivisor);
     }
     WalkerOptions wopts;
     wopts.deadline = req.deadline;
-    return service_->PersonalizedTopK(req.node, req.k, length,
-                                      req.exclude_friends, req.rng_seed,
-                                      wopts, &resp->ranked,
-                                      /*walk_stats=*/nullptr,
-                                      &resp->snapshot);
+    walks_executed_.fetch_add(1, std::memory_order_relaxed);
+    return service_->PersonalizedTopKInto(
+        req.node, req.k, length, req.exclude_friends, req.rng_seed, wopts,
+        &scratch->walk, &resp->ranked, /*walk_stats=*/nullptr,
+        &resp->snapshot);
   }
 
   void RespondDeadline(const Request& req, Response* resp) {
@@ -787,8 +695,7 @@ class ServingTier {
   std::atomic<int> idle_workers_{0};
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> tally_[6] = {};
-  std::atomic<uint64_t> batches_executed_{0};
-  std::atomic<uint64_t> batched_requests_{0};
+  std::atomic<uint64_t> walks_executed_{0};
   std::mutex wake_mu_;
   std::condition_variable wake_;
   std::mutex fault_mu_;

@@ -90,8 +90,9 @@ TEST(IntegrationTest, PersonalizedWalkOnEvolvedStore) {
   PersonalizedPageRankWalker walker(&engine.walk_store(),
                                     &engine.social_store());
   const NodeId seed = 42;
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult walk;
-  ASSERT_TRUE(walker.Walk(seed, 200000, 7, &walk).ok());
+  ASSERT_TRUE(walker.Walk(seed, 200000, 7, &scratch, &walk).ok());
 
   PowerIterationOptions opts;
   opts.epsilon = 0.2;
@@ -99,11 +100,8 @@ TEST(IntegrationTest, PersonalizedWalkOnEvolvedStore) {
                                     seed, opts);
   double l1 = 0.0;
   for (NodeId v = 0; v < 150; ++v) {
-    auto it = walk.visit_counts.find(v);
-    const double freq = it == walk.visit_counts.end()
-                            ? 0.0
-                            : static_cast<double>(it->second) /
-                                  static_cast<double>(walk.length);
+    const double freq = static_cast<double>(scratch.counts[v]) /
+                        static_cast<double>(walk.length);
     l1 += std::abs(freq - exact.scores[v]);
   }
   EXPECT_LT(l1, 0.08);

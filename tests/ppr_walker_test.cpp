@@ -30,12 +30,13 @@ struct Fixture {
 TEST(PprWalkerTest, WalkReachesRequestedLength) {
   Fixture f(50, 400, 5, 0.2, 1);
   PersonalizedPageRankWalker walker(&f.store, &f.social);
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
-  ASSERT_TRUE(walker.Walk(3, 5000, 2, &result).ok());
+  ASSERT_TRUE(walker.Walk(3, 5000, 2, &scratch, &result).ok());
   EXPECT_GE(result.length, 5000u);
   // Total visits recorded equals the length.
   int64_t total = 0;
-  for (const auto& [node, cnt] : result.visit_counts) total += cnt;
+  for (NodeId v : scratch.visited) total += scratch.counts[v];
   EXPECT_EQ(static_cast<uint64_t>(total), result.length);
   EXPECT_GE(result.fetches, 1u);
   EXPECT_GT(result.resets, 0u);
@@ -44,16 +45,19 @@ TEST(PprWalkerTest, WalkReachesRequestedLength) {
 TEST(PprWalkerTest, InvalidSeedRejected) {
   Fixture f(10, 50, 3, 0.2, 3);
   PersonalizedPageRankWalker walker(&f.store, &f.social);
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
-  EXPECT_TRUE(walker.Walk(99, 100, 4, &result).IsInvalidArgument());
+  EXPECT_TRUE(
+      walker.Walk(99, 100, 4, &scratch, &result).IsInvalidArgument());
 }
 
 TEST(PprWalkerTest, VisitDistributionMatchesExactPersonalizedPageRank) {
   Fixture f(40, 300, 10, 0.2, 5);
   PersonalizedPageRankWalker walker(&f.store, &f.social);
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
   const NodeId seed = 7;
-  ASSERT_TRUE(walker.Walk(seed, 400000, 6, &result).ok());
+  ASSERT_TRUE(walker.Walk(seed, 400000, 6, &scratch, &result).ok());
 
   PowerIterationOptions opts;
   opts.epsilon = 0.2;
@@ -62,12 +66,8 @@ TEST(PprWalkerTest, VisitDistributionMatchesExactPersonalizedPageRank) {
                            opts);
   double l1 = 0.0;
   for (NodeId v = 0; v < 40; ++v) {
-    auto it = result.visit_counts.find(v);
-    const double freq =
-        it == result.visit_counts.end()
-            ? 0.0
-            : static_cast<double>(it->second) /
-                  static_cast<double>(result.length);
+    const double freq = static_cast<double>(scratch.counts[v]) /
+                        static_cast<double>(result.length);
     l1 += std::abs(freq - exact.scores[v]);
   }
   EXPECT_LT(l1, 0.05);
@@ -78,8 +78,9 @@ TEST(PprWalkerTest, FetchBudgetExhaustionReported) {
   WalkerOptions opts;
   opts.max_fetches = 3;
   PersonalizedPageRankWalker walker(&f.store, &f.social, opts);
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
-  Status s = walker.Walk(0, 100000, 8, &result);
+  Status s = walker.Walk(0, 100000, 8, &scratch, &result);
   EXPECT_TRUE(s.IsResourceExhausted());
 }
 
@@ -90,9 +91,10 @@ TEST(PprWalkerTest, OneEdgeFetchModeCostsMoreFetches) {
   one_opts.fetch_mode = FetchMode::kSegmentsAndOneEdge;
   PersonalizedPageRankWalker one_mode(&f.store, &f.social, one_opts);
 
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult all_result, one_result;
-  ASSERT_TRUE(all_mode.Walk(1, 20000, 10, &all_result).ok());
-  ASSERT_TRUE(one_mode.Walk(1, 20000, 10, &one_result).ok());
+  ASSERT_TRUE(all_mode.Walk(1, 20000, 10, &scratch, &all_result).ok());
+  ASSERT_TRUE(one_mode.Walk(1, 20000, 10, &scratch, &one_result).ok());
   EXPECT_GE(one_result.fetches, all_result.fetches);
   // Remark 1: one-edge mode pays one fetch per manual step on top of the
   // per-node fetches.
@@ -143,9 +145,10 @@ TEST(PprWalkerTest, FetchCountGrowsSublinearlyInWalkLength) {
   // for short-to-moderate walks; sanity-check the qualitative shape.
   Fixture f(2000, 30000, 10, 0.2, 15);
   PersonalizedPageRankWalker walker(&f.store, &f.social);
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult short_walk, long_walk;
-  ASSERT_TRUE(walker.Walk(0, 1000, 16, &short_walk).ok());
-  ASSERT_TRUE(walker.Walk(0, 10000, 16, &long_walk).ok());
+  ASSERT_TRUE(walker.Walk(0, 1000, 16, &scratch, &short_walk).ok());
+  ASSERT_TRUE(walker.Walk(0, 10000, 16, &scratch, &long_walk).ok());
   EXPECT_LT(long_walk.fetches, long_walk.length);
   EXPECT_GE(long_walk.fetches, short_walk.fetches);
 }
@@ -158,15 +161,23 @@ TEST(PprWalkerTest, DanglingSeedStillWalks) {
   WalkStore store;
   store.Init(social.graph(), 2, 0.2, 17);
   PersonalizedPageRankWalker walker(&store, &social);
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
-  ASSERT_TRUE(walker.Walk(0, 100, 18, &result).ok());
+  ASSERT_TRUE(walker.Walk(0, 100, 18, &scratch, &result).ok());
   EXPECT_GE(result.length, 100u);
-  EXPECT_EQ(result.visit_counts.at(0), static_cast<int64_t>(result.length));
+  ASSERT_EQ(scratch.visited.size(), 1u);
+  EXPECT_EQ(scratch.counts[0], static_cast<int64_t>(result.length));
 }
 
 TEST(RankVisitsTest, StableOrderingAndScores) {
-  std::unordered_map<NodeId, int64_t> counts{{1, 5}, {2, 5}, {3, 9}};
-  auto ranked = RankVisits(counts, 3, 19, {});
+  // Touched in an order that differs from the ranking, with an excluded
+  // node that would otherwise rank first.
+  const std::vector<int64_t> counts{0, 5, 5, 9, 12};
+  const std::vector<NodeId> touched{2, 4, 1, 3};
+  const std::vector<uint8_t> excluded{0, 0, 0, 0, 1};
+  std::vector<ScoredNode> tmp;
+  std::vector<ScoredNode> ranked;
+  RankVisitsDenseInto(counts, touched, excluded, 3, 19, &tmp, &ranked);
   ASSERT_EQ(ranked.size(), 3u);
   EXPECT_EQ(ranked[0].node, 3u);
   EXPECT_EQ(ranked[1].node, 1u);  // tie broken by id

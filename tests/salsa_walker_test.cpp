@@ -29,12 +29,15 @@ struct Fixture {
 TEST(SalsaWalkerTest, WalkReachesLengthAndCountsSplitBySide) {
   Fixture f(40, 300, 5, 0.2, 1);
   PersonalizedSalsaWalker walker(&f.store, &f.social);
+  SalsaWalkScratch scratch;
   SalsaWalkResult result;
-  ASSERT_TRUE(walker.Walk(2, 8000, 2, &result).ok());
+  ASSERT_TRUE(walker.Walk(2, 8000, 2, &scratch, &result).ok());
   EXPECT_GE(result.length, 8000u);
   int64_t hub_total = 0, auth_total = 0;
-  for (const auto& [node, c] : result.hub_counts) hub_total += c;
-  for (const auto& [node, c] : result.authority_counts) auth_total += c;
+  for (NodeId v : scratch.hub_visited) hub_total += scratch.hub_counts[v];
+  for (NodeId v : scratch.authority_visited) {
+    auth_total += scratch.authority_counts[v];
+  }
   EXPECT_EQ(static_cast<uint64_t>(hub_total + auth_total), result.length);
   // Alternating walk: the two sides are roughly balanced.
   EXPECT_NEAR(static_cast<double>(hub_total) /
@@ -45,24 +48,25 @@ TEST(SalsaWalkerTest, WalkReachesLengthAndCountsSplitBySide) {
 TEST(SalsaWalkerTest, MatchesExactPersonalizedSalsa) {
   Fixture f(30, 250, 10, 0.2, 3);
   PersonalizedSalsaWalker walker(&f.store, &f.social);
+  SalsaWalkScratch scratch;
   SalsaWalkResult result;
   const NodeId seed = 5;
-  ASSERT_TRUE(walker.Walk(seed, 400000, 4, &result).ok());
+  ASSERT_TRUE(walker.Walk(seed, 400000, 4, &scratch, &result).ok());
 
   SalsaOptions opts;
   opts.epsilon = 0.2;
   auto exact = PersonalizedSalsaExact(
       CsrGraph::FromDiGraph(f.social.graph()), seed, opts);
   int64_t auth_total = 0;
-  for (const auto& [node, c] : result.authority_counts) auth_total += c;
+  for (NodeId v : scratch.authority_visited) {
+    auth_total += scratch.authority_counts[v];
+  }
   double l1 = 0.0;
   for (NodeId v = 0; v < 30; ++v) {
-    auto it = result.authority_counts.find(v);
     const double freq =
-        (it == result.authority_counts.end() || auth_total == 0)
-            ? 0.0
-            : static_cast<double>(it->second) /
-                  static_cast<double>(auth_total);
+        auth_total == 0 ? 0.0
+                        : static_cast<double>(scratch.authority_counts[v]) /
+                              static_cast<double>(auth_total);
     l1 += std::abs(freq - exact.authority[v]);
   }
   EXPECT_LT(l1, 0.06);
@@ -90,15 +94,19 @@ TEST(SalsaWalkerTest, FetchBudgetRespected) {
   WalkerOptions opts;
   opts.max_fetches = 2;
   PersonalizedSalsaWalker walker(&f.store, &f.social, opts);
+  SalsaWalkScratch scratch;
   SalsaWalkResult result;
-  EXPECT_TRUE(walker.Walk(0, 100000, 8, &result).IsResourceExhausted());
+  EXPECT_TRUE(
+      walker.Walk(0, 100000, 8, &scratch, &result).IsResourceExhausted());
 }
 
 TEST(SalsaWalkerTest, InvalidSeed) {
   Fixture f(10, 60, 2, 0.2, 9);
   PersonalizedSalsaWalker walker(&f.store, &f.social);
+  SalsaWalkScratch scratch;
   SalsaWalkResult result;
-  EXPECT_TRUE(walker.Walk(50, 100, 10, &result).IsInvalidArgument());
+  EXPECT_TRUE(
+      walker.Walk(50, 100, 10, &scratch, &result).IsInvalidArgument());
 }
 
 TEST(SalsaWalkerTest, IsolatedSeedProducesSeedOnlyWalk) {
@@ -107,10 +115,12 @@ TEST(SalsaWalkerTest, IsolatedSeedProducesSeedOnlyWalk) {
   SalsaWalkStore store;
   store.Init(social.graph(), 3, 0.2, 11);
   PersonalizedSalsaWalker walker(&store, &social);
+  SalsaWalkScratch scratch;
   SalsaWalkResult result;
-  ASSERT_TRUE(walker.Walk(0, 50, 12, &result).ok());
-  EXPECT_EQ(result.hub_counts.at(0), static_cast<int64_t>(result.length));
-  EXPECT_TRUE(result.authority_counts.empty());
+  ASSERT_TRUE(walker.Walk(0, 50, 12, &scratch, &result).ok());
+  ASSERT_EQ(scratch.hub_visited.size(), 1u);
+  EXPECT_EQ(scratch.hub_counts[0], static_cast<int64_t>(result.length));
+  EXPECT_TRUE(scratch.authority_visited.empty());
 }
 
 TEST(SalsaWalkerTest, OneEdgeModeNeverCheaper) {
@@ -119,9 +129,10 @@ TEST(SalsaWalkerTest, OneEdgeModeNeverCheaper) {
   WalkerOptions one_opts;
   one_opts.fetch_mode = FetchMode::kSegmentsAndOneEdge;
   PersonalizedSalsaWalker one_mode(&f.store, &f.social, one_opts);
+  SalsaWalkScratch scratch;
   SalsaWalkResult a, b;
-  ASSERT_TRUE(all_mode.Walk(1, 15000, 14, &a).ok());
-  ASSERT_TRUE(one_mode.Walk(1, 15000, 14, &b).ok());
+  ASSERT_TRUE(all_mode.Walk(1, 15000, 14, &scratch, &a).ok());
+  ASSERT_TRUE(one_mode.Walk(1, 15000, 14, &scratch, &b).ok());
   EXPECT_GE(b.fetches, a.fetches);
 }
 

@@ -1,20 +1,21 @@
-// Batched personalized serving + the epoch-keyed result cache
-// (DESIGN.md §10). The load-bearing contracts:
+// The personalized read path's per-worker walk scratch and the
+// epoch-keyed result cache (DESIGN.md §10). The load-bearing contracts:
 //
-//  * Bit-identity — a request executed inside a batch (one frozen-view
-//    pin, one shared dense scratch) returns EXACTLY the answer its
-//    unbatched execution returns at the same epoch: same nodes, same
-//    visit counts, same scores, same audited snapshot epochs. Checked
-//    differentially for both engines (PPR and SALSA) and across scratch
-//    reuse, at the service layer and through the tier.
+//  * Scratch reuse — one dense walk scratch serves every personalized
+//    request a worker executes, walks that abort mid-way included (a
+//    deadline or a fetch budget leaves the arrays dirty). Every answer
+//    equals the same query run on a freshly constructed scratch: same
+//    nodes, same visit counts, same scores, same audited snapshot epochs.
+//    Checked for both engines (PPR and SALSA) at the service layer, and
+//    through one tier worker against direct service calls.
 //  * Cache correctness — a hit is labelled (Response::cache_hit), equal
 //    to the freshly executed answer, and reachable ONLY at the epoch it
 //    was computed at: a publish rotation invalidates by construction
 //    (the lookup key carries the current frozen epoch).
 //
-// The TSan stress at the bottom races batched serving + repeat-seed
-// cache traffic against the ingest/publish rotation (runs in the TSan
-// CI job alongside serving_test).
+// The TSan stress at the bottom races tier serving + repeat-seed cache
+// traffic against the ingest/publish rotation (runs in the TSan CI job
+// alongside serving_test).
 
 #include <atomic>
 #include <condition_variable>
@@ -77,58 +78,124 @@ struct ServiceFixture {
   QueryService<Engine> service;
 };
 
-// Runs a mixed batch through PersonalizedTopKInto (one pin, shared
-// scratch), then replays every item through the unbatched
-// PersonalizedTopK and demands exact equality. Two batches share one
-// scratch so the dense-arena reset between batches is exercised too.
+// A clock that advances 1 µs on every read: a deadline of 32 µs on it
+// expires after ~32 reads, i.e. mid-walk (as in serving_test's
+// MidWalkCooperativeCancellation).
+std::atomic<uint64_t> g_stepping_now{0};
+uint64_t SteppingNow() {
+  return g_stepping_now.fetch_add(1000, std::memory_order_relaxed);
+}
+
+std::size_t TouchedNodes(const PersonalizedWalkScratch& s) {
+  return s.visited.size();
+}
+std::size_t TouchedNodes(const SalsaWalkScratch& s) {
+  return s.hub_visited.size() + s.authority_visited.size();
+}
+
+struct OracleQuery {
+  NodeId seed = 0;
+  std::size_t k = 10;
+  uint64_t length = 0;
+  bool exclude_friends = true;
+  uint64_t rng_seed = 0;
+};
+
+// One scratch serves a sequence of PersonalizedTopKInto calls with mixed
+// k, length and friend exclusion, interleaved with a walk cut short by a
+// stepping-clock deadline and one cut short by a max_fetches budget.
+// Each aborted walk leaves the scratch dirty, and the query after it
+// reuses the aborted walk's seed, so a stale count, consumed-segment
+// slot or exclusion flag would change its answer. Every answer must
+// equal the same query on a freshly constructed scratch.
 template <typename Engine>
-void CheckBatchedMatchesUnbatched() {
+void CheckReusedScratchMatchesFresh() {
   using Service = QueryService<Engine>;
-  using Item = typename Service::PersonalizedBatchQuery;
+  using Scratch = typename Service::PersonalizedScratch;
+  using WalkStats = typename Service::WalkStats;
   ServiceFixture<Engine> f(200, 1400, 47);
 
-  typename Service::PersonalizedScratch scratch;
-  for (int round = 0; round < 2; ++round) {
-    std::vector<Item> batch;
-    for (std::size_t i = 0; i < 6; ++i) {
-      Item q;
-      q.seed = static_cast<NodeId>(3 + 31 * i + round);
-      q.k = 5 + (i % 3) * 5;
-      q.walk_length = 800 + 400 * (i % 2);
-      q.exclude_friends = (i % 2 == 0);
-      q.rng_seed = 1000 * (round + 1) + i;
-      batch.push_back(std::move(q));
+  Scratch reused;
+  std::size_t answered = 0;
+  auto check_against_fresh = [&](const OracleQuery& q) {
+    std::vector<ScoredNode> got;
+    WalkStats got_stats;
+    SnapshotInfo got_info;
+    ASSERT_TRUE(f.service
+                    .PersonalizedTopKInto(q.seed, q.k, q.length,
+                                          q.exclude_friends, q.rng_seed,
+                                          WalkerOptions(), &reused, &got,
+                                          &got_stats, &got_info)
+                    .ok());
+    Scratch fresh;
+    std::vector<ScoredNode> expected;
+    WalkStats expected_stats;
+    SnapshotInfo expected_info;
+    ASSERT_TRUE(f.service
+                    .PersonalizedTopKInto(q.seed, q.k, q.length,
+                                          q.exclude_friends, q.rng_seed,
+                                          WalkerOptions(), &fresh,
+                                          &expected, &expected_stats,
+                                          &expected_info)
+                    .ok());
+    EXPECT_EQ(got_info.min_epoch, got_info.max_epoch);
+    EXPECT_EQ(got_info.min_epoch, expected_info.min_epoch);
+    EXPECT_EQ(got_info.max_epoch, expected_info.max_epoch);
+    EXPECT_EQ(got_stats.length, expected_stats.length);
+    EXPECT_EQ(got_stats.fetches, expected_stats.fetches);
+    EXPECT_EQ(got_stats.segments_used, expected_stats.segments_used);
+    ASSERT_FALSE(expected.empty());
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(got[i].node, expected[i].node);
+      EXPECT_EQ(got[i].visits, expected[i].visits);
+      EXPECT_EQ(got[i].score, expected[i].score);  // bit-identical
     }
-    f.service.PersonalizedTopKInto(std::span<Item>(batch), &scratch);
+    ++answered;
+  };
 
-    for (const Item& q : batch) {
-      ASSERT_TRUE(q.status.ok()) << q.status.ToString();
-      EXPECT_EQ(q.snapshot.min_epoch, q.snapshot.max_epoch);
-      std::vector<ScoredNode> expected;
-      SnapshotInfo si;
-      ASSERT_TRUE(f.service
-                      .PersonalizedTopK(q.seed, q.k, q.walk_length,
-                                        q.exclude_friends, q.rng_seed,
-                                        &expected, /*walk_stats=*/nullptr,
-                                        &si)
-                      .ok());
-      EXPECT_EQ(q.snapshot.min_epoch, si.min_epoch);
-      ASSERT_EQ(q.ranked.size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(q.ranked[i].node, expected[i].node);
-        EXPECT_EQ(q.ranked[i].visits, expected[i].visits);
-        EXPECT_EQ(q.ranked[i].score, expected[i].score);  // bit-identical
-      }
-    }
+  check_against_fresh({3, 5, 800, true, 1000});
+  check_against_fresh({34, 10, 1200, false, 1001});
+
+  // Cut short mid-walk by the stepping-clock deadline.
+  {
+    g_stepping_now.store(0);
+    WalkerOptions opts;
+    opts.deadline = serve::Deadline::AfterNanos(32'000, &SteppingNow);
+    std::vector<ScoredNode> ranked;
+    WalkStats stats;
+    const Status s = f.service.PersonalizedTopKInto(
+        65, 10, 1'000'000, true, 1002, opts, &reused, &ranked, &stats);
+    ASSERT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
+    EXPECT_GT(stats.length, 0u);
+    EXPECT_LT(stats.length, 1'000'000u);
+    EXPECT_GT(TouchedNodes(reused), 0u);
   }
+  check_against_fresh({65, 15, 800, true, 1003});
+  check_against_fresh({96, 5, 1200, false, 1004});
+
+  // Cut short by the fetch budget.
+  {
+    WalkerOptions opts;
+    opts.max_fetches = 3;
+    std::vector<ScoredNode> ranked;
+    WalkStats stats;
+    const Status s = f.service.PersonalizedTopKInto(
+        127, 10, 100'000, false, 1005, opts, &reused, &ranked, &stats);
+    ASSERT_TRUE(s.IsResourceExhausted()) << s.ToString();
+    EXPECT_GT(TouchedNodes(reused), 0u);
+  }
+  check_against_fresh({127, 10, 1200, true, 1006});
+  check_against_fresh({158, 15, 2000, false, 1007});
+  EXPECT_EQ(answered, 6u);
 }
 
-TEST(BatchedPersonalizedTest, PageRankBatchedMatchesUnbatchedBitForBit) {
-  CheckBatchedMatchesUnbatched<IncrementalPageRank>();
+TEST(PersonalizedScratchTest, PageRankReusedScratchMatchesFreshAfterAborts) {
+  CheckReusedScratchMatchesFresh<IncrementalPageRank>();
 }
 
-TEST(BatchedPersonalizedTest, SalsaBatchedMatchesUnbatchedBitForBit) {
-  CheckBatchedMatchesUnbatched<IncrementalSalsa>();
+TEST(PersonalizedScratchTest, SalsaReusedScratchMatchesFreshAfterAborts) {
+  CheckReusedScratchMatchesFresh<IncrementalSalsa>();
 }
 
 // ---- tier-level -----------------------------------------------------
@@ -181,59 +248,33 @@ Request PersonalizedRequest(NodeId node, uint64_t rng_seed,
   return req;
 }
 
-// A gated worker forms a real multi-request batch (batches_executed /
-// batched_requests prove it), and every answer served through the batch
-// equals a direct unbatched service call — the tier-level half of the
-// bit-identity contract.
-TEST(BatchedServingTierTest, WorkerCoalescesSliceIntoBatchBitIdentically) {
+// One worker serves every request on its one walk scratch, and every
+// answer equals a direct service call on a fresh thread-local scratch:
+// the tier-level half of the scratch-reuse contract.
+TEST(ServingTierScratchTest, WorkerAnswersEqualDirectCalls) {
   ServingTierOptions topt;
   topt.num_workers = 1;
   topt.queue.capacity = 64;
-  topt.max_batch = 8;
-  // Generous CoDel horizon: nothing queued behind the gate may shed,
-  // however slowly the sanitizer runs this.
+  // Generous CoDel horizon: nothing queued may shed, however slowly the
+  // sanitizer runs this.
   topt.queue.target_delay_ns = 500'000'000;
   topt.queue.shed_interval_ns = 2'000'000'000;
   const std::size_t n = 200;
   TierFixture f(n, topt);
 
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool hook_entered = false;
-  bool gate_open = false;
-  f.tier.SetFaultHook([&](QueryClass) {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    hook_entered = true;
-    gate_cv.notify_all();
-    gate_cv.wait(lock, [&] { return gate_open; });
-  });
-
   Collector col;
   const std::size_t total = 6;
-  f.tier.Submit(PersonalizedRequest(3, 100, &col));
-  {
-    // The worker holds request 0 at collect time; the rest pile into
-    // the queue so the reopened slice coalesces them into one batch.
-    std::unique_lock<std::mutex> lock(gate_mu);
-    ASSERT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(10),
-                                 [&] { return hook_entered; }));
-  }
-  for (std::size_t i = 1; i < total; ++i) {
+  for (std::size_t i = 0; i < total; ++i) {
     f.tier.Submit(PersonalizedRequest(static_cast<NodeId>(3 + 17 * i),
                                       100 + i, &col));
   }
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-    gate_cv.notify_all();
-  }
   ASSERT_TRUE(col.WaitFor(total, 20'000));
-  EXPECT_GE(f.tier.batches_executed(), 1u);
-  EXPECT_GE(f.tier.batched_requests(), 2u);
+  // Each executed walk counts as a batch of one in both counters.
+  EXPECT_EQ(f.tier.batches_executed(), total);
   EXPECT_EQ(f.tier.batched_requests(), total);
 
   for (std::size_t i = 0; i < total; ++i) {
-    const NodeId node = static_cast<NodeId>(i == 0 ? 3 : 3 + 17 * i);
+    const NodeId node = static_cast<NodeId>(3 + 17 * i);
     const uint64_t rng_seed = 100 + i;
     // Match responses by replaying the request directly: answers are
     // keyed by (node, rng_seed) uniqueness of this test's traffic.
@@ -256,8 +297,8 @@ TEST(BatchedServingTierTest, WorkerCoalescesSliceIntoBatchBitIdentically) {
       }
       if (equal) ++matches;
     }
-    EXPECT_GE(matches, 1u) << "no batched response matched the unbatched "
-                              "answer for node "
+    EXPECT_GE(matches, 1u) << "no tier response matched the direct answer "
+                              "for node "
                            << node;
   }
   EXPECT_EQ(f.tier.outcomes().resolved(), f.tier.submitted());
@@ -355,17 +396,16 @@ TEST(ResultCacheTierTest, PublishRotationInvalidatesByConstruction) {
   EXPECT_EQ(f.tier.outcomes().resolved(), f.tier.submitted());
 }
 
-// The TSan stress (runs in the TSan CI job): batched workers + the
+// The TSan stress (runs in the TSan CI job): tier workers + the
 // epoch-keyed cache under repeat-seed traffic, racing the ingest/
 // publish rotation. Every cache hit must be a well-formed OK answer
 // with a single-epoch snapshot — a rotation may turn hits into misses,
 // never serve a torn or mixed-epoch entry — and every submission
 // resolves exactly once.
-TEST(ResultCacheTierTest, ConcurrentBatchedCacheServingRacesIngest) {
+TEST(ResultCacheTierTest, ConcurrentCacheServingRacesIngest) {
   ServingTierOptions topt;
   topt.num_workers = 2;
   topt.queue.capacity = 64;
-  topt.max_batch = 8;
   const std::size_t n = 300;
   TierFixture f(n, topt);
 

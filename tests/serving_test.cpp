@@ -261,25 +261,27 @@ TEST(WalkerDeadlineTest, ExpiredDeadlineDoesZeroAccumulation) {
   WalkerOptions opts;
   opts.deadline = Deadline::Expired(&FakeNow);
   PersonalizedPageRankWalker walker(&f.store, &f.social, opts);
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
-  Status s = walker.Walk(3, 5000, 2, &result);
+  Status s = walker.Walk(3, 5000, 2, &scratch, &result);
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
   EXPECT_EQ(result.length, 0u);
   EXPECT_EQ(result.fetches, 0u);
-  EXPECT_TRUE(result.visit_counts.empty());
+  EXPECT_TRUE(scratch.visited.empty());
 }
 
 TEST(WalkerDeadlineTest, MidWalkCooperativeCancellation) {
   FlatFixture f(50, 400, 13);
   // The stepping clock advances 1µs per read; the deadline allows ~32
-  // polls. With stride 16 the walk is cancelled mid-accumulation.
+  // reads. At one poll per kDeadlineCheckStride (256) positions the walk
+  // is cancelled after ~8k of its 1M positions.
   g_stepping_now.store(0);
   WalkerOptions opts;
   opts.deadline = Deadline::AfterNanos(32'000, &SteppingNow);
-  opts.deadline_check_stride = 16;
   PersonalizedPageRankWalker walker(&f.store, &f.social, opts);
+  PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
-  Status s = walker.Walk(3, 1'000'000, 2, &result);
+  Status s = walker.Walk(3, 1'000'000, 2, &scratch, &result);
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
   EXPECT_GT(result.length, 0u);          // it did start
   EXPECT_LT(result.length, 1'000'000u);  // and stopped well short
@@ -288,18 +290,21 @@ TEST(WalkerDeadlineTest, MidWalkCooperativeCancellation) {
 TEST(WalkerDeadlineTest, UnexpiredDeadlineDoesNotPerturbTheWalk) {
   FlatFixture f(50, 400, 17);
   PersonalizedPageRankWalker plain(&f.store, &f.social);
+  PersonalizedWalkScratch expected_scratch;
   PersonalizedWalkResult expected;
-  ASSERT_TRUE(plain.Walk(5, 4000, 9, &expected).ok());
+  ASSERT_TRUE(plain.Walk(5, 4000, 9, &expected_scratch, &expected).ok());
 
   WalkerOptions opts;
   opts.deadline = Deadline::AfterMillis(60'000);  // generous, real clock
   PersonalizedPageRankWalker guarded(&f.store, &f.social, opts);
+  PersonalizedWalkScratch got_scratch;
   PersonalizedWalkResult got;
-  ASSERT_TRUE(guarded.Walk(5, 4000, 9, &got).ok());
+  ASSERT_TRUE(guarded.Walk(5, 4000, 9, &got_scratch, &got).ok());
   // Deadline polling must not touch the RNG stream: bit-identical walk.
   EXPECT_EQ(got.length, expected.length);
   EXPECT_EQ(got.resets, expected.resets);
-  EXPECT_EQ(got.visit_counts, expected.visit_counts);
+  EXPECT_EQ(got_scratch.visited, expected_scratch.visited);
+  EXPECT_EQ(got_scratch.counts, expected_scratch.counts);
 }
 
 // ---- QueryService deadline threading --------------------------------
@@ -338,10 +343,11 @@ TEST(QueryServiceDeadlineTest, ExpiredDeadlineShortCircuitsTheService) {
 
   WalkerOptions wopts;
   wopts.deadline = Deadline::Expired(&FakeNow);
+  PrService::PersonalizedScratch scratch;
   std::vector<ScoredNode> ranked;
   PersonalizedWalkResult stats;
-  Status s = service.PersonalizedTopK(3, 10, 2000, true, 7, wopts, &ranked,
-                                      &stats);
+  Status s = service.PersonalizedTopKInto(3, 10, 2000, true, 7, wopts,
+                                          &scratch, &ranked, &stats);
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
   // Short-circuited before the walk: no accumulation happened.
   EXPECT_EQ(stats.length, 0u);
@@ -362,9 +368,12 @@ TEST(QueryServiceDeadlineTest, GenerousDeadlineMatchesNoDeadline) {
 
   WalkerOptions wopts;
   wopts.deadline = Deadline::AfterMillis(60'000);
+  PrService::PersonalizedScratch scratch;
   std::vector<ScoredNode> guarded;
-  ASSERT_TRUE(
-      service.PersonalizedTopK(3, 10, 2000, true, 7, wopts, &guarded).ok());
+  ASSERT_TRUE(service
+                  .PersonalizedTopKInto(3, 10, 2000, true, 7, wopts,
+                                        &scratch, &guarded)
+                  .ok());
   ASSERT_EQ(guarded.size(), plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(guarded[i].node, plain[i].node);

@@ -168,9 +168,9 @@ TEST(SlabMemoryRegressionTest, BytesPerEdgeWithinCommittedBound) {
   // The committed bound of the memory diet: the slab pays at most 1.5x
   // the legacy vector-of-vectors layout per edge on a power-law graph
   // (it paid ~2.4x before the compact twin encoding + quarter-spaced
-  // coalescing arena). The legacy accounting is reconstructed here the
-  // way bench/legacy/legacy_digraph.h reports it: vector headers plus
-  // capacity bytes, malloc overhead uncounted (which flatters legacy).
+  // coalescing arena). The legacy accounting is reconstructed here:
+  // vector headers plus capacity bytes, malloc overhead uncounted (which
+  // flatters legacy).
   const std::size_t n = 20000;
   const auto edges = PowerLawEdges(n, 10, 11);
 
