@@ -119,9 +119,9 @@ int main() {
       all_f += static_cast<double>(a.fetches);
       one_f += static_cast<double>(b.fetches);
       // The scratch holds the one-edge walk's visits.
-      for (NodeId node : scratch.visited) {
+      for (NodeId node : scratch.visited[0]) {
         const double extra =
-            static_cast<double>(scratch.counts[node]) -
+            static_cast<double>(scratch.counts[0][node]) -
             static_cast<double>(mc.walks_per_node);
         if (extra > 0.0) charge += extra;
       }

@@ -151,6 +151,17 @@ double MeasureIngestThroughput(std::size_t n, std::size_t R, double eps,
   return events_per_sec;
 }
 
+/// Wall nanoseconds per walk step of a MeasureIngestThroughput run that
+/// streamed `events` events at `events_per_sec` and took `stats`'
+/// steps: graph mutation plus repair, over the repair work, so a change
+/// that alters the step count does not read as a cost change.
+inline double NsPerWalkStep(std::size_t events, double events_per_sec,
+                            const WalkUpdateStats& stats) {
+  if (events_per_sec <= 0.0 || stats.walk_steps == 0) return 0.0;
+  return 1e9 * static_cast<double>(events) /
+         (events_per_sec * static_cast<double>(stats.walk_steps));
+}
+
 /// CPU seconds consumed so far by this whole process (every thread:
 /// pipeline, repair lanes and publisher included).
 inline double ProcessCpuSeconds() {

@@ -68,9 +68,9 @@ int main() {
         return 1;
       }
       std::vector<double> freqs;
-      freqs.reserve(scratch.visited.size());
-      for (NodeId node : scratch.visited) {
-        freqs.push_back(static_cast<double>(scratch.counts[node]));
+      freqs.reserve(scratch.visited[0].size());
+      for (NodeId node : scratch.visited[0]) {
+        freqs.push_back(static_cast<double>(scratch.counts[0][node]));
       }
       std::sort(freqs.begin(), freqs.end(), std::greater<double>());
       const std::size_t f = social.graph().OutDegree(users[i]);

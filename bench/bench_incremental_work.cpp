@@ -28,10 +28,11 @@ namespace {
 
 /// The shared ingestion loop (bench_common.h) with this bench's seeds.
 double MeasureIngest(std::size_t n, std::size_t R, double eps,
-                     const std::vector<Edge>& edges, std::size_t batch) {
+                     const std::vector<Edge>& edges, std::size_t batch,
+                     WalkUpdateStats* stats = nullptr) {
   return MeasureIngestThroughput<WalkStore>(n, R, eps, edges, batch,
                                             /*store_seed=*/33,
-                                            /*rng_seed=*/34);
+                                            /*rng_seed=*/34, stats);
 }
 
 }  // namespace
@@ -193,25 +194,32 @@ int main(int argc, char** argv) {
   // Event throughput: the same power-law stream through the slab store,
   // sequential and in batched ingestion windows (best of two runs each;
   // see BestOfTwo).
-  const double slab_seq =
-      BestOfTwo([&] { return MeasureIngest(n, R, eps, edges, 1); });
+  WalkUpdateStats seq_stats;
+  const double slab_seq = BestOfTwo(
+      [&] { return MeasureIngest(n, R, eps, edges, 1, &seq_stats); });
   std::printf("\nevent throughput (same stream, store driven directly; "
               "batched windows repair each\nsegment once per window — see "
               "DESIGN.md — so throughput scales with the window):\n");
-  TablePrinter layout({"ingestion", "events/sec"});
-  layout.AddRow({"slab arenas, sequential", TablePrinter::Fmt(slab_seq, 0)});
+  TablePrinter layout({"ingestion", "events/sec", "ns/walk step"});
+  layout.AddRow({"slab arenas, sequential", TablePrinter::Fmt(slab_seq, 0),
+                 TablePrinter::Fmt(NsPerWalkStep(m, slab_seq, seq_stats),
+                                   1)});
 
   JsonReport report("incremental_work");
   report.Add("num_nodes", static_cast<double>(n));
   report.Add("num_events", static_cast<double>(m));
   report.Add("slab_seq_events_per_sec", slab_seq);
   for (std::size_t batch : {1024ul, 4096ul, 16384ul}) {
-    const double slab_batched =
-        BestOfTwo([&] { return MeasureIngest(n, R, eps, edges, batch); });
+    WalkUpdateStats stats;
+    const double slab_batched = BestOfTwo(
+        [&] { return MeasureIngest(n, R, eps, edges, batch, &stats); });
+    const double ns_per_step = NsPerWalkStep(m, slab_batched, stats);
     layout.AddRow({"slab arenas, batch=" + std::to_string(batch),
-                   TablePrinter::Fmt(slab_batched, 0)});
+                   TablePrinter::Fmt(slab_batched, 0),
+                   TablePrinter::Fmt(ns_per_step, 1)});
     report.Add("slab_batch" + std::to_string(batch) + "_events_per_sec",
                slab_batched);
+    if (batch == 4096) report.Add("batch4096_ns_per_step", ns_per_step);
   }
   layout.Print();
   report.Add("walk_steps_per_event",

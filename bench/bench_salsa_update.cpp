@@ -8,7 +8,6 @@
 
 #include "bench_common.h"
 #include "fastppr/core/incremental_pagerank.h"
-#include "fastppr/core/incremental_salsa.h"
 #include "fastppr/core/theory.h"
 #include "fastppr/graph/generators.h"
 #include "fastppr/util/table_printer.h"
@@ -23,11 +22,11 @@ namespace {
 /// (store driven directly; see bench_incremental_work for the PageRank
 /// twin).
 double MeasureSalsaIngest(std::size_t n, std::size_t R, double eps,
-                          const std::vector<Edge>& edges,
-                          std::size_t batch) {
+                          const std::vector<Edge>& edges, std::size_t batch,
+                          WalkUpdateStats* stats = nullptr) {
   return MeasureIngestThroughput<SalsaWalkStore>(n, R, eps, edges, batch,
                                                  /*store_seed=*/55,
-                                                 /*rng_seed=*/56);
+                                                 /*rng_seed=*/56, stats);
 }
 
 }  // namespace
@@ -101,25 +100,32 @@ int main(int argc, char** argv) {
 
   // Event throughput (same stream, SALSA store driven directly; best of
   // two runs each).
-  const double slab_seq =
-      BestOfTwo([&] { return MeasureSalsaIngest(n, R, eps, edges, 1); });
+  WalkUpdateStats seq_stats;
+  const double slab_seq = BestOfTwo(
+      [&] { return MeasureSalsaIngest(n, R, eps, edges, 1, &seq_stats); });
   std::printf("\nSALSA event throughput (store driven directly; batched "
               "windows repair each\nsegment once per window, so throughput "
               "scales with the window):\n");
-  TablePrinter layout({"ingestion", "events/sec"});
-  layout.AddRow({"slab arenas, sequential", TablePrinter::Fmt(slab_seq, 0)});
+  TablePrinter layout({"ingestion", "events/sec", "ns/walk step"});
+  layout.AddRow({"slab arenas, sequential", TablePrinter::Fmt(slab_seq, 0),
+                 TablePrinter::Fmt(NsPerWalkStep(m, slab_seq, seq_stats),
+                                   1)});
 
   JsonReport report("salsa_update");
   report.Add("num_nodes", static_cast<double>(n));
   report.Add("num_events", static_cast<double>(m));
   report.Add("slab_seq_events_per_sec", slab_seq);
   for (std::size_t batch : {1024ul, 4096ul, 16384ul}) {
+    WalkUpdateStats stats;
     const double slab_batched = BestOfTwo(
-        [&] { return MeasureSalsaIngest(n, R, eps, edges, batch); });
+        [&] { return MeasureSalsaIngest(n, R, eps, edges, batch, &stats); });
+    const double ns_per_step = NsPerWalkStep(m, slab_batched, stats);
     layout.AddRow({"slab arenas, batch=" + std::to_string(batch),
-                   TablePrinter::Fmt(slab_batched, 0)});
+                   TablePrinter::Fmt(slab_batched, 0),
+                   TablePrinter::Fmt(ns_per_step, 1)});
     report.Add("slab_batch" + std::to_string(batch) + "_events_per_sec",
                slab_batched);
+    if (batch == 4096) report.Add("batch4096_ns_per_step", ns_per_step);
   }
   layout.Print();
   report.WriteTo(JsonPathFromArgs(

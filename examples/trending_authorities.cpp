@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "fastppr/core/incremental_salsa.h"
+#include "fastppr/core/incremental_pagerank.h"
 #include "fastppr/graph/generators.h"
 #include "fastppr/util/random.h"
 
@@ -18,10 +18,10 @@ using namespace fastppr;
 namespace {
 
 std::size_t RankOf(const IncrementalSalsa& engine, NodeId target) {
-  const double score = engine.AuthorityEstimate(target);
+  const double score = engine.NormalizedEstimate(target);
   std::size_t better = 0;
   for (NodeId v = 0; v < engine.num_nodes(); ++v) {
-    if (engine.AuthorityEstimate(v) > score) ++better;
+    if (engine.NormalizedEstimate(v) > score) ++better;
   }
   return better + 1;
 }
@@ -73,7 +73,7 @@ int main() {
   }
 
   std::printf("\nglobal top-10 authorities after the burst:");
-  for (NodeId v : engine.TopKAuthorities(10)) std::printf(" %u", v);
+  for (NodeId v : engine.TopK(10)) std::printf(" %u", v);
   std::printf("\n(breakout accounts should now be near the top)\n");
   return 0;
 }

@@ -15,7 +15,7 @@
 
 #include "fastppr/baseline/cosine.h"
 #include "fastppr/baseline/hits.h"
-#include "fastppr/core/incremental_salsa.h"
+#include "fastppr/core/incremental_pagerank.h"
 #include "fastppr/engine/query_service.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/csr_graph.h"
@@ -73,7 +73,7 @@ int main() {
     std::printf("\n=== recommendations for user %u (follows %zu) ===\n",
                 user, engine.graph().OutDegree(user));
     std::vector<ScoredNode> recs;
-    SalsaWalkResult walk;
+    PersonalizedWalkResult walk;
     Status s = service.PersonalizedTopK(user, 5, 30000,
                                         /*exclude_friends=*/true,
                                         /*rng_seed=*/user, &recs, &walk);

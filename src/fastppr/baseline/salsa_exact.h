@@ -11,11 +11,13 @@ namespace fastppr {
 
 /// Exact SALSA scores computed by power iteration over the alternating
 /// forward/backward chain with epsilon-resets before forward steps — the
-/// chain that SalsaWalkStore simulates. The state space is
-/// {hub, authority} x nodes; the returned hub/authority vectors are the two
-/// halves of the stationary distribution, each normalized to sum to 1, so
-/// they are directly comparable to SalsaWalkStore::NormalizedHub /
-/// NormalizedAuthority and the personalized stitched-walk estimates.
+/// chain that SalsaWalkStore (the two-sided BasicWalkStore) simulates.
+/// The state space is {hub, authority} x nodes; the returned
+/// hub/authority vectors are the two halves of the stationary
+/// distribution, each normalized to sum to 1, so they are directly
+/// comparable to SalsaWalkStore::NormalizedEstimate(v, side) on side 0
+/// (hub) and side 1 (authority), and to the personalized stitched-walk
+/// estimates.
 ///
 /// As epsilon -> 0 the global authority vector converges to indegree/m and
 /// the hub vector to outdegree/m (the classical SALSA fixed point).

@@ -19,9 +19,9 @@ namespace fastppr {
 
 /// Configuration for the Monte Carlo engines.
 struct MonteCarloOptions {
-  /// R: stored walk segments per node (2R total for SALSA). Theorem 1
-  /// gives sharp concentration already at R = 1; Section 3 wants
-  /// R > q ln n for the personalized fetch bounds.
+  /// R: stored walk segments per node and side (2R total for SALSA).
+  /// Theorem 1 gives sharp concentration already at R = 1; Section 3
+  /// wants R > q ln n for the personalized fetch bounds.
   std::size_t walks_per_node = 10;
   /// Reset probability. The paper's experiments use 0.2.
   double epsilon = 0.2;
@@ -36,19 +36,29 @@ struct MonteCarloOptions {
   uint32_t shard_count = 1;
 };
 
-/// The paper's incremental PageRank system (Section 2): a SocialStore
-/// holding the evolving follow graph plus a WalkStore ("PageRank Store")
-/// holding R walk segments per node, kept consistent on every edge arrival
-/// and departure at O(nR ln m / eps^2) *total* cost under random-order
-/// arrivals (Theorem 4).
-class IncrementalPageRank {
+/// The paper's incremental system (Section 2): a SocialStore holding the
+/// evolving follow graph plus a BasicWalkStore holding the walk segments,
+/// kept consistent on every edge arrival and departure. For PageRank
+/// (IncrementalPageRank) the total cost is O(nR ln m / eps^2) under
+/// random-order arrivals (Theorem 4); for SALSA (IncrementalSalsa, Section
+/// 2.3) the alternating walks are repaired at both endpoints of every
+/// changed edge, within 16 nR ln m / eps^2 (Theorem 6). Scores are the
+/// visit frequencies of the policy's rank side.
+template <typename Steps>
+class BasicIncrementalEngine {
  public:
+  using WalkSteps = Steps;
+  using Store = BasicWalkStore<Steps>;
+  static constexpr uint32_t kRankSide = Steps::kRankSide;
+
   /// An engine over an initially empty graph with `num_nodes` nodes.
-  IncrementalPageRank(std::size_t num_nodes, const MonteCarloOptions& opts);
+  BasicIncrementalEngine(std::size_t num_nodes,
+                         const MonteCarloOptions& opts);
 
   /// An engine bootstrapped from an existing graph (copies the edges; the
   /// initialization cost is the nR/eps segment-generation cost).
-  IncrementalPageRank(const DiGraph& initial, const MonteCarloOptions& opts);
+  BasicIncrementalEngine(const DiGraph& initial,
+                         const MonteCarloOptions& opts);
 
   /// Shared-store deployment (engine/sharded_engine.h): attaches to an
   /// externally owned Social Store instead of creating a private one.
@@ -56,16 +66,16 @@ class IncrementalPageRank {
   /// caller owns the mutation schedule: graph mutations and this
   /// engine's Repair* calls must never overlap (the single-writer epoch
   /// contract; see DESIGN.md section 5).
-  IncrementalPageRank(std::shared_ptr<SocialStore> social,
-                      const MonteCarloOptions& opts);
+  BasicIncrementalEngine(std::shared_ptr<SocialStore> social,
+                         const MonteCarloOptions& opts);
 
   /// Recovery construction (store/checkpoint.h): attaches to the store
   /// WITHOUT generating walk segments — the caller's LoadFrom replaces
   /// every member immediately, so the nR/eps generation cost would be
   /// pure waste. Useless outside recovery: the store starts empty.
   struct ForRecovery {};
-  IncrementalPageRank(ForRecovery, std::shared_ptr<SocialStore> social,
-                      const MonteCarloOptions& opts);
+  BasicIncrementalEngine(ForRecovery, std::shared_ptr<SocialStore> social,
+                         const MonteCarloOptions& opts);
 
   const MonteCarloOptions& options() const { return options_; }
   std::size_t num_nodes() const { return social_->num_nodes(); }
@@ -99,29 +109,35 @@ class IncrementalPageRank {
   /// identical RNG stream as the owning-store ApplyEvents path on the
   /// same window.
   void RepairWindow(const WindowDelta& delta);
-  static constexpr bool kRepairsInEdges = WalkStore::kRepairsInEdges;
+  static constexpr bool kRepairsInEdges = Store::kRepairsInEdges;
 
   /// pi~_v with the paper's nR/eps normalization (Theorem 1).
-  double Estimate(NodeId v) const { return walks_.Estimate(v); }
-  /// Visit-frequency estimate; sums to 1 and matches the power-iteration
-  /// baseline exactly in expectation (dangling handled as reset).
-  double NormalizedEstimate(NodeId v) const {
-    return walks_.NormalizedEstimate(v);
+  double Estimate(NodeId v) const
+    requires(Steps::kSides == 1)
+  {
+    return walks_.Estimate(v);
   }
-  std::vector<double> NormalizedEstimates() const {
-    return walks_.NormalizedEstimates();
+  /// Visit-frequency estimate on `side`; sums to 1. PageRank's matches
+  /// the power-iteration baseline exactly in expectation (dangling
+  /// handled as reset); SALSA's rank side is the authority score,
+  /// comparable to SalsaExact, and side 0 the hub score.
+  double NormalizedEstimate(NodeId v, uint32_t side = kRankSide) const {
+    return walks_.NormalizedEstimate(v, side);
+  }
+  std::vector<double> NormalizedEstimates(uint32_t side = kRankSide) const {
+    return walks_.NormalizedEstimates(side);
   }
 
-  /// Nodes with the k highest PageRank estimates, descending.
-  std::vector<NodeId> TopK(std::size_t k) const;
+  /// Nodes with the k highest visit counts on `side`, descending.
+  std::vector<NodeId> TopK(std::size_t k, uint32_t side = kRankSide) const;
 
-  /// Per-node count backing global ranking (X_v). In a sharded
-  /// deployment each shard engine reports the visits of its owned walks
-  /// only; the sharded engine merges across shards.
+  /// Per-node count backing global ranking (rank-side visits X_v). In a
+  /// sharded deployment each shard engine reports the visits of its
+  /// owned walks only; the sharded engine merges across shards.
   int64_t RankingCount(NodeId v) const { return walks_.VisitCount(v); }
   int64_t RankingTotal() const { return walks_.TotalVisits(); }
-  /// Shard-aware merge hook: adds this engine's per-node visit counts
-  /// into `acc` (must be sized num_nodes()).
+  /// Shard-aware merge hook: adds this engine's per-node rank-side visit
+  /// counts into `acc` (must be sized num_nodes()).
   void AccumulateRankingCounts(std::vector<int64_t>* acc) const;
 
   /// Stats of the most recent AddEdge/RemoveEdge.
@@ -133,9 +149,9 @@ class IncrementalPageRank {
 
   SocialStore& social_store() { return *social_; }
   const SocialStore& social_store() const { return *social_; }
-  const WalkStore& walk_store() const { return walks_; }
+  const Store& walk_store() const { return walks_; }
   /// Writer-side access for the snapshot publisher (dirty-feed draining).
-  WalkStore* mutable_walk_store() { return &walks_; }
+  Store* mutable_walk_store() { return &walks_; }
   const DiGraph& graph() const { return social_->graph(); }
 
   /// Test hook: full invariant audit.
@@ -146,7 +162,7 @@ class IncrementalPageRank {
   /// Engine-type tag stored in durable manifests (store/wal.h) so
   /// recovery can refuse to rehydrate a checkpoint into the wrong
   /// engine class.
-  static constexpr uint8_t kPersistTag = 1;
+  static constexpr uint8_t kPersistTag = Steps::kPersistTag;
 
   /// Durability hooks (DESIGN.md §8): this engine's private state — walk
   /// store, event-loop RNG, stats, arrival/removal counters. The shared
@@ -179,7 +195,7 @@ class IncrementalPageRank {
  private:
   MonteCarloOptions options_;
   std::shared_ptr<SocialStore> social_;
-  WalkStore walks_;
+  Store walks_;
   Rng rng_;
   WalkUpdateStats last_stats_;
   WalkUpdateStats lifetime_stats_;
@@ -187,6 +203,12 @@ class IncrementalPageRank {
   uint64_t removals_ = 0;
   WindowDelta delta_;  ///< ApplyEvents scratch
 };
+
+extern template class BasicIncrementalEngine<PageRankSteps>;
+extern template class BasicIncrementalEngine<SalsaSteps>;
+
+using IncrementalPageRank = BasicIncrementalEngine<PageRankSteps>;
+using IncrementalSalsa = BasicIncrementalEngine<SalsaSteps>;
 
 }  // namespace fastppr
 

@@ -20,9 +20,12 @@
 // request pins the whole table with one shared_ptr copy (mutex held only
 // across the pointer copy, never across a walk) and stitches its walk
 // with plain loads into the caller's dense walk scratch (one per serving
-// worker; PersonalizedTopK uses a thread-local one). Each publish
-// allocates only the window's delta; clean chunks are shared with the
-// previous view and freed by their refcounts when the last pin drops.
+// worker; PersonalizedTopK uses a thread-local one). One walker serves
+// both estimators: the engine's step policy (Engine::WalkSteps) fixes
+// the walk's sides, its scratch and whether the frozen adjacency keeps
+// its in side. Each publish allocates only the window's delta; clean
+// chunks are shared with the previous view and freed by their refcounts
+// when the last pin drops.
 //
 // Publish pipelining: the service implements the engine's BoundarySink,
 // so snapshot publishing is driven by window-boundary callbacks on the
@@ -49,13 +52,11 @@
 #include <mutex>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "fastppr/core/ppr_walker.h"
 #include "fastppr/core/ranking.h"
-#include "fastppr/core/salsa_walker.h"
 #include "fastppr/engine/ingest_pipeline.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/types.h"
@@ -182,9 +183,9 @@ class SnapshotBuffer {
 /// Serving front door: ingest windows through Ingest(), read rankings
 /// concurrently through TopK()/Score(), run personalized queries
 /// concurrently through PersonalizedTopKInto()/PersonalizedTopK().
-/// `Engine` is IncrementalPageRank (TopK/Score rank by PageRank visit
-/// counts, the personalized read is Algorithm 1) or IncrementalSalsa
-/// (authority counts / personalized SALSA).
+/// `Engine` is a BasicIncrementalEngine: TopK/Score rank by its rank
+/// side's visit counts (PageRank visits, SALSA authority visits), and
+/// the personalized read is Algorithm 1 under its step policy.
 ///
 /// Single-service contract: a QueryService owns its engine's snapshot
 /// delta feeds (dirty segments, applied edges) and its window-boundary
@@ -193,8 +194,7 @@ class SnapshotBuffer {
 /// Publish() (full snapshot rebuild) before the next read.
 template <typename Engine>
 class QueryService : private ShardedEngine<Engine>::BoundarySink {
-  static constexpr bool kIsSalsa =
-      requires(const Engine& e) { e.AuthorityEstimate(NodeId{0}); };
+  using Steps = typename Engine::WalkSteps;
   using Ctx = typename ShardedEngine<Engine>::BoundaryContext;
   /// Boundary→publisher queue depth: how many captured-but-unassembled
   /// windows may stack up before window boundaries backpressure on the
@@ -202,12 +202,8 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   static constexpr std::size_t kPublishQueueCap = 4;
 
  public:
-  /// Per-query walk statistics type (differs between the two engines).
-  using WalkStats =
-      std::conditional_t<kIsSalsa, SalsaWalkResult, PersonalizedWalkResult>;
-
   explicit QueryService(ShardedEngine<Engine>* engine)
-      : engine_(engine), adj_builder_(/*capture_in=*/kIsSalsa) {
+      : engine_(engine), adj_builder_(/*capture_in=*/Steps::kSides > 1) {
     FASTPPR_CHECK(engine_ != nullptr);
     om_ = engine_->metric_handles();
     engine_->EnableAppliedEdgeTracking();
@@ -401,8 +397,9 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     return std::move(scratch.ranked);
   }
 
-  /// Normalized snapshot score of one node (PageRank visit frequency /
-  /// SALSA authority frequency). Lock-free and allocation-free.
+  /// Normalized snapshot score of one node (rank-side visit frequency:
+  /// PageRank visits, SALSA authority visits). Lock-free and
+  /// allocation-free.
   double Score(NodeId v, SnapshotInfo* info = nullptr) const {
     const bool hot = engine_->metrics_enabled();
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
@@ -428,12 +425,12 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
 
   /// The dense walk accumulator a personalized read runs on (each
   /// serving worker owns one and reuses it across requests).
-  using PersonalizedScratch =
-      std::conditional_t<kIsSalsa, SalsaWalkScratch, PersonalizedWalkScratch>;
+  using PersonalizedScratch = BasicWalkScratch<Steps>;
 
-  /// Personalized top-k (Algorithm 1 stitched walk; authority-ranked for
-  /// SALSA), served from the frozen segment + adjacency views published
-  /// at a window boundary and accumulated into the caller's `scratch`.
+  /// Personalized top-k (Algorithm 1 stitched walk, ranked by the rank
+  /// side: authority for SALSA), served from the frozen segment +
+  /// adjacency views published at a window boundary and accumulated into
+  /// the caller's `scratch`.
   /// Runs concurrently with ingestion: the view mutex is held only
   /// across the shared_ptr pin and unpin, never across the walk, so
   /// readers never stall the writer and vice versa. The whole walk
@@ -447,7 +444,7 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
                               const WalkerOptions& options,
                               PersonalizedScratch* scratch,
                               std::vector<ScoredNode>* ranked,
-                              WalkStats* walk_stats = nullptr,
+                              PersonalizedWalkResult* walk_stats = nullptr,
                               SnapshotInfo* info = nullptr) {
     // Fail fast before pinning views: a request that is already dead
     // must cost the service nothing.
@@ -478,19 +475,11 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     }
     const FrozenSegmentView view(&pin->segments, pin->ownership.get(),
                                  walks_per_node_, epsilon_);
-    Status status;
-    if constexpr (kIsSalsa) {
-      BasicPersonalizedSalsaWalker<FrozenSegmentView, FrozenAdjacency>
-          walker(&view, pin->graph.get(), options);
-      status = walker.TopKAuthoritiesInto(seed, k, length, exclude_friends,
-                                          rng_seed, scratch, ranked,
-                                          walk_stats);
-    } else {
-      BasicPersonalizedPageRankWalker<FrozenSegmentView, FrozenAdjacency>
-          walker(&view, pin->graph.get(), options);
-      status = walker.TopKInto(seed, k, length, exclude_friends, rng_seed,
-                               scratch, ranked, walk_stats);
-    }
+    const BasicPersonalizedWalker<Steps, FrozenSegmentView, FrozenAdjacency>
+        walker(&view, pin->graph.get(), options);
+    const Status status =
+        walker.TopKInto(seed, k, length, exclude_friends, rng_seed, scratch,
+                        ranked, walk_stats);
     // Drop the pin under the view mutex: the flip and the last unpin
     // stay mutually ordered, so the chunk refcounts a dropped view
     // releases (freeing unshared chunks) fall at deterministic points —
@@ -510,7 +499,7 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   Status PersonalizedTopK(NodeId seed, std::size_t k, uint64_t length,
                           bool exclude_friends, uint64_t rng_seed,
                           std::vector<ScoredNode>* ranked,
-                          WalkStats* walk_stats = nullptr,
+                          PersonalizedWalkResult* walk_stats = nullptr,
                           SnapshotInfo* info = nullptr) {
     thread_local PersonalizedScratch scratch;
     return PersonalizedTopKInto(seed, k, length, exclude_friends, rng_seed,

@@ -175,9 +175,10 @@ struct DurabilityOptions {
 };
 
 /// S walk-store shards over one shared Social Store, behind one
-/// ApplyEvents front door. `Engine` is IncrementalPageRank or
-/// IncrementalSalsa (anything with the shared-store constructor, the
-/// RepairWindow/kRepairsInEdges API, and the RankingCount merge API).
+/// ApplyEvents front door. `Engine` is a BasicIncrementalEngine —
+/// IncrementalPageRank or IncrementalSalsa — whose step policy decides
+/// whether the window's delta carries its in side (kRepairsInEdges) and
+/// which side's visits the RankingCount merge reads.
 template <typename Engine>
 class ShardedEngine {
  public:
@@ -415,9 +416,9 @@ class ShardedEngine {
     return ApplyEvents(std::span<const EdgeEvent>(&event, 1));
   }
 
-  /// Merged per-node ranking counts (PageRank: total stored-walk visits;
-  /// SALSA: authority-side visits). Exactly the flat engine's counts at
-  /// any shard count.
+  /// Merged per-node ranking counts: the rank side's stored-walk visits
+  /// (PageRank: all visits; SALSA: authority-side visits). Exactly the
+  /// flat engine's counts at any shard count.
   std::vector<int64_t> MergedRankingCounts() const {
     Drain();
     std::vector<int64_t> acc(num_nodes(), 0);

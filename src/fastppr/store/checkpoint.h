@@ -27,7 +27,9 @@
 namespace fastppr {
 
 inline constexpr uint64_t kCheckpointMagic = 0x4641535443484B31ull;  // FASTCHK1
-inline constexpr uint32_t kCheckpointVersion = 1;
+/// Bumped whenever a SaveTo column layout changes, so that a file in
+/// another layout is refused as Corruption instead of misparsed.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// Canonical file names inside a durability directory.
 inline constexpr const char* kCheckpointFileName = "checkpoint.fppr";

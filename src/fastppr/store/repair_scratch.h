@@ -1,14 +1,15 @@
 #ifndef FASTPPR_STORE_REPAIR_SCRATCH_H_
 #define FASTPPR_STORE_REPAIR_SCRATCH_H_
 
-// Window-repair collection machinery shared by WalkStore and
-// SalsaWalkStore (companion to SlabPool; see DESIGN.md §1). Both stores
-// collect every switch/break/resume decision of an ingestion window
-// *before* re-simulating any suffix — a fresh suffix is already
-// distributed for the post-window graph and must never be switched
-// twice — keeping only the earliest affected position per segment. The
-// collection state (epoch-stamped per-segment dedup, Floyd-sampling
-// scratch) is identical in both stores; it lives here once.
+// Window-repair collection machinery of the walk store
+// (BasicWalkStore, both estimators; companion to SlabPool, see DESIGN.md
+// §1). The store collects every switch/break/resume decision of an
+// ingestion window, on every side, *before* re-simulating any suffix —
+// a fresh suffix is already distributed for the post-window graph and
+// must never be switched twice — keeping only the earliest affected
+// position per segment. The collection state (epoch-stamped per-segment
+// dedup, Floyd-sampling scratch) lives here, beside the index and
+// dirty-feed primitives it works with.
 
 #include <algorithm>
 #include <cstdint>
@@ -41,9 +42,9 @@ inline void RemoveIndexEntry(SlabPool* pool, SlabPool* paths, NodeId node,
 /// which the feed drops its contents and flags the overflow — a full
 /// snapshot copy is cheaper than the delta at that point, and the feed
 /// must stay bounded even with no consumer draining it. Off by default
-/// so producers without a serving layer pay nothing. Shared by
-/// WalkStore, SalsaWalkStore and ShardedEngine so the overflow rule
-/// cannot drift between them.
+/// so producers without a serving layer pay nothing. Shared by the walk
+/// store and ShardedEngine so the overflow rule cannot drift between
+/// them.
 template <typename Entry>
 class DirtyFeed {
  public:

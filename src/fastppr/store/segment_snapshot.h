@@ -238,8 +238,8 @@ class SegmentSnapshotBuilder {
   /// `dirty` is the store's dirty-segment feed since the last capture
   /// (global ids, duplicate-inclusive; the caller clears it afterwards);
   /// `force_full` captures the whole table (first publish, untracked
-  /// mutations, feed overflow). `Store` is WalkStore or SalsaWalkStore
-  /// (anything exposing SegmentWords(global_seg)).
+  /// mutations, feed overflow). `Store` is a BasicWalkStore (anything
+  /// exposing SegmentWords(global_seg)).
   template <typename Store>
   void Capture(const Store& store, std::span<const uint64_t> dirty,
                bool force_full, snap::CapturedRows<uint64_t>* out) {

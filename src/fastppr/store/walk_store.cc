@@ -6,9 +6,29 @@
 
 namespace fastppr {
 
-void WalkStore::Init(const DiGraph& g, std::size_t walks_per_node,
-                     double epsilon, uint64_t seed, uint32_t shard_index,
-                     uint32_t shard_count) {
+namespace {
+
+/// The delta's pivots for `side`: edge sources for side 0, targets for
+/// side 1.
+const WindowDelta::Side& DeltaSide(const WindowDelta& delta, uint32_t side) {
+  return side == 0 ? delta.out() : delta.in();
+}
+
+/// The neighbours a position on `side` of v can step to.
+template <typename Steps>
+std::span<const NodeId> SideNeighbors(const DiGraph& g, uint32_t side,
+                                      NodeId v) {
+  return (Steps::kSides == 1 || side == 0) ? g.OutNeighbors(v)
+                                           : g.InNeighbors(v);
+}
+
+}  // namespace
+
+template <typename Steps>
+void BasicWalkStore<Steps>::Init(const DiGraph& g,
+                                 std::size_t walks_per_node, double epsilon,
+                                 uint64_t seed, uint32_t shard_index,
+                                 uint32_t shard_count) {
   FASTPPR_CHECK(walks_per_node >= 1);
   FASTPPR_CHECK(epsilon > 0.0 && epsilon < 1.0);
   FASTPPR_CHECK(shard_count >= 1 && shard_index < shard_count);
@@ -19,7 +39,8 @@ void WalkStore::Init(const DiGraph& g, std::size_t walks_per_node,
   shard_count_ = shard_count;
 
   const std::size_t n = g.num_nodes();
-  const std::size_t num_segs = n * walks_per_node;
+  const std::size_t spn = segments_per_node();
+  const std::size_t num_segs = n * spn;
   FASTPPR_CHECK(num_segs < slab::kHiLimit);
 
   // Phase 1: simulate every owned segment into flat scratch (unowned
@@ -28,30 +49,32 @@ void WalkStore::Init(const DiGraph& g, std::size_t walks_per_node,
   // and no dead space.
   std::vector<NodeId> nodes;
   nodes.reserve(static_cast<std::size_t>(
-      static_cast<double>(num_segs) / epsilon * 1.1 /
+      static_cast<double>(num_segs * kSides) / epsilon * 1.1 /
           static_cast<double>(shard_count)) + 16);
   std::vector<uint32_t> lengths(num_segs, 0);
-  std::vector<uint8_t> ends(num_segs,
-                            static_cast<uint8_t>(EndReason::kReset));
+  std::vector<uint8_t> ends(num_segs, kEndReset);
   owned_sources_ = 0;
   for (NodeId u = 0; u < n; ++u) {
     if (!OwnsSource(u)) continue;
     ++owned_sources_;
-    for (std::size_t k = 0; k < walks_per_node; ++k) {
+    for (std::size_t k = 0; k < spn; ++k) {
       const uint64_t seg = SegId(u, k);
+      uint32_t side = Fold(static_cast<uint32_t>(k / walks_per_node));
       NodeId cur = u;
       nodes.push_back(cur);
       uint32_t len = 1;
       while (true) {
-        if (rng_.Bernoulli(epsilon_)) {
-          ends[seg] = static_cast<uint8_t>(EndReason::kReset);
+        // Resets are drawn only before side-0 steps.
+        if (side == 0 && rng_.Bernoulli(epsilon_)) {
+          ends[seg] = kEndReset;
           break;
         }
-        if (g.OutDegree(cur) == 0) {
-          ends[seg] = static_cast<uint8_t>(EndReason::kDangling);
+        if (SideDegree<Steps>(g, side, cur) == 0) {
+          ends[seg] = DanglingEnd(side);
           break;
         }
-        cur = g.RandomOutNeighbor(cur, &rng_);
+        cur = SideNeighbor<Steps>(g, side, cur, &rng_);
+        side = NextSide<Steps>(side);
         nodes.push_back(cur);
         ++len;
       }
@@ -61,46 +84,67 @@ void WalkStore::Init(const DiGraph& g, std::size_t walks_per_node,
   BuildFromFlatPaths(n, nodes, lengths, ends);
 }
 
-void WalkStore::BuildFromFlatPaths(std::size_t n,
-                                   const std::vector<NodeId>& nodes,
-                                   const std::vector<uint32_t>& lengths,
-                                   const std::vector<uint8_t>& ends) {
+template <typename Steps>
+void BasicWalkStore<Steps>::BuildFromFlatPaths(
+    std::size_t n, const std::vector<NodeId>& nodes,
+    const std::vector<uint32_t>& lengths, const std::vector<uint8_t>& ends) {
   const std::size_t num_segs = lengths.size();
   seg_end_ = ends;
-  visit_count_.assign(n, 0);
-  total_visits_ = 0;
+  for (uint32_t s = 0; s < kSides; ++s) {
+    visits_[s].assign(n, 0);
+    total_visits_[s] = 0;
+  }
 
   // Count exact per-node index rows so the pools are laid out dense.
-  std::vector<uint32_t> step_count(n, 0);
-  std::vector<uint32_t> dang_count(n, 0);
+  std::array<std::vector<uint32_t>, kSides> step_count;
+  std::array<std::vector<uint32_t>, kSides> dang_count;
+  for (uint32_t s = 0; s < kSides; ++s) {
+    step_count[s].assign(n, 0);
+    dang_count[s].assign(n, 0);
+  }
   {
     std::size_t at = 0;
     for (std::size_t seg = 0; seg < num_segs; ++seg) {
       const uint32_t len = lengths[seg];
-      for (uint32_t p = 0; p + 1 < len; ++p) ++step_count[nodes[at + p]];
-      if (static_cast<EndReason>(ends[seg]) == EndReason::kDangling) {
-        ++dang_count[nodes[at + len - 1]];
+      uint32_t side = StartSide(seg);
+      for (uint32_t p = 0; p + 1 < len; ++p) {
+        ++step_count[side][nodes[at + p]];
+        side = NextSide<Steps>(side);
+      }
+      if (ends[seg] != kEndReset) {
+        ++dang_count[Fold(ends[seg] - 1u)][nodes[at + len - 1]];
       }
       at += len;
     }
   }
-  steps_.ResetWithCapacities(step_count, /*headroom=*/true);
-  dangling_.ResetWithCapacities(dang_count, /*headroom=*/true);
+  for (uint32_t s = 0; s < kSides; ++s) {
+    steps_[s].ResetWithCapacities(step_count[s], /*headroom=*/true);
+  }
+  for (uint32_t s = 0; s < kSides; ++s) {
+    dangling_[s].ResetWithCapacities(dang_count[s], /*headroom=*/true);
+  }
   paths_.ResetWithCapacities(lengths, /*headroom=*/true);
 
   std::size_t at = 0;
   for (std::size_t seg = 0; seg < num_segs; ++seg) {
     const uint32_t len = lengths[seg];
     FASTPPR_CHECK(len < kNoSlot);  // positions must fit the 24-bit field
+    const uint32_t start = StartSide(seg);
+    uint32_t side = start;
     for (uint32_t p = 0; p < len; ++p) {
       const NodeId v = nodes[at + p];
       paths_.PushBack(seg, slab::Pack(v, kNoSlot));
-      ++visit_count_[v];
-      ++total_visits_;
+      ++visits_[side][v];
+      ++total_visits_[side];
+      side = NextSide<Steps>(side);
     }
-    for (uint32_t p = 0; p + 1 < len; ++p) RegisterStep(seg, p);
-    if (static_cast<EndReason>(ends[seg]) == EndReason::kDangling) {
-      RegisterDangling(seg, len - 1);
+    side = start;
+    for (uint32_t p = 0; p + 1 < len; ++p) {
+      RegisterStep(seg, p, side);
+      side = NextSide<Steps>(side);
+    }
+    if (ends[seg] != kEndReset) {
+      RegisterDangling(seg, len - 1, ends[seg] - 1u);
     }
     at += len;
   }
@@ -109,54 +153,70 @@ void WalkStore::BuildFromFlatPaths(std::size_t n,
   dirty_.ResetCap(slab::DirtyCapForOwnedRows(paths_));
 }
 
-double WalkStore::Estimate(NodeId v) const {
-  double denom = static_cast<double>(num_nodes()) *
-                 static_cast<double>(walks_per_node_) / epsilon_;
-  return static_cast<double>(visit_count_[v]) / denom;
+template <typename Steps>
+double BasicWalkStore<Steps>::NormalizedEstimate(NodeId v,
+                                                 uint32_t side) const {
+  if (total_visits_[side] == 0) return 0.0;
+  return static_cast<double>(visits_[side][v]) /
+         static_cast<double>(total_visits_[side]);
 }
 
-double WalkStore::NormalizedEstimate(NodeId v) const {
-  if (total_visits_ == 0) return 0.0;
-  return static_cast<double>(visit_count_[v]) /
-         static_cast<double>(total_visits_);
-}
-
-std::vector<double> WalkStore::NormalizedEstimates() const {
+template <typename Steps>
+std::vector<double> BasicWalkStore<Steps>::NormalizedEstimates(
+    uint32_t side) const {
   std::vector<double> out(num_nodes());
-  for (NodeId v = 0; v < out.size(); ++v) out[v] = NormalizedEstimate(v);
+  for (NodeId v = 0; v < out.size(); ++v) {
+    out[v] = NormalizedEstimate(v, side);
+  }
   return out;
 }
 
-void WalkStore::RegisterStep(uint64_t seg, uint32_t pos) {
+template <typename Steps>
+void BasicWalkStore<Steps>::RegisterStep(uint64_t seg, uint32_t pos,
+                                         uint32_t side) {
   const NodeId node = PathNode(seg, pos);
-  const uint32_t slot = steps_.PushBack(node, slab::Pack(seg, pos));
+  const uint32_t slot =
+      steps_[Fold(side)].PushBack(node, slab::Pack(seg, pos));
   FASTPPR_CHECK(slot < kNoSlot);
   SetPathSlot(seg, pos, slot);
 }
 
-void WalkStore::UnregisterStep(uint64_t seg, uint32_t pos) {
+template <typename Steps>
+void BasicWalkStore<Steps>::UnregisterStep(uint64_t seg, uint32_t pos,
+                                           uint32_t side) {
   const NodeId node = PathNode(seg, pos);
-  RemoveIndexAt(&steps_, node, PathSlot(seg, pos), seg, pos);
+  RemoveIndexAt(&steps_[Fold(side)], node, PathSlot(seg, pos), seg, pos);
   SetPathSlot(seg, pos, kNoSlot);
 }
 
-void WalkStore::RegisterDangling(uint64_t seg, uint32_t pos) {
+template <typename Steps>
+void BasicWalkStore<Steps>::RegisterDangling(uint64_t seg, uint32_t pos,
+                                             uint32_t side) {
   const NodeId node = PathNode(seg, pos);
-  const uint32_t slot = dangling_.PushBack(node, slab::Pack(seg, pos));
+  const uint32_t slot =
+      dangling_[Fold(side)].PushBack(node, slab::Pack(seg, pos));
   FASTPPR_CHECK(slot < kNoSlot);
   SetPathSlot(seg, pos, slot);
 }
 
-void WalkStore::UnregisterDangling(uint64_t seg, uint32_t pos) {
+template <typename Steps>
+void BasicWalkStore<Steps>::UnregisterDangling(uint64_t seg, uint32_t pos) {
   const NodeId node = PathNode(seg, pos);
-  RemoveIndexAt(&dangling_, node, PathSlot(seg, pos), seg, pos);
+  RemoveIndexAt(&dangling_[Fold(End(seg) - 1u)], node, PathSlot(seg, pos),
+                seg, pos);
   SetPathSlot(seg, pos, kNoSlot);
 }
 
-void WalkStore::TruncateAfter(uint64_t seg, uint32_t keep_pos) {
+template <typename Steps>
+void BasicWalkStore<Steps>::TruncateAfter(uint64_t seg, uint32_t keep_pos) {
   const uint32_t len = PathLen(seg);
   FASTPPR_CHECK(keep_pos < len);
   const uint32_t last = len - 1;
+  // Walking backwards: with at most two sides the previous side is the
+  // next one.
+  static_assert(kSides <= 2);
+  uint32_t side = SideOf(seg, last);
+  std::array<int64_t, kSides> removed{};
   // Entries are re-read each iteration (not snapshotted): a swap-remove
   // fixup may retarget the slot field of a doomed entry we have not
   // reached yet. Slot fields of doomed entries are never cleared — the
@@ -166,92 +226,116 @@ void WalkStore::TruncateAfter(uint64_t seg, uint32_t keep_pos) {
     const NodeId node = static_cast<NodeId>(slab::Hi(word));
     const uint32_t slot = slab::Lo(word);
     if (q == last) {
-      // Terminal entry: in the dangling list or nowhere.
-      if (End(seg) == EndReason::kDangling) {
-        RemoveIndexAt(&dangling_, node, slot, seg, q);
+      // Terminal entry: in its side's dangling list or nowhere.
+      if (End(seg) != kEndReset) {
+        RemoveIndexAt(&dangling_[side], node, slot, seg, q);
       }
     } else {
-      RemoveIndexAt(&steps_, node, slot, seg, q);
+      RemoveIndexAt(&steps_[side], node, slot, seg, q);
     }
-    --visit_count_[node];
+    --visits_[side][node];
+    ++removed[side];
+    side = NextSide<Steps>(side);
   }
-  total_visits_ -= last - keep_pos;
+  for (uint32_t s = 0; s < kSides; ++s) total_visits_[s] -= removed[s];
   paths_.Truncate(seg, keep_pos + 1);
 }
 
-void WalkStore::ResetSegmentToSource(uint64_t seg) {
+template <typename Steps>
+void BasicWalkStore<Steps>::ResetSegmentToSource(uint64_t seg) {
   const bool was_multi = PathLen(seg) > 1;
   TruncateAfter(seg, 0);
   if (was_multi) {
-    UnregisterStep(seg, 0);
-  } else if (End(seg) == EndReason::kDangling) {
+    UnregisterStep(seg, 0, StartSide(seg));
+  } else if (End(seg) != kEndReset) {
     UnregisterDangling(seg, 0);
   }
   // A reset-terminal singleton already has a pending (kNoSlot) tail.
 }
 
-void WalkStore::FinishWalk(uint64_t seg, uint32_t start, bool dangling) {
-  const uint32_t end = PathLen(seg);
-  seg_end_[seg] = static_cast<uint8_t>(dangling ? EndReason::kDangling
-                                                : EndReason::kReset);
-  for (uint32_t p = start; p + 1 < end; ++p) RegisterStep(seg, p);
-  for (uint32_t p = start + 1; p < end; ++p) {
-    ++visit_count_[PathNode(seg, p)];
+template <typename Steps>
+void BasicWalkStore<Steps>::FinishWalk(uint64_t seg, uint32_t start,
+                                       uint32_t side, uint8_t end) {
+  const uint32_t len = PathLen(seg);
+  seg_end_[seg] = end;
+  uint32_t at = Fold(side);
+  for (uint32_t p = start; p + 1 < len; ++p) {
+    RegisterStep(seg, p, at);
+    at = NextSide<Steps>(at);
   }
-  total_visits_ += end - 1 - start;
-  if (dangling) RegisterDangling(seg, end - 1);
+  std::array<int64_t, kSides> added{};
+  at = Fold(side);
+  for (uint32_t p = start + 1; p < len; ++p) {
+    at = NextSide<Steps>(at);
+    ++visits_[at][PathNode(seg, p)];
+    ++added[at];
+  }
+  for (uint32_t s = 0; s < kSides; ++s) total_visits_[s] += added[s];
+  if (end != kEndReset) RegisterDangling(seg, len - 1, end - 1u);
   // A reset tail keeps its pending kNoSlot slot.
 }
 
-uint64_t WalkStore::ExtendPendingWalks(const DiGraph& g, Rng* rng) {
+template <typename Steps>
+uint64_t BasicWalkStore<Steps>::ExtendPendingWalks(const DiGraph& g,
+                                                   Rng* rng) {
   // Walks are independent; each is simulated appending path words only
   // (the row stays hot), then registered in one sweep by FinishWalk.
   // The per-walk RNG stream is identical to registering inline.
   uint64_t steps = 0;
   for (const PendingWalk& start_state : walk_queue_) {
     PendingWalk w = start_state;
+    uint32_t side = Fold(w.side);
     while (true) {
       NodeId next;
       if (w.forced != kInvalidNode) {
         next = w.forced;
         w.forced = kInvalidNode;
-      } else if (rng->Bernoulli(epsilon_)) {
-        FinishWalk(w.seg, w.start, /*dangling=*/false);
+      } else if (side == 0 && rng->Bernoulli(epsilon_)) {
+        FinishWalk(w.seg, w.start, w.side, kEndReset);
         break;
-      } else if (g.OutDegree(w.cur) == 0) {
-        FinishWalk(w.seg, w.start, /*dangling=*/true);
+      } else if (SideDegree<Steps>(g, side, w.cur) == 0) {
+        FinishWalk(w.seg, w.start, w.side, DanglingEnd(side));
         break;
       } else {
-        next = g.RandomOutNeighbor(w.cur, rng);
+        next = SideNeighbor<Steps>(g, side, w.cur, rng);
       }
       FASTPPR_CHECK(PathLen(w.seg) < kNoSlot);
       paths_.PushBack(w.seg, slab::Pack(next, kNoSlot));
       w.cur = next;
+      side = NextSide<Steps>(side);
       ++steps;
     }
   }
   return steps;
 }
 
-WalkUpdateStats WalkStore::OnEdgeInserted(const DiGraph& g, NodeId u,
-                                          NodeId v, Rng* rng) {
+template <typename Steps>
+WalkUpdateStats BasicWalkStore<Steps>::OnEdgeInserted(const DiGraph& g,
+                                                      NodeId u, NodeId v,
+                                                      Rng* rng) {
   const EdgeEvent ev{EdgeEvent::Kind::kInsert, Edge{u, v}};
   single_.Build(std::span<const EdgeEvent>(&ev, 1), kRepairsInEdges);
   return RepairWindow(g, single_, rng);
 }
 
-WalkUpdateStats WalkStore::OnEdgeRemoved(const DiGraph& g, NodeId u,
-                                         NodeId v, Rng* rng) {
+template <typename Steps>
+WalkUpdateStats BasicWalkStore<Steps>::OnEdgeRemoved(const DiGraph& g,
+                                                     NodeId u, NodeId v,
+                                                     Rng* rng) {
   const EdgeEvent ev{EdgeEvent::Kind::kDelete, Edge{u, v}};
   single_.Build(std::span<const EdgeEvent>(&ev, 1), kRepairsInEdges);
   return RepairWindow(g, single_, rng);
 }
 
-void WalkStore::CollectPivot(const DiGraph& g, const WindowDelta::Side& side,
-                             const WindowDelta::Pivot& p, Rng* rng,
-                             WalkUpdateStats* stats) {
+template <typename Steps>
+void BasicWalkStore<Steps>::CollectPivot(const DiGraph& g, uint32_t side,
+                                         const WindowDelta::Side& pivots,
+                                         const WindowDelta::Pivot& p,
+                                         Rng* rng, WalkUpdateStats* stats) {
   const NodeId u = p.node;
-  const std::span<const WindowDelta::Removed> removed = side.RemovedOf(p);
+  const slab::SlabPool& steps = steps_[Fold(side)];
+  const uint8_t tag = static_cast<uint8_t>(side);
+  const std::span<const WindowDelta::Removed> removed = pivots.RemovedOf(p);
   if (!removed.empty()) {
     // Breaks. A stored step to x chose uniformly among the c_before(x) =
     // c_after(x) + r_x parallel copies, so it used a removed copy with
@@ -259,11 +343,11 @@ void WalkStore::CollectPivot(const DiGraph& g, const WindowDelta::Side& side,
     // index reads (entries_scanned); only re-simulation counts as walk
     // work, matching the paper's accounting.
     remaining_.assign(removed.size(), 0);
-    for (const NodeId w : g.OutNeighbors(u)) {
+    for (const NodeId w : SideNeighbors<Steps>(g, side, u)) {
       const std::size_t i = WindowDelta::Side::IndexOf(removed, w);
       if (i < removed.size()) ++remaining_[i];
     }
-    const auto row = steps_.RowSpan(u);
+    const auto row = steps.RowSpan(u);
     stats->entries_scanned += row.size();
     for (const uint64_t word : row) {
       const uint64_t seg = slab::Hi(word);
@@ -277,30 +361,31 @@ void WalkStore::CollectPivot(const DiGraph& g, const WindowDelta::Side& side,
           static_cast<double>(remaining_[i] + removed[i].copies);
       if (!rng->Bernoulli(p_broken)) continue;  // used a surviving copy
       scratch_.Offer(
-          PendingRepair{seg, pos, 0, 0, slab::RepairKind::kBreak});
+          PendingRepair{seg, pos, 0, 0, slab::RepairKind::kBreak, tag});
     }
   }
 
   const uint32_t k = p.num_added();
   if (k == 0) return;
-  const std::size_t d_after = g.OutDegree(u);
+  const std::size_t d_after = SideDegree<Steps>(g, side, u);
   FASTPPR_CHECK_MSG(d_after >= k, "graph must already contain the window");
   if (d_after + p.removed_slots == k) {
-    // u had no out-edge before the window: every segment dangling at u
-    // resumes through a (uniformly chosen) new slot. The terminal visit
-    // already survived its reset draw, so the step is unconditional —
-    // this stays exact even under kRedoFromSource, since re-rolling the
-    // draw would make reset-terminated segments an absorbing state.
-    for (const uint64_t word : dangling_.RowSpan(u)) {
+    // u had no slot on this side before the window: every segment
+    // dangling here resumes through a (uniformly chosen) new slot. The
+    // terminal visit already survived its reset draw, so the step is
+    // unconditional — this stays exact even under kRedoFromSource, since
+    // re-rolling the draw would make reset-terminated segments an
+    // absorbing state.
+    for (const uint64_t word : dangling_[Fold(side)].RowSpan(u)) {
       scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word),
                                    p.added_begin, k,
-                                   slab::RepairKind::kResume});
+                                   slab::RepairKind::kResume, tag});
     }
     return;
   }
-  // Switches: each step visit at u independently moves to a uniformly
-  // chosen new slot with probability k / d_after.
-  const std::size_t w = steps_.Size(u);
+  // Switches: each step visit at u on this side independently moves to
+  // a uniformly chosen new slot with probability k / d_after.
+  const std::size_t w = steps.Size(u);
   if (w == 0) return;
   const uint64_t marks =
       rng->Binomial(w, static_cast<double>(k) / static_cast<double>(d_after));
@@ -310,140 +395,167 @@ void WalkStore::CollectPivot(const DiGraph& g, const WindowDelta::Side& side,
   scratch_.SampleDistinct(w, marks, rng);
   stats->entries_scanned += scratch_.picked().size();
   for (const std::size_t idx : scratch_.picked()) {
-    const uint64_t word = steps_.Get(u, static_cast<uint32_t>(idx));
+    const uint64_t word = steps.Get(u, static_cast<uint32_t>(idx));
     scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word),
                                  p.added_begin, k,
-                                 slab::RepairKind::kSwitch});
+                                 slab::RepairKind::kSwitch, tag});
   }
 }
 
-WalkUpdateStats WalkStore::RepairWindow(const DiGraph& g,
-                                        const WindowDelta& delta, Rng* rng) {
+template <typename Steps>
+WalkUpdateStats BasicWalkStore<Steps>::RepairWindow(const DiGraph& g,
+                                                    const WindowDelta& delta,
+                                                    Rng* rng) {
   WalkUpdateStats stats;
-  const WindowDelta::Side& side = delta.out();
-  if (side.pivots.empty()) return stats;
+  if constexpr (kRepairsInEdges) {
+    FASTPPR_CHECK_MSG(delta.has_in_side(),
+                      "this store's repairs need the window's in side");
+  }
+  if (delta.out().pivots.empty()) return stats;
 
-  // Collect every decision before re-simulating anything: a fresh suffix
-  // is already distributed for the post-window graph and must not be
+  // Collect every decision (at both ends of every changed edge when the
+  // walk has two sides) before re-simulating anything: a fresh suffix is
+  // already distributed for the post-window graph and must not be
   // switched again by a later pivot.
   scratch_.BeginEpoch();
-  for (const WindowDelta::Pivot& p : side.pivots) {
-    CollectPivot(g, side, p, rng, &stats);
+  for (uint32_t side = 0; side < kSides; ++side) {
+    const WindowDelta::Side& pivots = DeltaSide(delta, side);
+    for (const WindowDelta::Pivot& p : pivots.pivots) {
+      CollectPivot(g, side, pivots, p, rng, &stats);
+    }
   }
   if (scratch_.empty()) return stats;
   stats.store_called = 1;
 
-  // Apply phase: one repair per touched segment, re-simulated on the
-  // post-window graph.
+  // Apply phase: one repair per touched segment. Every pivot draw is
+  // made here, in plan order; the suffixes are then re-simulated on the
+  // post-window graph in the same order.
   scratch_.OrderForApply();
   walk_queue_.clear();
   for (const PendingRepair& plan : scratch_.pending()) {
     const uint64_t seg = plan.seg;
+    const uint32_t side = Fold(plan.side);
     RecordDirtySegment(seg);
     ++stats.segments_updated;
     // A switched or resumed hop lands uniformly on the pivot's new
-    // slots. No draw for a single new slot, so a one-event window
-    // matches the sequential RNG stream bit for bit.
+    // slots: destinations on side 0, sources on side 1. No draw for a
+    // single new slot, so a one-event window matches the sequential RNG
+    // stream bit for bit.
     auto draw_added = [&]() -> NodeId {
       const uint32_t i =
           plan.added_count == 1
               ? 0
               : static_cast<uint32_t>(rng->UniformIndex(plan.added_count));
-      return side.added[plan.added_begin + i];
+      return DeltaSide(delta, side).added[plan.added_begin + i];
     };
     if (plan.kind == slab::RepairKind::kResume) {
       UnregisterDangling(seg, plan.pos);
       walk_queue_.push_back(PendingWalk{seg, PathNode(seg, plan.pos),
-                                       draw_added(), plan.pos});
-      continue;
-    }
-    if (policy_ == UpdatePolicy::kRedoFromSource) {
+                                        draw_added(), plan.pos, side});
+    } else if (policy_ == UpdatePolicy::kRedoFromSource) {
       ResetSegmentToSource(seg);
-      walk_queue_.push_back(
-          PendingWalk{seg, PathNode(seg, 0), kInvalidNode, 0});
-      continue;
-    }
-    const NodeId pivot = PathNode(seg, plan.pos);
-    TruncateAfter(seg, plan.pos);
-    UnregisterStep(seg, plan.pos);  // tail becomes pending
-    if (plan.kind == slab::RepairKind::kSwitch) {
-      walk_queue_.push_back(PendingWalk{seg, pivot, draw_added(), plan.pos});
-    } else if (g.OutDegree(pivot) == 0) {
-      // The visit survived its reset draw but the pivot is now dangling.
-      seg_end_[seg] = static_cast<uint8_t>(EndReason::kDangling);
-      RegisterDangling(seg, plan.pos);
+      walk_queue_.push_back(PendingWalk{seg, PathNode(seg, 0), kInvalidNode,
+                                        0, StartSide(seg)});
     } else {
-      // Re-draw the broken step over every post-window slot, then
-      // continue with fresh randomness (no reset draw: the original one
-      // survived).
-      walk_queue_.push_back(PendingWalk{
-          seg, pivot, g.RandomOutNeighbor(pivot, rng), plan.pos});
+      const NodeId pivot = PathNode(seg, plan.pos);
+      TruncateAfter(seg, plan.pos);
+      UnregisterStep(seg, plan.pos, side);  // tail becomes pending
+      if (plan.kind == slab::RepairKind::kSwitch) {
+        walk_queue_.push_back(
+            PendingWalk{seg, pivot, draw_added(), plan.pos, side});
+      } else if (SideDegree<Steps>(g, side, pivot) == 0) {
+        // The visit survived its reset draw but the pivot now has no
+        // edge on this side.
+        seg_end_[seg] = DanglingEnd(side);
+        RegisterDangling(seg, plan.pos, side);
+      } else {
+        // Re-draw the broken step over every post-window slot, then
+        // continue with fresh randomness (no reset draw: the original one
+        // survived).
+        walk_queue_.push_back(PendingWalk{
+            seg, pivot, SideNeighbor<Steps>(g, side, pivot, rng), plan.pos,
+            side});
+      }
     }
   }
   stats.walk_steps += ExtendPendingWalks(g, rng);
   return stats;
 }
 
-void WalkStore::CheckConsistency(const DiGraph& g) const {
-  std::vector<int64_t> recount(num_nodes(), 0);
-  int64_t total = 0;
+template <typename Steps>
+void BasicWalkStore<Steps>::CheckConsistency(const DiGraph& g) const {
+  std::array<std::vector<int64_t>, kSides> recount;
+  for (std::vector<int64_t>& r : recount) r.assign(num_nodes(), 0);
   for (uint64_t seg = 0; seg < num_segments(); ++seg) {
     const uint32_t len = PathLen(seg);
-    // Source of segment seg is seg / R; unowned sources (sharded mode)
-    // have empty rows, owned sources never do.
-    const NodeId source = static_cast<NodeId>(seg / walks_per_node_);
+    // Unowned sources (sharded mode) have empty rows, owned sources never
+    // do.
+    const NodeId source = static_cast<NodeId>(seg / segments_per_node());
     if (len == 0) {
       FASTPPR_CHECK(!OwnsSource(source));
       continue;
     }
     FASTPPR_CHECK(OwnsSource(source));
     FASTPPR_CHECK(PathNode(seg, 0) == source);
+    uint32_t side = StartSide(seg);
     for (uint32_t p = 0; p < len; ++p) {
       const NodeId node = PathNode(seg, p);
       const uint32_t slot = PathSlot(seg, p);
-      ++recount[node];
-      ++total;
+      ++recount[side][node];
       const bool terminal = (p + 1 == len);
       if (!terminal) {
-        // Hop must be a real edge and the entry must be indexed.
-        FASTPPR_CHECK_MSG(g.HasEdge(node, PathNode(seg, p + 1)),
+        // Hop must be a real edge on this side and the entry indexed.
+        const NodeId next = PathNode(seg, p + 1);
+        FASTPPR_CHECK_MSG(side == 0 ? g.HasEdge(node, next)
+                                    : g.HasEdge(next, node),
                           "stored hop is not an edge");
-        FASTPPR_CHECK(slot < steps_.Size(node));
-        FASTPPR_CHECK(steps_.Get(node, slot) == slab::Pack(seg, p));
-      } else if (End(seg) == EndReason::kDangling) {
-        FASTPPR_CHECK_MSG(g.OutDegree(node) == 0,
-                          "dangling tail at a node with out-edges");
-        FASTPPR_CHECK(slot < dangling_.Size(node));
-        FASTPPR_CHECK(dangling_.Get(node, slot) == slab::Pack(seg, p));
-      } else {
+        FASTPPR_CHECK(slot < steps_[side].Size(node));
+        FASTPPR_CHECK(steps_[side].Get(node, slot) == slab::Pack(seg, p));
+      } else if (End(seg) == kEndReset) {
         FASTPPR_CHECK(slot == kNoSlot);
+        FASTPPR_CHECK(side == 0);
+      } else {
+        FASTPPR_CHECK(End(seg) == DanglingEnd(side));
+        FASTPPR_CHECK_MSG(SideDegree<Steps>(g, side, node) == 0,
+                          "dangling tail at a node with edges on its side");
+        FASTPPR_CHECK(slot < dangling_[side].Size(node));
+        FASTPPR_CHECK(dangling_[side].Get(node, slot) == slab::Pack(seg, p));
+      }
+      side = NextSide<Steps>(side);
+    }
+  }
+  for (uint32_t s = 0; s < kSides; ++s) {
+    int64_t total = 0;
+    for (NodeId vtx = 0; vtx < num_nodes(); ++vtx) {
+      FASTPPR_CHECK(recount[s][vtx] == visits_[s][vtx]);
+      total += recount[s][vtx];
+    }
+    FASTPPR_CHECK(total == total_visits_[s]);
+    // Every index entry must point back at a matching path position.
+    for (NodeId vtx = 0; vtx < num_nodes(); ++vtx) {
+      for (uint32_t slot = 0; slot < steps_[s].Size(vtx); ++slot) {
+        const uint64_t word = steps_[s].Get(vtx, slot);
+        const uint64_t seg = slab::Hi(word);
+        const uint32_t pos = slab::Lo(word);
+        FASTPPR_CHECK(pos < PathLen(seg));
+        FASTPPR_CHECK(SideOf(seg, pos) == s);
+        FASTPPR_CHECK(PathNode(seg, pos) == vtx);
+        FASTPPR_CHECK(PathSlot(seg, pos) == slot);
+      }
+      for (uint32_t slot = 0; slot < dangling_[s].Size(vtx); ++slot) {
+        const uint64_t word = dangling_[s].Get(vtx, slot);
+        const uint64_t seg = slab::Hi(word);
+        const uint32_t pos = slab::Lo(word);
+        FASTPPR_CHECK(pos + 1 == PathLen(seg));
+        FASTPPR_CHECK(PathNode(seg, pos) == vtx);
+        FASTPPR_CHECK(PathSlot(seg, pos) == slot);
+        FASTPPR_CHECK(End(seg) == DanglingEnd(s));
       }
     }
   }
-  for (NodeId vtx = 0; vtx < num_nodes(); ++vtx) {
-    FASTPPR_CHECK(recount[vtx] == visit_count_[vtx]);
-  }
-  FASTPPR_CHECK(total == total_visits_);
-  // Every index entry must point back at a matching path position.
-  for (NodeId vtx = 0; vtx < num_nodes(); ++vtx) {
-    for (uint32_t slot = 0; slot < steps_.Size(vtx); ++slot) {
-      const uint64_t word = steps_.Get(vtx, slot);
-      const uint64_t seg = slab::Hi(word);
-      const uint32_t pos = slab::Lo(word);
-      FASTPPR_CHECK(pos < PathLen(seg));
-      FASTPPR_CHECK(PathNode(seg, pos) == vtx);
-      FASTPPR_CHECK(PathSlot(seg, pos) == slot);
-    }
-    for (uint32_t slot = 0; slot < dangling_.Size(vtx); ++slot) {
-      const uint64_t word = dangling_.Get(vtx, slot);
-      const uint64_t seg = slab::Hi(word);
-      const uint32_t pos = slab::Lo(word);
-      FASTPPR_CHECK(pos + 1 == PathLen(seg));
-      FASTPPR_CHECK(PathNode(seg, pos) == vtx);
-      FASTPPR_CHECK(PathSlot(seg, pos) == slot);
-      FASTPPR_CHECK(End(seg) == EndReason::kDangling);
-    }
-  }
 }
+
+template class BasicWalkStore<PageRankSteps>;
+template class BasicWalkStore<SalsaSteps>;
 
 }  // namespace fastppr

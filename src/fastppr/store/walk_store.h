@@ -67,56 +67,123 @@ enum class UpdatePolicy {
   kRedoFromSource,
 };
 
-/// The "PageRank Store" of Section 2: R random-walk segments per node, each
-/// continued until its first epsilon-reset, plus an inverted visit index so
-/// that the segments crossing an updated node can be found and rerouted in
-/// time proportional to the number that actually change.
+/// The step policy of a stored walk. A walk position sits on one of
+/// kSides sides: side 0 steps along an out-edge and is the only side that
+/// draws a reset first; side 1 steps backward along an in-edge. Positions
+/// cycle through the sides, so PageRank is the one-side case of SALSA's
+/// alternating walk. kRankSide is the side whose visits score a node,
+/// kRngSalt salts the engine's event-loop RNG seed, and kPersistTag names
+/// the estimator in durable manifests (store/wal.h).
+struct PageRankSteps {
+  static constexpr uint32_t kSides = 1;
+  static constexpr uint32_t kRankSide = 0;
+  static constexpr uint64_t kRngSalt = 0x1CEB00DA;
+  static constexpr uint8_t kPersistTag = 1;
+};
+
+/// SALSA (Section 2.3): hub positions (side 0) step forward, authority
+/// positions (side 1) step backward, and a recommender ranks by
+/// authority.
+struct SalsaSteps {
+  static constexpr uint32_t kSides = 2;
+  static constexpr uint32_t kRankSide = 1;
+  static constexpr uint64_t kRngSalt = 0x5A15A;
+  static constexpr uint8_t kPersistTag = 2;
+};
+
+/// The side of the position after one on `side`. The constant 0 for one
+/// side, so PageRank's loops fold every side test away.
+template <typename Steps>
+constexpr uint32_t NextSide(uint32_t side) {
+  return Steps::kSides == 1 ? 0 : (side + 1) % Steps::kSides;
+}
+
+/// The number of edges a position on `side` of node v can step along:
+/// its out-degree on side 0, its in-degree on side 1. `Graph` is DiGraph
+/// or FrozenAdjacency.
+template <typename Steps, typename Graph>
+std::size_t SideDegree(const Graph& g, uint32_t side, NodeId v) {
+  return (Steps::kSides == 1 || side == 0) ? g.OutDegree(v) : g.InDegree(v);
+}
+
+/// One uniformly drawn step from a position on `side` of node v.
+template <typename Steps, typename Graph>
+NodeId SideNeighbor(const Graph& g, uint32_t side, NodeId v, Rng* rng) {
+  return (Steps::kSides == 1 || side == 0) ? g.RandomOutNeighbor(v, rng)
+                                           : g.RandomInNeighbor(v, rng);
+}
+
+/// The walk store of Section 2 ("PageRank Store") and of Section 2.3
+/// (SALSA): kSides * R random-walk segments per node, each continued
+/// until its first epsilon-reset, plus inverted visit indexes so that the
+/// segments crossing an updated node can be found and rerouted in time
+/// proportional to the number that actually change.
 ///
-/// Segment semantics (see DESIGN.md): a segment from u is [u, x1, ..., xT]
-/// where at each node the walk stops with probability epsilon ("reset"),
-/// stops if the node has no out-edge ("dangling exit", equivalent to a
-/// reset), and otherwise moves to a uniformly random out-neighbour. T is
-/// geometric with mean (1-eps)/eps, so the expected node count is 1/eps.
+/// Segment semantics (see DESIGN.md): segment k of u starts at u on side
+/// k / R, and position p sits on side (k / R + p) mod kSides. At a side-0
+/// position the walk stops with probability epsilon ("reset"); at any
+/// position it stops if the node has no edge on its side ("dangling
+/// exit", equivalent to a reset), and otherwise it steps to a uniformly
+/// random neighbour on that side. For PageRank (one side) T is geometric
+/// with mean (1-eps)/eps, so the expected node count is 1/eps; SALSA's
+/// forward-start segments average 2/eps nodes.
 ///
 /// Storage layout (DESIGN.md): all path entries live in one flat slab
 /// arena of packed 8-byte words (40-bit node, 24-bit index back-slot) with
-/// per-segment offset/length spans, and the step/dangling inverted indexes
-/// are pooled flat rows of packed (40-bit segment, 24-bit position) words
-/// with swap-remove semantics — no per-segment or per-node heap vectors.
+/// per-segment offset/length spans. Each side has its own step index,
+/// dangling index and visit counters: pooled flat rows of packed (40-bit
+/// segment, 24-bit position) words with swap-remove semantics — no
+/// per-segment or per-node heap vectors.
 ///
 /// Incremental maintenance implements the coupling argument of
 /// Proposition 2, once per ingestion window (RepairWindow; DESIGN.md §1
-/// has the derivation). Per source u with a net change — d_after slots
-/// after the window, r_x net removed copies of u->x, k net new slots:
+/// has the derivation), at every pivot of the window's net delta: the
+/// sources of changed edges for side 0 (out-slots) and, for SALSA, their
+/// targets for side 1 (in-slots) — Theorem 6's coupling at both ends of
+/// an edge. Per pivot u with a net change on side s — d_after slots
+/// after the window, r_x net removed copies of the slot to x, k net new
+/// slots:
 ///  * a stored hop u->x breaks with probability r_x / (c_after(x) + r_x)
 ///    and redraws uniformly over all d_after slots (visits at u are
 ///    scanned; scans are counted separately);
-///  * every step visit at u switches with probability k / d_after onto a
-///    uniformly chosen new slot — one Binomial draw plus Floyd sampling,
-///    so work is proportional to the switches, not to the visits; a
-///    break wins a tie with a switch at the same position;
-///  * if u had no out-edge before the window, every segment dangling at
-///    u resumes unconditionally through a new slot (this is where
+///  * every side-s step visit at u switches with probability k / d_after
+///    onto a uniformly chosen new slot — one Binomial draw plus Floyd
+///    sampling, so work is proportional to the switches, not to the
+///    visits; a break wins a tie with a switch at the same position;
+///  * if u had no side-s slot before the window, every segment dangling
+///    there resumes unconditionally through a new slot (this is where
 ///    Example 1's adversarial Omega(n) cost lives); if u has none after
 ///    it, broken visits become dangling tails.
 /// All decisions are collected before any suffix is re-simulated, the
 /// earliest affected position per segment wins, and suffixes are drawn
-/// on the post-window graph, so fresh suffixes are never switched
-/// twice. OnEdgeInserted / OnEdgeRemoved are one-event windows.
-class WalkStore {
+/// on the post-window graph after every repair is planned, so fresh
+/// suffixes are never switched twice. OnEdgeInserted / OnEdgeRemoved are
+/// one-event windows.
+///
+/// The member bodies live in walk_store.cc, instantiated for
+/// PageRankSteps (WalkStore) and SalsaSteps (SalsaWalkStore).
+template <typename Steps>
+class BasicWalkStore {
  public:
+  static constexpr uint32_t kSides = Steps::kSides;
+  static constexpr uint32_t kRankSide = Steps::kRankSide;
   static constexpr uint32_t kNoSlot = slab::kNoLo;
+  /// Whether RepairWindow reads the delta's in side (build it with
+  /// WindowDelta::Build(applied, kRepairsInEdges)).
+  static constexpr bool kRepairsInEdges = kSides > 1;
 
-  enum class EndReason : uint8_t {
-    kReset,     ///< the geometric reset fired
-    kDangling,  ///< the tail node had no out-edge
-  };
+  /// Why a segment ended: kEndReset when the reset fired, DanglingEnd(s)
+  /// = 1 + s when its tail, on side s, had no edge to step along.
+  static constexpr uint8_t kEndReset = 0;
+  static constexpr uint8_t DanglingEnd(uint32_t side) {
+    return static_cast<uint8_t>(1 + side);
+  }
 
   /// Read-only view of one stored segment: a span over the packed entry
   /// arena. Invalidated by any mutating call on the store.
   class SegmentView {
    public:
-    SegmentView(std::span<const uint64_t> words, EndReason end)
+    SegmentView(std::span<const uint64_t> words, uint8_t end)
         : words_(words), end_(end) {}
 
     std::size_t size() const { return words_.size(); }
@@ -128,26 +195,27 @@ class WalkStore {
     /// Inverted-index back-slot of position `p` (kNoSlot for an unindexed
     /// reset tail).
     uint32_t slot(std::size_t p) const { return slab::Lo(words_[p]); }
-    EndReason end() const { return end_; }
+    /// kEndReset or DanglingEnd(side of the tail).
+    uint8_t end() const { return end_; }
 
    private:
     std::span<const uint64_t> words_;
-    EndReason end_;
+    uint8_t end_;
   };
 
-  WalkStore() = default;
+  BasicWalkStore() = default;
 
-  /// Generates R segments per node of `g`. Estimates are maintained
-  /// incrementally afterwards via OnEdgeInserted / OnEdgeRemoved.
+  /// Generates kSides * R segments per node of `g`. Estimates are
+  /// maintained incrementally afterwards via RepairWindow.
   ///
   /// Sharded mode (`shard_count` > 1): the store generates segments only
   /// for *owned* source nodes — those with ShardOfNode(u, shard_count) ==
   /// shard_index — leaving the other segment rows empty. Segment ids stay
-  /// global (u * R + k), so GetSegment addressing is uniform across
-  /// shards, and all repair paths are driven by the inverted indexes
-  /// (which list only owned-walk visits), so the incremental update code
-  /// is shard-oblivious. Visit counts then cover only the owned walks;
-  /// the sharded engine merges them across shards.
+  /// global (u * segments_per_node() + k), so GetSegment addressing is
+  /// uniform across shards, and all repair paths are driven by the
+  /// inverted indexes (which list only owned-walk visits), so the
+  /// incremental update code is shard-oblivious. Visit counts then cover
+  /// only the owned walks; the sharded engine merges them across shards.
   void Init(const DiGraph& g, std::size_t walks_per_node, double epsilon,
             uint64_t seed, uint32_t shard_index = 0,
             uint32_t shard_count = 1);
@@ -166,38 +234,60 @@ class WalkStore {
 
   std::size_t walks_per_node() const { return walks_per_node_; }
   double epsilon() const { return epsilon_; }
-  std::size_t num_nodes() const { return visit_count_.size(); }
+  std::size_t num_nodes() const { return visits_[0].size(); }
   std::size_t num_segments() const { return paths_.num_rows(); }
 
-  /// X_v: total visits to v across all stored segments.
-  int64_t VisitCount(NodeId v) const { return visit_count_[v]; }
-  int64_t TotalVisits() const { return total_visits_; }
+  /// X_v: visits to v on `side` across all stored segments.
+  int64_t VisitCount(NodeId v, uint32_t side = kRankSide) const {
+    return visits_[side][v];
+  }
+  int64_t TotalVisits(uint32_t side = kRankSide) const {
+    return total_visits_[side];
+  }
 
   /// The paper's estimator pi~_v = X_v / (nR/eps)  (Theorem 1).
-  double Estimate(NodeId v) const;
-  /// X_v / total visits: sums to exactly 1 and matches the power-iteration
-  /// baseline's dangling-to-reset semantics even on graphs with dangling
-  /// nodes.
-  double NormalizedEstimate(NodeId v) const;
-  /// All normalized estimates (O(n)).
-  std::vector<double> NormalizedEstimates() const;
+  double Estimate(NodeId v) const
+    requires(kSides == 1)
+  {
+    const double denom = static_cast<double>(num_nodes()) *
+                         static_cast<double>(walks_per_node_) / epsilon_;
+    return static_cast<double>(visits_[0][v]) / denom;
+  }
+  /// X_v / total visits on `side`: sums to exactly 1. PageRank's matches
+  /// the power-iteration baseline's dangling-to-reset semantics even on
+  /// graphs with dangling nodes; SALSA's side 1 is the authority score
+  /// and side 0 the hub score (baseline/salsa_exact.h).
+  double NormalizedEstimate(NodeId v, uint32_t side = kRankSide) const;
+  /// All normalized estimates of `side` (O(n)).
+  std::vector<double> NormalizedEstimates(uint32_t side = kRankSide) const;
 
-  /// Number of stored-walk visits at v that have an outgoing step; this is
-  /// the W(v) counter of Section 2.2 used for the store-call gating.
-  std::size_t StepVisitCount(NodeId v) const { return steps_.Size(v); }
-  std::size_t DanglingCount(NodeId v) const { return dangling_.Size(v); }
+  /// Number of stored-walk visits on `side` at v that have an outgoing
+  /// step; on side 0 this is the W(v) counter of Section 2.2 used for
+  /// the store-call gating.
+  std::size_t StepVisitCount(NodeId v, uint32_t side = 0) const {
+    return steps_[side].Size(v);
+  }
+  std::size_t DanglingCount(NodeId v, uint32_t side = 0) const {
+    return dangling_[side].Size(v);
+  }
 
-  /// Read access to the k-th stored segment of node u (k < R). The view is
+  /// The side of position `pos` of segment `seg` (a terminal position
+  /// reports the side its step would have had).
+  uint32_t SideOf(uint64_t seg, uint32_t pos) const {
+    return kSides == 1 ? 0 : (StartSide(seg) + pos) % kSides;
+  }
+
+  /// Read access to the k-th stored segment of node u (k <
+  /// segments_per_node(); it starts on side k / R). The view is
   /// invalidated by any subsequent mutation of the store.
   SegmentView GetSegment(NodeId u, std::size_t k) const {
     const uint64_t seg = SegId(u, k);
-    return SegmentView(paths_.RowSpan(seg),
-                       static_cast<EndReason>(seg_end_[seg]));
+    return SegmentView(paths_.RowSpan(seg), seg_end_[seg]);
   }
 
   /// Stored segment rows per node in the global segment-id addressing
-  /// (SegId(u, k) = u * segments_per_node() + k).
-  std::size_t segments_per_node() const { return walks_per_node_; }
+  /// (SegId(u, k) = u * segments_per_node() + k): R per side.
+  std::size_t segments_per_node() const { return kSides * walks_per_node_; }
 
   /// Raw packed path words of segment `seg` — the segment-snapshot
   /// publisher's bulk-copy source (store/segment_snapshot.h).
@@ -217,13 +307,10 @@ class WalkStore {
   void ClearDirtySegments() { dirty_.Clear(); }
 
   /// Repairs every stored walk for one applied window: `g` is the
-  /// post-window graph and `delta` the window's net change (its out
-  /// side). `rng` drives the coupling randomness.
+  /// post-window graph and `delta` the window's net change (with its in
+  /// side iff kRepairsInEdges). `rng` drives the coupling randomness.
   WalkUpdateStats RepairWindow(const DiGraph& g, const WindowDelta& delta,
                                Rng* rng);
-  /// Whether RepairWindow reads the delta's in side (build it with
-  /// WindowDelta::Build(applied, kRepairsInEdges)).
-  static constexpr bool kRepairsInEdges = false;
 
   /// One-event windows. Must be called after `g` already contains the
   /// new edge (u, v).
@@ -243,9 +330,9 @@ class WalkStore {
   /// Durability hooks (DESIGN.md §8): every behavior-bearing member
   /// verbatim — path/index slab pools (including dead words, so future
   /// relocation decisions replay identically), counters, and the
-  /// store's RNG state. The transient repair scratch and the snapshot
-  /// dirty feed are NOT state: they are empty at every phase boundary,
-  /// where checkpoints are taken.
+  /// store's RNG state; the per-side columns follow in side order. The
+  /// transient repair scratch and the snapshot dirty feed are NOT state:
+  /// they are empty at every phase boundary, where checkpoints are taken.
   template <typename Sink>
   void SaveTo(Sink* w) const {
     w->Pod(static_cast<uint64_t>(walks_per_node_));
@@ -257,10 +344,10 @@ class WalkStore {
     w->Pod(static_cast<uint64_t>(owned_sources_));
     paths_.SaveTo(w);
     w->Vec(seg_end_);
-    steps_.SaveTo(w);
-    dangling_.SaveTo(w);
-    w->Vec(visit_count_);
-    w->Pod(total_visits_);
+    for (const slab::SlabPool& pool : steps_) pool.SaveTo(w);
+    for (const slab::SlabPool& pool : dangling_) pool.SaveTo(w);
+    for (const std::vector<int64_t>& visits : visits_) w->Vec(visits);
+    for (const int64_t total : total_visits_) w->Pod(total);
   }
 
   /// Restores SaveTo state (the checkpoint path — raw trusted-by-CRC
@@ -283,17 +370,27 @@ class WalkStore {
     }
     policy_ = static_cast<UpdatePolicy>(policy);
     rng_.SetState(rng_state);
-    if (!paths_.LoadFrom(r) || !r->Vec(&seg_end_) || !steps_.LoadFrom(r) ||
-        !dangling_.LoadFrom(r) || !r->Vec(&visit_count_) ||
-        !r->Pod(&total_visits_)) {
-      return false;
+    if (!paths_.LoadFrom(r) || !r->Vec(&seg_end_)) return false;
+    for (slab::SlabPool& pool : steps_) {
+      if (!pool.LoadFrom(r)) return false;
     }
-    if (seg_end_.size() != paths_.num_rows() ||
-        steps_.num_rows() != visit_count_.size() ||
-        dangling_.num_rows() != visit_count_.size() ||
-        paths_.num_rows() != visit_count_.size() * walks_per_node_) {
-      return r->Fail("walk store tables disagree on geometry");
+    for (slab::SlabPool& pool : dangling_) {
+      if (!pool.LoadFrom(r)) return false;
     }
+    for (std::vector<int64_t>& visits : visits_) {
+      if (!r->Vec(&visits)) return false;
+    }
+    for (int64_t& total : total_visits_) {
+      if (!r->Pod(&total)) return false;
+    }
+    const std::size_t n = visits_[0].size();
+    bool geometry = seg_end_.size() == paths_.num_rows() &&
+                    paths_.num_rows() == n * kSides * walks_per_node_;
+    for (uint32_t s = 0; s < kSides; ++s) {
+      geometry = geometry && visits_[s].size() == n &&
+                 steps_[s].num_rows() == n && dangling_[s].num_rows() == n;
+    }
+    if (!geometry) return r->Fail("walk store tables disagree on geometry");
     // Re-size the transient repair machinery that Init() would normally
     // set up; a recovered store skips Init entirely.
     scratch_.ResetSegments(paths_.num_rows());
@@ -304,7 +401,18 @@ class WalkStore {
 
  private:
   uint64_t SegId(NodeId u, std::size_t k) const {
-    return static_cast<uint64_t>(u) * walks_per_node_ + k;
+    return static_cast<uint64_t>(u) * kSides * walks_per_node_ + k;
+  }
+  /// Segment k of a node starts on side k / R. Derived, not stored: the
+  /// one divide is paid once per segment operation, never per step.
+  uint32_t StartSide(uint64_t seg) const {
+    return kSides == 1 ? 0
+                       : static_cast<uint32_t>((seg / walks_per_node_) %
+                                               kSides);
+  }
+  /// `side` as the compiler should see it: the constant 0 for one side.
+  static constexpr uint32_t Fold(uint32_t side) {
+    return kSides == 1 ? 0 : side;
   }
 
   NodeId PathNode(uint64_t seg, uint32_t pos) const {
@@ -317,15 +425,15 @@ class WalkStore {
     paths_.SetLo(seg, pos, slot);
   }
   uint32_t PathLen(uint64_t seg) const { return paths_.Size(seg); }
-  EndReason End(uint64_t seg) const {
-    return static_cast<EndReason>(seg_end_[seg]);
-  }
+  uint8_t End(uint64_t seg) const { return seg_end_[seg]; }
 
-  /// Registers the entry at `pos` of `seg` into the step index.
-  void RegisterStep(uint64_t seg, uint32_t pos);
+  /// Registers the entry at `pos` of `seg`, on `side`, into that side's
+  /// step index.
+  void RegisterStep(uint64_t seg, uint32_t pos, uint32_t side);
   /// Removes a step registration (swap-remove with backpointer fixup).
-  void UnregisterStep(uint64_t seg, uint32_t pos);
-  void RegisterDangling(uint64_t seg, uint32_t pos);
+  void UnregisterStep(uint64_t seg, uint32_t pos, uint32_t side);
+  void RegisterDangling(uint64_t seg, uint32_t pos, uint32_t side);
+  /// Removes the dangling tail at `pos`; its side follows from End(seg).
   void UnregisterDangling(uint64_t seg, uint32_t pos);
   /// slab::RemoveIndexEntry bound to this store's path arena.
   void RemoveIndexAt(slab::SlabPool* pool, NodeId node, uint32_t slot,
@@ -348,13 +456,15 @@ class WalkStore {
   void ResetSegmentToSource(uint64_t seg);
 
   /// A segment whose tail is pending re-extension. `start` is the tail
-  /// position (unregistered); `forced` != kInvalidNode makes the first
-  /// step go there without a reset draw (the original draw survived).
+  /// position (unregistered) and `side` its side; `forced` !=
+  /// kInvalidNode makes the first step go there without a reset draw
+  /// (the original draw survived).
   struct PendingWalk {
     uint64_t seg = 0;
     NodeId cur = kInvalidNode;
     NodeId forced = kInvalidNode;
     uint32_t start = 0;
+    uint32_t side = 0;
   };
 
   /// Drains `walk_queue_`: re-simulates each pending walk to completion
@@ -362,11 +472,12 @@ class WalkStore {
   /// is deterministic given the RNG state). Returns total fresh steps.
   uint64_t ExtendPendingWalks(const DiGraph& g, Rng* rng);
 
-  /// Registration sweep for a finished walk: end reason, step/dangling
-  /// index entries and visit counters for positions (start, end).
-  void FinishWalk(uint64_t seg, uint32_t start, bool dangling);
+  /// Registration sweep for a finished walk whose tail position `start`
+  /// sits on `side`: end reason, step/dangling index entries and visit
+  /// counters for positions (start, end).
+  void FinishWalk(uint64_t seg, uint32_t start, uint32_t side, uint8_t end);
 
-  /// Lays out segments and rebuilds both indexes from flat path data:
+  /// Lays out segments and rebuilds every index from flat path data:
   /// `nodes` holds the concatenated paths, row r covering the next
   /// lengths[r] entries. Exact-fit: no relocation, no dead space.
   void BuildFromFlatPaths(std::size_t n, const std::vector<NodeId>& nodes,
@@ -375,18 +486,22 @@ class WalkStore {
 
   // --- window-repair scratch (see RepairWindow) ---------------------
   /// One scheduled segment repair: the earliest affected position per
-  /// segment wins; everything after it is re-simulated. Switches and
-  /// resumes land on delta.out().added[added_begin, +added_count).
+  /// segment wins; everything after it is re-simulated. `side` is the
+  /// position's side; switches and resumes land on that side of the
+  /// delta, at added[added_begin, +added_count).
   struct PendingRepair {
     uint64_t seg = 0;
     uint32_t pos = 0;
     uint32_t added_begin = 0;
     uint32_t added_count = 0;
     slab::RepairKind kind = slab::RepairKind::kSwitch;
+    uint8_t side = 0;
   };
 
-  /// Collects the break, switch and resume decisions at one pivot.
-  void CollectPivot(const DiGraph& g, const WindowDelta::Side& side,
+  /// Collects the break, switch and resume decisions at one pivot of the
+  /// delta's `side` (out-slots for side 0, in-slots for side 1).
+  void CollectPivot(const DiGraph& g, uint32_t side,
+                    const WindowDelta::Side& pivots,
                     const WindowDelta::Pivot& p, Rng* rng,
                     WalkUpdateStats* stats);
 
@@ -400,28 +515,34 @@ class WalkStore {
 
   /// Packed (node, slot) path entries; row = segment.
   slab::SlabPool paths_;
-  /// Per-segment EndReason (uint8_t to keep the arena words pure).
+  /// Per-segment end reason (uint8_t to keep the arena words pure).
   std::vector<uint8_t> seg_end_;
-  /// Inverted index of non-terminal visits; row = node, words = (seg, pos).
-  slab::SlabPool steps_;
-  /// Segments terminally dangling at each node; row = node.
-  slab::SlabPool dangling_;
-  std::vector<int64_t> visit_count_;
-  int64_t total_visits_ = 0;
+  /// Per side: inverted index of non-terminal visits; row = node, words
+  /// = (seg, pos).
+  std::array<slab::SlabPool, kSides> steps_;
+  /// Per side: segments terminally dangling at each node; row = node.
+  std::array<slab::SlabPool, kSides> dangling_;
+  std::array<std::vector<int64_t>, kSides> visits_;
+  std::array<int64_t, kSides> total_visits_{};
 
   /// Dirty-segment feed for the snapshot publishers (see
   /// dirty_segments()).
   slab::DirtyFeed<uint64_t> dirty_;
 
-  // Reusable window-repair scratch: zero steady-state allocation. The
-  // collect-then-apply machinery is shared with SalsaWalkStore via
-  // slab::RepairScratch (repair_scratch.h).
+  // Reusable window-repair scratch: zero steady-state allocation
+  // (slab::RepairScratch, repair_scratch.h).
   slab::RepairScratch<PendingRepair> scratch_;
-  /// Post-window copies of each removed target at the current pivot.
+  /// Post-window copies of each removed neighbour at the current pivot.
   std::vector<uint32_t> remaining_;
   std::vector<PendingWalk> walk_queue_;
   WindowDelta single_;  ///< OnEdgeInserted / OnEdgeRemoved windows
 };
+
+extern template class BasicWalkStore<PageRankSteps>;
+extern template class BasicWalkStore<SalsaSteps>;
+
+using WalkStore = BasicWalkStore<PageRankSteps>;
+using SalsaWalkStore = BasicWalkStore<SalsaSteps>;
 
 }  // namespace fastppr
 

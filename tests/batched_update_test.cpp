@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "fastppr/core/incremental_pagerank.h"
-#include "fastppr/core/incremental_salsa.h"
 #include "fastppr/graph/generators.h"
 #include "fastppr/store/arena_io.h"
 #include "fastppr/store/walk_store.h"
@@ -144,8 +143,10 @@ TEST(BatchedUpdateTest, OneElementBatchesMatchSequentialSalsa) {
   batched.CheckConsistency();
 
   for (NodeId v = 0; v < n; ++v) {
-    EXPECT_EQ(sequential.AuthorityEstimate(v), batched.AuthorityEstimate(v));
-    EXPECT_EQ(sequential.HubEstimate(v), batched.HubEstimate(v));
+    for (uint32_t side : {0u, 1u}) {
+      EXPECT_EQ(sequential.NormalizedEstimate(v, side),
+                batched.NormalizedEstimate(v, side));
+    }
   }
   EXPECT_EQ(sequential.lifetime_stats().walk_steps,
             batched.lifetime_stats().walk_steps);

@@ -30,7 +30,7 @@
 //  3. Walk length. Total stored positions against their exact
 //     expectation. Self-normalized scores cannot see a drift toward
 //     short walks (UpdatePolicy::kRedoFromSource shows one; the last
-//     test here proves this check catches it).
+//     two tests here prove this check catches it for both estimators).
 //
 // Seeds are fixed, so each run is deterministic; the false-alarm rates
 // stated at each assertion are over the choice of seed.
@@ -47,7 +47,6 @@
 #include "fastppr/baseline/power_iteration.h"
 #include "fastppr/baseline/salsa_exact.h"
 #include "fastppr/core/incremental_pagerank.h"
-#include "fastppr/core/incremental_salsa.h"
 #include "fastppr/engine/query_service.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/csr_graph.h"
@@ -443,12 +442,10 @@ OracleResult RunPageRank(uint64_t seed, UpdatePolicy policy) {
   return out;
 }
 
-OracleResult RunSalsa(uint64_t seed) {
+OracleResult RunSalsa(uint64_t seed, UpdatePolicy policy) {
   const Stream stream = MakeStream(seed);
   ShardedEngine<IncrementalSalsa> engine(
-      stream.initial,
-      OracleOptions(seed + 1, UpdatePolicy::kRerouteFromVisit),
-      TwoShardsPipelined());
+      stream.initial, OracleOptions(seed + 1, policy), TwoShardsPipelined());
   int64_t total = 0;
   const std::vector<int64_t> counts =
       IngestAndServe(stream, &engine, &total);
@@ -482,14 +479,15 @@ OracleResult RunSalsa(uint64_t seed) {
   int64_t auth_positions = 0;
   for (std::size_t s = 0; s < engine.num_shards(); ++s) {
     const SalsaWalkStore& store = engine.shard(s).walk_store();
-    positions += store.TotalHubVisits() + store.TotalAuthorityVisits();
-    auth_positions += store.TotalAuthorityVisits();
+    const std::size_t R = store.walks_per_node();
+    positions += store.TotalVisits(0) + store.TotalVisits(1);
+    auth_positions += store.TotalVisits(1);
     for (NodeId u = 0; u < kNodes; ++u) {
       if (!store.OwnsSource(u)) continue;
       for (std::size_t k = 0; k < store.segments_per_node(); ++k) {
         const auto seg = store.GetSegment(u, k);
         for (std::size_t p = 0; p + 1 < seg.size(); ++p) {
-          const bool forward = (p % 2 == 0) == seg.forward_start();
+          const bool forward = (k / R + p) % 2 == 0;
           const uint32_t from = forward ? seg.node(p) : kNodes + seg.node(p);
           const uint32_t to =
               forward ? kNodes + seg.node(p + 1) : seg.node(p + 1);
@@ -522,7 +520,8 @@ TEST(DistributionOracleTest, PipelinedPageRankMatchesFreshWalks) {
 }
 
 TEST(DistributionOracleTest, PipelinedSalsaMatchesFreshWalks) {
-  const OracleResult r = RunSalsa(/*seed=*/2022);
+  const OracleResult r =
+      RunSalsa(/*seed=*/2022, UpdatePolicy::kRerouteFromVisit);
   r.Print("salsa");
   // Same three checks and false-alarm rates as the PageRank test.
   EXPECT_LT(r.score_z, kZ);
@@ -531,15 +530,23 @@ TEST(DistributionOracleTest, PipelinedSalsaMatchesFreshWalks) {
   EXPECT_LT(std::abs(r.length_z), kZ);
 }
 
+// Positive controls for check 3: kRedoFromSource re-rolls a repaired
+// segment's reset draws, and a segment that comes out as its bare source
+// (reset before the first step) has no step visit to select it again.
+// Over this stream such segments pile up, and the stored walk length
+// falls tens of standard deviations below its expectation — for SALSA
+// too, whose store serves the policy through the same repair branch.
 TEST(DistributionOracleTest, LengthCheckCatchesRedoFromSourceDrift) {
-  // Positive control for check 3: kRedoFromSource re-rolls a repaired
-  // segment's reset draws, and a segment that comes out as its bare
-  // source (reset before the first step) has no step visit to select it
-  // again. Over this stream such segments pile up, and the stored walk
-  // length falls tens of standard deviations below its expectation.
   const OracleResult r =
       RunPageRank(/*seed=*/1011, UpdatePolicy::kRedoFromSource);
   r.Print("pagerank, kRedoFromSource");
+  EXPECT_LT(r.length_z, -kZ);
+}
+
+TEST(DistributionOracleTest, LengthCheckCatchesSalsaRedoFromSourceDrift) {
+  const OracleResult r =
+      RunSalsa(/*seed=*/2022, UpdatePolicy::kRedoFromSource);
+  r.Print("salsa, kRedoFromSource");
   EXPECT_LT(r.length_z, -kZ);
 }
 

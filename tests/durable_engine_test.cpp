@@ -17,7 +17,6 @@
 #include <unistd.h>
 
 #include "fastppr/core/incremental_pagerank.h"
-#include "fastppr/core/incremental_salsa.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/generators.h"
 #include "fastppr/store/checkpoint.h"

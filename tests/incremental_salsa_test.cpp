@@ -1,4 +1,4 @@
-#include "fastppr/core/incremental_salsa.h"
+#include "fastppr/core/incremental_pagerank.h"
 
 #include <cmath>
 
@@ -31,7 +31,7 @@ TEST(IncrementalSalsaTest, StreamMatchesExactChain) {
   auto exact = SalsaExact(CsrGraph::FromDiGraph(engine.graph()), opts);
   double l1 = 0.0;
   for (NodeId v = 0; v < 50; ++v) {
-    l1 += std::abs(engine.AuthorityEstimate(v) - exact.authority[v]);
+    l1 += std::abs(engine.NormalizedEstimate(v) - exact.authority[v]);
   }
   EXPECT_LT(l1, 0.15);
 }
@@ -43,7 +43,7 @@ TEST(IncrementalSalsaTest, AuthorityTracksIndegree) {
     ASSERT_TRUE(engine.AddEdge(v, 5).ok());
     ASSERT_TRUE(engine.AddEdge(5, v).ok());
   }
-  auto top = engine.TopKAuthorities(1);
+  auto top = engine.TopK(1);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0], 5u);
 }
@@ -60,8 +60,8 @@ TEST(IncrementalSalsaTest, BootstrapMatchesStreamed) {
   }
   double l1 = 0.0;
   for (NodeId v = 0; v < 40; ++v) {
-    l1 += std::abs(boot.AuthorityEstimate(v) -
-                   streamed.AuthorityEstimate(v));
+    l1 += std::abs(boot.NormalizedEstimate(v) -
+                   streamed.NormalizedEstimate(v));
   }
   EXPECT_LT(l1, 0.2);
 }

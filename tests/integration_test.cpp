@@ -10,9 +10,7 @@
 #include "fastppr/baseline/power_iteration.h"
 #include "fastppr/baseline/salsa_exact.h"
 #include "fastppr/core/incremental_pagerank.h"
-#include "fastppr/core/incremental_salsa.h"
 #include "fastppr/core/ppr_walker.h"
-#include "fastppr/core/salsa_walker.h"
 #include "fastppr/core/theory.h"
 #include "fastppr/graph/csr_graph.h"
 #include "fastppr/graph/edge_stream.h"
@@ -100,7 +98,7 @@ TEST(IntegrationTest, PersonalizedWalkOnEvolvedStore) {
                                     seed, opts);
   double l1 = 0.0;
   for (NodeId v = 0; v < 150; ++v) {
-    const double freq = static_cast<double>(scratch.counts[v]) /
+    const double freq = static_cast<double>(scratch.counts[0][v]) /
                         static_cast<double>(walk.length);
     l1 += std::abs(freq - exact.scores[v]);
   }
@@ -122,8 +120,7 @@ TEST(IntegrationTest, SalsaRecommendationsOnEvolvedStore) {
                                  &engine.social_store());
   std::vector<ScoredNode> recs;
   ASSERT_TRUE(walker
-                  .TopKAuthorities(50, 10, 50000, /*exclude_friends=*/true,
-                                   10, &recs)
+                  .TopK(50, 10, 50000, /*exclude_friends=*/true, 10, &recs)
                   .ok());
   EXPECT_FALSE(recs.empty());
   // Recommendations correlate with the exact personalized SALSA ranking.

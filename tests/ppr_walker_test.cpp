@@ -36,7 +36,7 @@ TEST(PprWalkerTest, WalkReachesRequestedLength) {
   EXPECT_GE(result.length, 5000u);
   // Total visits recorded equals the length.
   int64_t total = 0;
-  for (NodeId v : scratch.visited) total += scratch.counts[v];
+  for (NodeId v : scratch.visited[0]) total += scratch.counts[0][v];
   EXPECT_EQ(static_cast<uint64_t>(total), result.length);
   EXPECT_GE(result.fetches, 1u);
   EXPECT_GT(result.resets, 0u);
@@ -66,7 +66,7 @@ TEST(PprWalkerTest, VisitDistributionMatchesExactPersonalizedPageRank) {
                            opts);
   double l1 = 0.0;
   for (NodeId v = 0; v < 40; ++v) {
-    const double freq = static_cast<double>(scratch.counts[v]) /
+    const double freq = static_cast<double>(scratch.counts[0][v]) /
                         static_cast<double>(result.length);
     l1 += std::abs(freq - exact.scores[v]);
   }
@@ -165,8 +165,8 @@ TEST(PprWalkerTest, DanglingSeedStillWalks) {
   PersonalizedWalkResult result;
   ASSERT_TRUE(walker.Walk(0, 100, 18, &scratch, &result).ok());
   EXPECT_GE(result.length, 100u);
-  ASSERT_EQ(scratch.visited.size(), 1u);
-  EXPECT_EQ(scratch.counts[0], static_cast<int64_t>(result.length));
+  ASSERT_EQ(scratch.visited[0].size(), 1u);
+  EXPECT_EQ(scratch.counts[0][0], static_cast<int64_t>(result.length));
 }
 
 TEST(RankVisitsTest, StableOrderingAndScores) {

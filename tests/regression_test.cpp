@@ -3,16 +3,20 @@
 // properties not covered by the per-module suites.
 
 #include <cmath>
+#include <cstdio>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fastppr/baseline/power_iteration.h"
 #include "fastppr/baseline/salsa_exact.h"
 #include "fastppr/core/incremental_pagerank.h"
-#include "fastppr/core/incremental_salsa.h"
 #include "fastppr/core/ppr_walker.h"
+#include "fastppr/engine/query_service.h"
+#include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/csr_graph.h"
 #include "fastppr/graph/generators.h"
+#include "fastppr/util/crc32c.h"
 
 namespace fastppr {
 namespace {
@@ -115,11 +119,11 @@ TEST(SalsaStarTest, CenterDominatesAuthority) {
     ASSERT_TRUE(g.AddEdge(0, leaf).ok());
   }
   IncrementalSalsa engine(g, Opts(50, 0.05, 13));
-  EXPECT_GT(engine.AuthorityEstimate(0), 0.4);
+  EXPECT_GT(engine.NormalizedEstimate(0), 0.4);
   for (NodeId leaf = 1; leaf <= 10; ++leaf) {
-    EXPECT_LT(engine.AuthorityEstimate(leaf), 0.1);
+    EXPECT_LT(engine.NormalizedEstimate(leaf), 0.1);
   }
-  EXPECT_EQ(engine.TopKAuthorities(1)[0], 0u);
+  EXPECT_EQ(engine.TopK(1)[0], 0u);
 }
 
 TEST(EngineChurnTest, EstimatesSumToOneThroughout) {
@@ -149,7 +153,7 @@ TEST(EngineChurnTest, SalsaDirichletStreamKeepsInvariants) {
   engine.CheckConsistency();
   // Authority frequencies over all nodes sum to 1.
   double sum = 0.0;
-  for (NodeId v = 0; v < 60; ++v) sum += engine.AuthorityEstimate(v);
+  for (NodeId v = 0; v < 60; ++v) sum += engine.NormalizedEstimate(v);
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
@@ -227,6 +231,137 @@ TEST(PowerIterationAgreementTest, PaperVsVisitNormalization) {
     EXPECT_NEAR(engine.Estimate(v), engine.NormalizedEstimate(v),
                 0.3 * engine.NormalizedEstimate(v) + 0.002);
   }
+}
+
+
+// ---------------------------------------------------------------------
+// Pinned random streams. Each estimator runs a fixed churn script behind
+// a QueryService at S = 1 and S = 4 and is reduced to two CRC32C
+// digests: one over SerializeState() (graph, walk slabs, RNG states,
+// counters) and one over what a client reads (the merged snapshot count
+// of every node plus the (node, visits) pairs of 32 fixed personalized
+// top-10 answers). A refactor of the stores, walkers or engines must
+// leave all of them unchanged. A change may update these constants only
+// when it states an intended change to the random streams (for example
+// a counter-based RNG); say so wherever the change is described.
+
+struct PinnedDigests {
+  uint32_t state = 0;
+  uint32_t answers = 0;
+};
+
+/// Mixed insert/delete windows of 1 to 4096 events over a Chung-Lu graph
+/// of 1,000 nodes: inserts come from a held-out pool, deletes pick a
+/// uniformly random live edge.
+struct PinnedScript {
+  DiGraph initial;
+  std::vector<std::vector<EdgeEvent>> windows;
+};
+
+PinnedScript MakePinnedScript() {
+  constexpr std::size_t kNodes = 1000;
+  Rng graph_rng(2101);
+  ChungLuOptions gen;
+  gen.num_nodes = kNodes;
+  gen.num_edges = 10500;
+  std::vector<Edge> edges = ChungLuDirected(gen, &graph_rng);
+  PinnedScript script;
+  script.initial = DiGraph(kNodes);
+  std::vector<Edge> live(edges.begin(), edges.begin() + 6000);
+  std::vector<Edge> pool(edges.begin() + 6000, edges.end());
+  for (const Edge& e : live) {
+    EXPECT_TRUE(script.initial.AddEdge(e.src, e.dst).ok());
+  }
+  Rng churn(2102);
+  std::size_t next_pool = 0;
+  for (std::size_t size :
+       {1, 3, 16, 4096, 2, 257, 1024, 1, 64, 2048, 9, 512}) {
+    std::vector<EdgeEvent> window;
+    for (std::size_t i = 0; i < size; ++i) {
+      const bool insert =
+          next_pool < pool.size() && (live.empty() || churn.Bernoulli(0.5));
+      if (insert) {
+        const Edge e = pool[next_pool++];
+        live.push_back(e);
+        window.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
+      } else {
+        const std::size_t at = churn.UniformIndex(live.size());
+        const Edge e = live[at];
+        live[at] = live.back();
+        live.pop_back();
+        window.push_back(EdgeEvent{EdgeEvent::Kind::kDelete, e});
+      }
+    }
+    script.windows.push_back(std::move(window));
+  }
+  return script;
+}
+
+template <typename Engine>
+PinnedDigests RunPinnedScript(const PinnedScript& script,
+                              std::size_t shards) {
+  MonteCarloOptions mc = Opts(4, 0.2, 2103);
+  ShardedEngine<Engine> engine(script.initial, mc,
+                               ShardedOptions{shards, 2});
+  QueryService<Engine> service(&engine);
+  for (const std::vector<EdgeEvent>& window : script.windows) {
+    EXPECT_TRUE(service.Ingest(window).ok());
+  }
+  service.Quiesce();
+  PinnedDigests out;
+  const std::vector<uint8_t> state = engine.SerializeState();
+  out.state = Crc32c(state.data(), state.size());
+
+  ReadScratch read;
+  int64_t total = 0;
+  const std::vector<int64_t>& counts =
+      service.SnapshotCountsInto(&read, &total);
+  uint32_t crc =
+      ExtendCrc32c(0, counts.data(), counts.size() * sizeof(int64_t));
+  crc = ExtendCrc32c(crc, &total, sizeof(total));
+  std::vector<ScoredNode> ranked;
+  for (uint64_t i = 0; i < 32; ++i) {
+    const NodeId seed = static_cast<NodeId>((i * 37 + 11) % 1000);
+    EXPECT_TRUE(service
+                    .PersonalizedTopK(seed, 10, 2000,
+                                      /*exclude_friends=*/true, 7000 + i,
+                                      &ranked)
+                    .ok());
+    for (const ScoredNode& s : ranked) {
+      crc = ExtendCrc32c(crc, &s.node, sizeof(s.node));
+      crc = ExtendCrc32c(crc, &s.visits, sizeof(s.visits));
+    }
+  }
+  out.answers = crc;
+  return out;
+}
+
+TEST(PinnedStreamTest, PageRankDigestsMatchRecordedConstants) {
+  const PinnedScript script = MakePinnedScript();
+  const PinnedDigests s1 = RunPinnedScript<IncrementalPageRank>(script, 1);
+  const PinnedDigests s4 = RunPinnedScript<IncrementalPageRank>(script, 4);
+  std::printf("pagerank S=1 state %08x answers %08x\n", s1.state,
+              s1.answers);
+  std::printf("pagerank S=4 state %08x answers %08x\n", s4.state,
+              s4.answers);
+  EXPECT_EQ(s1.state, 0x32ba609au);
+  EXPECT_EQ(s1.answers, 0x46dface4u);
+  EXPECT_EQ(s4.state, 0xf9e9a1a8u);
+  EXPECT_EQ(s4.answers, 0x953ef6ccu);
+}
+
+TEST(PinnedStreamTest, SalsaDigestsMatchRecordedConstants) {
+  const PinnedScript script = MakePinnedScript();
+  const PinnedDigests s1 = RunPinnedScript<IncrementalSalsa>(script, 1);
+  const PinnedDigests s4 = RunPinnedScript<IncrementalSalsa>(script, 4);
+  std::printf("salsa S=1 state %08x answers %08x\n", s1.state,
+              s1.answers);
+  std::printf("salsa S=4 state %08x answers %08x\n", s4.state,
+              s4.answers);
+  EXPECT_EQ(s1.state, 0x89067e9du);
+  EXPECT_EQ(s1.answers, 0xc840fd5bu);
+  EXPECT_EQ(s4.state, 0xc703b1d3u);
+  EXPECT_EQ(s4.answers, 0xe0ed49c5u);
 }
 
 }  // namespace

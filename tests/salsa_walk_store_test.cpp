@@ -1,4 +1,4 @@
-#include "fastppr/store/salsa_walk_store.h"
+#include "fastppr/store/walk_store.h"
 
 #include <cmath>
 
@@ -51,17 +51,20 @@ TEST(SalsaWalkStoreTest, MeanSegmentLengthIsTwoOverEps) {
               2.0 / eps * 0.15);
 }
 
-TEST(SalsaWalkStoreTest, StepDirectionAlternates) {
+TEST(SalsaWalkStoreTest, SidesAlternate) {
   auto edges = CompleteDigraph(6);
   DiGraph g = BuildGraph(6, edges);
   SalsaWalkStore store;
   store.Init(g, 2, 0.3, 7);
-  // Forward-start segment of node 0 (k=0) and backward-start (k=2).
-  EXPECT_EQ(store.StepDirection(0, 0), SalsaWalkStore::Direction::kForward);
-  EXPECT_EQ(store.StepDirection(0, 1), SalsaWalkStore::Direction::kBackward);
-  EXPECT_EQ(store.StepDirection(0, 2), SalsaWalkStore::Direction::kForward);
-  EXPECT_EQ(store.StepDirection(2, 0), SalsaWalkStore::Direction::kBackward);
-  EXPECT_EQ(store.StepDirection(2, 1), SalsaWalkStore::Direction::kForward);
+  // Hub-start (side 0) segment of node 0 (k=0) and authority-start
+  // (side 1) segment (k=2); node 1's segments follow at ids 4..7.
+  EXPECT_EQ(store.SideOf(0, 0), 0u);
+  EXPECT_EQ(store.SideOf(0, 1), 1u);
+  EXPECT_EQ(store.SideOf(0, 2), 0u);
+  EXPECT_EQ(store.SideOf(2, 0), 1u);
+  EXPECT_EQ(store.SideOf(2, 1), 0u);
+  EXPECT_EQ(store.SideOf(5, 0), 0u);
+  EXPECT_EQ(store.SideOf(7, 0), 1u);
 }
 
 TEST(SalsaWalkStoreTest, GlobalAuthorityTracksIndegreeAtSmallEps) {
@@ -75,7 +78,7 @@ TEST(SalsaWalkStoreTest, GlobalAuthorityTracksIndegreeAtSmallEps) {
   const double m = static_cast<double>(g.num_edges());
   double l1 = 0.0;
   for (NodeId v = 0; v < 40; ++v) {
-    l1 += std::abs(store.NormalizedAuthority(v) -
+    l1 += std::abs(store.NormalizedEstimate(v, 1) -
                    static_cast<double>(g.InDegree(v)) / m);
   }
   EXPECT_LT(l1, 0.15);
@@ -93,8 +96,8 @@ TEST(SalsaWalkStoreTest, MatchesExactChainOnStaticGraph) {
   auto exact = SalsaExact(CsrGraph::FromDiGraph(g), opts);
   double l1_auth = 0.0, l1_hub = 0.0;
   for (NodeId v = 0; v < 50; ++v) {
-    l1_auth += std::abs(store.NormalizedAuthority(v) - exact.authority[v]);
-    l1_hub += std::abs(store.NormalizedHub(v) - exact.hub[v]);
+    l1_auth += std::abs(store.NormalizedEstimate(v, 1) - exact.authority[v]);
+    l1_hub += std::abs(store.NormalizedEstimate(v, 0) - exact.hub[v]);
   }
   EXPECT_LT(l1_auth, 0.12);
   EXPECT_LT(l1_hub, 0.12);
@@ -118,7 +121,7 @@ TEST(SalsaWalkStoreTest, IncrementalMatchesExactAfterStream) {
   auto exact = SalsaExact(CsrGraph::FromDiGraph(g), opts);
   double l1_auth = 0.0;
   for (NodeId v = 0; v < 40; ++v) {
-    l1_auth += std::abs(store.NormalizedAuthority(v) - exact.authority[v]);
+    l1_auth += std::abs(store.NormalizedEstimate(v, 1) - exact.authority[v]);
   }
   EXPECT_LT(l1_auth, 0.15);
 }
@@ -181,7 +184,7 @@ TEST(SalsaWalkStoreTest, RemovalKeepsInvariantsAndDistribution) {
   auto exact = SalsaExact(CsrGraph::FromDiGraph(g), opts);
   double l1 = 0.0;
   for (NodeId v = 0; v < 30; ++v) {
-    l1 += std::abs(store.NormalizedAuthority(v) - exact.authority[v]);
+    l1 += std::abs(store.NormalizedEstimate(v, 1) - exact.authority[v]);
   }
   EXPECT_LT(l1, 0.2);
 }

@@ -1,4 +1,4 @@
-#include "fastppr/core/salsa_walker.h"
+#include "fastppr/core/ppr_walker.h"
 
 #include <cmath>
 
@@ -29,14 +29,14 @@ struct Fixture {
 TEST(SalsaWalkerTest, WalkReachesLengthAndCountsSplitBySide) {
   Fixture f(40, 300, 5, 0.2, 1);
   PersonalizedSalsaWalker walker(&f.store, &f.social);
-  SalsaWalkScratch scratch;
-  SalsaWalkResult result;
+  BasicWalkScratch<SalsaSteps> scratch;
+  PersonalizedWalkResult result;
   ASSERT_TRUE(walker.Walk(2, 8000, 2, &scratch, &result).ok());
   EXPECT_GE(result.length, 8000u);
   int64_t hub_total = 0, auth_total = 0;
-  for (NodeId v : scratch.hub_visited) hub_total += scratch.hub_counts[v];
-  for (NodeId v : scratch.authority_visited) {
-    auth_total += scratch.authority_counts[v];
+  for (NodeId v : scratch.visited[0]) hub_total += scratch.counts[0][v];
+  for (NodeId v : scratch.visited[1]) {
+    auth_total += scratch.counts[1][v];
   }
   EXPECT_EQ(static_cast<uint64_t>(hub_total + auth_total), result.length);
   // Alternating walk: the two sides are roughly balanced.
@@ -48,8 +48,8 @@ TEST(SalsaWalkerTest, WalkReachesLengthAndCountsSplitBySide) {
 TEST(SalsaWalkerTest, MatchesExactPersonalizedSalsa) {
   Fixture f(30, 250, 10, 0.2, 3);
   PersonalizedSalsaWalker walker(&f.store, &f.social);
-  SalsaWalkScratch scratch;
-  SalsaWalkResult result;
+  BasicWalkScratch<SalsaSteps> scratch;
+  PersonalizedWalkResult result;
   const NodeId seed = 5;
   ASSERT_TRUE(walker.Walk(seed, 400000, 4, &scratch, &result).ok());
 
@@ -58,28 +58,28 @@ TEST(SalsaWalkerTest, MatchesExactPersonalizedSalsa) {
   auto exact = PersonalizedSalsaExact(
       CsrGraph::FromDiGraph(f.social.graph()), seed, opts);
   int64_t auth_total = 0;
-  for (NodeId v : scratch.authority_visited) {
-    auth_total += scratch.authority_counts[v];
+  for (NodeId v : scratch.visited[1]) {
+    auth_total += scratch.counts[1][v];
   }
   double l1 = 0.0;
   for (NodeId v = 0; v < 30; ++v) {
     const double freq =
         auth_total == 0 ? 0.0
-                        : static_cast<double>(scratch.authority_counts[v]) /
+                        : static_cast<double>(scratch.counts[1][v]) /
                               static_cast<double>(auth_total);
     l1 += std::abs(freq - exact.authority[v]);
   }
   EXPECT_LT(l1, 0.06);
 }
 
-TEST(SalsaWalkerTest, TopKAuthoritiesExcludesFriends) {
+TEST(SalsaWalkerTest, TopKExcludesFriends) {
   Fixture f(30, 250, 5, 0.2, 5);
   PersonalizedSalsaWalker walker(&f.store, &f.social);
   std::vector<ScoredNode> ranked;
   const NodeId seed = 9;
   ASSERT_TRUE(walker
-                  .TopKAuthorities(seed, 8, 20000, /*exclude_friends=*/true,
-                                   6, &ranked)
+                  .TopK(seed, 8, 20000, /*exclude_friends=*/true, 6,
+                        &ranked)
                   .ok());
   for (const ScoredNode& s : ranked) {
     EXPECT_NE(s.node, seed);
@@ -94,8 +94,8 @@ TEST(SalsaWalkerTest, FetchBudgetRespected) {
   WalkerOptions opts;
   opts.max_fetches = 2;
   PersonalizedSalsaWalker walker(&f.store, &f.social, opts);
-  SalsaWalkScratch scratch;
-  SalsaWalkResult result;
+  BasicWalkScratch<SalsaSteps> scratch;
+  PersonalizedWalkResult result;
   EXPECT_TRUE(
       walker.Walk(0, 100000, 8, &scratch, &result).IsResourceExhausted());
 }
@@ -103,8 +103,8 @@ TEST(SalsaWalkerTest, FetchBudgetRespected) {
 TEST(SalsaWalkerTest, InvalidSeed) {
   Fixture f(10, 60, 2, 0.2, 9);
   PersonalizedSalsaWalker walker(&f.store, &f.social);
-  SalsaWalkScratch scratch;
-  SalsaWalkResult result;
+  BasicWalkScratch<SalsaSteps> scratch;
+  PersonalizedWalkResult result;
   EXPECT_TRUE(
       walker.Walk(50, 100, 10, &scratch, &result).IsInvalidArgument());
 }
@@ -115,12 +115,12 @@ TEST(SalsaWalkerTest, IsolatedSeedProducesSeedOnlyWalk) {
   SalsaWalkStore store;
   store.Init(social.graph(), 3, 0.2, 11);
   PersonalizedSalsaWalker walker(&store, &social);
-  SalsaWalkScratch scratch;
-  SalsaWalkResult result;
+  BasicWalkScratch<SalsaSteps> scratch;
+  PersonalizedWalkResult result;
   ASSERT_TRUE(walker.Walk(0, 50, 12, &scratch, &result).ok());
-  ASSERT_EQ(scratch.hub_visited.size(), 1u);
-  EXPECT_EQ(scratch.hub_counts[0], static_cast<int64_t>(result.length));
-  EXPECT_TRUE(scratch.authority_visited.empty());
+  ASSERT_EQ(scratch.visited[0].size(), 1u);
+  EXPECT_EQ(scratch.counts[0][0], static_cast<int64_t>(result.length));
+  EXPECT_TRUE(scratch.visited[1].empty());
 }
 
 TEST(SalsaWalkerTest, OneEdgeModeNeverCheaper) {
@@ -129,8 +129,8 @@ TEST(SalsaWalkerTest, OneEdgeModeNeverCheaper) {
   WalkerOptions one_opts;
   one_opts.fetch_mode = FetchMode::kSegmentsAndOneEdge;
   PersonalizedSalsaWalker one_mode(&f.store, &f.social, one_opts);
-  SalsaWalkScratch scratch;
-  SalsaWalkResult a, b;
+  BasicWalkScratch<SalsaSteps> scratch;
+  PersonalizedWalkResult a, b;
   ASSERT_TRUE(all_mode.Walk(1, 15000, 14, &scratch, &a).ok());
   ASSERT_TRUE(one_mode.Walk(1, 15000, 14, &scratch, &b).ok());
   EXPECT_GE(b.fetches, a.fetches);

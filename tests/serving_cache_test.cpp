@@ -27,7 +27,6 @@
 #include <gtest/gtest.h>
 
 #include "fastppr/core/incremental_pagerank.h"
-#include "fastppr/core/incremental_salsa.h"
 #include "fastppr/engine/query_service.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/generators.h"
@@ -86,11 +85,13 @@ uint64_t SteppingNow() {
   return g_stepping_now.fetch_add(1000, std::memory_order_relaxed);
 }
 
-std::size_t TouchedNodes(const PersonalizedWalkScratch& s) {
-  return s.visited.size();
-}
-std::size_t TouchedNodes(const SalsaWalkScratch& s) {
-  return s.hub_visited.size() + s.authority_visited.size();
+template <typename Steps>
+std::size_t TouchedNodes(const BasicWalkScratch<Steps>& s) {
+  std::size_t touched = 0;
+  for (const std::vector<NodeId>& visited : s.visited) {
+    touched += visited.size();
+  }
+  return touched;
 }
 
 struct OracleQuery {
@@ -112,14 +113,13 @@ template <typename Engine>
 void CheckReusedScratchMatchesFresh() {
   using Service = QueryService<Engine>;
   using Scratch = typename Service::PersonalizedScratch;
-  using WalkStats = typename Service::WalkStats;
   ServiceFixture<Engine> f(200, 1400, 47);
 
   Scratch reused;
   std::size_t answered = 0;
   auto check_against_fresh = [&](const OracleQuery& q) {
     std::vector<ScoredNode> got;
-    WalkStats got_stats;
+    PersonalizedWalkResult got_stats;
     SnapshotInfo got_info;
     ASSERT_TRUE(f.service
                     .PersonalizedTopKInto(q.seed, q.k, q.length,
@@ -129,7 +129,7 @@ void CheckReusedScratchMatchesFresh() {
                     .ok());
     Scratch fresh;
     std::vector<ScoredNode> expected;
-    WalkStats expected_stats;
+    PersonalizedWalkResult expected_stats;
     SnapshotInfo expected_info;
     ASSERT_TRUE(f.service
                     .PersonalizedTopKInto(q.seed, q.k, q.length,
@@ -163,7 +163,7 @@ void CheckReusedScratchMatchesFresh() {
     WalkerOptions opts;
     opts.deadline = serve::Deadline::AfterNanos(32'000, &SteppingNow);
     std::vector<ScoredNode> ranked;
-    WalkStats stats;
+    PersonalizedWalkResult stats;
     const Status s = f.service.PersonalizedTopKInto(
         65, 10, 1'000'000, true, 1002, opts, &reused, &ranked, &stats);
     ASSERT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
@@ -179,7 +179,7 @@ void CheckReusedScratchMatchesFresh() {
     WalkerOptions opts;
     opts.max_fetches = 3;
     std::vector<ScoredNode> ranked;
-    WalkStats stats;
+    PersonalizedWalkResult stats;
     const Status s = f.service.PersonalizedTopKInto(
         127, 10, 100'000, false, 1005, opts, &reused, &ranked, &stats);
     ASSERT_TRUE(s.IsResourceExhausted()) << s.ToString();

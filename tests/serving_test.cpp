@@ -267,7 +267,7 @@ TEST(WalkerDeadlineTest, ExpiredDeadlineDoesZeroAccumulation) {
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
   EXPECT_EQ(result.length, 0u);
   EXPECT_EQ(result.fetches, 0u);
-  EXPECT_TRUE(scratch.visited.empty());
+  EXPECT_TRUE(scratch.visited[0].empty());
 }
 
 TEST(WalkerDeadlineTest, MidWalkCooperativeCancellation) {

@@ -37,9 +37,7 @@
 #include <unistd.h>
 
 #include "fastppr/core/incremental_pagerank.h"
-#include "fastppr/core/incremental_salsa.h"
 #include "fastppr/core/ppr_walker.h"
-#include "fastppr/core/salsa_walker.h"
 #include "fastppr/engine/query_service.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/engine/thread_pool.h"
@@ -192,11 +190,11 @@ TEST(ShardedEngineTest, OneShardMatchesFlatSalsaBitForBit) {
 
   const std::vector<int64_t> merged = sharded.MergedRankingCounts();
   for (NodeId v = 0; v < n; ++v) {
-    EXPECT_EQ(merged[v], flat.walk_store().AuthorityVisits(v));
+    EXPECT_EQ(merged[v], flat.walk_store().VisitCount(v, 1));
   }
   EXPECT_EQ(sharded.lifetime_stats().walk_steps,
             flat.lifetime_stats().walk_steps);
-  EXPECT_EQ(sharded.TopK(10), flat.TopKAuthorities(10));
+  EXPECT_EQ(sharded.TopK(10), flat.TopK(10));
 }
 
 TEST(ShardedEngineTest, FourShardsInvariantAcrossThreadCounts) {
@@ -650,8 +648,8 @@ TEST(QueryServiceTest, DenseFrozenReadsMatchLiveShardedWalkerAtSOneAndFour) {
 
       const NodeId seed = static_cast<NodeId>((epoch * 31 + S) % n);
       LiveShardedView live_view(&engine);
-      BasicPersonalizedPageRankWalker<LiveShardedView, DiGraph> live_walker(
-          &live_view, &engine.graph());
+      BasicPersonalizedWalker<PageRankSteps, LiveShardedView, DiGraph>
+          live_walker(&live_view, &engine.graph());
       std::vector<ScoredNode> live_ranked;
       PersonalizedWalkResult live_walk;
       ASSERT_TRUE(live_walker
@@ -751,8 +749,8 @@ TEST(QueryServiceTest, DenseMapResolutionDuringPublishRotation) {
   EXPECT_EQ(stats.segment_rows_dense, n * spn);
   EXPECT_EQ(stats.segment_rows_global_model, 4 * n * spn);
   LiveShardedView live_view(&engine);
-  BasicPersonalizedPageRankWalker<LiveShardedView, DiGraph> live_walker(
-      &live_view, &engine.graph());
+  BasicPersonalizedWalker<PageRankSteps, LiveShardedView, DiGraph>
+      live_walker(&live_view, &engine.graph());
   std::vector<ScoredNode> live_ranked;
   std::vector<ScoredNode> svc_ranked;
   ASSERT_TRUE(live_walker
@@ -880,7 +878,7 @@ TEST(QueryServiceTest, PersonalizedSalsaServesAcrossShards) {
   service.Quiesce();
 
   std::vector<ScoredNode> ranked;
-  SalsaWalkResult walk;
+  PersonalizedWalkResult walk;
   ASSERT_TRUE(service
                   .PersonalizedTopK(7, 5, 20000, /*exclude_friends=*/true,
                                     /*rng_seed=*/7, &ranked, &walk)

@@ -149,36 +149,49 @@ TEST(UpdatePolicyTest, DanglingResumeUnderRedo) {
   store.CheckConsistency(g);
 }
 
-class PolicyChurnTest : public ::testing::TestWithParam<UpdatePolicy> {};
+// Both estimators' stores under churn, for each repair policy. The
+// engine must hand MonteCarloOptions::update_policy to its store: the
+// redo-from-source branch serves both with no estimator check.
+template <typename Steps>
+class PolicyChurnTest : public ::testing::Test {};
+using StepPolicies = ::testing::Types<PageRankSteps, SalsaSteps>;
+TYPED_TEST_SUITE(PolicyChurnTest, StepPolicies);
 
-TEST_P(PolicyChurnTest, InvariantsUnderChurn) {
-  Rng rng(11);
-  auto edges = ErdosRenyi(40, 250, &rng);
-  DiGraph g(40);
-  WalkStore store;
-  store.set_update_policy(GetParam());
-  store.Init(g, 5, 0.25, 12);
-  Rng update_rng(13);
-  std::vector<Edge> live;
-  for (const Edge& e : edges) {
-    ASSERT_TRUE(g.AddEdge(e.src, e.dst).ok());
-    store.OnEdgeInserted(g, e.src, e.dst, &update_rng);
-    live.push_back(e);
-    if (live.size() > 30 && update_rng.Bernoulli(0.3)) {
-      std::size_t i = update_rng.UniformIndex(live.size());
-      Edge victim = live[i];
-      live[i] = live.back();
-      live.pop_back();
-      ASSERT_TRUE(g.RemoveEdge(victim.src, victim.dst).ok());
-      store.OnEdgeRemoved(g, victim.src, victim.dst, &update_rng);
+TYPED_TEST(PolicyChurnTest, InvariantsUnderChurn) {
+  for (const UpdatePolicy policy :
+       {UpdatePolicy::kRerouteFromVisit, UpdatePolicy::kRedoFromSource}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    Rng rng(11);
+    auto edges = ErdosRenyi(40, 250, &rng);
+    DiGraph g(40);
+    BasicWalkStore<TypeParam> store;
+    store.set_update_policy(policy);
+    store.Init(g, 5, 0.25, 12);
+    Rng update_rng(13);
+    std::vector<Edge> live;
+    for (const Edge& e : edges) {
+      ASSERT_TRUE(g.AddEdge(e.src, e.dst).ok());
+      store.OnEdgeInserted(g, e.src, e.dst, &update_rng);
+      live.push_back(e);
+      if (live.size() > 30 && update_rng.Bernoulli(0.3)) {
+        std::size_t i = update_rng.UniformIndex(live.size());
+        Edge victim = live[i];
+        live[i] = live.back();
+        live.pop_back();
+        ASSERT_TRUE(g.RemoveEdge(victim.src, victim.dst).ok());
+        store.OnEdgeRemoved(g, victim.src, victim.dst, &update_rng);
+      }
     }
+    store.CheckConsistency(g);
   }
-  store.CheckConsistency(g);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, PolicyChurnTest,
-                         ::testing::Values(UpdatePolicy::kRerouteFromVisit,
-                                           UpdatePolicy::kRedoFromSource));
+TYPED_TEST(PolicyChurnTest, EngineHandsPolicyToItsStore) {
+  const BasicIncrementalEngine<TypeParam> engine(
+      20, Opts(3, 0.2, 14, UpdatePolicy::kRedoFromSource));
+  EXPECT_EQ(engine.walk_store().update_policy(),
+            UpdatePolicy::kRedoFromSource);
+}
 
 TEST(TheoryTopKTest, TheoryLengthTopKWorks) {
   Rng rng(15);
