@@ -159,9 +159,9 @@ int main(int argc, char** argv) {
         }
         return service->Ingest(w);
       });
-  // Drain the pipeline + publisher before reading histograms and the
-  // phase timeline: the tail windows' repair/publish spans land on the
-  // pipeline threads after Ingest acks.
+  // Drain the pipeline (repair and publish) before reading the
+  // histograms and the phase timeline: the tail windows' repair/publish
+  // spans land on the pipeline threads after Ingest acks.
   service->Quiesce();
   report.Add("serving_events_per_sec", serving_eps_sec);
 
@@ -198,8 +198,8 @@ int main(int argc, char** argv) {
 
   // --- Part 3: per-phase utilization over the serving run's timeline.
   // Ingest busy time lands on the writer track only (the caller
-  // mutating the one store); repair has S executor lanes; publish is
-  // the single publisher thread.
+  // mutating the one store); repair has S executor lanes; publish runs
+  // on the one pipeline thread at each window boundary.
   const auto totals = engine->phase_tracer()->ComputeTotals();
   const double util_ingest = totals.Utilization(obs::Phase::kIngest);
   const double util_repair =

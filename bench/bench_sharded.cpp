@@ -13,19 +13,19 @@
 // all shards, so the report also carries the memory story: measured
 // bytes-per-edge of the shared graph, what S per-shard replicas would
 // cost on the same slab layout (the PR 2 architecture — an exact S×),
-// plus the process peak RSS. Since PR 5 it additionally reports the frozen-view memory
-// of the query service: per-shard frozen segment bytes and the dense
-// owned-row table sizes versus the global-row-table model the pre-PR 5
-// snapshots carried (shardS_frozen_* keys).
+// plus the process peak RSS. It also reports the frozen-view memory of
+// the query service: the bytes of its one global versioned segment
+// table and its row count against a global table per shard
+// (shardS_frozen_* keys).
 //
-// Since PR 9 the engine runs the three-stage pipeline by default
-// (ingest k+1 overlaps repair k overlaps publish k-1), so the report
-// additionally carries the pipeline story: per-stage utilization
-// (util_ingest / util_repair / util_publish from the phase tracer),
-// their sum pipeline_overlap_util (> 1.0 means the stages genuinely
-// overlap on a multi-core box), and publish_bytes_per_delta_byte — the
-// structural-sharing contract that each frozen publish allocates about
-// one delta's worth of bytes, FASTPPR_CHECKed at <= 1.5.
+// The engine runs a pipeline (ingest k+1 overlaps the repair and
+// publish of window k), so the report additionally carries the
+// pipeline story: per-stage utilization (util_ingest / util_repair /
+// util_publish from the phase tracer), their sum pipeline_overlap_util
+// (> 1.0 means the stages genuinely overlap on a multi-core box), and
+// publish_bytes_per_delta_byte — the contract that each frozen publish
+// writes about one delta's worth of row versions, FASTPPR_CHECKed at
+// <= 1.5.
 //
 // The deployment ladder closes the report: an interleaved insert/delete
 // churn stream (each event a delete with probability 1/2) cut into
@@ -248,9 +248,9 @@ int main(int argc, char** argv) {
                                 totals.Utilization(obs::Phase::kRepair) +
                                 totals.Utilization(obs::Phase::kPublish);
 
-    // The structural-sharing contract: frozen publishes allocated about
-    // one delta's worth of bytes per presented delta byte (full
-    // captures excluded on both sides of the ratio).
+    // The publish contract: frozen publishes wrote about one delta's
+    // worth of row versions per presented delta byte (whole-table
+    // rewrites excluded on both sides of the ratio).
     const auto volume = service.publish_volume();
     const double publish_ratio =
         volume.presented_bytes == 0
@@ -315,17 +315,15 @@ int main(int argc, char** argv) {
         static_cast<double>(personalized_queries) /
         walk_timer.ElapsedSeconds();
 
-    // Frozen-view memory (PR 5 dense owned-row tables): the S shards'
-    // dense tables together hold exactly ONE global table's worth of
-    // rows; the pre-dense layout carried n * spn row headers PER shard
-    // — reported as the row-model reduction below. The warm-up above
-    // published the views this measures.
+    // Frozen-view memory: one global versioned segment table holds
+    // every shard's rows; a global table per shard would carry n * spn
+    // row heads PER shard — reported as the row-model reduction below.
     const auto frozen = service.FrozenStats();
     const double frozen_row_reduction =
-        frozen.segment_rows_dense == 0
+        frozen.segment_rows == 0
             ? 1.0
             : static_cast<double>(frozen.segment_rows_global_model) /
-                  static_cast<double>(frozen.segment_rows_dense);
+                  static_cast<double>(frozen.segment_rows);
 
     // Reads concurrent with ingestion: a reader thread hammers TopK
     // against a fresh engine while the main thread re-ingests the
@@ -422,12 +420,10 @@ int main(int argc, char** argv) {
                ingest_eps_during_walks);
     report.Add(prefix + "_frozen_segment_bytes_all_shards",
                static_cast<double>(frozen.segment_bytes));
-    report.Add(prefix + "_frozen_segment_bytes_max_shard",
-               static_cast<double>(frozen.max_shard_segment_bytes));
     report.Add(prefix + "_frozen_segment_row_table_bytes",
                static_cast<double>(frozen.segment_row_table_bytes));
     report.Add(prefix + "_frozen_rows_dense",
-               static_cast<double>(frozen.segment_rows_dense));
+               static_cast<double>(frozen.segment_rows));
     report.Add(prefix + "_frozen_rows_global_model",
                static_cast<double>(frozen.segment_rows_global_model));
     report.Add(prefix + "_frozen_row_reduction_vs_global_model",

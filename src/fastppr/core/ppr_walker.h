@@ -150,8 +150,9 @@ using PersonalizedWalkScratch = BasicWalkScratch<PageRankSteps>;
 ///
 /// `GraphView` abstracts where the adjacency lives: the live DiGraph (the
 /// flat deployment — safe only while the graph epoch is frozen) or a
-/// FrozenAdjacency copy (concurrent serving under live ingestion;
-/// captured WITH its in side for SALSA, whose walks step backwards). It
+/// FrozenAdjacency view of the versioned copy (concurrent serving under
+/// live ingestion; WITH its in side for SALSA, whose walks step
+/// backwards). It
 /// must provide num_nodes(), OutNeighbors() and the side-indexed degree
 /// and sampling calls of SideDegree/SideNeighbor with DiGraph's
 /// semantics.

@@ -2,17 +2,16 @@
 #define FASTPPR_ENGINE_INGEST_PIPELINE_H_
 
 // Queueing primitives for the pipelined ingest→repair→publish engine
-// (DESIGN.md §11). Deliberately simple mutex+cv structures: every queue
-// has exactly ONE producer and ONE consumer, depths are single digits,
+// (DESIGN.md §11). A deliberately simple mutex+cv structure: the queue
+// has exactly ONE producer and ONE consumer, its depth is one window,
 // and the interesting concurrency lives in the stage contract, not the
-// queues.
+// queue.
 //
-// The stage graph is acyclic (caller → advance queue → pipeline thread
-// → one ParallelFor over the shards; pipeline thread → publish queue →
-// publisher). The caller drains the previous window before it pushes
-// the next, so the advance queue never blocks; the publish queue's
-// blocking Push at capacity stalls exactly its upstream stage, and
-// nothing can deadlock.
+// The stage graph is acyclic: caller → advance queue → pipeline thread
+// → one ParallelFor over the shards, then the window boundary (the
+// snapshot publish) on the pipeline thread itself. The caller drains
+// the previous window before it pushes the next, so the advance queue
+// never blocks and nothing can deadlock.
 
 #include <condition_variable>
 #include <cstddef>
@@ -27,7 +26,7 @@ namespace fastppr::pipe {
 
 /// Single-producer single-consumer bounded FIFO. Push blocks while
 /// full; Pop blocks while empty and returns false once the queue is
-/// closed AND drained. high_water() is the consumer-side depth gauge.
+/// closed AND drained.
 template <typename T>
 class BoundedQueue {
  public:
@@ -41,7 +40,6 @@ class BoundedQueue {
     not_full_.wait(lock, [&] { return closed_ || q_.size() < cap_; });
     if (closed_) return false;
     q_.push_back(std::move(item));
-    if (q_.size() > high_water_) high_water_ = q_.size();
     not_empty_.notify_one();
     return true;
   }
@@ -63,18 +61,12 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  std::size_t high_water() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return high_water_;
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> q_;
   std::size_t cap_;
-  std::size_t high_water_ = 0;
   bool closed_ = false;
 };
 

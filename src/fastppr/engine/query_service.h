@@ -13,57 +13,49 @@
 // repairs) never synchronizes with readers at all — only the publish at
 // each window boundary touches the shared buffers.
 //
-// Personalized reads (PersonalizedTopKInto) are served from *frozen
-// segment-snapshot views* (store/segment_snapshot.h): structurally
-// shared immutable copies of each shard's walk segments plus the
-// adjacency, flipped as one pointer table under the view mutex. Each
-// request pins the whole table with one shared_ptr copy (mutex held only
-// across the pointer copy, never across a walk) and stitches its walk
-// with plain loads into the caller's dense walk scratch (one per serving
-// worker; PersonalizedTopK uses a thread-local one). One walker serves
-// both estimators: the engine's step policy (Engine::WalkSteps) fixes
-// the walk's sides, its scratch and whether the frozen adjacency keeps
-// its in side. Each publish allocates only the window's delta; clean
-// chunks are shared with the previous view and freed by their refcounts
-// when the last pin drops.
-//
-// Publish pipelining: the service implements the engine's BoundarySink,
-// so snapshot publishing is driven by window-boundary callbacks on the
-// engine's pipeline thread instead of the Ingest caller. The callback
-// captures the boundary-frozen state (counts + delta payloads) at every
-// boundary and hands assembly to a dedicated PUBLISHER thread — publish
-// of window k-1 overlaps repair of window k and ingest of window k+1.
+// Personalized reads (PersonalizedTopKInto) are served from three
+// versioned row tables (store/segment_snapshot.h): the walk segments of
+// every shard in one table indexed by global segment id (u * spn + k),
+// the out-adjacency and, for SALSA, the in-adjacency. The service
+// implements the engine's BoundarySink: at each window boundary, on the
+// engine's pipeline thread, it writes a new version of every row the
+// window's dirty feeds name, then flips the published {seq, epoch} pin
+// under the view mutex. A request pins the current publish under that
+// mutex (held only across the pin and the unpin, never across a walk),
+// walks the tables as of the pinned seq with plain loads into the
+// caller's dense walk scratch, and unpins. Versions a publish replaces
+// are freed at the first publish after the last reader that could reach
+// them unpins. One walker serves both estimators: the engine's step
+// policy (Engine::WalkSteps) fixes the walk's sides, its scratch and
+// whether the in-adjacency table exists.
 //
 // Consistency model:
 //  * Merged count reads: every per-shard read is torn-free and stamped
 //    with the ingestion epoch (windows applied) it was published at; a
 //    merged read overlapping a publish may combine shards from two
 //    *adjacent* epochs (reported via SnapshotInfo).
-//  * Personalized reads: the segment views and the adjacency view are
-//    flipped together, so one walk observes ONE epoch throughout
-//    (SnapshotInfo reports min_epoch == max_epoch). Reads lag live
-//    ingestion by at most the pipeline depth; Quiesce() is the
-//    freshness barrier.
+//  * Personalized reads: one pin covers the segments and the adjacency,
+//    so one walk observes ONE epoch throughout (SnapshotInfo reports
+//    min_epoch == max_epoch). The publish runs inside the window's
+//    retirement, so Quiesce() (the engine's Drain()) is the freshness
+//    barrier.
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "fastppr/core/ppr_walker.h"
 #include "fastppr/core/ranking.h"
-#include "fastppr/engine/ingest_pipeline.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/types.h"
 #include "fastppr/obs/engine_metrics.h"
 #include "fastppr/obs/latency_histogram.h"
 #include "fastppr/store/segment_snapshot.h"
-#include "fastppr/store/shared_snapshot.h"
+#include "fastppr/store/walk_slab.h"
 #include "fastppr/util/shard.h"
 #include "fastppr/util/status.h"
 
@@ -180,6 +172,34 @@ class SnapshotBuffer {
   std::atomic<uint64_t> seq_{0};
 };
 
+
+/// Publish-volume accounting for the `publish_bytes_per_delta_byte`
+/// contract. `presented_bytes` is the DENOMINATOR: the dirty volume the
+/// feeds handed the publish, duplicates included (8 id bytes plus the
+/// row's current content per feed entry, segment words at 8 bytes and
+/// adjacency ids at 4). `bytes_delta` is the NUMERATOR: the versions
+/// (header plus u32 ids) the delta publishes allocated. Whole-table
+/// rewrites (the first publish, a feed overflow, a forced Publish())
+/// are tracked separately in `bytes_full`.
+struct PublishVolume {
+  uint64_t publishes_full = 0;
+  uint64_t publishes_delta = 0;
+  uint64_t bytes_full = 0;
+  uint64_t bytes_delta = 0;
+  uint64_t presented_entries = 0;
+  uint64_t presented_bytes = 0;
+
+  uint64_t publish_delta_bytes() const { return bytes_delta; }
+  void Accumulate(const PublishVolume& o) {
+    publishes_full += o.publishes_full;
+    publishes_delta += o.publishes_delta;
+    bytes_full += o.bytes_full;
+    bytes_delta += o.bytes_delta;
+    presented_entries += o.presented_entries;
+    presented_bytes += o.presented_bytes;
+  }
+};
+
 /// Serving front door: ingest windows through Ingest(), read rankings
 /// concurrently through TopK()/Score(), run personalized queries
 /// concurrently through PersonalizedTopKInto()/PersonalizedTopK().
@@ -196,15 +216,14 @@ template <typename Engine>
 class QueryService : private ShardedEngine<Engine>::BoundarySink {
   using Steps = typename Engine::WalkSteps;
   using Ctx = typename ShardedEngine<Engine>::BoundaryContext;
-  /// Boundary→publisher queue depth: how many captured-but-unassembled
-  /// windows may stack up before window boundaries backpressure on the
-  /// publisher.
-  static constexpr std::size_t kPublishQueueCap = 4;
 
  public:
   explicit QueryService(ShardedEngine<Engine>* engine)
-      : engine_(engine), adj_builder_(/*capture_in=*/Steps::kSides > 1) {
-    FASTPPR_CHECK(engine_ != nullptr);
+      : engine_(engine),
+        spn_(engine->shard(0).walk_store().segments_per_node()),
+        segments_(engine->num_nodes() * spn_),
+        out_(engine->num_nodes()),
+        in_(Steps::kSides > 1 ? engine->num_nodes() : 0) {
     om_ = engine_->metric_handles();
     engine_->EnableAppliedEdgeTracking();
     for (std::size_t s = 0; s < engine_->num_shards(); ++s) {
@@ -215,33 +234,17 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     epsilon_ = store.epsilon();
     snapshots_ = std::vector<SnapshotBuffer>(engine_->num_shards());
     for (SnapshotBuffer& s : snapshots_) s.Init(engine_->num_nodes());
-    // The dense global->local segment map (immutable for the service's
-    // lifetime; shared by the per-shard builders and every reader).
-    ownership_ = engine_->MakeSegmentOwnership();
-    seg_builders_.reserve(engine_->num_shards());
-    for (std::size_t s = 0; s < engine_->num_shards(); ++s) {
-      seg_builders_.emplace_back(ownership_, s);
-    }
-    publisher_ = std::thread([this] { PublisherLoop(); });
     engine_->SetBoundarySink(this);
-    {
-      std::lock_guard<std::mutex> lock(window_mu_);
-      const Ctx ctx = engine_->QuiescentBoundaryContext();
-      PublishBoundary(ctx, /*full=*/true);
-    }
     // The ctor returns with a published view in place (readers CHECK
     // one exists).
-    WaitPublisherIdle();
+    Publish();
   }
 
   /// The engine outlives the service: detach the boundary sink and hand
   /// the delta feeds back so it stops paying for a serving layer that
   /// no longer exists.
   ~QueryService() override {
-    Quiesce();
     engine_->SetBoundarySink(nullptr);
-    publish_q_.Close();
-    if (publisher_.joinable()) publisher_.join();
     engine_->DisableAppliedEdgeTracking();
     for (std::size_t s = 0; s < engine_->num_shards(); ++s) {
       auto* store = engine_->shard(s).mutable_walk_store();
@@ -265,84 +268,52 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
 
   /// Re-publishes snapshots of the engine's current state (for callers
   /// that mutated the engine directly — the delta feeds may have missed
-  /// those mutations, so the frozen views are fully rebuilt). Blocks
-  /// until the rebuilt view is live.
+  /// those mutations, so every row is rewritten). Returns with the
+  /// rebuilt view live.
   void Publish() {
     std::lock_guard<std::mutex> lock(window_mu_);
-    const Ctx ctx = engine_->QuiescentBoundaryContext();
-    PublishBoundary(ctx, /*full=*/true);
-    WaitPublisherIdle();
+    PublishBoundary(engine_->QuiescentBoundaryContext(), /*full=*/true);
   }
 
   /// The freshness barrier: blocks until every window submitted through
-  /// Ingest() is fully applied AND its snapshot publishes are live.
-  /// (Differential tests compare states across engines at quiesced
-  /// boundaries.)
-  void Quiesce() {
-    engine_->Drain();
-    WaitPublisherIdle();
-  }
+  /// Ingest() is fully applied AND published (the engine's Drain(): the
+  /// publish runs inside each window's retirement).
+  void Quiesce() { engine_->Drain(); }
 
-  /// Epoch of the most recent window boundary's count publish (frozen
-  /// views may trail by the publish queue depth).
+  /// Epoch of the most recent window boundary's count publish (the
+  /// frozen view flips right after it, in the same boundary).
   uint64_t published_epoch() const {
     return published_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Aggregate structural-sharing publish accounting across every
-  /// builder (all shards' segments + both adjacency sides). Read at a
-  /// quiescent point (Quiesce()) for a consistent total;
+  /// Aggregate publish accounting across the three row tables. Read at
+  /// a quiescent point (Quiesce()) for a consistent total;
   /// publish_delta_bytes() / presented_bytes is the
   /// publish_bytes_per_delta_byte contract bench_sharded enforces.
-  snap::SharedPublishStats::Snapshot publish_volume() const {
-    snap::SharedPublishStats::Snapshot total;
-    for (const SegmentSnapshotBuilder& b : seg_builders_) {
-      total.Accumulate(b.stats().Read());
-    }
-    total.Accumulate(adj_builder_.out_stats().Read());
-    if (adj_builder_.capture_in()) {
-      total.Accumulate(adj_builder_.in_stats().Read());
-    }
-    return total;
+  PublishVolume publish_volume() const {
+    std::lock_guard<std::mutex> lock(view_mu_);
+    return volume_;
   }
 
-  /// Memory accounting of the currently published frozen views (pins
-  /// the view set briefly; safe concurrently with ingestion).
-  /// `segment_rows_dense` sums every shard's owned rows — exactly one
-  /// global table's worth across all shards; `segment_rows_global_model`
-  /// is what the pre-dense layout carried (n * spn rows PER shard).
+  /// Memory accounting of the frozen row tables (safe concurrently with
+  /// ingestion). `segment_rows` is the one global table's row count;
+  /// `segment_rows_global_model` what a global table per shard would
+  /// hold (S * n * spn rows).
   struct FrozenViewStats {
-    std::size_t segment_bytes = 0;           ///< all shards, current view
+    std::size_t segment_bytes = 0;  ///< heads + versions not yet freed
     std::size_t segment_row_table_bytes = 0;
-    std::size_t segment_rows_dense = 0;
+    std::size_t segment_rows = 0;
     std::size_t segment_rows_global_model = 0;
-    std::size_t max_shard_segment_bytes = 0;
-    std::size_t adjacency_bytes = 0;
+    std::size_t adjacency_bytes = 0;  ///< both sides
   };
   FrozenViewStats FrozenStats() const {
-    std::shared_ptr<const FrozenViewSet> pin;
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin = frozen_view_;
-    }
     FrozenViewStats out;
-    if (pin != nullptr) {
-      const std::size_t spn = pin->ownership->segments_per_node();
-      for (const auto& segs : pin->segments) {
-        out.segment_bytes += segs->MemoryBytes();
-        out.segment_row_table_bytes += segs->row_table_bytes();
-        out.segment_rows_dense += segs->num_segments();
-        out.segment_rows_global_model += engine_->num_nodes() * spn;
-        out.max_shard_segment_bytes =
-            std::max(out.max_shard_segment_bytes, segs->MemoryBytes());
-      }
-      if (pin->graph != nullptr) {
-        out.adjacency_bytes = pin->graph->MemoryBytes();
-      }
-    }
-    // Drop the pin under the view mutex (the unpin contract).
-    std::lock_guard<std::mutex> lock(view_mu_);
-    pin.reset();
+    out.segment_bytes = segments_.MemoryBytes();
+    out.segment_row_table_bytes = segments_.row_table_bytes();
+    out.segment_rows = segments_.num_rows();
+    out.segment_rows_global_model =
+        engine_->num_shards() * segments_.num_rows();
+    out.adjacency_bytes = out_.MemoryBytes() + in_.MemoryBytes();
     return out;
   }
 
@@ -427,14 +398,14 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   /// serving worker owns one and reuses it across requests).
   using PersonalizedScratch = BasicWalkScratch<Steps>;
 
+
   /// Personalized top-k (Algorithm 1 stitched walk, ranked by the rank
-  /// side: authority for SALSA), served from the frozen segment +
-  /// adjacency views published at a window boundary and accumulated into
-  /// the caller's `scratch`.
+  /// side: authority for SALSA), served from the row tables as of the
+  /// current publish and accumulated into the caller's `scratch`.
   /// Runs concurrently with ingestion: the view mutex is held only
-  /// across the shared_ptr pin and unpin, never across the walk, so
-  /// readers never stall the writer and vice versa. The whole walk
-  /// observes one epoch (`info`: min_epoch == max_epoch).
+  /// across the pin and the unpin, never across the walk, so readers
+  /// never stall the writer and vice versa. The whole walk observes one
+  /// epoch (`info`: min_epoch == max_epoch).
   /// `options.deadline` is polled inside the walk (cooperative
   /// cancellation), so an expired request returns DeadlineExceeded
   /// instead of burning walk budget; `options.max_fetches` remains the
@@ -446,49 +417,27 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
                               std::vector<ScoredNode>* ranked,
                               PersonalizedWalkResult* walk_stats = nullptr,
                               SnapshotInfo* info = nullptr) {
-    // Fail fast before pinning views: a request that is already dead
-    // must cost the service nothing.
+    // Fail fast before pinning: a request that is already dead must
+    // cost the service nothing.
     if (options.deadline.expired()) {
       return Status::DeadlineExceeded("deadline expired before walk start");
     }
     const bool hot = engine_->metrics_enabled();
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
     if (hot) om_.snapshot_pins->Add(1, engine_->shard_of(seed));
-    std::shared_ptr<const FrozenViewSet> pin;
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin = frozen_view_;
-    }
-    FASTPPR_CHECK_MSG(pin != nullptr && pin->graph != nullptr,
-                      "no published snapshot to serve from");
+    const PublishPins::Pin pin = Pin();
     if (info != nullptr) {
-      // Audited, not assumed: min/max span the adjacency AND every
-      // segment view, so the single-epoch contract's assertions in the
-      // tests and bench actually bite if a publish ever flips them at
-      // different epochs.
-      info->min_epoch = pin->graph->epoch();
-      info->max_epoch = pin->graph->epoch();
-      for (const auto& segs : pin->segments) {
-        info->min_epoch = std::min(info->min_epoch, segs->epoch());
-        info->max_epoch = std::max(info->max_epoch, segs->epoch());
-      }
+      info->min_epoch = pin.epoch;
+      info->max_epoch = pin.epoch;
     }
-    const FrozenSegmentView view(&pin->segments, pin->ownership.get(),
-                                 walks_per_node_, epsilon_);
-    const BasicPersonalizedWalker<Steps, FrozenSegmentView, FrozenAdjacency>
-        walker(&view, pin->graph.get(), options);
+    const FrozenSegments segments = SegmentsAt(pin);
+    const FrozenAdjacency graph = AdjacencyAt(pin);
+    const BasicPersonalizedWalker<Steps, FrozenSegments, FrozenAdjacency>
+        walker(&segments, &graph, options);
     const Status status =
         walker.TopKInto(seed, k, length, exclude_friends, rng_seed, scratch,
                         ranked, walk_stats);
-    // Drop the pin under the view mutex: the flip and the last unpin
-    // stay mutually ordered, so the chunk refcounts a dropped view
-    // releases (freeing unshared chunks) fall at deterministic points —
-    // the memory tests rely on that, and readers pay one uncontended
-    // lock per query for it.
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin.reset();
-    }
+    Unpin(pin);
     if (hot) om_.query_personalized->Record(obs::NowNanos() - t0);
     return status;
   }
@@ -507,100 +456,92 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
                                 walk_stats, info);
   }
 
-  /// Epoch of the currently published frozen view — the result cache's
-  /// key component. Read under the pin mutex, so it is exactly the epoch
-  /// a PersonalizedTopK pinning "now" would serve (modulo a concurrent
-  /// rotation, which only turns a would-be hit into a miss or a
-  /// same-epoch insert — never a stale hit).
+  /// A reader's hold on the current publish: the row tables as of its
+  /// seq stay readable, and nothing it can reach is freed, until
+  /// Unpin(). Each personalized read pins around its walk.
+  PublishPins::Pin Pin() {
+    std::lock_guard<std::mutex> lock(view_mu_);
+    const PublishPins::Pin pin = pins_.Acquire();
+    FASTPPR_CHECK_MSG(pin.seq != 0, "no published snapshot to serve from");
+    return pin;
+  }
+  void Unpin(const PublishPins::Pin& pin) {
+    std::lock_guard<std::mutex> lock(view_mu_);
+    pins_.Release(pin);
+  }
+
+  /// The segments and the adjacency as `pin` sees them.
+  FrozenSegments SegmentsAt(const PublishPins::Pin& pin) const {
+    return FrozenSegments(&segments_, pin.seq, walks_per_node_, spn_,
+                          epsilon_);
+  }
+  FrozenAdjacency AdjacencyAt(const PublishPins::Pin& pin) const {
+    return FrozenAdjacency(&out_, Steps::kSides > 1 ? &in_ : nullptr,
+                           pin.seq);
+  }
+  /// The global segment table (test hook: version and retire counts).
+  const VersionedRows& segment_table() const { return segments_; }
+
+  /// Epoch of the current publish — the result cache's key component.
+  /// Read under the view mutex, so it is exactly the epoch a
+  /// PersonalizedTopK pinning "now" would serve (modulo a concurrent
+  /// flip, which only turns a would-be hit into a miss or a same-epoch
+  /// insert — never a stale hit).
   uint64_t frozen_epoch() const {
     std::lock_guard<std::mutex> lock(view_mu_);
-    return frozen_view_ != nullptr && frozen_view_->graph != nullptr
-               ? frozen_view_->graph->epoch()
-               : 0;
+    return pins_.current().epoch;
   }
 
  private:
-  /// One published view set: per-shard frozen segments (dense owned
-  /// rows), the shared global->local map, plus the frozen adjacency —
-  /// built once per frozen publish and flipped as a single pointer — so
-  /// a reader's pin/unpin is one shared_ptr copy, not S+2 refcount
-  /// bumps inside the contended critical section.
-  struct FrozenViewSet {
-    std::vector<std::shared_ptr<const FrozenSegments>> segments;
-    std::shared_ptr<const SegmentOwnership> ownership;
-    std::shared_ptr<const FrozenAdjacency> graph;
-  };
-
-  /// One window's captured-but-unassembled publish payload, moved from
-  /// the boundary thread to the publisher thread.
-  struct PublishJob {
-    uint64_t epoch = 0;
-    bool full = false;
-    std::vector<snap::CapturedRows<uint64_t>> segments;
-    AdjacencyCapture adjacency;
-  };
-
-  /// StoreView over the pinned frozen copies, routing each node's
-  /// segments to its owning shard's dense table through the shared
-  /// (immutable) SegmentOwnership map.
-  class FrozenSegmentView {
-   public:
-    FrozenSegmentView(
-        const std::vector<std::shared_ptr<const FrozenSegments>>* shards,
-        const SegmentOwnership* ownership, std::size_t walks_per_node,
-        double epsilon)
-        : shards_(shards),
-          ownership_(ownership),
-          walks_per_node_(walks_per_node),
-          epsilon_(epsilon) {}
-
-    std::size_t walks_per_node() const { return walks_per_node_; }
-    double epsilon() const { return epsilon_; }
-    FrozenSegments::SegmentRef GetSegment(NodeId u, std::size_t k) const {
-      return (*shards_)[ownership_->OwnerOf(u)]->Segment(
-          ownership_->LocalRow(u, k));
-    }
-
-   private:
-    const std::vector<std::shared_ptr<const FrozenSegments>>* shards_;
-    const SegmentOwnership* ownership_;
-    std::size_t walks_per_node_;
-    double epsilon_;
-  };
-
   /// The engine's window-boundary callback (BoundarySink), on its
   /// pipeline thread.
   void OnWindowBoundary(const Ctx& ctx) override {
     PublishBoundary(ctx, /*full=*/false);
   }
 
-  /// One boundary's publish work on the boundary thread: seqlock count
-  /// flips, then the frozen-view delta capture, handed to the publisher
-  /// thread.
+  /// One boundary's publish: the seqlock count flips, then a new
+  /// version of every dirty row at the next publish seq, then the pin
+  /// flip. Versions replaced by earlier publishes whose readers have
+  /// all unpinned are freed first. `full` rewrites every row.
   void PublishBoundary(const Ctx& ctx, bool full) {
     PublishCounts(ctx);
     // Advance the published epoch BEFORE the frozen flip: a reader that
     // pins a view must never observe its epoch ahead of
     // published_epoch() (the staleness invariant the tests assert).
     published_epoch_.store(ctx.epoch, std::memory_order_release);
-    PublishJob job;
-    job.epoch = ctx.epoch;
-    job.full = full;
-    CaptureJob(ctx, full, &job);
+    const bool hot = engine_->metrics_enabled();
+    const uint64_t t0 = hot ? obs::NowNanos() : 0;
+    uint64_t oldest = 0;
     {
-      std::lock_guard<std::mutex> lock(idle_mu_);
-      ++inflight_;
+      std::lock_guard<std::mutex> lock(view_mu_);
+      oldest = pins_.Oldest();
     }
-    if (!publish_q_.Push(std::move(job))) {
-      // Closed queue (service teardown) — the boundary is already past
-      // the sink detach, so the job is dropped, not owed.
-      std::lock_guard<std::mutex> lock(idle_mu_);
-      --inflight_;
-      idle_cv_.notify_all();
-      return;
+    segments_.Reclaim(oldest);
+    out_.Reclaim(oldest);
+    in_.Reclaim(oldest);
+    const uint64_t seq = ++seq_;
+    const uint64_t graph_epoch = ctx.graph->epoch();
+    PublishVolume volume;
+    WriteSegments(ctx, full, seq, &volume);
+    WriteAdjacency(ctx, full, seq, &volume);
+    // The single-writer contract, checked like the engine's repair
+    // phases: the boundary graph must not have moved while we copied
+    // from it (the caller's next mutation waits for this boundary).
+    FASTPPR_CHECK_MSG(ctx.graph->epoch() == graph_epoch,
+                      "graph mutated during a snapshot publish");
+    {
+      std::lock_guard<std::mutex> lock(view_mu_);
+      pins_.Advance(PublishPins::Pin{seq, ctx.epoch});
+      volume_.Accumulate(volume);
     }
-    if (engine_->metrics_enabled()) {
-      om_.pipeline_publish_queue_hw->Set(publish_q_.high_water());
+    if (hot) {
+      (full ? om_.frozen_publishes_full : om_.frozen_publishes_delta)
+          ->Add(1);
+      const uint64_t t1 = obs::NowNanos();
+      om_.publish_phase->Record(t1 - t0);
+      engine_->phase_tracer()->Record(engine_->publish_track(),
+                                      obs::Phase::kPublish, ctx.epoch, t0,
+                                      t1);
     }
   }
 
@@ -622,83 +563,84 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     if (engine_->metrics_enabled()) om_.count_publishes->Add(1);
   }
 
-  /// Boundary-thread half of a frozen publish: reads the
-  /// boundary-frozen stores and graph into a self-contained job and
-  /// clears the delta feeds. Everything live is read HERE; the
-  /// assembly half touches only builder/publish state.
-  void CaptureJob(const Ctx& ctx, bool full, PublishJob* job) {
-    const bool hot = engine_->metrics_enabled();
-    const uint64_t graph_epoch = ctx.graph->epoch();
-    job->segments.resize(snapshots_.size());
-    for (std::size_t s = 0; s < snapshots_.size(); ++s) {
+  /// Writes each shard's dirty segments (or, on `full` or a feed
+  /// overflow, all its owned segments) into the global segment table
+  /// and clears the feeds. Every shard repairs only its own walks, so
+  /// the feeds are disjoint.
+  void WriteSegments(const Ctx& ctx, bool full, uint64_t seq,
+                     PublishVolume* volume) {
+    const auto S = static_cast<uint32_t>(ctx.shards.size());
+    bool rewrote = false;
+    for (uint32_t s = 0; s < S; ++s) {
       auto* store = ctx.shards[s]->mutable_walk_store();
-      if (hot) {
+      const auto write = [&](uint64_t seg) {
+        const auto words = store->SegmentWords(seg);
+        return segments_.Write(seg, seq, words.size(), [&](std::size_t i) {
+          return static_cast<NodeId>(slab::Hi(words[i]));
+        });
+      };
+      if (engine_->metrics_enabled()) {
         om_.segments_dirtied->Add(store->dirty_segments().size(), s);
       }
-      seg_builders_[s].Capture(*store, store->dirty_segments(),
-                               full || store->dirty_overflowed(),
-                               &job->segments[s]);
+      if (full || store->dirty_overflowed()) {
+        rewrote = true;
+        for (NodeId u = 0; u < engine_->num_nodes(); ++u) {
+          if (ShardOfNode(u, S) != s) continue;
+          for (std::size_t k = 0; k < spn_; ++k) {
+            volume->bytes_full += write(u * spn_ + k);
+          }
+        }
+      } else {
+        const auto dirty = store->dirty_segments();
+        for (uint64_t seg : dirty) {
+          FASTPPR_CHECK_MSG(ShardOfNode(seg / spn_, S) == s,
+                            "dirty segment not owned by its feed's shard");
+          volume->presented_bytes +=
+              sizeof(uint64_t) +
+              store->SegmentWords(seg).size() * sizeof(uint64_t);
+          volume->bytes_delta += write(seg);
+        }
+        volume->presented_entries += dirty.size();
+      }
       store->ClearDirtySegments();
     }
-    adj_builder_.Capture(*ctx.graph, ctx.applied->entries(),
-                         full || ctx.applied->overflowed(),
-                         &job->adjacency);
-    ctx.applied->Clear();
-    // The single-writer contract, checked like the engine's repair
-    // phases: the boundary graph must not have moved while we copied
-    // from it (the caller's next mutation waits for this boundary).
-    FASTPPR_CHECK_MSG(ctx.graph->epoch() == graph_epoch,
-                      "graph mutated during a snapshot capture");
+    ++(rewrote ? volume->publishes_full : volume->publishes_delta);
   }
 
-  /// Publisher half: fold the capture into the shared chains and flip
-  /// the view pointer. Runs on the publisher thread, overlapping the
-  /// next windows' ingest and repair.
-  void AssembleAndFlip(PublishJob&& job) {
-    const bool hot = engine_->metrics_enabled();
-    const uint64_t t0 = hot ? obs::NowNanos() : 0;
-    auto fresh = std::make_shared<FrozenViewSet>();
-    fresh->segments.resize(job.segments.size());
-    for (std::size_t s = 0; s < job.segments.size(); ++s) {
-      fresh->segments[s] =
-          seg_builders_[s].Assemble(std::move(job.segments[s]), job.epoch);
-    }
-    fresh->ownership = ownership_;
-    fresh->graph = adj_builder_.Assemble(std::move(job.adjacency),
-                                         job.epoch);
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      frozen_view_ = std::move(fresh);
-    }
-    if (hot) {
-      // "full" here means the caller forced a rebuild; per-shard
-      // overflow-forced copies still count as delta publishes (the
-      // decision was the delta path's).
-      (job.full ? om_.frozen_publishes_full : om_.frozen_publishes_delta)
-          ->Add(1);
-      const uint64_t t1 = obs::NowNanos();
-      om_.publish_phase->Record(t1 - t0);
-      engine_->phase_tracer()->Record(engine_->publish_track(),
-                                      obs::Phase::kPublish, job.epoch, t0,
-                                      t1);
-    }
-  }
-
-  void PublisherLoop() {
-    PublishJob job;
-    while (publish_q_.Pop(&job)) {
-      AssembleAndFlip(std::move(job));
-      {
-        std::lock_guard<std::mutex> lock(idle_mu_);
-        --inflight_;
+  /// Writes the adjacency rows the applied edges touched (or, on `full`
+  /// or a feed overflow, every row): edge (u, v) dirties u's out-row
+  /// and, when the in table exists, v's in-row.
+  void WriteAdjacency(const Ctx& ctx, bool full, uint64_t seq,
+                      PublishVolume* volume) {
+    const DiGraph& g = *ctx.graph;
+    const bool in_side = Steps::kSides > 1;
+    const auto write = [&](VersionedRows* rows, NodeId v,
+                           std::span<const NodeId> ids) {
+      return rows->Write(v, seq, ids.size(),
+                         [&](std::size_t i) { return ids[i]; });
+    };
+    if (full || ctx.applied->overflowed()) {
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        volume->bytes_full += write(&out_, v, g.OutNeighbors(v));
+        if (in_side) volume->bytes_full += write(&in_, v, g.InNeighbors(v));
       }
-      idle_cv_.notify_all();
+      volume->publishes_full += in_side ? 2 : 1;
+    } else {
+      const auto applied = ctx.applied->entries();
+      for (const Edge& e : applied) {
+        volume->presented_bytes +=
+            sizeof(uint64_t) + g.OutDegree(e.src) * sizeof(NodeId);
+        volume->bytes_delta += write(&out_, e.src, g.OutNeighbors(e.src));
+        if (in_side) {
+          volume->presented_bytes +=
+              sizeof(uint64_t) + g.InDegree(e.dst) * sizeof(NodeId);
+          volume->bytes_delta += write(&in_, e.dst, g.InNeighbors(e.dst));
+        }
+      }
+      volume->presented_entries += applied.size() * (in_side ? 2 : 1);
+      volume->publishes_delta += in_side ? 2 : 1;
     }
-  }
-
-  void WaitPublisherIdle() {
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    idle_cv_.wait(lock, [&] { return inflight_ == 0; });
+    ctx.applied->Clear();
   }
 
   ShardedEngine<Engine>* engine_;
@@ -707,27 +649,22 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   obs::EngineMetrics om_;
   std::size_t walks_per_node_ = 0;
   double epsilon_ = 0.0;
-  std::shared_ptr<const SegmentOwnership> ownership_;
+  std::size_t spn_;  ///< segments per node
   std::vector<SnapshotBuffer> snapshots_;
   std::mutex window_mu_;
   std::atomic<uint64_t> published_epoch_{0};
 
-  /// Personalized-read state. `view_mu_` orders only pointer pins,
-  /// unpins and flips; the builders are touched only by the boundary
-  /// thread (Capture) and the publisher thread (Assemble), whose member
-  /// footprints are disjoint.
+  /// Personalized-read state. `view_mu_` guards the pins and the
+  /// publish volume; every pin, unpin and flip takes it. The tables and
+  /// `seq_` are written only by the one publishing thread (the pipeline
+  /// thread, or the Publish() caller with the pipeline drained).
   mutable std::mutex view_mu_;
-  std::shared_ptr<const FrozenViewSet> frozen_view_;
-  std::vector<SegmentSnapshotBuilder> seg_builders_;
-  AdjacencySnapshotBuilder adj_builder_;
-
-  /// Publisher-thread state. `inflight_` counts enqueued jobs not yet
-  /// flipped, guarded by `idle_mu_`.
-  pipe::BoundedQueue<PublishJob> publish_q_{kPublishQueueCap};
-  std::thread publisher_;
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::size_t inflight_ = 0;
+  PublishPins pins_;
+  PublishVolume volume_;
+  uint64_t seq_ = 0;
+  VersionedRows segments_;  ///< row u * spn + k, every shard's segments
+  VersionedRows out_;       ///< out-adjacency, row v
+  VersionedRows in_;        ///< in-adjacency (SALSA only; else no rows)
 };
 
 }  // namespace fastppr

@@ -78,7 +78,6 @@
 #include "fastppr/store/arena_io.h"
 #include "fastppr/store/checkpoint.h"
 #include "fastppr/store/repair_scratch.h"
-#include "fastppr/store/segment_snapshot.h"
 #include "fastppr/store/social_store.h"
 #include "fastppr/store/wal.h"
 #include "fastppr/util/check.h"
@@ -285,18 +284,6 @@ class ShardedEngine {
   /// Kept for the benchmark's layer ledger (engine.replica_mb).
   std::size_t RepairReplicaBytes() const { return 0; }
 
-  /// The dense owned-segment addressing of this engine's partition (see
-  /// store/segment_snapshot.h): a pure function of (num_nodes,
-  /// num_shards, segments_per_node), built once and shared by the
-  /// snapshot publishers and every frozen-view reader. Each shard's
-  /// frozen row table then holds only its owned rows — 1/S of the
-  /// global n * spn table the snapshots carried before.
-  std::shared_ptr<const SegmentOwnership> MakeSegmentOwnership() const {
-    return std::make_shared<const SegmentOwnership>(
-        num_nodes(), static_cast<uint32_t>(num_shards()),
-        shards_[0]->walk_store().segments_per_node());
-  }
-
   /// Opt-in feed for the query service's frozen-adjacency deltas: once
   /// enabled, every *applied* graph mutation (rejected events excluded)
   /// accumulates into applied_edges() until the feed is cleared. Off by
@@ -377,7 +364,10 @@ class ShardedEngine {
   /// log-ahead plus deterministic ingestion — ApplyWindowPrefix and the
   /// window coupling replay a logged span identically, rejected events
   /// included — is the whole recovery story. A WAL write error fails the
-  /// window before any state changed. WAL records are numbered by windows
+  /// window before any state changed, and the WAL is fail-stop: every
+  /// later window fails the same way, before any state changed, until a
+  /// successful Checkpoint() rotates to a fresh log, so no record ever
+  /// lands behind a torn one. WAL records are numbered by windows
   /// SUBMITTED, so the epoch-aligned framing is untouched by the
   /// pipeline lag; a checkpoint drains the pipeline to a boundary.
   Status ApplyEvents(std::span<const EdgeEvent> events) {

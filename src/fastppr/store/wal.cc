@@ -67,6 +67,7 @@ Status WalWriter::AppendBatch(uint64_t window,
   if (!file_.is_open()) {
     return Status::InvalidArgument("WAL is not open");
   }
+  if (!status_.ok()) return status_;
   ArenaWriter payload;
   payload.Pod(window);
   payload.Pod(static_cast<uint64_t>(events.size()));
@@ -84,10 +85,18 @@ Status WalWriter::AppendBatch(uint64_t window,
          Crc32c(payload.buffer().data(), payload.size()));
   scratch_.insert(scratch_.end(), payload.buffer().begin(),
                   payload.buffer().end());
-  return file_.Append(scratch_.data(), scratch_.size());
+  return Poison(file_.Append(scratch_.data(), scratch_.size()));
 }
 
-Status WalWriter::Sync() { return file_.Sync(); }
+Status WalWriter::Sync() {
+  if (!status_.ok()) return status_;
+  return Poison(file_.Sync());
+}
+
+Status WalWriter::Poison(Status s) {
+  if (status_.ok()) status_ = s;
+  return s;
+}
 
 Status WalWriter::Close() { return file_.Close(); }
 

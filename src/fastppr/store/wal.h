@@ -99,6 +99,13 @@ struct WalRecord {
 /// the header, so a WAL file is either absent, torn (shorter than its
 /// header — a crash inside Create; recovery treats it as empty), or
 /// self-describing.
+///
+/// Fail-stop: the first failed append or sync poisons the writer. A
+/// failed append may leave a torn record prefix, and a record appended
+/// after it would turn that tear into mid-log corruption, so every later
+/// AppendBatch/Sync returns the first error without writing. Only a
+/// fresh writer (Create, i.e. a checkpoint's log rotation) appends
+/// again.
 class WalWriter {
  public:
   WalWriter() = default;
@@ -118,8 +125,12 @@ class WalWriter {
   Status Close();
 
  private:
+  /// Keeps the first error; returns `s`.
+  Status Poison(Status s);
+
   WritableFile file_;
   std::vector<uint8_t> scratch_;
+  Status status_;  ///< the first failed append or sync (sticky)
 };
 
 /// Parses a WAL file. Returns OK with the durable record prefix —

@@ -16,6 +16,8 @@ namespace {
 /// Crash budget: bytes that may still be appended process-wide before
 /// the injected _exit. Negative = disarmed.
 std::atomic<int64_t> g_crash_budget{-1};
+/// Failure budget: the same, before one injected IOError.
+std::atomic<int64_t> g_fail_budget{-1};
 
 Status ErrnoStatus(const std::string& op, const std::string& path) {
   const std::string msg = op + " " + path + ": " + std::strerror(errno);
@@ -43,6 +45,10 @@ Status WriteAll(int fd, const char* p, std::size_t n,
 
 void SetCrashAfterBytesForTesting(int64_t bytes) {
   g_crash_budget.store(bytes, std::memory_order_relaxed);
+}
+
+void SetFailAfterBytesForTesting(int64_t bytes) {
+  g_fail_budget.store(bytes, std::memory_order_relaxed);
 }
 
 WritableFile::~WritableFile() {
@@ -93,6 +99,21 @@ Status WritableFile::Append(const void* data, std::size_t n) {
     }
     g_crash_budget.store(budget - static_cast<int64_t>(n),
                          std::memory_order_relaxed);
+  }
+
+  const int64_t fail = g_fail_budget.load(std::memory_order_relaxed);
+  if (fail >= 0) {
+    if (static_cast<uint64_t>(fail) < n) {
+      // The injected error lands inside this write: the prefix reaches
+      // the file (a torn record), the caller sees the error.
+      g_fail_budget.store(-1, std::memory_order_relaxed);
+      const std::size_t prefix = static_cast<std::size_t>(fail);
+      if (prefix > 0) FASTPPR_RETURN_IF_ERROR(WriteAll(fd_, p, prefix, path_));
+      bytes_written_ += prefix;
+      return Status::IOError("injected write failure on " + path_);
+    }
+    g_fail_budget.store(fail - static_cast<int64_t>(n),
+                        std::memory_order_relaxed);
   }
 
   FASTPPR_RETURN_IF_ERROR(WriteAll(fd_, p, n, path_));

@@ -31,6 +31,12 @@ namespace fastppr {
 /// process-wide from this call on.
 void SetCrashAfterBytesForTesting(int64_t bytes);
 
+/// The error-returning twin, for I/O errors a live process must survive
+/// (ENOSPC, EIO): the write that crosses the budget persists only its
+/// prefix and returns IOError, and the budget disarms itself, so later
+/// writes reach the disk again unless their caller refuses them.
+void SetFailAfterBytesForTesting(int64_t bytes);
+
 /// Exit code of an injected crash (distinguishes injected exits from
 /// real failures in the harness).
 inline constexpr int kCrashInjectionExitCode = 42;

@@ -301,6 +301,69 @@ TEST(DurableEngineTest, FlippedCheckpointBitIsCorruptionAtEngineLevel) {
   }
 }
 
+TEST(DurableEngineTest, FailedWalAppendStopsIngestUntilCheckpoint) {
+  // A WAL append that fails mid-record (ENOSPC, EIO) leaves a torn
+  // prefix in the log. The engine must refuse that window AND every
+  // later one before touching any state — a record appended behind the
+  // tear would make the log unreadable — so recovery lands on exactly
+  // the acked windows. A checkpoint rotates to a fresh log and ingest
+  // resumes. Tears at several offsets cover the record head and the
+  // payload.
+  const std::size_t n = 80;
+  const auto events = MixedStream(n, 4321, 0.15);
+  constexpr std::size_t kWidth = 29;
+  for (const int64_t tear : {int64_t{3}, int64_t{14}, int64_t{57}}) {
+    SCOPED_TRACE("tear at byte " + std::to_string(tear));
+    const std::string dir = FreshDir("fail_stop_" + std::to_string(tear));
+    ShardedOptions sharding;
+    sharding.num_shards = 2;
+    ShardedEngine<IncrementalPageRank> live(n, Opts(5), sharding);
+    DurabilityOptions dopts;
+    dopts.directory = dir;
+    dopts.checkpoint_interval_windows = 0;  // explicit Checkpoint() only
+    ASSERT_TRUE(live.EnableDurability(dopts).ok());
+    const auto window = [&](std::size_t w) {
+      return std::span<const EdgeEvent>(events.data() + w * kWidth, kWidth);
+    };
+    for (std::size_t w = 0; w < 3; ++w) {
+      ASSERT_TRUE(live.ApplyEvents(window(w)).ok());
+    }
+    const std::vector<uint8_t> acked = live.SerializeState();
+
+    // Window 3's record tears `tear` bytes in; windows 3 and 4 (and a
+    // retry of 3) fail and change nothing.
+    SetFailAfterBytesForTesting(tear);
+    const Status torn = live.ApplyEvents(window(3));
+    SetFailAfterBytesForTesting(-1);
+    EXPECT_EQ(torn.code(), Status::Code::kIOError) << torn.ToString();
+    EXPECT_EQ(live.ApplyEvents(window(4)).code(), Status::Code::kIOError);
+    EXPECT_EQ(live.ApplyEvents(window(3)).code(), Status::Code::kIOError);
+    EXPECT_EQ(live.windows_applied(), 3u);
+    ASSERT_EQ(live.SerializeState(), acked)
+        << "a refused window changed the engine";
+
+    // The log holds the acked records plus a torn tail: recovery trims
+    // the tail and lands on exactly the acked windows.
+    std::unique_ptr<ShardedEngine<IncrementalPageRank>> recovered;
+    RecoveryInfo info;
+    const Status rs = ShardedEngine<IncrementalPageRank>::Recover(
+        dir, 1, &recovered, &info);
+    ASSERT_TRUE(rs.ok()) << rs.ToString();
+    EXPECT_EQ(info.replayed_windows, 3u);
+    ASSERT_EQ(recovered->SerializeState(), acked);
+
+    // A checkpoint rotates to a fresh log; ingest resumes with the
+    // refused window, and recovery follows it.
+    ASSERT_TRUE(live.Checkpoint().ok());
+    ASSERT_TRUE(live.ApplyEvents(window(3)).ok());
+    ASSERT_TRUE(live.ApplyEvents(window(4)).ok());
+    ASSERT_TRUE(ShardedEngine<IncrementalPageRank>::Recover(dir, 1,
+                                                            &recovered)
+                    .ok());
+    EXPECT_EQ(recovered->SerializeState(), live.SerializeState());
+  }
+}
+
 TEST(DurableEngineTest, CheckpointBoundsReplay) {
   // With interval 1 every window checkpoints: recovery must replay
   // nothing (the WAL is freshly rotated) yet still be bit-identical.

@@ -596,7 +596,7 @@ TEST(QueryServiceTest, PersonalizedReadAtFrozenEpochMatchesFlatEngine) {
 }
 
 /// Test-only live StoreView: routes (u, k) to the owning shard's live
-/// walk store — the addressing the dense frozen tables must reproduce
+/// walk store — the rows the global frozen segment table must reproduce
 /// bit for bit.
 class LiveShardedView {
  public:
@@ -619,12 +619,12 @@ class LiveShardedView {
 };
 
 TEST(QueryServiceTest, DenseFrozenReadsMatchLiveShardedWalkerAtSOneAndFour) {
-  // The dense owned-row addressing (PR 5): a personalized read served
-  // from the frozen per-shard tables through the SegmentOwnership
-  // global->local map must be bit-identical to a walker over the LIVE
-  // sharded stores at the same epoch — for S = 1 (where both also
-  // equal the flat engine, covered elsewhere) and S = 4 (where rows
-  // are genuinely scattered across four dense tables).
+  // The global segment table: a personalized read served from the one
+  // versioned table that holds every shard's segments at row
+  // u * spn + k must be bit-identical to a walker over the LIVE sharded
+  // stores at the same epoch — for S = 1 (where both also equal the
+  // flat engine, covered elsewhere) and S = 4 (where the four shards'
+  // dirty feeds write disjoint rows of the one table).
   const std::size_t n = 160;
   const auto events = MixedStream(n, 67, 0.2);
   const MonteCarloOptions mc = Opts(3, 0.2, 47);
@@ -690,12 +690,12 @@ TEST(QueryServiceTest, DenseFrozenReadsMatchLiveShardedWalkerAtSOneAndFour) {
 }
 
 TEST(QueryServiceTest, DenseMapResolutionDuringPublishRotation) {
-  // TSan target for the dense index: reader threads resolve every
-  // (node, segment) lookup through the shared global->local map while
-  // the writer rotates frozen buffers underneath (publish, recycle,
-  // delta-apply). The map itself is immutable; what this stresses is
-  // that rotation never hands a reader a table the map's row ids have
-  // outgrown.
+  // TSan target for the global segment table: reader threads resolve
+  // every (node, segment) lookup through the table's row heads while
+  // the pipeline thread publishes new versions into the same rows and
+  // frees the versions no pin can reach any more. What this stresses is
+  // that a reader pinned at one publish never sees a later version, nor
+  // a version freed under it.
   const std::size_t n = 140;
   const auto events = MixedStream(n, 53, 0.2);
   ShardedEngine<IncrementalPageRank> engine(n, Opts(2, 0.25, 61),
@@ -740,13 +740,12 @@ TEST(QueryServiceTest, DenseMapResolutionDuringPublishRotation) {
   service.Quiesce();
   engine.CheckConsistency();
 
-  // Quiescent: the dense frozen tables hold exactly one global table's
-  // worth of rows across the four shards, and the final frozen read is
-  // bit-identical to the live sharded walker.
+  // Quiescent: one global table holds the four shards' rows, and the
+  // final frozen read is bit-identical to the live sharded walker.
   const auto stats = service.FrozenStats();
   const std::size_t spn =
       engine.shard(0).walk_store().segments_per_node();
-  EXPECT_EQ(stats.segment_rows_dense, n * spn);
+  EXPECT_EQ(stats.segment_rows, n * spn);
   EXPECT_EQ(stats.segment_rows_global_model, 4 * n * spn);
   LiveShardedView live_view(&engine);
   BasicPersonalizedWalker<PageRankSteps, LiveShardedView, DiGraph>
@@ -896,8 +895,8 @@ TEST(QueryServiceTest, PersonalizedSalsaServesAcrossShards) {
 }
 
 TEST(QueryServiceTest, PipelinedStressReadersAndMidPipelineRecovery) {
-  // TSan target for the pipeline itself: the three overlapped stages
-  // (caller ingest, pool repair, publisher assemble) race against
+  // TSan target for the pipeline itself: the overlapped stages (caller
+  // ingest, pool repair, the boundary's version publish) race against
   // PersonalizedTopK readers on the frozen views while the WAL logs
   // every window; a Checkpoint mid-stream quiesces the pipeline with
   // windows still in flight, and a post-hoc Recover must reproduce the

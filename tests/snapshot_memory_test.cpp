@@ -12,18 +12,16 @@
 //    in-test reconstruction of the legacy vector-of-vectors layout
 //    (the committed regression bound: <= 1.5x legacy, down from the
 //    ~2.4x the pre-compaction slab paid).
-//  * A shard's FrozenSegments row table holds owned_rows rows — not
-//    n * segments_per_node — and its content resolves bit-identically
-//    through the SegmentOwnership global->local map, including
-//    delta-publishes driven by the store's dirty feed.
-//  * Structural sharing (PR 9): a delta publish allocates only the
-//    window's dirty content (audited against the raw counters, not the
-//    self-reported bytes), clean chunks are SHARED between consecutive
-//    frozen epochs, and a retired epoch's unshared chunks are freed the
-//    moment its last pin drops — the chunk shared_ptr use_count is the
-//    refcount under test. The churn-rotation test doubles as the ASan
-//    probe for use-after-free across publish rotation.
+//  * The frozen row tables (store/segment_snapshot.h): one global
+//    segment table resolves every row bit-identically to the live
+//    stores; a pin held across several publishes keeps reading exactly
+//    what it pinned; a delta publish keeps only its dirty rows' versions
+//    (audited against the raw counters); and a replaced version is freed
+//    at the first publish after the last pin that could reach it drops,
+//    not before. The pinned-churn test doubles as the ASan probe for
+//    use-after-free across the publish/reclaim cycle.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "fastppr/core/incremental_pagerank.h"
+#include "fastppr/engine/query_service.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/digraph.h"
 #include "fastppr/graph/generators.h"
@@ -204,37 +203,101 @@ TEST(SlabMemoryRegressionTest, BytesPerEdgeWithinCommittedBound) {
   EXPECT_GE(slab_bpe, 14.0);
 }
 
-// Full-capture publish through the capture/assemble split (both halves
-// in one helper).
-std::shared_ptr<const FrozenSegments> FullPublish(
-    SegmentSnapshotBuilder* b, const WalkStore& store, uint64_t epoch) {
-  snap::CapturedRows<uint64_t> cap;
-  b->Capture(store, {}, /*force_full=*/true, &cap);
-  return b->Assemble(std::move(cap), epoch);
+using Engine = ShardedEngine<IncrementalPageRank>;
+using Service = QueryService<IncrementalPageRank>;
+
+std::vector<EdgeEvent> Inserts(const std::vector<Edge>& edges) {
+  std::vector<EdgeEvent> events;
+  for (const Edge& e : edges) {
+    events.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
+  }
+  return events;
 }
 
-std::shared_ptr<const FrozenSegments> DeltaPublish(
-    SegmentSnapshotBuilder* b, WalkStore* store, uint64_t epoch) {
-  snap::CapturedRows<uint64_t> cap;
-  b->Capture(*store, store->dirty_segments(), store->dirty_overflowed(),
-             &cap);
-  store->ClearDirtySegments();
-  return b->Assemble(std::move(cap), epoch);
-}
+/// Churn over a loaded edge list: each window re-inserts the slice the
+/// previous window removed, then removes the next slice (every
+/// `stride`-th edge from a rotating offset). The slices are disjoint, so
+/// no window nets out to an empty delta.
+class Churn {
+ public:
+  Churn(const std::vector<Edge>* edges, std::size_t stride)
+      : edges_(edges), stride_(stride) {}
 
-void ExpectSameContent(const FrozenSegments& a, const FrozenSegments& b) {
-  ASSERT_EQ(a.num_segments(), b.num_segments());
-  for (uint64_t row = 0; row < a.num_segments(); ++row) {
-    const auto ra = a.Segment(row);
-    const auto rb = b.Segment(row);
-    ASSERT_EQ(ra.size(), rb.size()) << "row " << row;
-    for (std::size_t p = 0; p < ra.size(); ++p) {
-      ASSERT_EQ(ra.node(p), rb.node(p)) << "row " << row;
+  std::vector<EdgeEvent> Next() {
+    std::vector<EdgeEvent> window;
+    for (const Edge& e : removed_) {
+      window.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
     }
+    removed_.clear();
+    for (std::size_t i = offset_; i < edges_->size(); i += stride_) {
+      window.push_back(EdgeEvent{EdgeEvent::Kind::kDelete, (*edges_)[i]});
+      removed_.push_back((*edges_)[i]);
+    }
+    offset_ = (offset_ + 1) % stride_;
+    return window;
+  }
+
+ private:
+  const std::vector<Edge>* edges_;
+  std::size_t stride_;
+  std::size_t offset_ = 0;
+  std::vector<Edge> removed_;
+};
+
+/// Every segment's node ids (row u * spn + k) and every out-row, read
+/// from the live stores at a drained boundary: the full copy a pinned
+/// view must keep reproducing.
+struct LiveCopy {
+  std::vector<std::vector<NodeId>> segments;
+  std::vector<std::vector<NodeId>> out;
+};
+
+LiveCopy CopyLive(Engine& engine) {
+  LiveCopy copy;
+  const std::size_t spn = engine.shard(0).walk_store().segments_per_node();
+  for (NodeId u = 0; u < engine.num_nodes(); ++u) {
+    const WalkStore& store = engine.shard(engine.shard_of(u)).walk_store();
+    for (std::size_t k = 0; k < spn; ++k) {
+      const auto seg = store.GetSegment(u, k);
+      std::vector<NodeId> ids;
+      for (std::size_t p = 0; p < seg.size(); ++p) ids.push_back(seg.node(p));
+      copy.segments.push_back(std::move(ids));
+    }
+    const auto row = engine.graph().OutNeighbors(u);
+    copy.out.emplace_back(row.begin(), row.end());
+  }
+  return copy;
+}
+
+/// Every row of the service's tables as `pin` sees them equals `copy`.
+void ExpectPinnedViewEquals(const Service& service,
+                            const PublishPins::Pin& pin,
+                            const LiveCopy& copy) {
+  const FrozenSegments segments = service.SegmentsAt(pin);
+  const FrozenAdjacency graph = service.AdjacencyAt(pin);
+  const std::size_t spn = copy.segments.size() / copy.out.size();
+  for (uint64_t row = 0; row < copy.segments.size(); ++row) {
+    const auto seg =
+        segments.GetSegment(static_cast<NodeId>(row / spn), row % spn);
+    const std::vector<NodeId>& want = copy.segments[row];
+    ASSERT_EQ(seg.size(), want.size()) << "segment row " << row;
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      ASSERT_EQ(seg.node(p), want[p]) << "segment row " << row;
+    }
+  }
+  for (NodeId v = 0; v < copy.out.size(); ++v) {
+    const auto row = graph.OutNeighbors(v);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), copy.out[v].begin(),
+                           copy.out[v].end()))
+        << "out-row " << v;
   }
 }
 
-TEST(FrozenRowTableTest, ShardSnapshotHoldsOwnedRowsNotGlobalTable) {
+TEST(FrozenRowTableTest, GlobalSegmentTableMatchesLiveStoresThroughChurn) {
+  // One table holds every shard's segments at row u * spn + k — n * spn
+  // rows, not n * spn per shard — and resolves every row bit-identically
+  // to its owner shard's live store, after the first (full) publish and
+  // after each delta publish the shards' disjoint dirty feeds drive.
   const std::size_t n = 600;
   const std::size_t S = 4;
   const auto edges = PowerLawEdges(n, 6, 13);
@@ -242,267 +305,192 @@ TEST(FrozenRowTableTest, ShardSnapshotHoldsOwnedRowsNotGlobalTable) {
   mc.walks_per_node = 3;
   mc.epsilon = 0.2;
   mc.seed = 17;
-  ShardedEngine<IncrementalPageRank> engine(n, mc, ShardedOptions{S, 2});
-  std::vector<EdgeEvent> events;
-  for (const Edge& e : edges) {
-    events.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
+  Engine engine(n, mc, ShardedOptions{S, 2});
+  ASSERT_TRUE(engine.ApplyEvents(Inserts(edges)).ok());
+  Service service(&engine);
+
+  const std::size_t spn = engine.shard(0).walk_store().segments_per_node();
+  const auto stats = service.FrozenStats();
+  EXPECT_EQ(stats.segment_rows, n * spn);
+  EXPECT_EQ(stats.segment_rows_global_model, S * n * spn);
+  // 8-byte heads plus one 24-byte header per version: the row metadata
+  // of one global table, whatever S is.
+  EXPECT_EQ(stats.segment_row_table_bytes, n * spn * (8 + 24));
+
+  Churn churn(&edges, 5);
+  for (std::size_t w = 0; w < 4; ++w) {
+    const PublishPins::Pin pin = service.Pin();
+    EXPECT_EQ(pin.epoch, engine.windows_applied());
+    ExpectPinnedViewEquals(service, pin, CopyLive(engine));
+    service.Unpin(pin);
+    ASSERT_TRUE(service.Ingest(churn.Next()).ok());
+    service.Quiesce();
   }
-  ASSERT_TRUE(engine.ApplyEvents(events).ok());
-
-  const auto ownership = engine.MakeSegmentOwnership();
-  const std::size_t spn =
-      engine.shard(0).walk_store().segments_per_node();
-  ASSERT_EQ(ownership->segments_per_node(), spn);
-
-  std::size_t owned_nodes_total = 0;
-  std::size_t dense_row_bytes_total = 0;
-  for (std::size_t s = 0; s < S; ++s) {
-    const WalkStore& store = engine.shard(s).walk_store();
-    SegmentSnapshotBuilder builder(ownership, s);
-    const auto frozen = FullPublish(&builder, store, /*epoch=*/1);
-
-    // The dense-addressing claim: owned_rows rows, not n * spn.
-    ASSERT_EQ(frozen->num_segments(), ownership->owned_rows(s));
-    EXPECT_LT(frozen->num_segments(), n * spn / 2);
-    owned_nodes_total += ownership->owned_nodes(s).size();
-    dense_row_bytes_total += frozen->row_table_bytes();
-
-    // Dense addressing resolves every owned segment bit-identically.
-    for (NodeId u : ownership->owned_nodes(s)) {
-      for (std::size_t k = 0; k < spn; ++k) {
-        const auto live = store.GetSegment(u, k);
-        const auto snap = frozen->Segment(ownership->LocalRow(u, k));
-        ASSERT_EQ(snap.size(), live.size());
-        for (std::size_t p = 0; p < live.size(); ++p) {
-          ASSERT_EQ(snap.node(p), live.node(p));
-        }
-      }
-    }
-  }
-  EXPECT_EQ(owned_nodes_total, n);
-  // Across ALL shards the dense row tables together hold exactly one
-  // global table's worth of rows — the S-fold duplication is gone.
-  // (16 bytes per row; capacity slack stays under 25%.)
-  EXPECT_LE(dense_row_bytes_total, n * spn * 16 * 5 / 4);
+  const PublishVolume volume = service.publish_volume();
+  EXPECT_EQ(volume.publishes_delta, 4u * 2u);  // segments + out side
+  EXPECT_GT(volume.bytes_delta, 0u);
 }
 
-TEST(FrozenRowTableTest, DeltaPublishThroughGlobalToLocalMap) {
-  // A delta publish feeds GLOBAL dirty segment ids through the
-  // ownership map into the dense table; the result must equal a fresh
-  // full copy.
-  const std::size_t n = 400;
-  const std::size_t S = 3;
-  const auto edges = PowerLawEdges(n, 5, 23);
-  MonteCarloOptions mc;
-  mc.walks_per_node = 2;
-  mc.epsilon = 0.25;
-  mc.seed = 29;
-  ShardedEngine<IncrementalPageRank> engine(n, mc, ShardedOptions{S, 2});
-  std::vector<EdgeEvent> events;
-  for (const Edge& e : edges) {
-    events.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
-  }
-  const std::size_t half = events.size() / 2;
-  ASSERT_TRUE(
-      engine
-          .ApplyEvents(std::span<const EdgeEvent>(events.data(), half))
-          .ok());
-
-  const auto ownership = engine.MakeSegmentOwnership();
-  std::vector<SegmentSnapshotBuilder> builders;
-  builders.reserve(S);
-  for (std::size_t s = 0; s < S; ++s) builders.emplace_back(ownership, s);
-  for (std::size_t s = 0; s < S; ++s) {
-    auto* store = engine.shard(s).mutable_walk_store();
-    store->set_dirty_tracking(true);
-    FullPublish(&builders[s], *store, 1);
-  }
-
-  // Second half of the stream: repairs accumulate in the dirty feeds.
-  ASSERT_TRUE(engine
-                  .ApplyEvents(std::span<const EdgeEvent>(
-                      events.data() + half, events.size() - half))
-                  .ok());
-
-  for (std::size_t s = 0; s < S; ++s) {
-    auto* store = engine.shard(s).mutable_walk_store();
-    const auto delta = DeltaPublish(&builders[s], store, 2);
-
-    SegmentSnapshotBuilder fresh_builder(ownership, s);
-    const auto full = FullPublish(&fresh_builder, *store, 2);
-    ExpectSameContent(*delta, *full);
-  }
-}
-
-TEST(SharedSnapshotTest, DeltaPublishAllocatesOnlyDirtyChunks) {
-  // The ~1×-delta publish claim, audited against the RAW allocation
-  // counters: a window's delta publish may allocate the dirty rows'
-  // content plus small fixed structures — never another copy of the
-  // table — and its clean root chunks must be SHARED pointers into the
-  // previous epoch's view, not fresh allocations.
-  const std::size_t n = 2000;
-  const std::size_t S = 2;
-  const auto edges = PowerLawEdges(n, 8, 31);
-  MonteCarloOptions mc;
-  mc.walks_per_node = 4;
-  mc.epsilon = 0.2;
-  mc.seed = 37;
-  ShardedEngine<IncrementalPageRank> engine(n, mc, ShardedOptions{S, 2});
-  std::vector<EdgeEvent> events;
-  for (const Edge& e : edges) {
-    events.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
-  }
-  const std::size_t most = events.size() - 64;
-  ASSERT_TRUE(
-      engine.ApplyEvents(std::span<const EdgeEvent>(events.data(), most))
-          .ok());
-
-  const auto ownership = engine.MakeSegmentOwnership();
-  auto* store = engine.shard(0).mutable_walk_store();
-  store->set_dirty_tracking(true);
-  SegmentSnapshotBuilder builder(ownership, 0);
-  const auto v1 = FullPublish(&builder, *store, 1);
-  const std::size_t full_bytes = v1->MemoryBytes();
-
-  // One small window dirties a handful of segments.
-  ASSERT_TRUE(engine
-                  .ApplyEvents(std::span<const EdgeEvent>(
-                      events.data() + most, events.size() - most))
-                  .ok());
-  engine.Drain();  // pipelined repairs land before the dirty feed is read
-  ASSERT_FALSE(store->dirty_overflowed());
-  const std::size_t dirty_entries = store->dirty_segments().size();
-  ASSERT_GT(dirty_entries, 0u);
-
-  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
-  const auto v2 = DeltaPublish(&builder, store, 2);
-  const std::int64_t delta_alloc =
-      g_live_bytes.load(std::memory_order_relaxed) - before;
-
-  // The delta publish retained at most the dirty content (bounded here
-  // by entries * a generous per-segment byte cap) plus fixed overhead —
-  // far below another full copy.
-  EXPECT_LT(static_cast<std::size_t>(delta_alloc), full_bytes / 4)
-      << "delta publish allocated a table-sized footprint";
-  ExpectSameContent(*v2, *v2);  // self-check the view is readable
-
-  // Structural sharing: the delta epoch reuses every root chunk of the
-  // previous epoch by pointer.
-  const auto& r1 = v1->shared_rows();
-  const auto& r2 = v2->shared_rows();
-  ASSERT_EQ(r1.num_chunks(), r2.num_chunks());
-  for (std::size_t i = 0; i < r1.num_chunks(); ++i) {
-    EXPECT_EQ(r1.chunk_ptr(i).get(), r2.chunk_ptr(i).get())
-        << "root chunk " << i << " was copied, not shared";
-  }
-}
-
-TEST(SharedSnapshotTest, ChunkRefcountsReachZeroAfterLastUnpin) {
-  // The chunk refcount lifecycle: when a frozen epoch is retired and
-  // the builder has moved to a new root, the old epoch's chunks are
-  // freed exactly when the last reader pin drops — observed both via
-  // shared_ptr use_count and via the raw live-byte counters.
-  const std::size_t n = 1200;
-  const auto edges = PowerLawEdges(n, 6, 41);
-  MonteCarloOptions mc;
-  mc.walks_per_node = 3;
-  mc.epsilon = 0.2;
-  mc.seed = 43;
-  ShardedEngine<IncrementalPageRank> engine(n, mc, ShardedOptions{1, 1});
-  std::vector<EdgeEvent> events;
-  for (const Edge& e : edges) {
-    events.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
-  }
-  ASSERT_TRUE(engine.ApplyEvents(events).ok());
-
-  const auto ownership = engine.MakeSegmentOwnership();
-  const WalkStore& store = engine.shard(0).walk_store();
-  SegmentSnapshotBuilder builder(ownership, 0);
-
-  const std::int64_t base = g_live_bytes.load(std::memory_order_relaxed);
-  auto v1 = FullPublish(&builder, store, 1);
-  const std::int64_t after_v1 =
-      g_live_bytes.load(std::memory_order_relaxed) - base;
-  ASSERT_GT(after_v1, 0);
-
-  // A forced full re-publish rebases the builder onto a brand-new root:
-  // v1's chunks are now held ONLY by v1's pin.
-  snap::CapturedRows<uint64_t> cap;
-  builder.Capture(store, {}, /*force_full=*/true, &cap);
-  auto v2 = builder.Assemble(std::move(cap), 2);
-
-  auto chunk = v1->shared_rows().chunk_ptr(0);
-  // Holders: v1's root core and our local copy.
-  EXPECT_EQ(chunk.use_count(), 2);
-  const std::int64_t with_both =
-      g_live_bytes.load(std::memory_order_relaxed) - base;
-  v1.reset();
-  EXPECT_EQ(chunk.use_count(), 1) << "retired epoch still holds chunks";
-  chunk.reset();
-  const std::int64_t after_drop =
-      g_live_bytes.load(std::memory_order_relaxed) - base;
-  // Dropping the last pin released (approximately) one full table: what
-  // remains is v2's copy alone.
-  EXPECT_LT(after_drop, with_both - after_v1 / 2)
-      << "retired epoch's chunks were not freed at last unpin";
-  v2.reset();
-  const std::int64_t after_all =
-      g_live_bytes.load(std::memory_order_relaxed) - base;
-  // Builder head still references v2's core; everything else is gone.
-  EXPECT_LT(after_all, with_both);
-}
-
-TEST(SharedSnapshotTest, PublishRotationUnderChurnStaysCorrect) {
-  // The ASan probe for the shared-chain lifecycle: many windows of
-  // churn, a delta publish per window, a sliding window of old epochs
-  // still pinned (as concurrent readers would), every view checked
-  // against a fresh full copy, and the chain bound enforced. A
-  // use-after-free anywhere in the share/consolidate/free cycle trips
-  // the sanitizer job running this binary.
+TEST(FrozenRowTableTest, PinHeldAcrossChurnPublishesReadsItsSeq) {
+  // The old-pin path: a sliding window of four pins, each held across
+  // four churn publishes, keeps reading every segment and
+  // out-row exactly as the full copy taken when it was pinned, while
+  // the publishes overwrite those rows' heads. Unpinned versions are
+  // freed as the window slides, so this is also the ASan probe for the
+  // publish/reclaim cycle.
   const std::size_t n = 500;
   const auto edges = PowerLawEdges(n, 6, 53);
   MonteCarloOptions mc;
   mc.walks_per_node = 3;
   mc.epsilon = 0.2;
   mc.seed = 59;
-  ShardedEngine<IncrementalPageRank> engine(n, mc, ShardedOptions{1, 1});
-  std::vector<EdgeEvent> inserts;
-  for (const Edge& e : edges) {
-    inserts.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
+  Engine engine(n, mc, ShardedOptions{2, 2});
+  ASSERT_TRUE(engine.ApplyEvents(Inserts(edges)).ok());
+  Service service(&engine);
+
+  struct Held {
+    PublishPins::Pin pin;
+    LiveCopy copy;
+  };
+  std::vector<Held> held;
+  Churn churn(&edges, 7);
+  for (std::size_t w = 1; w <= 12; ++w) {
+    held.push_back(Held{service.Pin(), CopyLive(engine)});
+    if (held.size() > 4) {
+      service.Unpin(held.front().pin);
+      held.erase(held.begin());
+    }
+    ASSERT_TRUE(service.Ingest(churn.Next()).ok());
+    service.Quiesce();
+    for (const Held& h : held) ExpectPinnedViewEquals(service, h.pin, h.copy);
   }
-  ASSERT_TRUE(engine.ApplyEvents(inserts).ok());
+  // The oldest pin has now lived through four publishes after its own,
+  // and those publishes did rewrite rows it reads.
+  EXPECT_EQ(held.front().pin.epoch + 4, engine.windows_applied());
+  EXPECT_NE(held.front().copy.segments, CopyLive(engine).segments);
+  EXPECT_GT(service.segment_table().retired(), 0u);
+  for (const Held& h : held) service.Unpin(h.pin);
+}
 
-  const auto ownership = engine.MakeSegmentOwnership();
-  auto* store = engine.shard(0).mutable_walk_store();
-  store->set_dirty_tracking(true);
-  SegmentSnapshotBuilder builder(ownership, 0);
-  std::vector<std::shared_ptr<const FrozenSegments>> pinned;
-  pinned.push_back(FullPublish(&builder, *store, 0));
+TEST(FrozenRowTableTest, DeltaPublishKeepsOnlyDirtyRowVersions) {
+  // A delta publish writes one version per dirty row and keeps nothing
+  // else: across a small window (with the engine's own buffers already
+  // at their steady size), the live bytes the raw allocation counters
+  // see grow by no more than the versions the publish wrote, which are
+  // a small fraction of one full table.
+  const std::size_t n = 2000;
+  const auto edges = PowerLawEdges(n, 8, 31);
+  MonteCarloOptions mc;
+  mc.walks_per_node = 4;
+  mc.epsilon = 0.2;
+  mc.seed = 37;
+  Engine engine(n, mc, ShardedOptions{2, 2});
+  ASSERT_TRUE(engine.ApplyEvents(Inserts(edges)).ok());
+  Service service(&engine);
+  const std::size_t table_bytes = service.FrozenStats().segment_bytes;
 
-  for (uint64_t w = 1; w <= 24; ++w) {
-    // One churn window: remove a slice of edges, re-add them.
-    std::vector<EdgeEvent> window;
-    for (std::size_t i = w % 7; i < edges.size(); i += 7) {
-      window.push_back(EdgeEvent{EdgeEvent::Kind::kDelete, edges[i]});
-    }
-    for (std::size_t i = w % 7; i < edges.size(); i += 7) {
-      window.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, edges[i]});
-    }
-    ASSERT_TRUE(engine.ApplyEvents(window).ok());
-    engine.Drain();
-    pinned.push_back(DeltaPublish(&builder, store, w));
-    EXPECT_LE(pinned.back()->shared_rows().chain_length(), 16u);
-    // Keep a 3-epoch pin window; older epochs retire (chunks freed).
-    if (pinned.size() > 3) pinned.erase(pinned.begin());
-
-    // Every pinned epoch stays readable; the newest matches the store.
-    for (const auto& view : pinned) {
-      ASSERT_EQ(view->num_segments(), ownership->owned_rows(0));
-    }
-    SegmentSnapshotBuilder fresh(ownership, 0);
-    const auto full = FullPublish(&fresh, *store, w);
-    ExpectSameContent(*pinned.back(), *full);
+  Churn churn(&edges, 400);
+  for (std::size_t w = 0; w < 4; ++w) {
+    ASSERT_TRUE(service.Ingest(churn.Next()).ok());
+    service.Quiesce();
   }
+  const std::vector<EdgeEvent> window = churn.Next();
+  const uint64_t written_before = service.publish_volume().bytes_delta;
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  ASSERT_TRUE(service.Ingest(window).ok());
+  service.Quiesce();
+  const std::int64_t kept =
+      g_live_bytes.load(std::memory_order_relaxed) - before;
+  const uint64_t written =
+      service.publish_volume().bytes_delta - written_before;
+
+  ASSERT_GT(written, 0u);
+  EXPECT_LT(written, table_bytes / 20)
+      << "a small window's publish wrote a table-sized delta";
+  // The versions the previous window replaced are freed inside this
+  // publish, so `kept` is usually below `written`; 4 KiB covers the
+  // engine's per-window bookkeeping.
+  EXPECT_LE(kept, static_cast<std::int64_t>(written) + 4096)
+      << "the publish kept more than its dirty rows' versions";
+}
+
+TEST(FrozenRowTableTest, RetiredVersionsFreedAtFirstPublishAfterLastUnpin) {
+  // Reclamation, audited against the raw allocation counters on a bare
+  // table driven by the service's publish protocol (Reclaim at the
+  // oldest pin, Write, Advance): versions a pin could reach survive
+  // every publish while it is held and its release, and go at the first
+  // publish after it.
+  const auto content = [](uint64_t r, uint64_t seq) {
+    return [r, seq](std::size_t i) {
+      return static_cast<NodeId>(r * 1000 + seq * 10 + i);
+    };
+  };
+  VersionedRows rows(8);
+  PublishPins pins;
+  const auto publish = [&](uint64_t seq, std::size_t first_dirty) {
+    rows.Reclaim(pins.Oldest());
+    for (uint64_t r = first_dirty; r < rows.num_rows(); ++r) {
+      rows.Write(r, seq, 3, content(r, seq));
+    }
+    pins.Advance(PublishPins::Pin{seq, seq});
+  };
+  publish(1, 0);
+  const PublishPins::Pin old_pin = pins.Acquire();
+  publish(2, 4);  // rows 4..7 replaced at seq 2
+  publish(3, 6);  // rows 6..7 replaced at seq 3
+  EXPECT_EQ(rows.retired(), 6u);
+  EXPECT_EQ(rows.oldest_retired_seq(), 2u);
+  for (uint64_t r = 0; r < rows.num_rows(); ++r) {
+    const auto row = rows.Row(r, old_pin.seq);
+    ASSERT_EQ(row.size(), 3u);
+    EXPECT_EQ(row[2], content(r, 1)(2)) << "row " << r;
+  }
+
+  const std::int64_t held = g_live_bytes.load(std::memory_order_relaxed);
+  pins.Release(old_pin);
+  EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed), held)
+      << "a release freed versions before the next publish";
+  EXPECT_EQ(rows.retired(), 6u);
+
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  publish(4, 8);  // writes nothing: a pure reclamation point
+  const std::int64_t freed =
+      before - g_live_bytes.load(std::memory_order_relaxed);
+  EXPECT_EQ(rows.retired(), 0u);
+  // A version is a 24-byte header (seq, older, length) plus its ids.
+  constexpr std::int64_t kVersionBytes = 24 + 3 * sizeof(NodeId);
+  EXPECT_EQ(freed, 6 * kVersionBytes)
+      << "the first publish after the last unpin must free exactly the "
+         "six replaced versions";
+  EXPECT_EQ(rows.versions(), rows.num_rows());
+
+  // The same rule through the service: a pin held across two publishes
+  // keeps their replaced versions; the first publish after its release
+  // frees them all, leaving only the versions that publish replaced.
+  const std::size_t n = 400;
+  const auto edges = PowerLawEdges(n, 5, 23);
+  MonteCarloOptions mc;
+  mc.walks_per_node = 2;
+  mc.epsilon = 0.25;
+  mc.seed = 29;
+  Engine engine(n, mc, ShardedOptions{3, 2});
+  ASSERT_TRUE(engine.ApplyEvents(Inserts(edges)).ok());
+  Service service(&engine);
+  Churn churn(&edges, 9);
+  const PublishPins::Pin pin = service.Pin();
+  for (std::size_t w = 0; w < 2; ++w) {
+    ASSERT_TRUE(service.Ingest(churn.Next()).ok());
+    service.Quiesce();
+  }
+  const VersionedRows& table = service.segment_table();
+  EXPECT_EQ(table.oldest_retired_seq(), pin.seq + 1);
+  const std::size_t retired_while_held = table.retired();
+  service.Unpin(pin);
+  EXPECT_EQ(table.retired(), retired_while_held);
+  ASSERT_TRUE(service.Ingest(churn.Next()).ok());
+  service.Quiesce();
+  EXPECT_EQ(table.oldest_retired_seq(), pin.seq + 3);
+  EXPECT_EQ(table.versions() - table.retired(), table.num_rows());
 }
 
 }  // namespace
