@@ -150,8 +150,6 @@ class BasicIncrementalEngine {
   SocialStore& social_store() { return *social_; }
   const SocialStore& social_store() const { return *social_; }
   const Store& walk_store() const { return walks_; }
-  /// Writer-side access for the snapshot publisher (dirty-feed draining).
-  Store* mutable_walk_store() { return &walks_; }
   const DiGraph& graph() const { return social_->graph(); }
 
   /// Test hook: full invariant audit.

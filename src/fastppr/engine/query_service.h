@@ -4,14 +4,15 @@
 // Concurrent serving layer over a ShardedEngine (see DESIGN.md
 // sections 4, 6 and 11).
 //
-// Ranking reads (TopK / Score) are served from epoch-stamped visit-count
-// snapshots, double-buffered per shard behind a seqlock: the boundary
-// thread publishes into the inactive buffer and flips a sequence counter
-// (release); readers validate the counter around their (relaxed, atomic)
-// loads and retry on a concurrent flip. Readers therefore never block
-// ingestion and take no lock; ingestion's hot path (the per-event
-// repairs) never synchronizes with readers at all — only the publish at
-// each window boundary touches the shared buffers.
+// Ranking reads (TopK / Score) are served from ONE epoch-stamped
+// snapshot of the merged visit counts (every shard's counts summed),
+// double-buffered behind a seqlock: the boundary thread publishes into
+// the inactive buffer and flips a sequence counter (release); readers
+// validate the counter around their (relaxed, atomic) loads and retry on
+// a concurrent flip. Readers therefore never block ingestion and take no
+// lock; ingestion's hot path (the per-event repairs) never synchronizes
+// with readers at all — only the publish at each window boundary touches
+// the shared buffers.
 //
 // Personalized reads (PersonalizedTopKInto) are served from three
 // versioned row tables (store/segment_snapshot.h): the walk segments of
@@ -19,28 +20,28 @@
 // the out-adjacency and, for SALSA, the in-adjacency. The service
 // implements the engine's BoundarySink: at each window boundary, on the
 // engine's pipeline thread, it writes a new version of every row the
-// window's dirty feeds name, then flips the published {seq, epoch} pin
-// under the view mutex. A request pins the current publish under that
-// mutex (held only across the pin and the unpin, never across a walk),
-// walks the tables as of the pinned seq with plain loads into the
-// caller's dense walk scratch, and unpins. Versions a publish replaces
-// are freed at the first publish after the last reader that could reach
-// them unpins. One walker serves both estimators: the engine's step
-// policy (Engine::WalkSteps) fixes the walk's sides, its scratch and
-// whether the in-adjacency table exists.
+// window's own record names — the segments each shard's repair plan
+// lists and the adjacency rows of the window's applied edges — then
+// flips the published {seq, epoch} pin under the view mutex. Only the
+// constructor's publish copies every row. A request pins the current
+// publish under that mutex (held only across the pin and the unpin,
+// never across a walk), walks the tables as of the pinned seq with plain
+// loads into the caller's dense walk scratch, and unpins. Versions a
+// publish replaces are freed at the first publish after the last reader
+// that could reach them unpins. One walker serves both estimators: the
+// engine's step policy (Engine::WalkSteps) fixes the walk's sides, its
+// scratch and whether the in-adjacency table exists.
 //
 // Consistency model:
-//  * Merged count reads: every per-shard read is torn-free and stamped
-//    with the ingestion epoch (windows applied) it was published at; a
-//    merged read overlapping a publish may combine shards from two
-//    *adjacent* epochs (reported via SnapshotInfo).
+//  * Count reads: one torn-free read of the merged buffer, stamped with
+//    the ingestion epoch (windows applied) it was published at, so
+//    every read is single-epoch (SnapshotInfo min_epoch == max_epoch).
 //  * Personalized reads: one pin covers the segments and the adjacency,
 //    so one walk observes ONE epoch throughout (SnapshotInfo reports
 //    min_epoch == max_epoch). The publish runs inside the window's
 //    retirement, so Quiesce() (the engine's Drain()) is the freshness
 //    barrier.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -61,10 +62,9 @@
 
 namespace fastppr {
 
-/// Which ingestion epochs a read combined. min_epoch == max_epoch unless
-/// a merged count read overlapped a publish (then they differ by at most
-/// the number of windows published during the read). Personalized reads
-/// are single-epoch by construction.
+/// Which ingestion epochs a read saw. Every read is single-epoch by
+/// construction (one seqlock buffer, or one pin), so min_epoch ==
+/// max_epoch.
 struct SnapshotInfo {
   uint64_t min_epoch = 0;
   uint64_t max_epoch = 0;
@@ -73,14 +73,13 @@ struct SnapshotInfo {
 /// Caller-owned scratch for allocation-free steady-state merged reads
 /// (one ReadScratch per reader thread; reused across queries).
 struct ReadScratch {
-  std::vector<int64_t> counts;     ///< merged per-node counts
-  std::vector<int64_t> shard_tmp;  ///< one shard's seqlock copy
-  std::vector<NodeId> ranked;      ///< TopKInto output
+  std::vector<int64_t> counts;  ///< merged per-node counts
+  std::vector<NodeId> ranked;   ///< TopKInto output
 };
 
-/// One shard's double-buffered, epoch-stamped count snapshot (seqlock).
-/// Single writer (the window-boundary thread), any number of lock-free
-/// readers.
+/// The double-buffered, epoch-stamped snapshot of the merged counts
+/// (seqlock). Single writer (the window-boundary thread), any number of
+/// lock-free readers.
 class SnapshotBuffer {
  public:
   void Init(std::size_t num_nodes) {
@@ -116,30 +115,24 @@ class SnapshotBuffer {
     seq_.store(w + 1, std::memory_order_release);
   }
 
-  /// Adds this shard's counts into `acc` and its total into `total`;
-  /// returns the snapshot's epoch. Lock-free; a read is copied into
-  /// `scratch` (caller-owned, resized here — at most one allocation per
-  /// scratch lifetime, not one per shard per retry) and merged only
-  /// after the sequence counter validates, so a concurrent publish costs
-  /// a retry, never a torn merge.
-  uint64_t AccumulateInto(std::vector<int64_t>* acc, int64_t* total,
-                          std::vector<int64_t>* scratch) const {
-    std::vector<int64_t>& tmp = *scratch;
-    tmp.resize(acc->size());
+  /// Copies the counts into `out` (caller-owned, resized here: at most
+  /// one allocation per scratch lifetime) and the total into `total`;
+  /// returns the snapshot's epoch. Lock-free: a concurrent publish costs
+  /// a retry, never a torn copy.
+  uint64_t ReadInto(std::vector<int64_t>* out, int64_t* total) const {
+    std::vector<int64_t>& counts = *out;
     for (;;) {
       const uint64_t s1 = seq_.load(std::memory_order_acquire);
       const Buf& b = bufs_[s1 & 1];
-      for (std::size_t v = 0; v < tmp.size(); ++v) {
-        tmp[v] = b.counts[v].load(std::memory_order_relaxed);
+      counts.resize(b.counts.size());
+      for (std::size_t v = 0; v < counts.size(); ++v) {
+        counts[v] = b.counts[v].load(std::memory_order_relaxed);
       }
       const int64_t t = b.total.load(std::memory_order_relaxed);
       const uint64_t epoch = b.epoch.load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (seq_.load(std::memory_order_relaxed) == s1) {
-        for (std::size_t v = 0; v < tmp.size(); ++v) {
-          (*acc)[v] += tmp[v];
-        }
-        *total += t;
+        *total = t;
         return epoch;
       }
     }
@@ -175,27 +168,21 @@ class SnapshotBuffer {
 
 /// Publish-volume accounting for the `publish_bytes_per_delta_byte`
 /// contract. `presented_bytes` is the DENOMINATOR: the dirty volume the
-/// feeds handed the publish, duplicates included (8 id bytes plus the
-/// row's current content per feed entry, segment words at 8 bytes and
-/// adjacency ids at 4). `bytes_delta` is the NUMERATOR: the versions
-/// (header plus u32 ids) the delta publishes allocated. Whole-table
-/// rewrites (the first publish, a feed overflow, a forced Publish())
-/// are tracked separately in `bytes_full`.
+/// window's record handed the publish, duplicates included (8 id bytes
+/// plus the row's current content per repaired segment or applied edge,
+/// segment words at 8 bytes and adjacency ids at 4). `bytes_delta` is
+/// the NUMERATOR: the versions (header plus u32 ids) the delta publishes
+/// allocated. The constructor's whole-table publish counts on neither
+/// side.
 struct PublishVolume {
-  uint64_t publishes_full = 0;
-  uint64_t publishes_delta = 0;
-  uint64_t bytes_full = 0;
+  uint64_t publishes_delta = 0;  ///< per row table
   uint64_t bytes_delta = 0;
-  uint64_t presented_entries = 0;
   uint64_t presented_bytes = 0;
 
   uint64_t publish_delta_bytes() const { return bytes_delta; }
   void Accumulate(const PublishVolume& o) {
-    publishes_full += o.publishes_full;
     publishes_delta += o.publishes_delta;
-    bytes_full += o.bytes_full;
     bytes_delta += o.bytes_delta;
-    presented_entries += o.presented_entries;
     presented_bytes += o.presented_bytes;
   }
 };
@@ -207,11 +194,10 @@ struct PublishVolume {
 /// side's visit counts (PageRank visits, SALSA authority visits), and
 /// the personalized read is Algorithm 1 under its step policy.
 ///
-/// Single-service contract: a QueryService owns its engine's snapshot
-/// delta feeds (dirty segments, applied edges) and its window-boundary
-/// sink; attach at most one service per engine, and route mutations
-/// through Ingest() — callers that mutate the engine directly must call
-/// Publish() (full snapshot rebuild) before the next read.
+/// Single-service contract: a QueryService is its engine's one
+/// window-boundary sink (attaching a second aborts). Every window
+/// applied after its construction, through Ingest() or the engine's
+/// ApplyEvents, is published from its own record at its boundary.
 template <typename Engine>
 class QueryService : private ShardedEngine<Engine>::BoundarySink {
   using Steps = typename Engine::WalkSteps;
@@ -225,33 +211,18 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
         out_(engine->num_nodes()),
         in_(Steps::kSides > 1 ? engine->num_nodes() : 0) {
     om_ = engine_->metric_handles();
-    engine_->EnableAppliedEdgeTracking();
-    for (std::size_t s = 0; s < engine_->num_shards(); ++s) {
-      engine_->shard(s).mutable_walk_store()->set_dirty_tracking(true);
-    }
     const auto& store = engine_->shard(0).walk_store();
     walks_per_node_ = store.walks_per_node();
     epsilon_ = store.epsilon();
-    snapshots_ = std::vector<SnapshotBuffer>(engine_->num_shards());
-    for (SnapshotBuffer& s : snapshots_) s.Init(engine_->num_nodes());
+    counts_.Init(engine_->num_nodes());
     engine_->SetBoundarySink(this);
     // The ctor returns with a published view in place (readers CHECK
-    // one exists).
-    Publish();
+    // one exists): the one publish that copies every row.
+    PublishBoundary(engine_->QuiescentBoundaryContext(), /*full=*/true);
   }
 
-  /// The engine outlives the service: detach the boundary sink and hand
-  /// the delta feeds back so it stops paying for a serving layer that
-  /// no longer exists.
-  ~QueryService() override {
-    engine_->SetBoundarySink(nullptr);
-    engine_->DisableAppliedEdgeTracking();
-    for (std::size_t s = 0; s < engine_->num_shards(); ++s) {
-      auto* store = engine_->shard(s).mutable_walk_store();
-      store->set_dirty_tracking(false);
-      store->ClearDirtySegments();
-    }
-  }
+  /// The engine outlives the service: detach the boundary sink.
+  ~QueryService() override { engine_->SetBoundarySink(nullptr); }
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
@@ -264,15 +235,6 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   Status Ingest(std::span<const EdgeEvent> window) {
     std::lock_guard<std::mutex> lock(window_mu_);
     return engine_->ApplyEvents(window);
-  }
-
-  /// Re-publishes snapshots of the engine's current state (for callers
-  /// that mutated the engine directly — the delta feeds may have missed
-  /// those mutations, so every row is rewritten). Returns with the
-  /// rebuilt view live.
-  void Publish() {
-    std::lock_guard<std::mutex> lock(window_mu_);
-    PublishBoundary(engine_->QuiescentBoundaryContext(), /*full=*/true);
   }
 
   /// The freshness barrier: blocks until every window submitted through
@@ -317,24 +279,16 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     return out;
   }
 
-  /// Merged per-node counts from the current snapshots into
-  /// caller-owned scratch (allocation-free once the scratch is warm).
-  /// Returns a reference to scratch->counts. Lock-free.
+  /// Merged per-node counts from the current snapshot into caller-owned
+  /// scratch (allocation-free once the scratch is warm). Returns a
+  /// reference to scratch->counts. Lock-free.
   const std::vector<int64_t>& SnapshotCountsInto(
       ReadScratch* scratch, int64_t* total = nullptr,
       SnapshotInfo* info = nullptr) const {
-    scratch->counts.assign(engine_->num_nodes(), 0);
     int64_t t = 0;
-    SnapshotInfo si;
-    si.min_epoch = ~uint64_t{0};
-    for (const SnapshotBuffer& snap : snapshots_) {
-      const uint64_t e =
-          snap.AccumulateInto(&scratch->counts, &t, &scratch->shard_tmp);
-      si.min_epoch = std::min(si.min_epoch, e);
-      si.max_epoch = std::max(si.max_epoch, e);
-    }
+    const uint64_t epoch = counts_.ReadInto(&scratch->counts, &t);
     if (total != nullptr) *total = t;
-    if (info != nullptr) *info = si;
+    if (info != nullptr) *info = SnapshotInfo{epoch, epoch};
     return scratch->counts;
   }
 
@@ -376,18 +330,8 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
     int64_t count = 0;
     int64_t total = 0;
-    SnapshotInfo si;
-    si.min_epoch = ~uint64_t{0};
-    for (const SnapshotBuffer& snap : snapshots_) {
-      int64_t c = 0;
-      int64_t t = 0;
-      const uint64_t e = snap.ReadOne(v, &c, &t);
-      count += c;
-      total += t;
-      si.min_epoch = std::min(si.min_epoch, e);
-      si.max_epoch = std::max(si.max_epoch, e);
-    }
-    if (info != nullptr) *info = si;
+    const uint64_t epoch = counts_.ReadOne(v, &count, &total);
+    if (info != nullptr) *info = SnapshotInfo{epoch, epoch};
     if (hot) om_.query_score->Record(obs::NowNanos() - t0);
     return total == 0 ? 0.0
                       : static_cast<double>(count) /
@@ -499,10 +443,11 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     PublishBoundary(ctx, /*full=*/false);
   }
 
-  /// One boundary's publish: the seqlock count flips, then a new
-  /// version of every dirty row at the next publish seq, then the pin
-  /// flip. Versions replaced by earlier publishes whose readers have
-  /// all unpinned are freed first. `full` rewrites every row.
+  /// One boundary's publish: the seqlock count flip, then a new version
+  /// of every row the window's record names at the next publish seq,
+  /// then the pin flip. Versions replaced by earlier publishes whose
+  /// readers have all unpinned are freed first. `full` (the
+  /// constructor's publish) writes every row.
   void PublishBoundary(const Ctx& ctx, bool full) {
     PublishCounts(ctx);
     // Advance the published epoch BEFORE the frozen flip: a reader that
@@ -545,71 +490,61 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     }
   }
 
-  /// Publishes the seqlock count snapshots from the boundary context.
+  /// Publishes the merged seqlock count snapshot from the boundary
+  /// context.
   void PublishCounts(const Ctx& ctx) {
-    const std::size_t n = engine_->num_nodes();
-    const std::size_t S = snapshots_.size();
-    FASTPPR_CHECK_MSG(S == ctx.shards.size(),
-                      "snapshot set no longer matches the engine");
-    for (std::size_t s = 0; s < S; ++s) {
-      const Engine& shard = *ctx.shards[s];
-      snapshots_[s].Publish(
-          n,
-          [&shard](std::size_t v) {
-            return shard.RankingCount(static_cast<NodeId>(v));
-          },
-          shard.RankingTotal(), ctx.epoch);
-    }
+    int64_t total = 0;
+    for (const Engine* shard : ctx.shards) total += shard->RankingTotal();
+    counts_.Publish(
+        engine_->num_nodes(),
+        [&ctx](std::size_t v) {
+          int64_t count = 0;
+          for (const Engine* shard : ctx.shards) {
+            count += shard->RankingCount(static_cast<NodeId>(v));
+          }
+          return count;
+        },
+        total, ctx.epoch);
     if (engine_->metrics_enabled()) om_.count_publishes->Add(1);
   }
 
-  /// Writes each shard's dirty segments (or, on `full` or a feed
-  /// overflow, all its owned segments) into the global segment table
-  /// and clears the feeds. Every shard repairs only its own walks, so
-  /// the feeds are disjoint.
+  /// Writes the segments each shard's repair plan lists (or, on `full`,
+  /// all its owned segments) into the global segment table. Every shard
+  /// repairs only its own walks, so the plans name disjoint rows.
   void WriteSegments(const Ctx& ctx, bool full, uint64_t seq,
                      PublishVolume* volume) {
     const auto S = static_cast<uint32_t>(ctx.shards.size());
-    bool rewrote = false;
     for (uint32_t s = 0; s < S; ++s) {
-      auto* store = ctx.shards[s]->mutable_walk_store();
+      const auto& store = ctx.shards[s]->walk_store();
       const auto write = [&](uint64_t seg) {
-        const auto words = store->SegmentWords(seg);
+        const auto words = store.SegmentWords(seg);
         return segments_.Write(seg, seq, words.size(), [&](std::size_t i) {
           return static_cast<NodeId>(slab::Hi(words[i]));
         });
       };
-      if (engine_->metrics_enabled()) {
-        om_.segments_dirtied->Add(store->dirty_segments().size(), s);
-      }
-      if (full || store->dirty_overflowed()) {
-        rewrote = true;
+      if (full) {
         for (NodeId u = 0; u < engine_->num_nodes(); ++u) {
           if (ShardOfNode(u, S) != s) continue;
-          for (std::size_t k = 0; k < spn_; ++k) {
-            volume->bytes_full += write(u * spn_ + k);
-          }
+          for (std::size_t k = 0; k < spn_; ++k) write(u * spn_ + k);
         }
-      } else {
-        const auto dirty = store->dirty_segments();
-        for (uint64_t seg : dirty) {
-          FASTPPR_CHECK_MSG(ShardOfNode(seg / spn_, S) == s,
-                            "dirty segment not owned by its feed's shard");
-          volume->presented_bytes +=
-              sizeof(uint64_t) +
-              store->SegmentWords(seg).size() * sizeof(uint64_t);
-          volume->bytes_delta += write(seg);
-        }
-        volume->presented_entries += dirty.size();
+        continue;
       }
-      store->ClearDirtySegments();
+      uint64_t repaired = 0;
+      store.ForEachRepairedSegment([&](uint64_t seg) {
+        volume->presented_bytes +=
+            sizeof(uint64_t) +
+            store.SegmentWords(seg).size() * sizeof(uint64_t);
+        volume->bytes_delta += write(seg);
+        ++repaired;
+      });
+      if (engine_->metrics_enabled()) om_.segments_dirtied->Add(repaired, s);
     }
-    ++(rewrote ? volume->publishes_full : volume->publishes_delta);
+    if (!full) ++volume->publishes_delta;
   }
 
-  /// Writes the adjacency rows the applied edges touched (or, on `full`
-  /// or a feed overflow, every row): edge (u, v) dirties u's out-row
-  /// and, when the in table exists, v's in-row.
+  /// Writes the adjacency rows the window's applied edges touched (or,
+  /// on `full`, every row): edge (u, v) dirties u's out-row and, when
+  /// the in table exists, v's in-row.
   void WriteAdjacency(const Ctx& ctx, bool full, uint64_t seq,
                       PublishVolume* volume) {
     const DiGraph& g = *ctx.graph;
@@ -619,28 +554,25 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
       return rows->Write(v, seq, ids.size(),
                          [&](std::size_t i) { return ids[i]; });
     };
-    if (full || ctx.applied->overflowed()) {
+    if (full) {
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        volume->bytes_full += write(&out_, v, g.OutNeighbors(v));
-        if (in_side) volume->bytes_full += write(&in_, v, g.InNeighbors(v));
+        write(&out_, v, g.OutNeighbors(v));
+        if (in_side) write(&in_, v, g.InNeighbors(v));
       }
-      volume->publishes_full += in_side ? 2 : 1;
-    } else {
-      const auto applied = ctx.applied->entries();
-      for (const Edge& e : applied) {
-        volume->presented_bytes +=
-            sizeof(uint64_t) + g.OutDegree(e.src) * sizeof(NodeId);
-        volume->bytes_delta += write(&out_, e.src, g.OutNeighbors(e.src));
-        if (in_side) {
-          volume->presented_bytes +=
-              sizeof(uint64_t) + g.InDegree(e.dst) * sizeof(NodeId);
-          volume->bytes_delta += write(&in_, e.dst, g.InNeighbors(e.dst));
-        }
-      }
-      volume->presented_entries += applied.size() * (in_side ? 2 : 1);
-      volume->publishes_delta += in_side ? 2 : 1;
+      return;
     }
-    ctx.applied->Clear();
+    for (const EdgeEvent& ev : ctx.applied) {
+      const Edge& e = ev.edge;
+      volume->presented_bytes +=
+          sizeof(uint64_t) + g.OutDegree(e.src) * sizeof(NodeId);
+      volume->bytes_delta += write(&out_, e.src, g.OutNeighbors(e.src));
+      if (in_side) {
+        volume->presented_bytes +=
+            sizeof(uint64_t) + g.InDegree(e.dst) * sizeof(NodeId);
+        volume->bytes_delta += write(&in_, e.dst, g.InNeighbors(e.dst));
+      }
+    }
+    volume->publishes_delta += in_side ? 2 : 1;
   }
 
   ShardedEngine<Engine>* engine_;
@@ -650,14 +582,14 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   std::size_t walks_per_node_ = 0;
   double epsilon_ = 0.0;
   std::size_t spn_;  ///< segments per node
-  std::vector<SnapshotBuffer> snapshots_;
+  SnapshotBuffer counts_;  ///< merged rank-side counts
   std::mutex window_mu_;
   std::atomic<uint64_t> published_epoch_{0};
 
   /// Personalized-read state. `view_mu_` guards the pins and the
   /// publish volume; every pin, unpin and flip takes it. The tables and
   /// `seq_` are written only by the one publishing thread (the pipeline
-  /// thread, or the Publish() caller with the pipeline drained).
+  /// thread, or the constructor with the pipeline drained).
   mutable std::mutex view_mu_;
   PublishPins pins_;
   PublishVolume volume_;

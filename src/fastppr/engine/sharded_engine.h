@@ -30,12 +30,15 @@
 //
 // Execution: ApplyEvents appends and syncs the window's WAL record
 // (overlapping the previous window's repair), drains, mutates the
-// store, hands the applied prefix to the pipeline thread and returns
-// the exact status. The pipeline thread repairs every shard through one
-// ThreadPool dispatch and retires the window boundary (the boundary
-// sink, upstream of snapshot publishing). windows_applied trails
-// windows_submitted by at most one window; getters that read
-// repair-side state Drain() first.
+// store, puts the applied prefix into the one in-flight window slot and
+// returns the exact status. The pipeline thread repairs every shard
+// through one ThreadPool dispatch and retires the window boundary (the
+// boundary sink, upstream of snapshot publishing, reads the window's
+// own record: its applied prefix, and each shard's repair plan). One
+// mutex and one condition variable guard the slot: the pipeline thread
+// waits on them for a window, Drain() for its retirement.
+// windows_applied trails windows_submitted by at most one window;
+// getters that read repair-side state Drain() first.
 //
 // Event routing is a *broadcast*, not a split: an arriving edge (u, v)
 // reroutes stored walks that VISIT u (Proposition 2), and walks visiting
@@ -67,7 +70,6 @@
 
 #include "fastppr/core/incremental_pagerank.h"
 #include "fastppr/core/ranking.h"
-#include "fastppr/engine/ingest_pipeline.h"
 #include "fastppr/engine/thread_pool.h"
 #include "fastppr/obs/engine_metrics.h"
 #include "fastppr/obs/latency_histogram.h"
@@ -77,7 +79,6 @@
 #include "fastppr/graph/types.h"
 #include "fastppr/store/arena_io.h"
 #include "fastppr/store/checkpoint.h"
-#include "fastppr/store/repair_scratch.h"
 #include "fastppr/store/social_store.h"
 #include "fastppr/store/wal.h"
 #include "fastppr/util/check.h"
@@ -166,11 +167,6 @@ struct DurabilityOptions {
   /// Checkpoint() calls). The WAL is rotated at each checkpoint, so
   /// this bounds both replay length and log size.
   uint64_t checkpoint_interval_windows = 64;
-  /// fsync the WAL at every window boundary (the durability contract:
-  /// an acked window survives kill -9). Off trades the guarantee for
-  /// ingest speed — a crash may lose the OS-buffered suffix, but
-  /// recovery still lands on a clean prefix.
-  bool sync_wal = true;
 };
 
 /// S walk-store shards over one shared Social Store, behind one
@@ -184,17 +180,16 @@ class ShardedEngine {
   /// Everything a window-boundary callback may touch, passed by value
   /// so the callee NEVER calls back into the engine's (auto-draining)
   /// getters from the pipeline thread — that would self-deadlock.
-  /// `shards` and `graph` are frozen until the callback returns (the
-  /// boundary runs strictly after the window's last repair joined and
-  /// strictly before the next window's first mutation, which waits for
-  /// it in Drain()).
+  /// `shards`, `graph` and `applied` are frozen until the callback
+  /// returns (the boundary runs strictly after the window's last repair
+  /// joined and strictly before the next window's first mutation, which
+  /// waits for it in Drain()). The window's record is `applied` plus
+  /// each shard's repair plan (walk_store().ForEachRepairedSegment).
   struct BoundaryContext {
-    uint64_t epoch = 0;                    ///< windows applied INCLUDING
-                                           ///  this one
-    std::span<Engine* const> shards;
-    const DiGraph* graph = nullptr;        ///< the boundary-frozen graph
-    slab::DirtyFeed<Edge>* applied = nullptr;  ///< applied-edge feed
-                                               ///  (owner may Clear it)
+    uint64_t epoch = 0;  ///< windows applied INCLUDING this one
+    std::span<const Engine* const> shards;
+    const DiGraph* graph = nullptr;  ///< the boundary-frozen graph
+    std::span<const EdgeEvent> applied;  ///< the window's applied prefix
   };
 
   /// Window-boundary hook (the publish stage's upstream): invoked once
@@ -226,7 +221,11 @@ class ShardedEngine {
   }
 
   ~ShardedEngine() {
-    advance_.Close();
+    {
+      std::lock_guard<std::mutex> lock(slot_mu_);
+      closing_ = true;
+    }
+    slot_cv_.notify_all();
     if (pipeline_.joinable()) pipeline_.join();
   }
 
@@ -284,59 +283,23 @@ class ShardedEngine {
   /// Kept for the benchmark's layer ledger (engine.replica_mb).
   std::size_t RepairReplicaBytes() const { return 0; }
 
-  /// Opt-in feed for the query service's frozen-adjacency deltas: once
-  /// enabled, every *applied* graph mutation (rejected events excluded)
-  /// accumulates into applied_edges() until the feed is cleared. Off by
-  /// default so engines without a serving layer pay nothing; bounded at
-  /// 4 edges per node (slab::DirtyFeed overflow — the next adjacency
-  /// snapshot then full-copies). The feed is written by the pipeline
-  /// thread (it belongs to the repair/publish side).
-  void EnableAppliedEdgeTracking() {
-    Drain();
-    // Two attached services would consume each other's delta feeds and
-    // silently serve stale-but-freshly-stamped snapshots; fail loudly.
-    FASTPPR_CHECK_MSG(!applied_.tracking(),
-                      "a QueryService is already attached to this engine");
-    applied_.ResetCap(4 * num_nodes());
-    applied_.SetTracking(true);
-  }
-  void DisableAppliedEdgeTracking() {
-    Drain();
-    applied_.SetTracking(false);
-    applied_.Clear();
-  }
-  std::span<const Edge> applied_edges() const {
-    Drain();
-    return applied_.entries();
-  }
-  bool applied_edges_overflowed() const {
-    Drain();
-    return applied_.overflowed();
-  }
-  void ClearAppliedEdges() {
-    Drain();
-    applied_.Clear();
-  }
-
   /// Installs (or clears, with nullptr) the window-boundary hook. The
   /// pipeline is drained first, so the sink misses no boundary and a
-  /// cleared sink is never called again.
+  /// cleared sink is never called again. One sink at a time: a second
+  /// would silently detach the first, whose views would then go stale.
   void SetBoundarySink(BoundarySink* sink) {
     Drain();
+    FASTPPR_CHECK_MSG(
+        sink == nullptr || sink_.load(std::memory_order_relaxed) == nullptr,
+        "a QueryService is already attached to this engine");
     sink_.store(sink, std::memory_order_release);
   }
 
-  /// A boundary context for out-of-band publishes (service
-  /// construction, forced full refreshes): drains the pipeline and
-  /// describes the now-quiescent state.
+  /// The drained boundary a sink starts from: the state every window so
+  /// far produced, with no window record (`applied` is empty).
   BoundaryContext QuiescentBoundaryContext() {
     Drain();
-    BoundaryContext ctx;
-    ctx.epoch = windows_applied_.load(std::memory_order_relaxed);
-    ctx.shards = std::span<Engine* const>(shard_ptrs_);
-    ctx.graph = &social_->graph();
-    ctx.applied = &applied_;
-    return ctx;
+    return Boundary(windows_applied_.load(std::memory_order_relaxed), {});
   }
 
   /// Blocks until every submitted window is fully applied (repairs run,
@@ -346,8 +309,8 @@ class ShardedEngine {
   void Drain() const {
     const uint64_t target = windows_submitted_.load(std::memory_order_acquire);
     if (windows_applied_.load(std::memory_order_acquire) >= target) return;
-    std::unique_lock<std::mutex> lock(done_mu_);
-    done_cv_.wait(lock, [&] {
+    std::unique_lock<std::mutex> lock(slot_mu_);
+    slot_cv_.wait(lock, [&] {
       return windows_applied_.load(std::memory_order_relaxed) >= target;
     });
   }
@@ -360,16 +323,18 @@ class ShardedEngine {
   /// repaired in every shard before the window retires.
   ///
   /// With durability enabled the window's raw event span is appended to
-  /// the WAL and (by default) fsync'd BEFORE anything is applied:
-  /// log-ahead plus deterministic ingestion — ApplyWindowPrefix and the
-  /// window coupling replay a logged span identically, rejected events
-  /// included — is the whole recovery story. A WAL write error fails the
-  /// window before any state changed, and the WAL is fail-stop: every
-  /// later window fails the same way, before any state changed, until a
-  /// successful Checkpoint() rotates to a fresh log, so no record ever
-  /// lands behind a torn one. WAL records are numbered by windows
-  /// SUBMITTED, so the epoch-aligned framing is untouched by the
-  /// pipeline lag; a checkpoint drains the pipeline to a boundary.
+  /// the WAL and fsync'd BEFORE anything is applied: log-ahead plus
+  /// deterministic ingestion — ApplyWindowPrefix and the window coupling
+  /// replay a logged span identically, rejected events included — is
+  /// the whole recovery story. A WAL append or fsync error fails the
+  /// window before any state changed (a failed fsync also cuts the
+  /// window's record back out of the log), and the WAL is fail-stop:
+  /// every later window fails the same way, before any state changed,
+  /// until a successful Checkpoint() rotates to a fresh log, so no
+  /// record ever lands behind a torn one and recovery replays exactly
+  /// the acked windows. WAL records are numbered by windows SUBMITTED,
+  /// so the epoch-aligned framing is untouched by the pipeline lag; a
+  /// checkpoint drains the pipeline to a boundary.
   Status ApplyEvents(std::span<const EdgeEvent> events) {
     const uint64_t window = windows_submitted_.load(std::memory_order_relaxed);
     if (durable_) {
@@ -380,15 +345,13 @@ class ShardedEngine {
         om_.wal_records->Add(1);
         om_.wal_bytes->Add(wal_.bytes_written() - bytes_before);
       }
-      if (durability_.sync_wal) {
-        const uint64_t t0 = hot ? obs::NowNanos() : 0;
-        FASTPPR_RETURN_IF_ERROR(wal_.Sync());
-        if (hot) {
-          const uint64_t t1 = obs::NowNanos();
-          om_.wal_fsyncs->Add(1);
-          om_.wal_fsync->Record(t1 - t0);
-          tracer_.Record(writer_track(), obs::Phase::kFsync, window, t0, t1);
-        }
+      const uint64_t t0 = hot ? obs::NowNanos() : 0;
+      FASTPPR_RETURN_IF_ERROR(wal_.Sync());
+      if (hot) {
+        const uint64_t t1 = obs::NowNanos();
+        om_.wal_fsyncs->Add(1);
+        om_.wal_fsync->Record(t1 - t0);
+        tracer_.Record(writer_track(), obs::Phase::kFsync, window, t0, t1);
       }
     }
     const Status result = ApplyWindow(events);
@@ -736,7 +699,7 @@ class ShardedEngine {
 
   /// The caller's half of one window, shared by ApplyEvents and WAL
   /// replay: wait for the previous window to retire, mutate the store,
-  /// and hand the applied prefix to the pipeline thread as one item.
+  /// and hand the applied prefix to the pipeline thread in the slot.
   Status ApplyWindow(std::span<const EdgeEvent> events) {
     // Instrumentation is gated on one relaxed flag read per window: the
     // cold path takes zero clock reads, and hot-path timing never
@@ -761,22 +724,25 @@ class ShardedEngine {
                         : social_->RemoveEdge(e.src, e.dst);
         },
         &applied);
-    pipe::PipelineItem item;
-    item.applied.assign(events.begin(), events.begin() + applied);
-    item.window_events = events.size();
-    router_.AccountWrites(item.applied);
+    // The drain above retired the previous window, so the slot is free.
+    slot_.applied.assign(events.begin(), events.begin() + applied);
+    slot_.events = events.size();
+    router_.AccountWrites(slot_.applied);
     if (hot) {
       const uint64_t now = obs::NowNanos();
       om_.ingest_phase->Record(now - ingest_start);
       tracer_.Record(writer_track(), obs::Phase::kIngest, window,
                      ingest_start, now);
     }
-    // Submitted is bumped BEFORE the window is handed over, so
-    // windows_applied (stored by the pipeline thread when the window
-    // retires) can never be observed ahead of windows_submitted.
-    windows_submitted_.store(window + 1, std::memory_order_release);
-    // The drain above emptied the queue, so this push never waits.
-    advance_.Push(std::move(item));
+    // Submitted is bumped with the hand-off, so windows_applied (stored
+    // by the pipeline thread when the window retires) can never be
+    // observed ahead of windows_submitted.
+    {
+      std::lock_guard<std::mutex> lock(slot_mu_);
+      windows_submitted_.store(window + 1, std::memory_order_release);
+      slot_full_ = true;
+    }
+    slot_cv_.notify_all();
     if (hot) {
       // Caller-side window cost (the drain wait included); repair cost
       // lives in repair_phase and the tracer's lane tracks.
@@ -785,28 +751,29 @@ class ShardedEngine {
     return result;
   }
 
-  /// Pipeline thread main loop: one item per window — repair every
-  /// shard, retire the boundary.
+  /// Pipeline thread main loop: one window per full slot — repair every
+  /// shard, retire the boundary. A window handed over before the
+  /// destructor closes the slot is still retired.
   void PipelineLoop() {
-    pipe::PipelineItem item;
-    while (advance_.Pop(&item)) {
-      RepairShards(item.applied);
-      CompleteWindow(item.window_events);
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(slot_mu_);
+        slot_cv_.wait(lock, [&] { return slot_full_ || closing_; });
+        if (!slot_full_) return;
+      }
+      RepairShards(slot_.applied);
+      CompleteWindow();
     }
   }
 
-  /// The window's repair phase: feeds the applied edges to the
-  /// frozen-adjacency publisher, builds the prefix's net delta once,
-  /// and repairs every shard in one parallel dispatch against the
-  /// store, whose epoch must not move meanwhile. The delta is read-only
-  /// across the dispatch.
+  /// The window's repair phase: builds the prefix's net delta once and
+  /// repairs every shard in one parallel dispatch against the store,
+  /// whose epoch must not move meanwhile. The delta is read-only across
+  /// the dispatch.
   void RepairShards(std::span<const EdgeEvent> prefix) {
     const bool hot = metrics_enabled();
     const uint64_t window =
         windows_applied_.load(std::memory_order_relaxed);
-    if (applied_.tracking()) {
-      for (const EdgeEvent& ev : prefix) applied_.Record(ev.edge);
-    }
     delta_.Build(prefix, Engine::kRepairsInEdges);
     const uint64_t epoch = social_->epoch();
     pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
@@ -823,14 +790,14 @@ class ShardedEngine {
   }
 
   /// Window-boundary retirement on the pipeline thread: hot stats, the
-  /// boundary sink (snapshot publish upstream), then the applied-count
-  /// bump that releases Drain()ers.
-  void CompleteWindow(std::size_t window_events) {
+  /// boundary sink (snapshot publish upstream), then the slot release
+  /// and applied-count bump that release Drain()ers.
+  void CompleteWindow() {
     const uint64_t epoch =
         windows_applied_.load(std::memory_order_relaxed) + 1;
     const bool hot = metrics_enabled();
     if (hot) {
-      om_.events_ingested->Add(window_events);
+      om_.events_ingested->Add(slot_.events);
       om_.windows_applied->Set(epoch);
       for (std::size_t s = 0; s < shards_.size(); ++s) {
         const WalkUpdateStats st = shards_[s]->last_event_stats();
@@ -839,18 +806,24 @@ class ShardedEngine {
       }
     }
     if (BoundarySink* sink = sink_.load(std::memory_order_acquire)) {
-      BoundaryContext ctx;
-      ctx.epoch = epoch;
-      ctx.shards = std::span<Engine* const>(shard_ptrs_);
-      ctx.graph = &social_->graph();
-      ctx.applied = &applied_;
-      sink->OnWindowBoundary(ctx);
+      sink->OnWindowBoundary(Boundary(epoch, slot_.applied));
     }
     {
-      std::lock_guard<std::mutex> lock(done_mu_);
+      std::lock_guard<std::mutex> lock(slot_mu_);
+      slot_full_ = false;
       windows_applied_.store(epoch, std::memory_order_release);
     }
-    done_cv_.notify_all();
+    slot_cv_.notify_all();
+  }
+
+  BoundaryContext Boundary(uint64_t epoch,
+                           std::span<const EdgeEvent> applied) const {
+    BoundaryContext ctx;
+    ctx.epoch = epoch;
+    ctx.shards = std::span<const Engine* const>(shard_ptrs_);
+    ctx.graph = &social_->graph();
+    ctx.applied = applied;
+    return ctx;
   }
 
   DurableManifest BuildManifest() const {
@@ -869,9 +842,8 @@ class ShardedEngine {
   /// Complete engine state in SaveTo-chain order: window counter,
   /// router ledger, shared store (graph slab + call counters), then
   /// every shard engine (walk slabs + RNG + stats). The transient
-  /// window delta and applied-edge feed are excluded: the delta is
-  /// rebuilt by every window and the feed is empty at every window
-  /// boundary.
+  /// window delta and window slot are excluded: every window rebuilds
+  /// both.
   void SerializeTo(ArenaWriter* w) const {
     w->Pod(windows_applied_.load(std::memory_order_relaxed));
     router_.SaveTo(w);
@@ -913,7 +885,7 @@ class ShardedEngine {
   std::shared_ptr<SocialStore> social_;  ///< the one store: the caller
                                          ///  writes, the shards read
   std::vector<std::unique_ptr<Engine>> shards_;
-  std::vector<Engine*> shard_ptrs_;  ///< raw view for BoundaryContext
+  std::vector<const Engine*> shard_ptrs_;  ///< raw view for BoundaryContext
   /// The current window's net delta: written by the pipeline thread,
   /// read by every shard during the repair dispatch.
   WindowDelta delta_;
@@ -923,7 +895,6 @@ class ShardedEngine {
   /// most one window otherwise.
   std::atomic<uint64_t> windows_submitted_{0};
   std::atomic<uint64_t> windows_applied_{0};
-  slab::DirtyFeed<Edge> applied_;
   std::atomic<BoundarySink*> sink_{nullptr};
 
   // Durability state (inert until EnableDurability).
@@ -941,14 +912,23 @@ class ShardedEngine {
   obs::PhaseTracer tracer_;
   std::atomic<bool> metrics_hot_{true};
 
-  /// The pipeline: the caller->pipeline queue (one window; the caller
-  /// drains before it pushes), the retire signal Drain() waits on, and
-  /// the thread that repairs and retires windows. Declared after
-  /// everything the thread uses; started last in Init, joined in the
-  /// destructor.
-  pipe::BoundedQueue<pipe::PipelineItem> advance_{1};
-  mutable std::mutex done_mu_;
-  mutable std::condition_variable done_cv_;
+  /// The pipeline: the one in-flight window, and the thread that repairs
+  /// and retires it. The caller fills `slot_` only after Drain() saw
+  /// the previous window retire, then sets `slot_full_` under
+  /// `slot_mu_`; the pipeline thread clears it and bumps windows_applied_
+  /// under the same mutex when the window retires. `slot_cv_` wakes the
+  /// pipeline thread (a full slot, or closing) and Drain() (a retired
+  /// window). Declared after everything the thread uses; started last
+  /// in Init, joined in the destructor.
+  struct WindowSlot {
+    std::vector<EdgeEvent> applied;  ///< the window's applied prefix
+    std::size_t events = 0;          ///< the window's submitted events
+  };
+  WindowSlot slot_;
+  bool slot_full_ = false;  ///< guarded by slot_mu_
+  bool closing_ = false;    ///< guarded by slot_mu_
+  mutable std::mutex slot_mu_;
+  mutable std::condition_variable slot_cv_;
   std::thread pipeline_;
 };
 

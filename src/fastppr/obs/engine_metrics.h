@@ -19,12 +19,13 @@ struct EngineMetrics {
   Counter* events_ingested = nullptr;       ///< events applied or rejected
   Counter* walks_repaired = nullptr;        ///< segments re-routed [shard]
   Counter* walk_steps = nullptr;            ///< repair walker steps [shard]
-  Counter* segments_dirtied = nullptr;      ///< dirty-feed rows consumed
-                                            ///  by publishes [shard]
+  Counter* segments_dirtied = nullptr;      ///< repaired segments a
+                                            ///  publish copied [shard]
   Counter* wal_records = nullptr;           ///< WAL records appended
   Counter* wal_bytes = nullptr;             ///< WAL bytes appended
   Counter* wal_fsyncs = nullptr;            ///< WAL fsync calls
-  Counter* frozen_publishes_full = nullptr; ///< full frozen-view rebuilds
+  Counter* frozen_publishes_full = nullptr; ///< the service's first
+                                            ///  (whole-table) publish
   Counter* frozen_publishes_delta = nullptr;///< delta frozen publishes
   Counter* count_publishes = nullptr;       ///< seqlock count publishes
   Counter* snapshot_pins = nullptr;         ///< personalized view pins

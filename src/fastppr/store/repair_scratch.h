@@ -8,12 +8,14 @@
 // a fresh suffix is already distributed for the post-window graph and
 // must never be switched twice — keeping only the earliest affected
 // position per segment. The collection state (epoch-stamped per-segment
-// dedup, Floyd-sampling scratch) lives here, beside the index and
-// dirty-feed primitives it works with.
+// dedup, Floyd-sampling scratch) lives here, beside the index primitive
+// it works with. The collected plan outlives its window: it is the
+// record of which segments the window repaired, and the snapshot
+// publisher copies exactly those rows (BasicWalkStore::
+// ForEachRepairedSegment).
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "fastppr/graph/types.h"
@@ -34,83 +36,6 @@ inline void RemoveIndexEntry(SlabPool* pool, SlabPool* paths, NodeId node,
   if (moved != here) {
     paths->SetLo(Hi(moved), Lo(moved), slot);
   }
-}
-
-/// Overflow-capped delta feed for the snapshot publishers
-/// (store/segment_snapshot.h): while tracking is on, Record() appends an
-/// entry (a repaired segment id, an applied edge) until the cap, past
-/// which the feed drops its contents and flags the overflow — a full
-/// snapshot copy is cheaper than the delta at that point, and the feed
-/// must stay bounded even with no consumer draining it. Off by default
-/// so producers without a serving layer pay nothing. Shared by the walk
-/// store and ShardedEngine so the overflow rule cannot drift between
-/// them.
-template <typename Entry>
-class DirtyFeed {
- public:
-  /// (Re)binds the overflow cap; drops any recorded state.
-  void ResetCap(std::size_t cap) {
-    cap_ = cap;
-    entries_.clear();
-    entries_.shrink_to_fit();
-    overflow_ = false;
-  }
-
-  /// One up-front reservation at the cap, so recording on the
-  /// producers' hot paths never reallocates. Turning tracking off
-  /// releases the reservation: a producer whose serving layer is gone
-  /// stops paying for it in memory too.
-  void SetTracking(bool on) {
-    tracking_ = on;
-    if (on) {
-      entries_.reserve(cap_);
-    } else {
-      entries_.clear();
-      entries_.shrink_to_fit();
-      overflow_ = false;
-    }
-  }
-  bool tracking() const { return tracking_; }
-
-  void Record(const Entry& entry) {
-    if (!tracking_ || overflow_) return;
-    if (entries_.size() >= cap_) {
-      // Past the cap the next publish full-copies anyway: drop what we
-      // have and stop paying for entries guaranteed to be discarded
-      // (until Clear() re-arms the feed).
-      overflow_ = true;
-      entries_.clear();
-      return;
-    }
-    entries_.push_back(entry);
-  }
-
-  std::span<const Entry> entries() const { return entries_; }
-  /// True once the feed overflowed since the last Clear(): it was
-  /// dropped and the next snapshot publish must full-copy.
-  bool overflowed() const { return overflow_; }
-  void Clear() {
-    entries_.clear();
-    overflow_ = false;
-  }
-
- private:
-  bool tracking_ = false;
-  bool overflow_ = false;
-  std::size_t cap_ = 0;
-  std::vector<Entry> entries_;
-};
-
-/// The walk stores' DirtyFeed cap: ~this shard's OWNED row count
-/// (unowned rows are empty and never repaired), not the global row
-/// count — at S shards that is 1/S the feed reservation — with slack
-/// for duplicate records, clamped to the row total.
-inline std::size_t DirtyCapForOwnedRows(const SlabPool& rows) {
-  std::size_t owned = 0;
-  for (std::size_t r = 0; r < rows.num_rows(); ++r) {
-    if (rows.Size(r) > 0) ++owned;
-  }
-  return std::min(rows.num_rows(), owned + owned / 2 + 64);
 }
 
 /// What the window coupling decided for one collected position.
@@ -164,6 +89,8 @@ class RepairScratch {
   }
 
   bool empty() const { return pending_.empty(); }
+  /// The plan: one entry per repaired segment, in apply order once
+  /// OrderForApply ran. Kept until the next BeginEpoch.
   const std::vector<Repair>& pending() const { return pending_; }
 
   /// Large pending sets are applied in segment order so the repair pass

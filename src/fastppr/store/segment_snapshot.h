@@ -68,9 +68,9 @@ class VersionedRows {
   }
 
   /// Writer: publishes row `r` at `seq` as `len` ids, the i-th being
-  /// `id(i)`. A row that already has a version at `seq` (a repeated
-  /// feed entry) or that stays empty is left alone. Returns the bytes
-  /// allocated.
+  /// `id(i)`. A row that already has a version at `seq` (named twice
+  /// in one window's record) or that stays empty is left alone. Returns
+  /// the bytes allocated.
   template <typename IdAt>
   std::size_t Write(uint64_t r, uint64_t seq, std::size_t len,
                     const IdAt& id) {
@@ -160,8 +160,7 @@ class VersionedRows {
 class PublishPins {
  public:
   /// One publish: its sequence number and the ingestion epoch (windows
-  /// applied) it shows. A forced re-publish keeps the epoch and takes a
-  /// new seq.
+  /// applied) it shows.
   struct Pin {
     uint64_t seq = 0;
     uint64_t epoch = 0;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "fastppr/store/arena_io.h"
+#include "fastppr/util/check.h"
 #include "fastppr/util/crc32c.h"
 
 namespace fastppr {
@@ -58,6 +59,7 @@ Status WalWriter::Create(const std::string& path,
   // The header is durable before the writer is handed out: a WAL that
   // exists at full header length is guaranteed self-describing.
   if (Status s = w.file_.Sync(); !s.ok()) return s;
+  w.synced_bytes_ = w.file_.bytes_written();
   *out = std::move(w);
   return Status::OK();
 }
@@ -90,7 +92,20 @@ Status WalWriter::AppendBatch(uint64_t window,
 
 Status WalWriter::Sync() {
   if (!status_.ok()) return status_;
-  return Poison(file_.Sync());
+  const Status s = file_.Sync();
+  if (s.ok()) {
+    synced_bytes_ = file_.bytes_written();
+    return s;
+  }
+  // The caller refuses the windows appended since the last good sync,
+  // yet their records may still reach the disk: cut them back out and
+  // make the cut durable, or recovery would replay windows nobody was
+  // told were applied. A log that cannot be cut no longer matches what
+  // callers were told.
+  const bool cut = file_.Truncate(synced_bytes_).ok() && file_.Sync().ok();
+  FASTPPR_CHECK_MSG(cut, "WAL fsync failed and its unacked records "
+                         "cannot be cut back out");
+  return Poison(s);
 }
 
 Status WalWriter::Poison(Status s) {

@@ -103,7 +103,10 @@ struct WalRecord {
 /// Fail-stop: the first failed append or sync poisons the writer. A
 /// failed append may leave a torn record prefix, and a record appended
 /// after it would turn that tear into mid-log corruption, so every later
-/// AppendBatch/Sync returns the first error without writing. Only a
+/// AppendBatch/Sync returns the first error without writing. A failed
+/// sync first cuts the log back to its length at the last good sync and
+/// syncs the cut: the caller refuses the window, so its record must not
+/// be replayed either (if the cut fails too, the process stops). Only a
 /// fresh writer (Create, i.e. a checkpoint's log rotation) appends
 /// again.
 class WalWriter {
@@ -119,7 +122,9 @@ class WalWriter {
   /// Appends one window record (buffered by the OS; not yet durable).
   Status AppendBatch(uint64_t window, std::span<const EdgeEvent> events);
 
-  /// Makes every appended record durable (the phase-boundary fsync).
+  /// Makes every appended record durable (the phase-boundary fsync). On
+  /// failure the records appended since the last good sync are cut
+  /// back out of the log.
   Status Sync();
 
   Status Close();
@@ -130,6 +135,7 @@ class WalWriter {
 
   WritableFile file_;
   std::vector<uint8_t> scratch_;
+  uint64_t synced_bytes_ = 0;  ///< log length at the last good sync
   Status status_;  ///< the first failed append or sync (sticky)
 };
 

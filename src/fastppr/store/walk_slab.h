@@ -20,7 +20,6 @@
 // geometric segment lengths (mean 1/eps) and any realistic visit-list row.
 // Overflow aborts via FASTPPR_CHECK rather than wrapping.
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,32 +45,24 @@ constexpr uint64_t WithLo(uint64_t word, uint32_t lo) {
   return (word & ~kLoMask) | (lo & kLoMask);
 }
 
-/// A pool of variable-length rows of `Word`s backed by one flat arena.
-/// Rows support append, pop-back and swap-remove in O(1); a row that
-/// outgrows its reserved span is relocated to the arena tail with
-/// doubled capacity (the vacated span is dead until the next compaction).
-/// External references address (row, index) pairs — never raw offsets —
-/// so relocation and compaction are invisible to callers.
-///
-/// `Word` is uint64_t for the packed walk/index rows (SlabPool) and
-/// NodeId for the frozen adjacency rows of store/segment_snapshot.h
-/// (half the bytes; the packed-word helpers SetLo/VerifiedSwapRemove are
-/// only instantiated where a pool actually uses them).
-template <typename Word>
-class BasicSlabPool {
+/// A pool of variable-length rows of packed words backed by one flat
+/// arena. Rows support append, pop-back and swap-remove in O(1); a row
+/// that outgrows its reserved span is relocated to the arena tail with
+/// doubled capacity (the vacated span is dead until the next
+/// compaction). External references address (row, index) pairs — never
+/// raw offsets — so relocation and compaction are invisible to callers.
+class SlabPool {
  public:
   /// One row per entry of `sizes`, laid out back-to-back (size 0, ready
-  /// for bulk fill). `headroom` grants each row `size + size/2 + 2` spare
-  /// capacity so steady-state churn (truncate/re-extend, swap-remove/
-  /// push) does not immediately relocate every touched row.
-  void ResetWithCapacities(const std::vector<uint32_t>& sizes,
-                           bool headroom = false) {
+  /// for bulk fill). Each row gets `size + size/2 + 2` capacity, so
+  /// steady-state churn (truncate/re-extend, swap-remove/push) does not
+  /// immediately relocate every touched row.
+  void ResetWithCapacities(const std::vector<uint32_t>& sizes) {
     rows_.assign(sizes.size(), Row{});
     uint64_t total = 0;
     for (std::size_t r = 0; r < sizes.size(); ++r) {
       rows_[r].off = total;
-      rows_[r].cap =
-          headroom ? sizes[r] + (sizes[r] >> 1) + 2 : sizes[r];
+      rows_[r].cap = sizes[r] + (sizes[r] >> 1) + 2;
       total += rows_[r].cap;
     }
     data_.assign(total, 0);
@@ -81,35 +72,16 @@ class BasicSlabPool {
   std::size_t num_rows() const { return rows_.size(); }
   uint32_t Size(std::size_t row) const { return rows_[row].size; }
 
-  Word Get(std::size_t row, uint32_t i) const {
+  uint64_t Get(std::size_t row, uint32_t i) const {
     return data_[rows_[row].off + i];
   }
 
-  std::span<const Word> RowSpan(std::size_t row) const {
+  std::span<const uint64_t> RowSpan(std::size_t row) const {
     return {data_.data() + rows_[row].off, rows_[row].size};
   }
 
-  /// Replaces the row's whole content with `words` (the snapshot
-  /// publishers' bulk-copy primitive). Relocates to the arena tail if the
-  /// row's reserved span is too small; O(|words|) either way.
-  void AssignRow(std::size_t row, std::span<const Word> words) {
-    Row& r = rows_[row];
-    FASTPPR_CHECK(words.size() <= kLoMask);
-    if (words.size() > r.cap) {
-      const uint32_t new_cap = std::max<uint32_t>(
-          static_cast<uint32_t>(words.size()), r.cap == 0 ? 4 : 2 * r.cap);
-      dead_ += r.cap;
-      r.off = data_.size();
-      r.cap = new_cap;
-      data_.resize(data_.size() + new_cap);
-    }
-    r.size = static_cast<uint32_t>(words.size());
-    std::copy(words.begin(), words.end(), data_.begin() + r.off);
-    MaybeCompact();
-  }
-
   /// Appends and returns the index the word landed at.
-  uint32_t PushBack(std::size_t row, Word word) {
+  uint32_t PushBack(std::size_t row, uint64_t word) {
     Row& r = rows_[row];
     if (r.size == r.cap) Grow(row);
     const uint32_t at = rows_[row].size++;
@@ -129,21 +101,20 @@ class BasicSlabPool {
   /// Returns the word that now occupies index `i` (identical to the
   /// removed word when `i` was the last index). One row binding: this
   /// sits on the hottest path of the walk stores.
-  Word VerifiedSwapRemove(std::size_t row, uint32_t i, Word expect) {
+  uint64_t VerifiedSwapRemove(std::size_t row, uint32_t i, uint64_t expect) {
     Row& r = rows_[row];
     FASTPPR_CHECK(i < r.size);
-    Word* base = data_.data() + r.off;
+    uint64_t* base = data_.data() + r.off;
     FASTPPR_CHECK(base[i] == expect);
-    const Word moved = base[r.size - 1];
+    const uint64_t moved = base[r.size - 1];
     base[i] = moved;
     --r.size;
     return moved;
   }
 
   /// Overwrites only the low 24 bits of element `i` (one row binding).
-  /// Packed-uint64 pools only.
   void SetLo(std::size_t row, uint32_t i, uint32_t lo) {
-    Word& w = data_[rows_[row].off + i];
+    uint64_t& w = data_[rows_[row].off + i];
     w = WithLo(w, lo);
   }
 
@@ -151,8 +122,7 @@ class BasicSlabPool {
   /// words), row table, dead counter — so a restored pool is
   /// bit-identical: identical row placement, identical future
   /// relocation/compaction decisions (DESIGN.md §8). `Sink` is
-  /// ArenaWriter (templated to keep this header free of store/arena_io
-  /// for its NodeId-pool users in graph/).
+  /// ArenaWriter (templated to keep this header free of store/arena_io).
   template <typename Sink>
   void SaveTo(Sink* w) const {
     w->Vec(data_);
@@ -173,22 +143,6 @@ class BasicSlabPool {
       }
     }
     return true;
-  }
-
-  /// Words in the arena that belong to no live row (relocation garbage).
-  uint64_t dead_words() const { return dead_; }
-  std::size_t arena_words() const { return data_.size(); }
-
-  /// Heap bytes held by the arena and the row table (capacities, not
-  /// sizes — what the process actually pays). The row table is the term
-  /// the dense frozen-segment addressing of store/segment_snapshot.h
-  /// exists to shrink: 16 bytes per row, paid per pooled buffer.
-  std::size_t MemoryBytes() const {
-    return data_.capacity() * sizeof(Word) +
-           rows_.capacity() * sizeof(Row);
-  }
-  std::size_t row_table_bytes() const {
-    return rows_.capacity() * sizeof(Row);
   }
 
  private:
@@ -230,7 +184,7 @@ class BasicSlabPool {
     // caps — and with them the compacted arena — are bounded).
     uint64_t total = 0;
     for (const Row& r : rows_) total += r.cap;
-    std::vector<Word> packed(total, 0);
+    std::vector<uint64_t> packed(total, 0);
     uint64_t at = 0;
     for (Row& r : rows_) {
       for (uint32_t i = 0; i < r.size; ++i) {
@@ -243,13 +197,10 @@ class BasicSlabPool {
     dead_ = 0;
   }
 
-  std::vector<Word> data_;
+  std::vector<uint64_t> data_;
   std::vector<Row> rows_;
   uint64_t dead_ = 0;
 };
-
-/// The packed-word pool every walk store is built on.
-using SlabPool = BasicSlabPool<uint64_t>;
 
 }  // namespace fastppr::slab
 

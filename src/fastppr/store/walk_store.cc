@@ -118,12 +118,12 @@ void BasicWalkStore<Steps>::BuildFromFlatPaths(
     }
   }
   for (uint32_t s = 0; s < kSides; ++s) {
-    steps_[s].ResetWithCapacities(step_count[s], /*headroom=*/true);
+    steps_[s].ResetWithCapacities(step_count[s]);
   }
   for (uint32_t s = 0; s < kSides; ++s) {
-    dangling_[s].ResetWithCapacities(dang_count[s], /*headroom=*/true);
+    dangling_[s].ResetWithCapacities(dang_count[s]);
   }
-  paths_.ResetWithCapacities(lengths, /*headroom=*/true);
+  paths_.ResetWithCapacities(lengths);
 
   std::size_t at = 0;
   for (std::size_t seg = 0; seg < num_segs; ++seg) {
@@ -150,7 +150,6 @@ void BasicWalkStore<Steps>::BuildFromFlatPaths(
   }
 
   scratch_.ResetSegments(num_segs);
-  dirty_.ResetCap(slab::DirtyCapForOwnedRows(paths_));
 }
 
 template <typename Steps>
@@ -411,13 +410,15 @@ WalkUpdateStats BasicWalkStore<Steps>::RepairWindow(const DiGraph& g,
     FASTPPR_CHECK_MSG(delta.has_in_side(),
                       "this store's repairs need the window's in side");
   }
+  // The plan is reset before the empty-delta early-out, so an empty
+  // window leaves an empty plan (ForEachRepairedSegment).
+  scratch_.BeginEpoch();
   if (delta.out().pivots.empty()) return stats;
 
   // Collect every decision (at both ends of every changed edge when the
   // walk has two sides) before re-simulating anything: a fresh suffix is
   // already distributed for the post-window graph and must not be
   // switched again by a later pivot.
-  scratch_.BeginEpoch();
   for (uint32_t side = 0; side < kSides; ++side) {
     const WindowDelta::Side& pivots = DeltaSide(delta, side);
     for (const WindowDelta::Pivot& p : pivots.pivots) {
@@ -435,7 +436,6 @@ WalkUpdateStats BasicWalkStore<Steps>::RepairWindow(const DiGraph& g,
   for (const PendingRepair& plan : scratch_.pending()) {
     const uint64_t seg = plan.seg;
     const uint32_t side = Fold(plan.side);
-    RecordDirtySegment(seg);
     ++stats.segments_updated;
     // A switched or resumed hop lands uniformly on the pivot's new
     // slots: destinations on side 0, sources on side 1. No draw for a

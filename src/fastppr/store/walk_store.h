@@ -295,16 +295,15 @@ class BasicWalkStore {
     return paths_.RowSpan(seg);
   }
 
-  /// Opt-in delta feed for frozen segment snapshots
-  /// (store/segment_snapshot.h): while enabled, every repaired segment
-  /// id is recorded (possibly more than once per window). Off by
-  /// default so stores without a serving layer pay nothing.
-  void set_dirty_tracking(bool on) { dirty_.SetTracking(on); }
-  std::span<const uint64_t> dirty_segments() const {
-    return dirty_.entries();
+  /// Calls fn(seg) once for every segment the last RepairWindow
+  /// repaired, in the order it repaired them: the window's own repair
+  /// plan (the coupling of Proposition 2), which the snapshot publisher
+  /// copies (store/segment_snapshot.h). An empty window leaves an empty
+  /// plan; any later repair replaces it.
+  template <typename Fn>
+  void ForEachRepairedSegment(const Fn& fn) const {
+    for (const PendingRepair& plan : scratch_.pending()) fn(plan.seg);
   }
-  bool dirty_overflowed() const { return dirty_.overflowed(); }
-  void ClearDirtySegments() { dirty_.Clear(); }
 
   /// Repairs every stored walk for one applied window: `g` is the
   /// post-window graph and `delta` the window's net change (with its in
@@ -331,8 +330,8 @@ class BasicWalkStore {
   /// verbatim — path/index slab pools (including dead words, so future
   /// relocation decisions replay identically), counters, and the
   /// store's RNG state; the per-side columns follow in side order. The
-  /// transient repair scratch and the snapshot dirty feed are NOT state:
-  /// they are empty at every phase boundary, where checkpoints are taken.
+  /// transient repair scratch (the last window's plan included) is NOT
+  /// state: no later repair reads it.
   template <typename Sink>
   void SaveTo(Sink* w) const {
     w->Pod(static_cast<uint64_t>(walks_per_node_));
@@ -394,8 +393,6 @@ class BasicWalkStore {
     // Re-size the transient repair machinery that Init() would normally
     // set up; a recovered store skips Init entirely.
     scratch_.ResetSegments(paths_.num_rows());
-    dirty_.ResetCap(slab::DirtyCapForOwnedRows(paths_));
-    dirty_.Clear();
     return true;
   }
 
@@ -440,13 +437,6 @@ class BasicWalkStore {
                      uint64_t seg, uint32_t pos) {
     slab::RemoveIndexEntry(pool, &paths_, node, slot, seg, pos);
   }
-
-  /// Records a repaired segment into the snapshot delta feed (called
-  /// once per scheduled repair at plan-drain time — the repair plan is
-  /// already per-segment deduplicated within a window, so no flag array
-  /// and no extra cache line on the hot path; duplicates across the
-  /// windows between two publishes are possible and harmless).
-  void RecordDirtySegment(uint64_t seg) { dirty_.Record(seg); }
 
   /// Drops all path entries with index > keep_pos (counters + index).
   void TruncateAfter(uint64_t seg, uint32_t keep_pos);
@@ -524,10 +514,6 @@ class BasicWalkStore {
   std::array<slab::SlabPool, kSides> dangling_;
   std::array<std::vector<int64_t>, kSides> visits_;
   std::array<int64_t, kSides> total_visits_{};
-
-  /// Dirty-segment feed for the snapshot publishers (see
-  /// dirty_segments()).
-  slab::DirtyFeed<uint64_t> dirty_;
 
   // Reusable window-repair scratch: zero steady-state allocation
   // (slab::RepairScratch, repair_scratch.h).

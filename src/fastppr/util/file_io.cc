@@ -18,6 +18,8 @@ namespace {
 std::atomic<int64_t> g_crash_budget{-1};
 /// Failure budget: the same, before one injected IOError.
 std::atomic<int64_t> g_fail_budget{-1};
+/// One injected fsync failure, armed until a Sync consumes it.
+std::atomic<bool> g_fail_next_sync{false};
 
 Status ErrnoStatus(const std::string& op, const std::string& path) {
   const std::string msg = op + " " + path + ": " + std::strerror(errno);
@@ -49,6 +51,10 @@ void SetCrashAfterBytesForTesting(int64_t bytes) {
 
 void SetFailAfterBytesForTesting(int64_t bytes) {
   g_fail_budget.store(bytes, std::memory_order_relaxed);
+}
+
+void SetFailNextSyncForTesting() {
+  g_fail_next_sync.store(true, std::memory_order_relaxed);
 }
 
 WritableFile::~WritableFile() {
@@ -123,7 +129,19 @@ Status WritableFile::Append(const void* data, std::size_t n) {
 
 Status WritableFile::Sync() {
   if (fd_ < 0) return Status::IOError("sync of closed file " + path_);
+  if (g_fail_next_sync.exchange(false, std::memory_order_relaxed)) {
+    return Status::IOError("injected fsync failure on " + path_);
+  }
   if (::fsync(fd_) != 0) return ErrnoStatus("fsync", path_);
+  return Status::OK();
+}
+
+Status WritableFile::Truncate(uint64_t size) {
+  if (fd_ < 0) return Status::IOError("truncate of closed file " + path_);
+  const auto off = static_cast<off_t>(size);
+  if (::ftruncate(fd_, off) != 0) return ErrnoStatus("ftruncate", path_);
+  if (::lseek(fd_, off, SEEK_SET) != off) return ErrnoStatus("lseek", path_);
+  bytes_written_ = size;
   return Status::OK();
 }
 

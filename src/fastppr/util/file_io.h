@@ -37,6 +37,10 @@ void SetCrashAfterBytesForTesting(int64_t bytes);
 /// writes reach the disk again unless their caller refuses them.
 void SetFailAfterBytesForTesting(int64_t bytes);
 
+/// The fsync twin: the next WritableFile::Sync in the process returns
+/// IOError without syncing, and the hook disarms itself.
+void SetFailNextSyncForTesting();
+
 /// Exit code of an injected crash (distinguishes injected exits from
 /// real failures in the harness).
 inline constexpr int kCrashInjectionExitCode = 42;
@@ -65,6 +69,10 @@ class WritableFile {
 
   /// fsync: everything appended so far is durable when this returns.
   Status Sync();
+
+  /// Cuts the file back to its first `size` bytes (at most
+  /// bytes_written()); later appends continue from there.
+  Status Truncate(uint64_t size);
 
   /// Closes and reports the close error (deferred ENOSPC). Idempotent.
   Status Close();

@@ -364,6 +364,65 @@ TEST(DurableEngineTest, FailedWalAppendStopsIngestUntilCheckpoint) {
   }
 }
 
+TEST(DurableEngineTest, FailedWalSyncStopsIngestUntilCheckpoint) {
+  // A failed fsync (EIO) refuses the window, yet the record it failed
+  // to sync is complete in the log and may still reach the disk. The
+  // WAL cuts that record back out before it poisons itself, so the log
+  // matches what callers were told: refused windows change nothing,
+  // recovery lands on exactly the acked windows, and ingest resumes
+  // after a checkpoint rotates to a fresh log.
+  const std::size_t n = 80;
+  const auto events = MixedStream(n, 8765, 0.15);
+  constexpr std::size_t kWidth = 29;
+  const std::string dir = FreshDir("fail_sync");
+  ShardedOptions sharding;
+  sharding.num_shards = 2;
+  ShardedEngine<IncrementalPageRank> live(n, Opts(5), sharding);
+  DurabilityOptions dopts;
+  dopts.directory = dir;
+  dopts.checkpoint_interval_windows = 0;  // explicit Checkpoint() only
+  ASSERT_TRUE(live.EnableDurability(dopts).ok());
+  const auto window = [&](std::size_t w) {
+    return std::span<const EdgeEvent>(events.data() + w * kWidth, kWidth);
+  };
+  for (std::size_t w = 0; w < 3; ++w) {
+    ASSERT_TRUE(live.ApplyEvents(window(w)).ok());
+  }
+  const std::vector<uint8_t> acked = live.SerializeState();
+
+  // Window 3's record is appended whole, then its fsync fails; windows
+  // 3 and 4 (and a retry of 3) fail and change nothing.
+  SetFailNextSyncForTesting();
+  const Status failed = live.ApplyEvents(window(3));
+  EXPECT_EQ(failed.code(), Status::Code::kIOError) << failed.ToString();
+  EXPECT_EQ(live.ApplyEvents(window(4)).code(), Status::Code::kIOError);
+  EXPECT_EQ(live.ApplyEvents(window(3)).code(), Status::Code::kIOError);
+  EXPECT_EQ(live.windows_applied(), 3u);
+  ASSERT_EQ(live.SerializeState(), acked)
+      << "a refused window changed the engine";
+
+  // The log holds exactly the acked records: recovery replays those and
+  // not the refused one.
+  std::unique_ptr<ShardedEngine<IncrementalPageRank>> recovered;
+  RecoveryInfo info;
+  const Status rs = ShardedEngine<IncrementalPageRank>::Recover(
+      dir, 1, &recovered, &info);
+  ASSERT_TRUE(rs.ok()) << rs.ToString();
+  EXPECT_EQ(info.replayed_windows, 3u);
+  ASSERT_EQ(recovered->SerializeState(), acked)
+      << "recovery replayed a window the caller was told failed";
+
+  // A checkpoint rotates to a fresh log; ingest resumes with the
+  // refused window, and recovery follows it.
+  ASSERT_TRUE(live.Checkpoint().ok());
+  ASSERT_TRUE(live.ApplyEvents(window(3)).ok());
+  ASSERT_TRUE(live.ApplyEvents(window(4)).ok());
+  ASSERT_TRUE(ShardedEngine<IncrementalPageRank>::Recover(dir, 1,
+                                                          &recovered)
+                  .ok());
+  EXPECT_EQ(recovered->SerializeState(), live.SerializeState());
+}
+
 TEST(DurableEngineTest, CheckpointBoundsReplay) {
   // With interval 1 every window checkpoints: recovery must replay
   // nothing (the WAL is freshly rotated) yet still be bit-identical.

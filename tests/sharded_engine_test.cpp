@@ -421,15 +421,18 @@ TEST(QueryServiceTest, ConcurrentReadersSeeCoherentSnapshots) {
       SnapshotInfo info;
       const std::vector<int64_t> snap =
           service.SnapshotCounts(&total, &info);
-      // Each shard's (counts, total) pair comes from one coherent
-      // buffer, so the merged sum must always balance — even while the
-      // writer publishes between the per-shard reads.
+      // The merged (counts, total) pair comes from one coherent buffer
+      // published at one epoch, so the sum always balances and the read
+      // never mixes epochs — even while the writer publishes.
       int64_t sum = 0;
       for (int64_t c : snap) sum += c;
       ASSERT_EQ(sum, total);
-      ASSERT_LE(info.min_epoch, info.max_epoch);
-      const double score = service.Score(static_cast<NodeId>(
-          reads.load(std::memory_order_relaxed) % n));
+      ASSERT_EQ(info.min_epoch, info.max_epoch);
+      SnapshotInfo score_info;
+      const double score = service.Score(
+          static_cast<NodeId>(reads.load(std::memory_order_relaxed) % n),
+          &score_info);
+      ASSERT_EQ(score_info.min_epoch, score_info.max_epoch);
       ASSERT_GE(score, 0.0);
       ASSERT_LE(score, 1.0);
       reads.fetch_add(1, std::memory_order_relaxed);
@@ -624,7 +627,7 @@ TEST(QueryServiceTest, DenseFrozenReadsMatchLiveShardedWalkerAtSOneAndFour) {
   // u * spn + k must be bit-identical to a walker over the LIVE sharded
   // stores at the same epoch — for S = 1 (where both also equal the
   // flat engine, covered elsewhere) and S = 4 (where the four shards'
-  // dirty feeds write disjoint rows of the one table).
+  // repair plans write disjoint rows of the one table).
   const std::size_t n = 160;
   const auto events = MixedStream(n, 67, 0.2);
   const MonteCarloOptions mc = Opts(3, 0.2, 47);

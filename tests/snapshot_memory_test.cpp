@@ -19,7 +19,9 @@
 //    (audited against the raw counters); and a replaced version is freed
 //    at the first publish after the last pin that could reach it drops,
 //    not before. The pinned-churn test doubles as the ASan probe for
-//    use-after-free across the publish/reclaim cycle.
+//    use-after-free across the publish/reclaim cycle. A window whose net
+//    delta is empty writes no segment version, and a second service on
+//    one engine aborts.
 
 #include <algorithm>
 #include <atomic>
@@ -297,7 +299,7 @@ TEST(FrozenRowTableTest, GlobalSegmentTableMatchesLiveStoresThroughChurn) {
   // One table holds every shard's segments at row u * spn + k — n * spn
   // rows, not n * spn per shard — and resolves every row bit-identically
   // to its owner shard's live store, after the first (full) publish and
-  // after each delta publish the shards' disjoint dirty feeds drive.
+  // after each delta publish the shards' disjoint repair plans drive.
   const std::size_t n = 600;
   const std::size_t S = 4;
   const auto edges = PowerLawEdges(n, 6, 13);
@@ -491,6 +493,57 @@ TEST(FrozenRowTableTest, RetiredVersionsFreedAtFirstPublishAfterLastUnpin) {
   service.Quiesce();
   EXPECT_EQ(table.oldest_retired_seq(), pin.seq + 3);
   EXPECT_EQ(table.versions() - table.retired(), table.num_rows());
+}
+
+TEST(FrozenRowTableTest, EmptyWindowWritesNoSegmentVersion) {
+  // A window publishes from its own record, each shard's repair plan. A
+  // window whose net delta is empty (one edge inserted and deleted
+  // again) repairs nothing, so right after a churn window, whose plan
+  // named many segments, it must write no segment version: the plan is
+  // reset even when the repair takes its empty-delta early-out.
+  const std::size_t n = 400;
+  const auto edges = PowerLawEdges(n, 5, 61);
+  MonteCarloOptions mc;
+  mc.walks_per_node = 2;
+  mc.epsilon = 0.25;
+  mc.seed = 67;
+  Engine engine(n, mc, ShardedOptions{2, 2});
+  ASSERT_TRUE(engine.ApplyEvents(Inserts(edges)).ok());
+  Service service(&engine);
+  // A pin held across both windows keeps every replaced version alive,
+  // so versions() moves only by what the publishes write.
+  const PublishPins::Pin pin = service.Pin();
+  const VersionedRows& table = service.segment_table();
+  const std::size_t before_churn = table.versions();
+  Churn churn(&edges, 9);
+  ASSERT_TRUE(service.Ingest(churn.Next()).ok());
+  service.Quiesce();
+  const std::size_t after_churn = table.versions();
+  ASSERT_GT(after_churn, before_churn) << "the churn window repaired nothing";
+
+  Edge absent{0, 1};
+  while (engine.graph().HasEdge(absent.src, absent.dst)) ++absent.dst;
+  const std::vector<EdgeEvent> net_empty = {
+      EdgeEvent{EdgeEvent::Kind::kInsert, absent},
+      EdgeEvent{EdgeEvent::Kind::kDelete, absent}};
+  ASSERT_TRUE(service.Ingest(net_empty).ok());
+  service.Quiesce();
+  EXPECT_EQ(service.published_epoch(), engine.windows_applied());
+  EXPECT_EQ(table.versions(), after_churn)
+      << "an empty window republished the previous window's segments";
+  service.Unpin(pin);
+}
+
+TEST(QueryServiceDeathTest, SecondServiceOnOneEngineAborts) {
+  // A service is its engine's one boundary sink: a second would detach
+  // the first without a word and leave its views stale, so attaching it
+  // aborts.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  MonteCarloOptions mc;
+  mc.walks_per_node = 2;
+  Engine engine(50, mc, ShardedOptions{2, 1});
+  Service first(&engine);
+  EXPECT_DEATH({ Service second(&engine); }, "already attached");
 }
 
 }  // namespace
