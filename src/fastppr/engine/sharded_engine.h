@@ -334,7 +334,12 @@ class ShardedEngine {
   /// record ever lands behind a torn one and recovery replays exactly
   /// the acked windows. WAL records are numbered by windows SUBMITTED,
   /// so the epoch-aligned framing is untouched by the pipeline lag; a
-  /// checkpoint drains the pipeline to a boundary.
+  /// checkpoint drains the pipeline to a boundary. A periodic checkpoint
+  /// that fails does not change the returned status (the window is
+  /// applied and logged); it is counted in `checkpoint_failures` and
+  /// retried after the next window — unless it failed in the WAL
+  /// rotation, which leaves no open log, so later windows are refused
+  /// until an explicit Checkpoint() succeeds.
   Status ApplyEvents(std::span<const EdgeEvent> events) {
     const uint64_t window = windows_submitted_.load(std::memory_order_relaxed);
     if (durable_) {
@@ -359,8 +364,10 @@ class ShardedEngine {
         windows_submitted_.load(std::memory_order_relaxed) -
                 last_checkpoint_window_ >=
             durability_.checkpoint_interval_windows) {
-      const Status ckpt = Checkpoint();
-      if (result.ok()) return ckpt;
+      // The window is applied and logged either way: the previous
+      // checkpoint and the unrotated WAL still cover it, so a failure is
+      // not this window's. Count it; the next window retries.
+      if (!Checkpoint().ok()) om_.checkpoint_failures->Add(1);
     }
     return result;
   }
@@ -488,23 +495,25 @@ class ShardedEngine {
     return durability_;
   }
 
-  /// Serializes the whole engine to the checkpoint file (tmp + fsync +
-  /// atomic rename: the checkpoint named on disk is always complete),
-  /// then rotates the WAL — records below the checkpoint's window are
-  /// dead, so the log restarts empty. Recovery cost is therefore
-  /// bounded by checkpoint_interval_windows regardless of uptime.
-  /// Drains the pipeline first: a checkpoint is always taken at an
-  /// epoch boundary with no repair or publish work in flight.
+  /// Streams the whole engine from its arenas into the checkpoint file
+  /// (tmp + fsync + atomic rename: the checkpoint named on disk is
+  /// always complete; no copy of the body is built in memory), then
+  /// rotates the WAL — records below the checkpoint's window are dead,
+  /// so the log restarts empty. Recovery cost is therefore bounded by
+  /// checkpoint_interval_windows regardless of uptime. On an error the
+  /// previous checkpoint and the WAL stay as they were. Drains the
+  /// pipeline first: a checkpoint is always taken at an epoch boundary
+  /// with no repair or publish work in flight.
   Status Checkpoint() {
     if (!durable_) {
       return Status::InvalidArgument("durability is not enabled");
     }
     Drain();
-    ArenaWriter body;
-    BuildManifest().SaveTo(&body);
-    SerializeTo(&body);
-    FASTPPR_RETURN_IF_ERROR(
-        WriteFramedFile(CheckpointPath(), kCheckpointMagic, body.buffer()));
+    FASTPPR_RETURN_IF_ERROR(WriteFramedFile(
+        CheckpointPath(), kCheckpointMagic, [this](FramedFileSink* body) {
+          BuildManifest().SaveTo(body);
+          SerializeTo(body);
+        }));
     if (wal_.is_open()) {
       FASTPPR_RETURN_IF_ERROR(wal_.Close());
     }
@@ -515,11 +524,11 @@ class ShardedEngine {
   }
 
   /// The bit-identity oracle: the engine's complete durable state as
-  /// one byte vector (exactly a checkpoint body). Two engines with
-  /// equal SerializeState() have identical graph slabs, walk slabs,
-  /// RNG streams, counters and ledgers — every future ApplyEvents
-  /// result is identical. Drains the pipeline (the oracle is defined
-  /// at window boundaries).
+  /// one byte vector (exactly the body Checkpoint() streams). Two
+  /// engines with equal SerializeState() have identical graph slabs,
+  /// walk slabs, RNG streams, counters and ledgers — every future
+  /// ApplyEvents result is identical. Drains the pipeline (the oracle
+  /// is defined at window boundaries).
   std::vector<uint8_t> SerializeState() const {
     Drain();
     ArenaWriter w;
@@ -843,8 +852,10 @@ class ShardedEngine {
   /// router ledger, shared store (graph slab + call counters), then
   /// every shard engine (walk slabs + RNG + stats). The transient
   /// window delta and window slot are excluded: every window rebuilds
-  /// both.
-  void SerializeTo(ArenaWriter* w) const {
+  /// both. `Sink` is ArenaWriter (SerializeState) or FramedFileSink
+  /// (Checkpoint).
+  template <typename Sink>
+  void SerializeTo(Sink* w) const {
     w->Pod(windows_applied_.load(std::memory_order_relaxed));
     router_.SaveTo(w);
     social_->SaveTo(w);

@@ -196,9 +196,9 @@ class AdjacencySlab {
   /// deterministic bytes in parked free blocks), block tables, free
   /// lists, class masks and the epoch — so a restored slab is
   /// bit-identical: same canonical slot order, same future allocator
-  /// decisions (DESIGN.md §8). `Sink`/`Src` are store/arena_io.h's
-  /// ArenaWriter/ArenaReader; templated so graph/ stays independent of
-  /// store/.
+  /// decisions (DESIGN.md §8). `Sink` is store/arena_io.h's ArenaWriter
+  /// or store/checkpoint.h's FramedFileSink, `Src` an ArenaReader;
+  /// templated so graph/ stays independent of store/.
   template <typename Sink>
   void SaveTo(Sink* w) const {
     w->Pod(static_cast<uint64_t>(num_edges_));

@@ -24,6 +24,9 @@ struct EngineMetrics {
   Counter* wal_records = nullptr;           ///< WAL records appended
   Counter* wal_bytes = nullptr;             ///< WAL bytes appended
   Counter* wal_fsyncs = nullptr;            ///< WAL fsync calls
+  Counter* checkpoint_failures = nullptr;   ///< periodic checkpoints that
+                                            ///  failed (retried at the
+                                            ///  next window)
   Counter* frozen_publishes_full = nullptr; ///< the service's first
                                             ///  (whole-table) publish
   Counter* frozen_publishes_delta = nullptr;///< delta frozen publishes
@@ -75,6 +78,7 @@ struct EngineMetrics {
     m.wal_records = reg->RegisterCounter("wal_records");
     m.wal_bytes = reg->RegisterCounter("wal_bytes");
     m.wal_fsyncs = reg->RegisterCounter("wal_fsyncs");
+    m.checkpoint_failures = reg->RegisterCounter("checkpoint_failures");
     m.frozen_publishes_full = reg->RegisterCounter("frozen_publishes_full");
     m.frozen_publishes_delta =
         reg->RegisterCounter("frozen_publishes_delta");

@@ -5,10 +5,16 @@
 //
 // The slab stores are already structure-of-arrays: a checkpoint of an
 // engine is nothing but the concatenation of its flat columns plus a
-// handful of scalars (RNG state, counters, epoch). ArenaWriter appends
-// trivially-copyable values and whole vectors as raw little-endian
-// bytes into one contiguous body; ArenaReader replays them with strict
-// bounds checking and a sticky failure flag, so a truncated or
+// handful of scalars (RNG state, counters, epoch). Every SaveTo is a
+// template over its sink, which takes trivially-copyable values (Pod)
+// and whole vectors (Vec) as raw little-endian bytes. ArenaWriter is
+// the in-memory sink: it collects them into one byte vector, the body
+// SerializeState() returns as the bit-identity oracle and the payload
+// of a WAL record. A checkpoint never builds that vector: the same
+// calls stream into the file through store/checkpoint.h's
+// FramedFileSink. Both take the encoding from ArenaSink, so the file
+// and the oracle cannot drift apart. ArenaReader replays a body with
+// strict bounds checking and a sticky failure flag, so a truncated or
 // garbage-length body surfaces as Status::Corruption — never a crash or
 // a multi-gigabyte allocation.
 //
@@ -35,12 +41,15 @@
 
 namespace fastppr {
 
-class ArenaWriter {
+/// The encoding every sink shares; `Sink` supplies
+/// `Bytes(const void*, std::size_t)`, which takes the raw bytes in order.
+template <typename Sink>
+class ArenaSink {
  public:
   template <typename T>
   void Pod(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    Bytes(&value, sizeof(T));
+    static_cast<Sink*>(this)->Bytes(&value, sizeof(T));
   }
 
   /// u64 element count, then the elements as raw bytes.
@@ -48,9 +57,14 @@ class ArenaWriter {
   void Vec(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     Pod(static_cast<uint64_t>(v.size()));
-    if (!v.empty()) Bytes(v.data(), v.size() * sizeof(T));
+    if (!v.empty()) {
+      static_cast<Sink*>(this)->Bytes(v.data(), v.size() * sizeof(T));
+    }
   }
+};
 
+class ArenaWriter : public ArenaSink<ArenaWriter> {
+ public:
   void Bytes(const void* data, std::size_t n) {
     const uint8_t* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);

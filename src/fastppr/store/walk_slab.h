@@ -122,7 +122,8 @@ class SlabPool {
   /// words), row table, dead counter — so a restored pool is
   /// bit-identical: identical row placement, identical future
   /// relocation/compaction decisions (DESIGN.md §8). `Sink` is
-  /// ArenaWriter (templated to keep this header free of store/arena_io).
+  /// ArenaWriter or FramedFileSink (templated to keep this header free
+  /// of store/arena_io and store/checkpoint).
   template <typename Sink>
   void SaveTo(Sink* w) const {
     w->Vec(data_);

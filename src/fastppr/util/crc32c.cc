@@ -2,7 +2,7 @@
 
 #include <array>
 
-#if defined(__SSE4_2__)
+#if defined(__x86_64__)
 #include <nmmintrin.h>
 #endif
 
@@ -39,8 +39,8 @@ constexpr Crc32cTables BuildTables() {
 
 constexpr Crc32cTables kTables = BuildTables();
 
-inline uint32_t SoftwareExtend(uint32_t crc, const unsigned char* p,
-                               std::size_t n) {
+uint32_t SoftwareExtend(uint32_t crc, const unsigned char* p,
+                        std::size_t n) {
   while (n >= 8) {
     const uint32_t low = crc ^ (static_cast<uint32_t>(p[0]) |
                                 static_cast<uint32_t>(p[1]) << 8 |
@@ -59,9 +59,11 @@ inline uint32_t SoftwareExtend(uint32_t crc, const unsigned char* p,
   return crc;
 }
 
-#if defined(__SSE4_2__)
-inline uint32_t HardwareExtend(uint32_t crc, const unsigned char* p,
-                               std::size_t n) {
+#if defined(__x86_64__)
+// Compiled for SSE4.2 whatever the build's -m flags, and called only
+// where the CPU reports SSE4.2 (SelectExtend).
+__attribute__((target("sse4.2"))) uint32_t HardwareExtend(
+    uint32_t crc, const unsigned char* p, std::size_t n) {
   uint64_t c = crc;
   while (n >= 8) {
     uint64_t word;
@@ -76,19 +78,28 @@ inline uint32_t HardwareExtend(uint32_t crc, const unsigned char* p,
 }
 #endif
 
+using ExtendFn = uint32_t (*)(uint32_t, const unsigned char*, std::size_t);
+
+ExtendFn SelectExtend() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return HardwareExtend;
+#endif
+  return SoftwareExtend;
+}
+
 }  // namespace
 
 uint32_t ExtendCrc32c(uint32_t crc, const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
+  static const ExtendFn extend = SelectExtend();
   // Pre/post-invert so an all-zero buffer does not checksum to zero and
   // appended zero bytes change the value (the usual CRC finalization).
-  crc = ~crc;
-#if defined(__SSE4_2__)
-  crc = HardwareExtend(crc, p, n);
-#else
-  crc = SoftwareExtend(crc, p, n);
-#endif
-  return ~crc;
+  return ~extend(~crc, static_cast<const unsigned char*>(data), n);
+}
+
+uint32_t ExtendCrc32cSoftwareForTesting(uint32_t crc, const void* data,
+                                        std::size_t n) {
+  return ~SoftwareExtend(~crc, static_cast<const unsigned char*>(data), n);
 }
 
 }  // namespace fastppr

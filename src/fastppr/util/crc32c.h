@@ -23,6 +23,13 @@ inline uint32_t Crc32c(const void* data, std::size_t n) {
   return ExtendCrc32c(0, data, n);
 }
 
+/// ExtendCrc32c through the portable slice-by-8 table loop, which
+/// ExtendCrc32c itself runs only on CPUs without SSE4.2 (on x86-64 it
+/// picks the crc32 instruction at run time). For tests that check the
+/// two loops agree.
+uint32_t ExtendCrc32cSoftwareForTesting(uint32_t crc, const void* data,
+                                        std::size_t n);
+
 }  // namespace fastppr
 
 #endif  // FASTPPR_UTIL_CRC32C_H_

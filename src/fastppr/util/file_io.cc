@@ -1,6 +1,7 @@
 #include "fastppr/util/file_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -27,18 +28,22 @@ Status ErrnoStatus(const std::string& op, const std::string& path) {
   return Status::IOError(msg);
 }
 
-/// Writes exactly n bytes to fd, looping over short writes and EINTR.
-Status WriteAll(int fd, const char* p, std::size_t n,
+/// Writes exactly n bytes to fd, at its file position or, when
+/// offset >= 0, at `offset` (pwrite), looping over short writes and
+/// EINTR.
+Status WriteAll(int fd, const char* p, std::size_t n, int64_t offset,
                 const std::string& path) {
   while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
+    const ssize_t w = offset < 0 ? ::write(fd, p, n)
+                                 : ::pwrite(fd, p, n, offset);
     if (w < 0) {
       if (errno == EINTR) continue;
-      return ErrnoStatus("write", path);
+      return ErrnoStatus(offset < 0 ? "write" : "pwrite", path);
     }
     if (w == 0) return Status::IOError("short write to " + path);
     p += w;
     n -= static_cast<std::size_t>(w);
+    if (offset >= 0) offset += w;
   }
   return Status::OK();
 }
@@ -92,7 +97,22 @@ Status WritableFile::Open(const std::string& path, WritableFile* out) {
 
 Status WritableFile::Append(const void* data, std::size_t n) {
   if (fd_ < 0) return Status::IOError("append to closed file " + path_);
+  return Write(data, n, -1);
+}
+
+Status WritableFile::WriteAt(uint64_t offset, const void* data,
+                             std::size_t n) {
+  if (fd_ < 0) return Status::IOError("write to closed file " + path_);
+  if (offset > bytes_written_ || n > bytes_written_ - offset) {
+    return Status::InvalidArgument("write past the end of " + path_);
+  }
+  return Write(data, n, static_cast<int64_t>(offset));
+}
+
+Status WritableFile::Write(const void* data, std::size_t n,
+                           int64_t offset) {
   const char* p = static_cast<const char*>(data);
+  const bool append = offset < 0;
 
   const int64_t budget = g_crash_budget.load(std::memory_order_relaxed);
   if (budget >= 0) {
@@ -100,7 +120,7 @@ Status WritableFile::Append(const void* data, std::size_t n) {
       // The injected kill lands inside this write: persist the prefix
       // the kernel would have accepted, then die without unwinding.
       const std::size_t prefix = static_cast<std::size_t>(budget);
-      if (prefix > 0) (void)WriteAll(fd_, p, prefix, path_);
+      if (prefix > 0) (void)WriteAll(fd_, p, prefix, offset, path_);
       ::_exit(kCrashInjectionExitCode);
     }
     g_crash_budget.store(budget - static_cast<int64_t>(n),
@@ -114,16 +134,18 @@ Status WritableFile::Append(const void* data, std::size_t n) {
       // the file (a torn record), the caller sees the error.
       g_fail_budget.store(-1, std::memory_order_relaxed);
       const std::size_t prefix = static_cast<std::size_t>(fail);
-      if (prefix > 0) FASTPPR_RETURN_IF_ERROR(WriteAll(fd_, p, prefix, path_));
-      bytes_written_ += prefix;
+      if (prefix > 0) {
+        FASTPPR_RETURN_IF_ERROR(WriteAll(fd_, p, prefix, offset, path_));
+      }
+      if (append) bytes_written_ += prefix;
       return Status::IOError("injected write failure on " + path_);
     }
     g_fail_budget.store(fail - static_cast<int64_t>(n),
                         std::memory_order_relaxed);
   }
 
-  FASTPPR_RETURN_IF_ERROR(WriteAll(fd_, p, n, path_));
-  bytes_written_ += n;
+  FASTPPR_RETURN_IF_ERROR(WriteAll(fd_, p, n, offset, path_));
+  if (append) bytes_written_ += n;
   return Status::OK();
 }
 
@@ -174,23 +196,50 @@ Status AtomicReplace(const std::string& tmp_path,
   return Status::OK();
 }
 
-Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
+ReadableFile::~ReadableFile() {
+  if (fd_ >= 0) ::close(fd_);  // read-only: close cannot lose data
+}
+
+Status ReadableFile::Open(const std::string& path, ReadableFile* out) {
+  if (out->fd_ >= 0) ::close(out->fd_);
+  out->fd_ = -1;
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return ErrnoStatus("open", path);
-  out->clear();
-  uint8_t buf[1 << 16];
-  for (;;) {
-    const ssize_t r = ::read(fd, buf, sizeof(buf));
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status s = ErrnoStatus("fstat", path);
+    ::close(fd);
+    return s;
+  }
+  out->fd_ = fd;
+  out->path_ = path;
+  out->size_ = static_cast<uint64_t>(st.st_size);
+  return Status::OK();
+}
+
+Status ReadableFile::Read(void* data, std::size_t n, std::size_t* got) {
+  if (fd_ < 0) return Status::IOError("read of closed file " + path_);
+  char* p = static_cast<char*>(data);
+  *got = 0;
+  while (*got < n) {
+    const ssize_t r = ::read(fd_, p + *got, n - *got);
     if (r < 0) {
       if (errno == EINTR) continue;
-      const Status s = ErrnoStatus("read", path);
-      ::close(fd);
-      return s;
+      return ErrnoStatus("read", path_);
     }
     if (r == 0) break;
-    out->insert(out->end(), buf, buf + r);
+    *got += static_cast<std::size_t>(r);
   }
-  ::close(fd);
+  return Status::OK();
+}
+
+Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
+  ReadableFile f;
+  FASTPPR_RETURN_IF_ERROR(ReadableFile::Open(path, &f));
+  out->resize(static_cast<std::size_t>(f.size()));
+  std::size_t got = 0;
+  FASTPPR_RETURN_IF_ERROR(f.Read(out->data(), out->size(), &got));
+  out->resize(got);  // the file shrank since it was opened
   return Status::OK();
 }
 

@@ -27,8 +27,8 @@ namespace fastppr {
 /// arm the budget, and verify recovery in the parent.
 
 /// Arms (bytes >= 0) or disarms (bytes < 0) the crash-injection budget.
-/// The budget counts every byte passed to WritableFile::Append
-/// process-wide from this call on.
+/// The budget counts every byte passed to WritableFile::Append or
+/// WritableFile::WriteAt process-wide from this call on.
 void SetCrashAfterBytesForTesting(int64_t bytes);
 
 /// The error-returning twin, for I/O errors a live process must survive
@@ -67,6 +67,11 @@ class WritableFile {
   /// Writes all `n` bytes (looping over short writes / EINTR).
   Status Append(const void* data, std::size_t n);
 
+  /// Overwrites `n` bytes at `offset` (pwrite), which must lie inside
+  /// what was appended; the append position does not move. Counted by
+  /// both fault-injection budgets, like Append.
+  Status WriteAt(uint64_t offset, const void* data, std::size_t n);
+
   /// fsync: everything appended so far is durable when this returns.
   Status Sync();
 
@@ -78,9 +83,38 @@ class WritableFile {
   Status Close();
 
  private:
+  /// Append (offset < 0) or WriteAt: charges the write against the
+  /// fault-injection budgets, then writes it.
+  Status Write(const void* data, std::size_t n, int64_t offset);
+
   int fd_ = -1;
   std::string path_;
   uint64_t bytes_written_ = 0;
+};
+
+/// A file read front to back. Its length is taken once, at Open (fstat),
+/// so a reader can size its buffer before the first byte arrives.
+class ReadableFile {
+ public:
+  ReadableFile() = default;
+  ~ReadableFile();
+  ReadableFile(const ReadableFile&) = delete;
+  ReadableFile& operator=(const ReadableFile&) = delete;
+
+  /// Opens `path` for reading. NotFound if it does not exist.
+  static Status Open(const std::string& path, ReadableFile* out);
+
+  /// The file's length at Open.
+  uint64_t size() const { return size_; }
+
+  /// Reads up to `n` bytes into `data` from the current position
+  /// (looping over short reads / EINTR); `*got` < n only at end of file.
+  Status Read(void* data, std::size_t n, std::size_t* got);
+
+ private:
+  int fd_ = -1;
+  std::string path_;
+  uint64_t size_ = 0;
 };
 
 /// Renames `tmp_path` over `final_path` (atomic on POSIX) and fsyncs the
@@ -88,7 +122,8 @@ class WritableFile {
 Status AtomicReplace(const std::string& tmp_path,
                      const std::string& final_path);
 
-/// Reads the whole file into `out`. NotFound if it does not exist.
+/// Reads the whole file into `out` with one allocation, sized at open.
+/// NotFound if it does not exist.
 Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
 
 bool FileExists(const std::string& path);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fastppr/store/arena_io.h"
 #include "fastppr/store/checkpoint.h"
 #include "fastppr/util/file_io.h"
 
@@ -114,6 +115,60 @@ TEST(CheckpointTest, EveryBitFlipIsCorruption) {
           << "bit " << bit << " of byte " << byte << ": " << s.ToString();
     }
   }
+}
+
+/// A SaveTo-shaped chain: small fields, an empty column and columns
+/// larger than the sink's 1 MiB staging buffer, which go to the file
+/// straight from their vectors. Not inlined: GCC 12 misreads the
+/// ArenaWriter's growth when it sees these sizes as constants.
+template <typename Sink>
+[[gnu::noinline]] void SaveColumns(Sink* w, const std::vector<uint64_t>& big,
+                                   const std::vector<uint16_t>& small) {
+  w->Pod(uint32_t{0xABCD});
+  w->Vec(small);
+  w->Vec(big);
+  w->Pod(uint8_t{5});
+  w->Vec(std::vector<uint8_t>{});
+  w->Vec(big);
+  w->Pod(uint64_t{42});
+}
+
+// The chain streams into exactly the bytes an ArenaWriter collects in
+// memory.
+TEST(CheckpointTest, StreamedBodyEqualsArenaWriterBody) {
+  std::vector<uint64_t> big((std::size_t{3} << 20) / sizeof(uint64_t) + 3);
+  std::iota(big.begin(), big.end(), uint64_t{7});
+  std::vector<uint16_t> small(1000);
+  std::iota(small.begin(), small.end(), uint16_t{1});
+  ArenaWriter oracle;
+  SaveColumns(&oracle, big, small);
+
+  const std::string path = testing::TempDir() + "/ckpt_stream.fppr";
+  ASSERT_TRUE(WriteFramedFile(path, kCheckpointMagic,
+                              [&](FramedFileSink* sink) {
+                                SaveColumns(sink, big, small);
+                              })
+                  .ok());
+  std::vector<uint8_t> read;
+  ASSERT_TRUE(ReadFramedFile(path, kCheckpointMagic, &read).ok());
+  EXPECT_EQ(read, oracle.buffer());
+}
+
+// A write error halfway into a column fails the write and leaves the
+// previous file named `path` in place.
+TEST(CheckpointTest, FailedWriteKeepsThePreviousFile) {
+  const std::string path = testing::TempDir() + "/ckpt_fail.fppr";
+  ASSERT_TRUE(WriteFramedFile(path, kCheckpointMagic, MakeBody()).ok());
+
+  const std::vector<uint8_t> big(std::size_t{3} << 20, 0x5A);
+  SetFailAfterBytesForTesting(24 + (int64_t{3} << 19));
+  const Status s = WriteFramedFile(path, kCheckpointMagic, big);
+  SetFailAfterBytesForTesting(-1);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+
+  std::vector<uint8_t> read;
+  ASSERT_TRUE(ReadFramedFile(path, kCheckpointMagic, &read).ok());
+  EXPECT_EQ(read, MakeBody());
 }
 
 }  // namespace

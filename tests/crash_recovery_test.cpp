@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -252,6 +253,61 @@ TEST(CrashRecoveryTest, RandomizedKillPointsTwoShards) {
   RunCrashSweep(2, 20, 45, 1024 * 1024, &tally);
   EXPECT_GE(tally.recovered_ok + tally.loud_loss - tally.ran_to_end, 50);
   EXPECT_GE(tally.recovered_ok, 1);
+}
+
+TEST(CrashRecoveryTest, CrashInsideTheHeaderWriteKeepsThePreviousCheckpoint) {
+  // A checkpoint's header is written last, over the 24-byte gap before
+  // the body. A kill 10 bytes into that write leaves the whole body
+  // behind a torn header in the tmp file, and the previous checkpoint
+  // still named on disk: it recovers, with the WAL, to the last window.
+  constexpr uint64_t kWindows = 4;
+  const std::string dir = FreshDir("header_write");
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ShardedOptions sharding;
+    sharding.num_shards = 1;
+    sharding.num_threads = 1;
+    PrEngine engine(kNumNodes, Opts(), sharding);
+    DurabilityOptions dopts;
+    dopts.directory = dir;
+    dopts.checkpoint_interval_windows = 0;  // explicit Checkpoint() only
+    if (!engine.EnableDurability(dopts).ok()) ::_exit(3);
+    const auto events = Workload();
+    for (uint64_t w = 0; w < kWindows; ++w) {
+      (void)engine.ApplyEvents(
+          std::span<const EdgeEvent>(events).subspan(w * kWindowWidth,
+                                                     kWindowWidth));
+    }
+    // The gap, the body, then 10 bytes of the header.
+    SetCrashAfterBytesForTesting(
+        24 + static_cast<int64_t>(engine.SerializeState().size()) + 10);
+    (void)engine.Checkpoint();
+    ::_exit(0);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), kCrashInjectionExitCode);
+
+  const auto references = BuildReferences(1);
+  const std::vector<uint8_t>& expected = references.at(kWindows);
+  std::vector<uint8_t> tmp;
+  ASSERT_TRUE(ReadFileBytes(dir + "/" + kCheckpointFileName + ".tmp", &tmp)
+                  .ok());
+  ASSERT_EQ(tmp.size(), 24 + expected.size());
+  EXPECT_EQ(std::memcmp(tmp.data(), &kCheckpointMagic, 8), 0);
+  for (std::size_t i = 10; i < 24; ++i) {
+    EXPECT_EQ(tmp[i], 0) << "header byte " << i << " was written";
+  }
+
+  std::unique_ptr<PrEngine> recovered;
+  RecoveryInfo info;
+  const Status s = PrEngine::Recover(dir, 1, &recovered, &info);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(info.checkpoint_window, 0u);
+  EXPECT_EQ(info.replayed_windows, kWindows);
+  EXPECT_EQ(recovered->SerializeState(), expected);
 }
 
 TEST(CrashRecoveryTest, BudgetZeroAndCompletedRunBookends) {

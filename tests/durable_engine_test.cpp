@@ -144,6 +144,16 @@ void ExpectBitIdenticalRecovery(const std::string& tag,
   std::unique_ptr<ShardedEngine<EngineT>> again;
   ASSERT_TRUE(ShardedEngine<EngineT>::Recover(dir, 1, &again).ok());
   EXPECT_EQ(again->SerializeState(), recovered->SerializeState());
+
+  // Checkpoint() streams the body from the arenas into the file; it
+  // must be byte for byte the oracle's one-vector body.
+  ASSERT_TRUE(live.Checkpoint().ok());
+  std::vector<uint8_t> body;
+  ASSERT_TRUE(
+      ReadFramedFile(dir + "/" + kCheckpointFileName, kCheckpointMagic, &body)
+          .ok());
+  ASSERT_EQ(body, live.SerializeState())
+      << tag << ": streamed checkpoint body differs from SerializeState()";
 }
 
 TEST(DurableEngineTest, PageRankBitIdenticalOneShard) {
@@ -421,6 +431,124 @@ TEST(DurableEngineTest, FailedWalSyncStopsIngestUntilCheckpoint) {
                                                           &recovered)
                   .ok());
   EXPECT_EQ(recovered->SerializeState(), live.SerializeState());
+}
+
+TEST(DurableEngineTest, FailedPeriodicCheckpointLeavesTheWindowOk) {
+  // A periodic checkpoint runs after its window is applied and logged,
+  // and the previous checkpoint plus the unrotated WAL still cover that
+  // window, so a failed checkpoint must not fail the window: a caller
+  // who retried it would apply it twice. The failure is counted, and
+  // the next window's checkpoint retries and rotates the log.
+  const std::size_t n = 80;
+  const auto events = MixedStream(n, 2468, 0.15);
+  constexpr std::size_t kWidth = 29;
+  const std::string dir = FreshDir("fail_periodic_ckpt");
+  ShardedOptions sharding;
+  sharding.num_shards = 2;
+  ShardedEngine<IncrementalPageRank> live(n, Opts(6), sharding);
+  DurabilityOptions dopts;
+  dopts.directory = dir;
+  dopts.checkpoint_interval_windows = 4;
+  ASSERT_TRUE(live.EnableDurability(dopts).ok());
+  const auto window = [&](std::size_t w) {
+    return std::span<const EdgeEvent>(events.data() + w * kWidth, kWidth);
+  };
+  for (std::size_t w = 0; w < 3; ++w) {
+    ASSERT_TRUE(live.ApplyEvents(window(w)).ok());
+  }
+  const obs::Counter* failures = live.metric_handles().checkpoint_failures;
+
+  // Window 3's WAL record (under 300 bytes) fits the budget; the
+  // checkpoint it triggers does not.
+  SetFailAfterBytesForTesting(2000);
+  const Status s = live.ApplyEvents(window(3));
+  SetFailAfterBytesForTesting(-1);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(live.windows_applied(), 4u);
+  EXPECT_EQ(failures->Value(), 1u);
+
+  std::unique_ptr<ShardedEngine<IncrementalPageRank>> recovered;
+  RecoveryInfo info;
+  ASSERT_TRUE(ShardedEngine<IncrementalPageRank>::Recover(dir, 1,
+                                                          &recovered, &info)
+                  .ok());
+  EXPECT_EQ(info.checkpoint_window, 0u);
+  EXPECT_EQ(info.replayed_windows, 4u);
+  ASSERT_EQ(recovered->SerializeState(), live.SerializeState());
+
+  ASSERT_TRUE(live.ApplyEvents(window(4)).ok());
+  EXPECT_EQ(failures->Value(), 1u);
+  ASSERT_TRUE(ShardedEngine<IncrementalPageRank>::Recover(dir, 1,
+                                                          &recovered, &info)
+                  .ok());
+  EXPECT_EQ(info.checkpoint_window, 5u);
+  EXPECT_EQ(info.replayed_windows, 0u);
+  EXPECT_EQ(recovered->SerializeState(), live.SerializeState());
+}
+
+TEST(DurableEngineTest, FailedCheckpointKeepsThePreviousFileAndTheWal) {
+  // A write that fails inside the body (past the header's 24-byte gap),
+  // or a failed fsync of the tmp file, fails Checkpoint() and changes
+  // nothing durable: checkpoint.fppr stays byte for byte the previous
+  // one, the WAL is not rotated, and Recover() still equals the live
+  // engine. The next Checkpoint() succeeds.
+  const std::size_t n = 80;
+  const auto events = MixedStream(n, 1357, 0.15);
+  constexpr std::size_t kWidth = 29;
+  // A byte budget fails a write; -1 fails the tmp file's fsync instead.
+  for (const int64_t fail_at : {int64_t{25}, int64_t{1024}, int64_t{-1}}) {
+    SCOPED_TRACE("fail at " + std::to_string(fail_at));
+    const std::string dir =
+        FreshDir("fail_ckpt_" + std::to_string(fail_at + 1));
+    ShardedOptions sharding;
+    sharding.num_shards = 2;
+    ShardedEngine<IncrementalPageRank> live(n, Opts(7), sharding);
+    DurabilityOptions dopts;
+    dopts.directory = dir;
+    dopts.checkpoint_interval_windows = 0;  // explicit Checkpoint() only
+    ASSERT_TRUE(live.EnableDurability(dopts).ok());
+    const auto window = [&](std::size_t w) {
+      return std::span<const EdgeEvent>(events.data() + w * kWidth, kWidth);
+    };
+    for (std::size_t w = 0; w < 3; ++w) {
+      ASSERT_TRUE(live.ApplyEvents(window(w)).ok());
+    }
+    ASSERT_TRUE(live.Checkpoint().ok());
+    const std::string ckpt = dir + "/" + kCheckpointFileName;
+    std::vector<uint8_t> previous;
+    ASSERT_TRUE(ReadFileBytes(ckpt, &previous).ok());
+    ASSERT_TRUE(live.ApplyEvents(window(3)).ok());
+    ASSERT_TRUE(live.ApplyEvents(window(4)).ok());
+
+    if (fail_at >= 0) {
+      SetFailAfterBytesForTesting(fail_at);
+    } else {
+      SetFailNextSyncForTesting();
+    }
+    const Status s = live.Checkpoint();
+    SetFailAfterBytesForTesting(-1);
+    EXPECT_EQ(s.code(), Status::Code::kIOError) << s.ToString();
+    std::vector<uint8_t> after;
+    ASSERT_TRUE(ReadFileBytes(ckpt, &after).ok());
+    EXPECT_EQ(after, previous) << "a failed checkpoint replaced the file";
+
+    std::unique_ptr<ShardedEngine<IncrementalPageRank>> recovered;
+    RecoveryInfo info;
+    ASSERT_TRUE(ShardedEngine<IncrementalPageRank>::Recover(
+                    dir, 1, &recovered, &info)
+                    .ok());
+    EXPECT_EQ(info.checkpoint_window, 3u);
+    EXPECT_EQ(info.replayed_windows, 2u) << "the WAL was rotated";
+    ASSERT_EQ(recovered->SerializeState(), live.SerializeState());
+
+    ASSERT_TRUE(live.Checkpoint().ok());
+    ASSERT_TRUE(ShardedEngine<IncrementalPageRank>::Recover(
+                    dir, 1, &recovered, &info)
+                    .ok());
+    EXPECT_EQ(info.checkpoint_window, 5u);
+    EXPECT_EQ(info.replayed_windows, 0u);
+    EXPECT_EQ(recovered->SerializeState(), live.SerializeState());
+  }
 }
 
 TEST(DurableEngineTest, CheckpointBoundsReplay) {
