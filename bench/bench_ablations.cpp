@@ -96,11 +96,11 @@ int main() {
   mc.seed = 211;
   IncrementalPageRank engine(final_graph, mc);
   PersonalizedPageRankWalker all_mode(&engine.walk_store(),
-                                      &engine.social_store());
+                                      &engine.graph());
   WalkerOptions one_opts;
   one_opts.fetch_mode = FetchMode::kSegmentsAndOneEdge;
   PersonalizedPageRankWalker one_mode(&engine.walk_store(),
-                                      &engine.social_store(), one_opts);
+                                      &engine.graph(), one_opts);
   // Remark 1's claim: all-edges fetches F <= 1 + sum_v (X_v - R)+, and
   // one-edge fetches F <= 1 + 2 sum_v (X_v - R)+ ("at most a factor 2
   // more fetches" — relative to that charging bound, not to the measured

@@ -53,7 +53,7 @@ int main() {
   }
 
   PersonalizedPageRankWalker walker(&engine.walk_store(),
-                                    &engine.social_store());
+                                    &engine.graph());
   std::vector<PrecisionCurve> curves;
   for (std::size_t i = 0; i < users.size(); ++i) {
     const NodeId u = users[i];

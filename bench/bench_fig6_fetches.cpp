@@ -13,7 +13,7 @@
 #include "fastppr/core/ppr_walker.h"
 #include "fastppr/core/theory.h"
 #include "fastppr/graph/generators.h"
-#include "fastppr/store/social_store.h"
+#include "fastppr/graph/digraph.h"
 #include "fastppr/store/walk_store.h"
 #include "fastppr/util/table_printer.h"
 
@@ -33,15 +33,15 @@ int main() {
   gen.alpha_in = 0.76;
   gen.alpha_out = 0.6;
   auto edges = ChungLuDirected(gen, &rng);
-  SocialStore social(n);
+  DiGraph graph(n);
   for (const Edge& e : edges) {
-    if (!social.AddEdge(e.src, e.dst).ok()) return 1;
+    if (!graph.AddEdge(e.src, e.dst).ok()) return 1;
   }
 
   std::vector<NodeId> users;
   while (users.size() < 100) {
     NodeId u = static_cast<NodeId>(rng.UniformIndex(n));
-    const std::size_t f = social.graph().OutDegree(u);
+    const std::size_t f = graph.OutDegree(u);
     if (f >= 20 && f <= 30) users.push_back(u);
   }
 
@@ -54,8 +54,8 @@ int main() {
 
   for (std::size_t R : {5u, 10u, 20u}) {
     WalkStore store;
-    store.Init(social.graph(), R, eps, 600 + R);
-    PersonalizedPageRankWalker walker(&store, &social);
+    store.Init(graph, R, eps, 600 + R);
+    PersonalizedPageRankWalker walker(&store, &graph);
     PersonalizedWalkScratch scratch;
 
     // Per-user alpha from the empirical long-walk distribution, fitted on
@@ -73,7 +73,7 @@ int main() {
         freqs.push_back(static_cast<double>(scratch.counts[0][node]));
       }
       std::sort(freqs.begin(), freqs.end(), std::greater<double>());
-      const std::size_t f = social.graph().OutDegree(users[i]);
+      const std::size_t f = graph.OutDegree(users[i]);
       PowerLawFit fit = FitPowerLaw(freqs, 2 * f, 20 * f);
       if (fit.alpha > 0.2 && fit.alpha < 0.99) alphas[i] = fit.alpha;
     }

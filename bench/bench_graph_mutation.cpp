@@ -1,5 +1,5 @@
-// Graph-mutation micro-bench: the slab-backed adjacency store
-// (graph/adjacency_slab.h, behind DiGraph) on the operations the
+// Graph-mutation micro-bench: the slab-backed DiGraph
+// (graph/digraph.h) on the operations the
 // incremental engines actually issue — bulk insertion, random-order
 // deletion, mixed add/remove churn, HasEdge probes and random-neighbour
 // sampling sweeps — plus the bytes-per-edge it pays, after bulk

@@ -153,7 +153,7 @@ void BM_PersonalizedWalk(benchmark::State& state) {
   mc.epsilon = 0.2;
   IncrementalPageRank engine(g, mc);
   PersonalizedPageRankWalker walker(&engine.walk_store(),
-                                    &engine.social_store());
+                                    &engine.graph());
   const uint64_t length = static_cast<uint64_t>(state.range(0));
   PersonalizedWalkScratch scratch;
   uint64_t seed = 0;

@@ -43,6 +43,7 @@
 #include "fastppr/graph/generators.h"
 #include "fastppr/store/walk_slab.h"
 #include "fastppr/util/check.h"
+#include "fastppr/util/shard.h"
 #include "fastppr/util/table_printer.h"
 #include "fastppr/util/timer.h"
 
@@ -105,7 +106,7 @@ class Churn {
 /// its owner shard's store).
 class LiveStoreView {
  public:
-  explicit LiveStoreView(Engine* engine) : engine_(engine) {
+  explicit LiveStoreView(Engine* engine) {
     for (std::size_t s = 0; s < engine->num_shards(); ++s) {
       stores_.push_back(&engine->shard(s).walk_store());
     }
@@ -113,11 +114,11 @@ class LiveStoreView {
   std::size_t walks_per_node() const { return stores_[0]->walks_per_node(); }
   double epsilon() const { return stores_[0]->epsilon(); }
   WalkStore::SegmentView GetSegment(NodeId u, std::size_t k) const {
-    return stores_[engine_->shard_of(u)]->GetSegment(u, k);
+    const auto S = static_cast<uint32_t>(stores_.size());
+    return stores_[ShardOfNode(u, S)]->GetSegment(u, k);
   }
 
  private:
-  Engine* engine_;
   std::vector<const WalkStore*> stores_;
 };
 
@@ -144,9 +145,9 @@ class CsrCopy {
     spn_ = first.segments_per_node();
     seg_off_.assign(1, 0);
     seg_ids_.clear();
+    const auto S = static_cast<uint32_t>(engine->num_shards());
     for (NodeId u = 0; u < n; ++u) {
-      const WalkStore& store =
-          engine->shard(engine->shard_of(u)).walk_store();
+      const WalkStore& store = engine->shard(ShardOfNode(u, S)).walk_store();
       for (std::size_t k = 0; k < spn_; ++k) {
         for (uint64_t w : store.SegmentWords(u * spn_ + k)) {
           seg_ids_.push_back(static_cast<NodeId>(slab::Hi(w)));

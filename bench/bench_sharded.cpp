@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
   // architecture pays for the same final graph: S full copies of the
   // slab layout (exact S x shared).
   const double shared_graph_bytes =
-      static_cast<double>(flat.social_store().MemoryBytes());
+      static_cast<double>(flat.graph().MemoryBytes());
   const double shared_bytes_per_edge = shared_graph_bytes / m;
   report.Add("graph_bytes_shared", shared_graph_bytes);
   report.Add("graph_bytes_per_edge", shared_bytes_per_edge);

@@ -53,7 +53,7 @@ int main() {
   // 5. A personalized query over the *same* stored segments (Section 3):
   //    who matters most from user 1000's point of view?
   PersonalizedPageRankWalker walker(&engine.walk_store(),
-                                    &engine.social_store());
+                                    &engine.graph());
   std::vector<ScoredNode> recs;
   PersonalizedWalkResult stats;
   Status s = walker.TopK(/*seed=*/1000, /*k=*/5, /*length=*/20000,

@@ -7,46 +7,48 @@
 
 namespace fastppr {
 
+std::shared_ptr<DiGraph> LoadInitialGraph(const DiGraph& initial) {
+  auto graph = std::make_shared<DiGraph>(initial.num_nodes());
+  for (NodeId u = 0; u < initial.num_nodes(); ++u) {
+    for (NodeId v : initial.OutNeighbors(u)) {
+      FASTPPR_CHECK(graph->AddEdge(u, v).ok());
+    }
+  }
+  return graph;
+}
+
 template <typename Steps>
 BasicIncrementalEngine<Steps>::BasicIncrementalEngine(
     std::size_t num_nodes, const MonteCarloOptions& opts)
-    : BasicIncrementalEngine(std::make_shared<SocialStore>(num_nodes),
-                             opts) {}
+    : BasicIncrementalEngine(std::make_shared<DiGraph>(num_nodes), opts) {}
 
 template <typename Steps>
 BasicIncrementalEngine<Steps>::BasicIncrementalEngine(
     const DiGraph& initial, const MonteCarloOptions& opts)
-    : options_(opts),
-      social_(std::make_shared<SocialStore>(initial.num_nodes())),
-      rng_(opts.seed ^ Steps::kRngSalt) {
-  social_->ImportGraph(initial);
-  walks_.set_update_policy(opts.update_policy);
-  walks_.Init(social_->graph(), opts.walks_per_node, opts.epsilon,
-              opts.seed, opts.shard_index, opts.shard_count);
+    : BasicIncrementalEngine(LoadInitialGraph(initial), opts) {}
+
+template <typename Steps>
+BasicIncrementalEngine<Steps>::BasicIncrementalEngine(
+    std::shared_ptr<DiGraph> graph, const MonteCarloOptions& opts)
+    : BasicIncrementalEngine(ForRecovery{}, std::move(graph), opts) {
+  walks_.Init(*graph_, opts.walks_per_node, opts.epsilon, opts.seed,
+              opts.shard_index, opts.shard_count);
 }
 
 template <typename Steps>
 BasicIncrementalEngine<Steps>::BasicIncrementalEngine(
-    std::shared_ptr<SocialStore> social, const MonteCarloOptions& opts)
-    : BasicIncrementalEngine(ForRecovery{}, std::move(social), opts) {
-  walks_.Init(social_->graph(), opts.walks_per_node, opts.epsilon,
-              opts.seed, opts.shard_index, opts.shard_count);
-}
-
-template <typename Steps>
-BasicIncrementalEngine<Steps>::BasicIncrementalEngine(
-    ForRecovery, std::shared_ptr<SocialStore> social,
+    ForRecovery, std::shared_ptr<DiGraph> graph,
     const MonteCarloOptions& opts)
-    : options_(opts), social_(std::move(social)),
+    : options_(opts), graph_(std::move(graph)),
       rng_(opts.seed ^ Steps::kRngSalt) {
-  FASTPPR_CHECK(social_ != nullptr);
+  FASTPPR_CHECK(graph_ != nullptr);
   walks_.set_update_policy(opts.update_policy);
 }
 
 template <typename Steps>
 Status BasicIncrementalEngine<Steps>::AddEdge(NodeId src, NodeId dst) {
-  FASTPPR_RETURN_IF_ERROR(social_->AddEdge(src, dst));
-  last_stats_ = walks_.OnEdgeInserted(social_->graph(), src, dst, &rng_);
+  FASTPPR_RETURN_IF_ERROR(graph_->AddEdge(src, dst));
+  last_stats_ = walks_.OnEdgeInserted(*graph_, src, dst, &rng_);
   lifetime_stats_.Accumulate(last_stats_);
   ++arrivals_;
   return Status::OK();
@@ -54,8 +56,8 @@ Status BasicIncrementalEngine<Steps>::AddEdge(NodeId src, NodeId dst) {
 
 template <typename Steps>
 Status BasicIncrementalEngine<Steps>::RemoveEdge(NodeId src, NodeId dst) {
-  FASTPPR_RETURN_IF_ERROR(social_->RemoveEdge(src, dst));
-  last_stats_ = walks_.OnEdgeRemoved(social_->graph(), src, dst, &rng_);
+  FASTPPR_RETURN_IF_ERROR(graph_->RemoveEdge(src, dst));
+  last_stats_ = walks_.OnEdgeRemoved(*graph_, src, dst, &rng_);
   lifetime_stats_.Accumulate(last_stats_);
   ++removals_;
   return Status::OK();
@@ -63,7 +65,7 @@ Status BasicIncrementalEngine<Steps>::RemoveEdge(NodeId src, NodeId dst) {
 
 template <typename Steps>
 void BasicIncrementalEngine<Steps>::RepairWindow(const WindowDelta& delta) {
-  last_stats_ = walks_.RepairWindow(social_->graph(), delta, &rng_);
+  last_stats_ = walks_.RepairWindow(*graph_, delta, &rng_);
   lifetime_stats_.Accumulate(last_stats_);
   arrivals_ += delta.inserts();
   removals_ += delta.removes();
@@ -87,8 +89,8 @@ Status BasicIncrementalEngine<Steps>::ApplyEvents(
   const Status result = ApplyWindowPrefix(
       events,
       [this](const Edge& e, bool insert) {
-        return insert ? social_->AddEdge(e.src, e.dst)
-                      : social_->RemoveEdge(e.src, e.dst);
+        return insert ? graph_->AddEdge(e.src, e.dst)
+                      : graph_->RemoveEdge(e.src, e.dst);
       },
       &applied);
   delta_.Build(events.first(applied), kRepairsInEdges);

@@ -10,7 +10,6 @@
 #include "fastppr/graph/digraph.h"
 #include "fastppr/graph/edge_stream.h"
 #include "fastppr/graph/types.h"
-#include "fastppr/store/social_store.h"
 #include "fastppr/store/walk_store.h"
 #include "fastppr/util/random.h"
 #include "fastppr/util/status.h"
@@ -36,7 +35,15 @@ struct MonteCarloOptions {
   uint32_t shard_count = 1;
 };
 
-/// The paper's incremental system (Section 2): a SocialStore holding the
+/// The engines' initial load: a graph over `initial`'s nodes that holds
+/// its edges, re-added by ascending source in slot order into an empty
+/// DiGraph. Never a copy: `initial`'s in-slot order and arena layout
+/// follow its own mutation history, while this load fixes them for
+/// every caller, so the graph bytes, SALSA's backward draws and every
+/// RNG stream depend only on `initial`'s out-rows.
+std::shared_ptr<DiGraph> LoadInitialGraph(const DiGraph& initial);
+
+/// The paper's incremental system (Section 2): a DiGraph holding the
 /// evolving follow graph plus a BasicWalkStore holding the walk segments,
 /// kept consistent on every edge arrival and departure. For PageRank
 /// (IncrementalPageRank) the total cost is O(nR ln m / eps^2) under
@@ -55,35 +62,35 @@ class BasicIncrementalEngine {
   BasicIncrementalEngine(std::size_t num_nodes,
                          const MonteCarloOptions& opts);
 
-  /// An engine bootstrapped from an existing graph (copies the edges; the
-  /// initialization cost is the nR/eps segment-generation cost).
+  /// An engine bootstrapped from an existing graph (LoadInitialGraph;
+  /// the initialization cost is the nR/eps segment-generation cost).
   BasicIncrementalEngine(const DiGraph& initial,
                          const MonteCarloOptions& opts);
 
-  /// Shared-store deployment (engine/sharded_engine.h): attaches to an
-  /// externally owned Social Store instead of creating a private one.
-  /// Walk segments are generated from the store's current graph. The
-  /// caller owns the mutation schedule: graph mutations and this
-  /// engine's Repair* calls must never overlap (the single-writer epoch
-  /// contract; see DESIGN.md section 5).
-  BasicIncrementalEngine(std::shared_ptr<SocialStore> social,
+  /// Shared-graph deployment (engine/sharded_engine.h): attaches to a
+  /// graph the caller shares instead of owning a private one. Walk
+  /// segments are generated from its current edges. The caller owns the
+  /// mutation schedule: graph mutations and this engine's Repair* calls
+  /// must never overlap (the single-writer epoch contract; see
+  /// DESIGN.md section 5).
+  BasicIncrementalEngine(std::shared_ptr<DiGraph> graph,
                          const MonteCarloOptions& opts);
 
-  /// Recovery construction (store/checkpoint.h): attaches to the store
+  /// Recovery construction (store/checkpoint.h): attaches to the graph
   /// WITHOUT generating walk segments — the caller's LoadFrom replaces
   /// every member immediately, so the nR/eps generation cost would be
-  /// pure waste. Useless outside recovery: the store starts empty.
+  /// pure waste. Useless outside recovery: the walk store starts empty.
   struct ForRecovery {};
-  BasicIncrementalEngine(ForRecovery, std::shared_ptr<SocialStore> social,
+  BasicIncrementalEngine(ForRecovery, std::shared_ptr<DiGraph> graph,
                          const MonteCarloOptions& opts);
 
   const MonteCarloOptions& options() const { return options_; }
-  std::size_t num_nodes() const { return social_->num_nodes(); }
-  std::size_t num_edges() const { return social_->num_edges(); }
+  std::size_t num_nodes() const { return graph_->num_nodes(); }
+  std::size_t num_edges() const { return graph_->num_edges(); }
 
-  /// Adds the edge to the Social Store and repairs the affected walk
-  /// segments. Returns the error of the underlying graph mutation if the
-  /// edge is invalid; the stats of the repair are in last_event_stats().
+  /// Adds the edge to the graph and repairs the affected walk segments.
+  /// Returns the error of the underlying graph mutation if the edge is
+  /// invalid; the stats of the repair are in last_event_stats().
   Status AddEdge(NodeId src, NodeId dst);
 
   /// Removes the edge and repairs the affected segments.
@@ -91,22 +98,20 @@ class BasicIncrementalEngine {
 
   Status ApplyEvent(const EdgeEvent& event);
 
-  /// Windowed ingestion: applies the events to the Social Store in
-  /// order, stopping at the first invalid one, then repairs the walks
-  /// once for the applied prefix's net change (the window coupling of
-  /// DESIGN.md §1) — whatever the order of inserts and deletes inside
-  /// the window. Bit-identical (same RNG stream) to the sequential
+  /// Windowed ingestion: applies the events to the graph in order,
+  /// stopping at the first invalid one, then repairs the walks once for
+  /// the applied prefix's net change (the window coupling of DESIGN.md
+  /// §1) — whatever the order of inserts and deletes inside the window. Bit-identical (same RNG stream) to the sequential
   /// AddEdge/RemoveEdge for a 1-event span. On a failed mutation the
   /// applied prefix is repaired before the error is returned.
   /// last_event_stats() holds the stats of the whole window afterwards.
   Status ApplyEvents(std::span<const EdgeEvent> events);
 
-  /// Repair-only API for shared-store deployments: the orchestrator has
-  /// already applied a window's prefix to the shared Social Store and
-  /// built its net delta (with the in side iff kRepairsInEdges); repair
-  /// this engine's walks once against the (now frozen) post-window
-  /// graph. last_event_stats() becomes the window's stats. Consumes the
-  /// identical RNG stream as the owning-store ApplyEvents path on the
+  /// Repair-only API for shared-graph deployments: the orchestrator has
+  /// already applied a window's prefix to the shared graph and built its
+  /// net delta (with the in side iff kRepairsInEdges); repair this
+  /// engine's walks once against the (now frozen) post-window graph. last_event_stats() becomes the window's stats. Consumes the
+  /// identical RNG stream as the owning-graph ApplyEvents path on the
   /// same window.
   void RepairWindow(const WindowDelta& delta);
   static constexpr bool kRepairsInEdges = Store::kRepairsInEdges;
@@ -147,15 +152,11 @@ class BasicIncrementalEngine {
   uint64_t arrivals() const { return arrivals_; }
   uint64_t removals() const { return removals_; }
 
-  SocialStore& social_store() { return *social_; }
-  const SocialStore& social_store() const { return *social_; }
   const Store& walk_store() const { return walks_; }
-  const DiGraph& graph() const { return social_->graph(); }
+  const DiGraph& graph() const { return *graph_; }
 
   /// Test hook: full invariant audit.
-  void CheckConsistency() const {
-    walks_.CheckConsistency(social_->graph());
-  }
+  void CheckConsistency() const { walks_.CheckConsistency(*graph_); }
 
   /// Engine-type tag stored in durable manifests (store/wal.h) so
   /// recovery can refuse to rehydrate a checkpoint into the wrong
@@ -164,8 +165,7 @@ class BasicIncrementalEngine {
 
   /// Durability hooks (DESIGN.md §8): this engine's private state — walk
   /// store, event-loop RNG, stats, arrival/removal counters. The shared
-  /// SocialStore is serialized once by the owning ShardedEngine, not
-  /// here.
+  /// graph is serialized once by the owning ShardedEngine, not here.
   template <typename Sink>
   void SaveTo(Sink* w) const {
     walks_.SaveTo(w);
@@ -184,15 +184,15 @@ class BasicIncrementalEngine {
       return false;
     }
     rng_.SetState(rng_state);
-    if (walks_.num_nodes() != social_->num_nodes()) {
-      return r->Fail("walk store and social store disagree on node count");
+    if (walks_.num_nodes() != graph_->num_nodes()) {
+      return r->Fail("walk store and graph disagree on node count");
     }
     return true;
   }
 
  private:
   MonteCarloOptions options_;
-  std::shared_ptr<SocialStore> social_;
+  std::shared_ptr<DiGraph> graph_;
   Store walks_;
   Rng rng_;
   WalkUpdateStats last_stats_;

@@ -4,14 +4,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <concepts>
 #include <cstdint>
 #include <vector>
 
 #include "fastppr/core/theory.h"
+#include "fastppr/graph/digraph.h"
 #include "fastppr/graph/types.h"
 #include "fastppr/serve/deadline.h"
-#include "fastppr/store/social_store.h"
 #include "fastppr/store/walk_store.h"
 #include "fastppr/util/check.h"
 #include "fastppr/util/random.h"
@@ -172,13 +171,6 @@ class BasicPersonalizedWalker {
       : store_(store), graph_(graph), options_(options) {
     FASTPPR_CHECK(store_ != nullptr && graph_ != nullptr);
   }
-
-  /// Flat-deployment convenience: walks the social store's (uncounted)
-  /// local graph replica.
-  BasicPersonalizedWalker(const StoreView* store, const SocialStore* social,
-                          WalkerOptions options = WalkerOptions())
-    requires std::same_as<GraphView, DiGraph>
-      : BasicPersonalizedWalker(store, CheckedGraph(social), options) {}
 
   /// Runs a stitched walk of (at least) `length` positions from `seed`,
   /// counting its visits into `scratch`: on return `scratch->visited[s]`
@@ -349,12 +341,6 @@ class BasicPersonalizedWalker {
   }
 
  private:
-  /// Aborts (instead of dereferencing) on a null social store.
-  static const DiGraph* CheckedGraph(const SocialStore* social) {
-    FASTPPR_CHECK(social != nullptr);
-    return &social->graph();
-  }
-
   const StoreView* store_;
   const GraphView* graph_;
   WalkerOptions options_;

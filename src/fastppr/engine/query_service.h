@@ -368,7 +368,10 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     }
     const bool hot = engine_->metrics_enabled();
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
-    if (hot) om_.snapshot_pins->Add(1, engine_->shard_of(seed));
+    if (hot) {
+      om_.snapshot_pins->Add(
+          1, ShardOfNode(seed, static_cast<uint32_t>(engine_->num_shards())));
+    }
     const PublishPins::Pin pin = Pin();
     if (info != nullptr) {
       info->min_epoch = pin.epoch;
@@ -544,7 +547,13 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
 
   /// Writes the adjacency rows the window's applied edges touched (or,
   /// on `full`, every row): edge (u, v) dirties u's out-row and, when
-  /// the in table exists, v's in-row.
+  /// the in table exists, v's in-row. The rows are named by the applied
+  /// prefix, not the net delta, and must be: a delete and re-insert of
+  /// one edge nets to nothing, yet RemoveEdge back-fills the hole with
+  /// the row's last slot and the insert appends at the tail, so both
+  /// rows change order. Frozen walks sample by slot index, so skipping
+  /// them would make a frozen walk draw other neighbours than a live
+  /// walk at the same epoch.
   void WriteAdjacency(const Ctx& ctx, bool full, uint64_t seq,
                       PublishVolume* volume) {
     const DiGraph& g = *ctx.graph;

@@ -6,31 +6,31 @@
 // for the pipelined execution model, section 11).
 //
 // The paper's deployment is inherently partitioned: walk segments live
-// in a sharded PageRank Store behind a FlockDB-like Social Store. This
-// header reproduces that shape in-process. Nodes are hash-partitioned
-// into S shards (ShardOfNode); shard s runs an engine instance holding
-// its own slab walk store (only the segments sourced at owned nodes)
-// and its own RNG seeded ShardSeed(seed, s) — but, since PR 3, all
-// shards read the SAME slab-backed Social Store instead of per-shard
-// replicas (which cost S× adjacency memory and S× mutation work).
+// in a sharded PageRank Store beside a FlockDB-like social graph store.
+// This header reproduces that shape in-process. Nodes are
+// hash-partitioned into S shards (ShardOfNode); shard s runs an engine
+// instance holding its own slab walk store (only the segments sourced
+// at owned nodes) and its own RNG seeded ShardSeed(seed, s), and every
+// shard reads the SAME DiGraph (graph/digraph.h) instead of a per-shard
+// replica (which would cost S× adjacency memory and S× mutation work).
 //
-// Single-writer epoch contract: the engine owns ONE SocialStore, and
-// each ingestion window is processed as two phases. In the ingest phase
-// the calling thread, the store's only writer, applies the window's
-// events (stopping at the first invalid one); in the repair phase the
-// pipeline thread builds the applied prefix's net delta (WindowDelta)
-// once and every shard repairs its own walks in ONE parallel dispatch
-// against the store, now frozen. The caller Drain()s the previous
-// window, whose repair and boundary sink are the store's only other
-// readers, before it mutates, so the two phases never overlap. The
-// graph's mutation epoch (AdjacencySlab::epoch) is recorded when the
-// repair phase starts and FASTPPR_CHECKed unchanged when it ends, so a
-// mutation under concurrent repairs aborts loudly instead of racing
-// silently.
+// Single-writer epoch contract: the engine owns ONE DiGraph and shares
+// it with its shards, and each ingestion window is processed as two
+// phases. In the ingest phase the calling thread, the graph's only
+// writer, applies the window's events (stopping at the first invalid
+// one); in the repair phase the pipeline thread builds the applied
+// prefix's net delta (WindowDelta) once and every shard repairs its own
+// walks in ONE parallel dispatch against the graph, now frozen. The
+// caller Drain()s the previous window, whose repair and boundary sink
+// are the graph's only other readers, before it mutates, so the two
+// phases never overlap. The graph's mutation epoch (DiGraph::epoch) is
+// recorded when the repair phase starts and FASTPPR_CHECKed unchanged
+// when it ends, so a mutation under concurrent repairs aborts loudly
+// instead of racing silently.
 //
 // Execution: ApplyEvents appends and syncs the window's WAL record
 // (overlapping the previous window's repair), drains, mutates the
-// store, puts the applied prefix into the one in-flight window slot and
+// graph, puts the applied prefix into the one in-flight window slot and
 // returns the exact status. The pipeline thread repairs every shard
 // through one ThreadPool dispatch and retires the window boundary (the
 // boundary sink, upstream of snapshot publishing, reads the window's
@@ -45,12 +45,11 @@
 // u are sourced everywhere, so every shard must see every event. What is
 // partitioned by ShardOfNode is the repair work itself — each shard's
 // inverted index lists only its own walks' visits, so the coupling
-// repairs of one window split S ways (the Social-Store *write* of an
-// event belongs to shard_of(src); ShardRouter accounts it there).
+// repairs of one window split S ways.
 //
 // Determinism contract: per-shard RNG streams depend only on (seed,
 // shard_count), never on thread count or scheduling, and sampling is
-// defined over the store's canonical slot order — so results are
+// defined over the graph's canonical slot order — so results are
 // bit-identical for any number of worker threads and whether or not the
 // caller waits for each window, and a 1-shard engine consumes the
 // identical stream as the flat engine (Mix64(0) == 0; the flat engine
@@ -79,7 +78,6 @@
 #include "fastppr/graph/types.h"
 #include "fastppr/store/arena_io.h"
 #include "fastppr/store/checkpoint.h"
-#include "fastppr/store/social_store.h"
 #include "fastppr/store/wal.h"
 #include "fastppr/util/check.h"
 #include "fastppr/util/file_io.h"
@@ -96,57 +94,6 @@ struct ShardedOptions {
   /// Worker threads for parallel repair; 0 = min(num_shards,
   /// hardware_concurrency). Any value yields bit-identical results.
   std::size_t num_threads = 0;
-};
-
-/// Routing policy for one ingestion window. Repairs broadcast (see the
-/// header comment); the router's accounting answers "which shard owns the
-/// Social-Store write of each event" — the per-shard fetch/write ledger
-/// the paper's cost model is stated in.
-class ShardRouter {
- public:
-  explicit ShardRouter(std::size_t num_shards)
-      : num_shards_(num_shards), writes_by_shard_(num_shards, 0) {
-    FASTPPR_CHECK(num_shards >= 1);
-  }
-
-  std::size_t num_shards() const { return num_shards_; }
-  std::size_t shard_of(NodeId u) const {
-    return ShardOfNode(u, static_cast<uint32_t>(num_shards_));
-  }
-
-  /// Accounts a window's *applied* mutations to their owning shards (by
-  /// edge source, mirroring SocialStore's write counting — rejected
-  /// events are never counted).
-  void AccountWrites(std::span<const EdgeEvent> applied) {
-    for (const EdgeEvent& ev : applied) {
-      ++writes_by_shard_[shard_of(ev.edge.src)];
-    }
-  }
-
-  /// Cumulative Social-Store writes owned by each shard.
-  const std::vector<uint64_t>& writes_by_shard() const {
-    return writes_by_shard_;
-  }
-
-  /// Durability hooks (DESIGN.md §8): the per-shard write ledger.
-  template <typename Sink>
-  void SaveTo(Sink* w) const {
-    w->Vec(writes_by_shard_);
-  }
-  template <typename Src>
-  bool LoadFrom(Src* r) {
-    std::vector<uint64_t> writes;
-    if (!r->Vec(&writes)) return false;
-    if (writes.size() != num_shards_) {
-      return r->Fail("router shard count mismatch");
-    }
-    writes_by_shard_ = std::move(writes);
-    return true;
-  }
-
- private:
-  std::size_t num_shards_;
-  std::vector<uint64_t> writes_by_shard_;
 };
 
 /// What a Recover() call found and replayed (telemetry for logs, tests
@@ -169,7 +116,7 @@ struct DurabilityOptions {
   uint64_t checkpoint_interval_windows = 64;
 };
 
-/// S walk-store shards over one shared Social Store, behind one
+/// S walk-store shards over one shared DiGraph, behind one
 /// ApplyEvents front door. `Engine` is a BasicIncrementalEngine —
 /// IncrementalPageRank or IncrementalSalsa — whose step policy decides
 /// whether the window's delta carries its in side (kRepairsInEdges) and
@@ -204,20 +151,19 @@ class ShardedEngine {
   ShardedEngine(std::size_t num_nodes, const MonteCarloOptions& opts,
                 const ShardedOptions& sharding)
       : base_options_(opts),
-        router_(sharding.num_shards),
         pool_(ResolveThreads(sharding)),
-        social_(std::make_shared<SocialStore>(num_nodes)) {
-    Init(/*for_recovery=*/false);
+        graph_(std::make_shared<DiGraph>(num_nodes)) {
+    Init(sharding.num_shards, /*for_recovery=*/false);
   }
 
+  /// Bootstraps from `initial` through LoadInitialGraph, exactly as the
+  /// flat engine does.
   ShardedEngine(const DiGraph& initial, const MonteCarloOptions& opts,
                 const ShardedOptions& sharding)
       : base_options_(opts),
-        router_(sharding.num_shards),
         pool_(ResolveThreads(sharding)),
-        social_(std::make_shared<SocialStore>(initial.num_nodes())) {
-    social_->ImportGraph(initial);
-    Init(/*for_recovery=*/false);
+        graph_(LoadInitialGraph(initial)) {
+    Init(sharding.num_shards, /*for_recovery=*/false);
   }
 
   ~ShardedEngine() {
@@ -234,10 +180,10 @@ class ShardedEngine {
 
   std::size_t num_shards() const { return shards_.size(); }
   std::size_t num_threads() const { return pool_.num_threads(); }
-  std::size_t num_nodes() const { return social_->num_nodes(); }
+  std::size_t num_nodes() const { return graph_->num_nodes(); }
   /// Live edge count; reflects every ApplyEvents that returned, even
   /// while its repair is still in flight.
-  std::size_t num_edges() const { return social_->num_edges(); }
+  std::size_t num_edges() const { return graph_->num_edges(); }
   uint64_t arrivals() const {
     Drain();
     return shards_[0]->arrivals();
@@ -255,7 +201,6 @@ class ShardedEngine {
   }
 
   const MonteCarloOptions& options() const { return base_options_; }
-  const ShardRouter& router() const { return router_; }
 
   Engine& shard(std::size_t s) {
     Drain();
@@ -265,21 +210,17 @@ class ShardedEngine {
     Drain();
     return *shards_[s];
   }
-  std::size_t shard_of(NodeId u) const { return router_.shard_of(u); }
 
-  /// The ONE shared Social Store: the single-writer caller mutates it
-  /// and every shard's repairs read it.
-  SocialStore& social_store() { return *social_; }
-  const SocialStore& social_store() const { return *social_; }
-  const DiGraph& graph() const { return social_->graph(); }
+  /// The ONE shared graph: the single-writer caller mutates it and
+  /// every shard's repairs read it.
+  const DiGraph& graph() const { return *graph_; }
 
-  /// Heap bytes of the shared graph storage. With per-shard replicas
-  /// (the PR 2 architecture) this would be paid num_shards() times;
-  /// sharing collapses it to one copy — the number bench_sharded
-  /// reports as the replica-elimination saving.
-  std::size_t GraphMemoryBytes() const { return social_->MemoryBytes(); }
-  /// Bytes of graph copies kept for repair besides the one store:
-  /// always 0, since repairs read the store itself between mutations.
+  /// Heap bytes of the shared graph. With per-shard replicas this would
+  /// be paid num_shards() times; sharing collapses it to one copy — the
+  /// number bench_sharded reports as the replica-elimination saving.
+  std::size_t GraphMemoryBytes() const { return graph_->MemoryBytes(); }
+  /// Bytes of graph copies kept for repair besides the one graph:
+  /// always 0, since repairs read the graph itself between mutations.
   /// Kept for the benchmark's layer ledger (engine.replica_mb).
   std::size_t RepairReplicaBytes() const { return 0; }
 
@@ -316,7 +257,7 @@ class ShardedEngine {
   }
 
   /// Applies one ingestion window: the caller waits for the previous
-  /// window's repair and boundary, runs this window's store mutations
+  /// window's repair and boundary, runs this window's graph mutations
   /// and hands repair + publish to the pipeline thread. The returned
   /// Status is already exact — it is computed from the mutations. An
   /// invalid event stops the window there; the applied prefix is
@@ -337,12 +278,19 @@ class ShardedEngine {
   /// checkpoint drains the pipeline to a boundary. A periodic checkpoint
   /// that fails does not change the returned status (the window is
   /// applied and logged); it is counted in `checkpoint_failures` and
-  /// retried after the next window — unless it failed in the WAL
-  /// rotation, which leaves no open log, so later windows are refused
-  /// until an explicit Checkpoint() succeeds.
+  /// retried after the next window. A checkpoint that failed in the WAL
+  /// rotation leaves no open log, so the next window retries it before
+  /// logging anything; if that retry fails too, it is counted and the
+  /// window is refused with its error before any state changed.
   Status ApplyEvents(std::span<const EdgeEvent> events) {
     const uint64_t window = windows_submitted_.load(std::memory_order_relaxed);
     if (durable_) {
+      if (!wal_.is_open()) {
+        if (Status s = Checkpoint(); !s.ok()) {
+          om_.checkpoint_failures->Add(1);
+          return s;
+        }
+      }
       const bool hot = metrics_enabled();
       const uint64_t bytes_before = wal_.bytes_written();
       FASTPPR_RETURN_IF_ERROR(wal_.AppendBatch(window, events));
@@ -365,8 +313,9 @@ class ShardedEngine {
                 last_checkpoint_window_ >=
             durability_.checkpoint_interval_windows) {
       // The window is applied and logged either way: the previous
-      // checkpoint and the unrotated WAL still cover it, so a failure is
-      // not this window's. Count it; the next window retries.
+      // checkpoint and the unrotated WAL, or the new checkpoint when
+      // only the rotation failed, still cover it, so a failure is not
+      // this window's. Count it; the next window retries.
       if (!Checkpoint().ok()) om_.checkpoint_failures->Add(1);
     }
     return result;
@@ -401,16 +350,7 @@ class ShardedEngine {
     return TopKByCount(MergedRankingCounts(), k);
   }
 
-  /// Sum of all shards' repair stats for the most recent window / the
-  /// engine lifetime.
-  WalkUpdateStats last_window_stats() const {
-    Drain();
-    WalkUpdateStats out;
-    for (const auto& shard : shards_) {
-      out.Accumulate(shard->last_event_stats());
-    }
-    return out;
-  }
+  /// Sum of all shards' repair stats over the engine lifetime.
   WalkUpdateStats lifetime_stats() const {
     Drain();
     WalkUpdateStats out;
@@ -419,33 +359,18 @@ class ShardedEngine {
     }
     return out;
   }
-  /// Per-shard repair stats (index = shard).
-  std::vector<WalkUpdateStats> PerShardStats() const {
-    Drain();
-    std::vector<WalkUpdateStats> out;
-    out.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-      out.push_back(shard->lifetime_stats());
-    }
-    return out;
-  }
-
-  /// Test hook: audits the shared slab and every shard's store.
+  /// Test hook: audits the shared graph and every shard's store.
   void CheckConsistency() const {
     Drain();
-    social_->graph().slab().CheckConsistency();
+    graph_->CheckConsistency();
     for (const auto& shard : shards_) shard->CheckConsistency();
   }
 
   // --- observability (DESIGN.md §9) ----------------------------------
 
-  /// The engine's metrics registry (always present; shared so an
-  /// exporter can outlive the engine). Counters/histograms are listed in
-  /// obs/engine_metrics.h.
+  /// The engine's metrics registry (always present). Counters and
+  /// histograms are listed in obs/engine_metrics.h.
   obs::MetricsRegistry* metrics() { return metrics_registry_.get(); }
-  std::shared_ptr<obs::MetricsRegistry> shared_metrics() const {
-    return metrics_registry_;
-  }
   /// Raw metric handles for attached hot paths (QueryService caches a
   /// copy; valid for the registry's lifetime).
   const obs::EngineMetrics& metric_handles() const { return om_; }
@@ -488,11 +413,6 @@ class ShardedEngine {
     const Status s = Checkpoint();
     if (!s.ok()) durable_ = false;
     return s;
-  }
-
-  bool durability_enabled() const { return durable_; }
-  const DurabilityOptions& durability_options() const {
-    return durability_;
   }
 
   /// Streams the whole engine from its arenas into the checkpoint file
@@ -656,7 +576,7 @@ class ShardedEngine {
     return std::min(sharding.num_shards, hw > 0 ? hw : 1);
   }
 
-  /// Recovery construction (Recover): shards attach to the shared store
+  /// Recovery construction (Recover): shards attach to the shared graph
   /// without generating walk segments — RestoreFrom replaces every
   /// member. Skipping the nR/eps generation is the "instant" in
   /// instant restart.
@@ -664,50 +584,37 @@ class ShardedEngine {
                 const MonteCarloOptions& opts,
                 const ShardedOptions& sharding)
       : base_options_(opts),
-        router_(sharding.num_shards),
         pool_(ResolveThreads(sharding)),
-        social_(std::make_shared<SocialStore>(num_nodes)) {
-    Init(/*for_recovery=*/true);
+        graph_(std::make_shared<DiGraph>(num_nodes)) {
+    Init(sharding.num_shards, /*for_recovery=*/true);
   }
 
-  MonteCarloOptions ShardOptions(const MonteCarloOptions& opts,
-                                 std::size_t s) const {
-    MonteCarloOptions shard_opts = opts;
-    shard_opts.seed = ShardSeed(opts.seed, static_cast<uint32_t>(s));
-    shard_opts.shard_index = static_cast<uint32_t>(s);
-    shard_opts.shard_count = static_cast<uint32_t>(router_.num_shards());
-    return shard_opts;
-  }
-
-  void Init(bool for_recovery) {
-    const std::size_t S = router_.num_shards();
+  void Init(std::size_t num_shards, bool for_recovery) {
+    const auto S = static_cast<uint32_t>(num_shards);
     shards_.reserve(S);
-    for (std::size_t s = 0; s < S; ++s) {
+    for (uint32_t s = 0; s < S; ++s) {
+      MonteCarloOptions shard_opts = base_options_;
+      shard_opts.seed = ShardSeed(base_options_.seed, s);
+      shard_opts.shard_index = s;
+      shard_opts.shard_count = S;
       if (for_recovery) {
         shards_.push_back(std::make_unique<Engine>(
-            typename Engine::ForRecovery{}, social_,
-            ShardOptions(base_options_, s)));
+            typename Engine::ForRecovery{}, graph_, shard_opts));
       } else {
-        shards_.push_back(std::make_unique<Engine>(
-            social_, ShardOptions(base_options_, s)));
+        shards_.push_back(std::make_unique<Engine>(graph_, shard_opts));
       }
     }
     shard_ptrs_.reserve(S);
     for (const auto& shard : shards_) shard_ptrs_.push_back(shard.get());
-    InitMetrics();
+    metrics_registry_ = std::make_unique<obs::MetricsRegistry>();
+    om_ = obs::EngineMetrics::Register(metrics_registry_.get(), S);
+    // Tracks: S repair lanes + writer + publish.
+    tracer_.Init(S + 2);
     pipeline_ = std::thread([this] { PipelineLoop(); });
   }
 
-  void InitMetrics() {
-    metrics_registry_ = std::make_shared<obs::MetricsRegistry>();
-    om_ = obs::EngineMetrics::Register(metrics_registry_.get(),
-                                       router_.num_shards());
-    // Tracks: S repair lanes + writer + publish.
-    tracer_.Init(router_.num_shards() + 2);
-  }
-
   /// The caller's half of one window, shared by ApplyEvents and WAL
-  /// replay: wait for the previous window to retire, mutate the store,
+  /// replay: wait for the previous window to retire, mutate the graph,
   /// and hand the applied prefix to the pipeline thread in the slot.
   Status ApplyWindow(std::span<const EdgeEvent> events) {
     // Instrumentation is gated on one relaxed flag read per window: the
@@ -718,7 +625,7 @@ class ShardedEngine {
     const uint64_t window =
         windows_submitted_.load(std::memory_order_relaxed);
     const uint64_t window_start = hot ? obs::NowNanos() : 0;
-    // The previous window's repair and boundary sink are the store's
+    // The previous window's repair and boundary sink are the graph's
     // only other readers; the single writer waits them out before it
     // mutates.
     Drain();
@@ -729,14 +636,13 @@ class ShardedEngine {
     const Status result = ApplyWindowPrefix(
         events,
         [this](const Edge& e, bool insert) {
-          return insert ? social_->AddEdge(e.src, e.dst)
-                        : social_->RemoveEdge(e.src, e.dst);
+          return insert ? graph_->AddEdge(e.src, e.dst)
+                        : graph_->RemoveEdge(e.src, e.dst);
         },
         &applied);
     // The drain above retired the previous window, so the slot is free.
     slot_.applied.assign(events.begin(), events.begin() + applied);
     slot_.events = events.size();
-    router_.AccountWrites(slot_.applied);
     if (hot) {
       const uint64_t now = obs::NowNanos();
       om_.ingest_phase->Record(now - ingest_start);
@@ -776,7 +682,7 @@ class ShardedEngine {
   }
 
   /// The window's repair phase: builds the prefix's net delta once and
-  /// repairs every shard in one parallel dispatch against the store,
+  /// repairs every shard in one parallel dispatch against the graph,
   /// whose epoch must not move meanwhile. The delta is read-only across
   /// the dispatch.
   void RepairShards(std::span<const EdgeEvent> prefix) {
@@ -784,7 +690,7 @@ class ShardedEngine {
     const uint64_t window =
         windows_applied_.load(std::memory_order_relaxed);
     delta_.Build(prefix, Engine::kRepairsInEdges);
-    const uint64_t epoch = social_->epoch();
+    const uint64_t epoch = graph_->epoch();
     pool_.ParallelFor(shards_.size(), [&](std::size_t s) {
       const uint64_t t0 = hot ? obs::NowNanos() : 0;
       shards_[s]->RepairWindow(delta_);
@@ -794,7 +700,7 @@ class ShardedEngine {
         tracer_.Record(s, obs::Phase::kRepair, window, t0, t1);
       }
     });
-    FASTPPR_CHECK_MSG(social_->epoch() == epoch,
+    FASTPPR_CHECK_MSG(graph_->epoch() == epoch,
                       "graph mutated during a parallel repair phase");
   }
 
@@ -830,7 +736,7 @@ class ShardedEngine {
     BoundaryContext ctx;
     ctx.epoch = epoch;
     ctx.shards = std::span<const Engine* const>(shard_ptrs_);
-    ctx.graph = &social_->graph();
+    ctx.graph = graph_.get();
     ctx.applied = applied;
     return ctx;
   }
@@ -843,22 +749,20 @@ class ShardedEngine {
     m.seed = base_options_.seed;
     m.update_policy = static_cast<uint8_t>(base_options_.update_policy);
     m.engine_tag = Engine::kPersistTag;
-    m.num_shards = static_cast<uint32_t>(router_.num_shards());
+    m.num_shards = static_cast<uint32_t>(shards_.size());
     m.next_window = windows_applied_.load(std::memory_order_relaxed);
     return m;
   }
 
-  /// Complete engine state in SaveTo-chain order: window counter,
-  /// router ledger, shared store (graph slab + call counters), then
-  /// every shard engine (walk slabs + RNG + stats). The transient
-  /// window delta and window slot are excluded: every window rebuilds
-  /// both. `Sink` is ArenaWriter (SerializeState) or FramedFileSink
+  /// Complete engine state in SaveTo-chain order: window counter, the
+  /// shared graph, then every shard engine (walk slabs + RNG + stats).
+  /// The transient window delta and window slot are excluded: every
+  /// window rebuilds both. `Sink` is ArenaWriter (SerializeState) or FramedFileSink
   /// (Checkpoint).
   template <typename Sink>
   void SerializeTo(Sink* w) const {
     w->Pod(windows_applied_.load(std::memory_order_relaxed));
-    router_.SaveTo(w);
-    social_->SaveTo(w);
+    graph_->SaveTo(w);
     w->Pod(static_cast<uint64_t>(shards_.size()));
     for (const auto& shard : shards_) shard->SaveTo(w);
   }
@@ -866,8 +770,8 @@ class ShardedEngine {
   Status RestoreFrom(ArenaReader* r) {
     uint64_t windows = 0;
     uint64_t shard_count = 0;
-    if (!r->Pod(&windows) || !router_.LoadFrom(r) ||
-        !social_->LoadFrom(r) || !r->Pod(&shard_count)) {
+    if (!r->Pod(&windows) || !graph_->LoadFrom(r) ||
+        !r->Pod(&shard_count)) {
       return r->ToStatus("checkpoint body");
     }
     if (shard_count != shards_.size()) {
@@ -891,10 +795,9 @@ class ShardedEngine {
   }
 
   MonteCarloOptions base_options_;
-  ShardRouter router_;
   ThreadPool pool_;
-  std::shared_ptr<SocialStore> social_;  ///< the one store: the caller
-                                         ///  writes, the shards read
+  /// The one graph: the caller writes it, the shards read it.
+  std::shared_ptr<DiGraph> graph_;
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<const Engine*> shard_ptrs_;  ///< raw view for BoundaryContext
   /// The current window's net delta: written by the pipeline thread,
@@ -918,7 +821,7 @@ class ShardedEngine {
   // SerializeTo/RestoreFrom: metrics describe this process's execution,
   // not the durable walk state, and serializing them would break the
   // crash tests' bit-identity oracle.
-  std::shared_ptr<obs::MetricsRegistry> metrics_registry_;
+  std::unique_ptr<obs::MetricsRegistry> metrics_registry_;
   obs::EngineMetrics om_;
   obs::PhaseTracer tracer_;
   std::atomic<bool> metrics_hot_{true};

@@ -5,8 +5,8 @@
 //
 // A MetricsRegistry owns named counters, gauges and latency histograms.
 // Counters are striped: each stripe is one cache-line-padded relaxed
-// atomic (the SocialStore::CounterStripe idiom), so S repair threads
-// incrementing "their" stripe never bounce a line. Hot paths retain raw
+// atomic, so S repair threads incrementing "their" stripe never bounce
+// a line. Hot paths retain raw
 // handle pointers at registration time and never touch the registry
 // mutex again; the mutex guards only registration and export iteration.
 // Snapshots (ExportJson / Value / Total) read the live atomics with

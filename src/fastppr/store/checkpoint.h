@@ -5,8 +5,8 @@
 //
 // A checkpoint is one framed file holding the engine's complete state —
 // the DurableManifest followed by the flat SoA arena dump produced by
-// the SaveTo chain (ShardedEngine -> SocialStore/AdjacencySlab -> per
-// shard engine -> walk-store slab pools). The chain streams into the
+// the SaveTo chain (ShardedEngine -> DiGraph -> per shard engine ->
+// walk-store slab pools). The chain streams into the
 // file through a FramedFileSink: no copy of the body is ever built in
 // memory. The body goes to `<path>.tmp` behind a 24-byte gap, the header
 // is written into the gap last (its length and CRC are known only once
@@ -36,7 +36,7 @@ namespace fastppr {
 inline constexpr uint64_t kCheckpointMagic = 0x4641535443484B31ull;  // FASTCHK1
 /// Bumped whenever a SaveTo column layout changes, so that a file in
 /// another layout is refused as Corruption instead of misparsed.
-inline constexpr uint32_t kCheckpointVersion = 2;
+inline constexpr uint32_t kCheckpointVersion = 3;
 
 /// Canonical file names inside a durability directory.
 inline constexpr const char* kCheckpointFileName = "checkpoint.fppr";

@@ -1,5 +1,5 @@
-// AdjacencySlab (graph/adjacency_slab.h): the compact-encoding slab's
-// test layer (PR 5) —
+// DiGraph's slab layout (graph/digraph.h): the compact-encoding test
+// layer —
 //  * block grow/shrink/recycle through the quarter-spaced size classes,
 //  * differential fuzz: long seeded mixed insert/remove/self-loop/
 //    multi-edge streams checked EDGE FOR EDGE against a reference
@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fastppr/graph/adjacency_slab.h"
 #include "fastppr/graph/digraph.h"
 #include "fastppr/util/random.h"
 
@@ -31,8 +30,8 @@ std::vector<NodeId> Sorted(std::span<const NodeId> s) {
   return v;
 }
 
-TEST(AdjacencySlabTest, AddRemoveBasics) {
-  AdjacencySlab g(5);
+TEST(DiGraphSlabTest, AddRemoveBasics) {
+  DiGraph g(5);
   EXPECT_EQ(g.num_nodes(), 5u);
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_EQ(g.epoch(), 0u);
@@ -62,8 +61,8 @@ TEST(AdjacencySlabTest, AddRemoveBasics) {
   g.CheckConsistency();
 }
 
-TEST(AdjacencySlabTest, ParallelEdgesAndSelfLoops) {
-  AdjacencySlab g(3);
+TEST(DiGraphSlabTest, ParallelEdgesAndSelfLoops) {
+  DiGraph g(3);
   // Three parallel copies of 0->1, two self-loops at 0, one 0->2.
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(g.AddEdge(0, 1).ok());
   for (int i = 0; i < 2; ++i) ASSERT_TRUE(g.AddEdge(0, 0).ok());
@@ -100,16 +99,16 @@ TEST(AdjacencySlabTest, ParallelEdgesAndSelfLoops) {
 std::size_t LadderCap(uint32_t deg) {
   uint32_t cap = 0;
   while (cap < deg) {
-    cap = AdjacencySlab::ClassSlots(
-        cap == 0 ? AdjacencySlab::ClassFor(1)
-                 : std::min(AdjacencySlab::ClassFor(cap + cap / 2 + 1),
-                            AdjacencySlab::kNumClasses - 1));
+    cap = DiGraph::ClassSlots(
+        cap == 0 ? DiGraph::ClassFor(1)
+                 : std::min(DiGraph::ClassFor(cap + cap / 2 + 1),
+                            DiGraph::kNumClasses - 1));
   }
   return cap;
 }
 
-TEST(AdjacencySlabTest, BlockGrowShrinkRecycle) {
-  AdjacencySlab g(4);
+TEST(DiGraphSlabTest, BlockGrowShrinkRecycle) {
+  DiGraph g(4);
   // Grow node 0 through many size classes. The vacated ladder blocks
   // are parked, split-recycled, coalesced or compacted away — whichever
   // path fires, the arena must stay within the allocator's
@@ -148,8 +147,8 @@ TEST(AdjacencySlabTest, BlockGrowShrinkRecycle) {
   EXPECT_GT(g.MemoryBytes(), 0u);
 }
 
-TEST(AdjacencySlabTest, EnsureNodesGrowsUniverse) {
-  AdjacencySlab g(2);
+TEST(DiGraphSlabTest, EnsureNodesGrowsUniverse) {
+  DiGraph g(2);
   EXPECT_TRUE(g.AddEdge(0, 1).ok());
   EXPECT_TRUE(g.AddEdge(0, 3).IsInvalidArgument());
   g.EnsureNodes(5);
@@ -166,7 +165,7 @@ using RefGraph = std::map<std::pair<NodeId, NodeId>, uint32_t>;
 
 /// Asserts g == ref edge for edge: per-node out/in neighbour multisets,
 /// multiplicities and totals, plus the slab's full internal audit.
-void ExpectMatchesReference(const AdjacencySlab& g, const RefGraph& ref,
+void ExpectMatchesReference(const DiGraph& g, const RefGraph& ref,
                             std::size_t live_edges) {
   g.CheckConsistency();
   ASSERT_EQ(g.num_edges(), live_edges);
@@ -201,7 +200,7 @@ void ExpectMatchesReference(const AdjacencySlab& g, const RefGraph& ref,
 /// the allocator paths interleave with mutations.
 void FuzzAgainstReference(uint64_t seed, std::size_t n, int steps,
                           int batch, double p_remove) {
-  AdjacencySlab g(n / 2);  // half the universe; EnsureNodes grows it
+  DiGraph g(n / 2);  // half the universe; EnsureNodes grows it
   RefGraph ref;
   std::vector<std::pair<NodeId, NodeId>> live;
   Rng rng(seed);
@@ -241,7 +240,7 @@ void FuzzAgainstReference(uint64_t seed, std::size_t n, int steps,
   ExpectMatchesReference(g, ref, live.size());
 }
 
-TEST(AdjacencySlabFuzzTest, DifferentialAgainstReferenceMultigraph) {
+TEST(DiGraphSlabFuzzTest, DifferentialAgainstReferenceMultigraph) {
   FuzzAgainstReference(/*seed=*/2024, /*n=*/48, /*steps=*/6000,
                        /*batch=*/250, /*p_remove=*/0.45);
   FuzzAgainstReference(/*seed=*/7, /*n=*/96, /*steps=*/8000,
@@ -250,11 +249,11 @@ TEST(AdjacencySlabFuzzTest, DifferentialAgainstReferenceMultigraph) {
                        /*batch=*/250, /*p_remove=*/0.49);
 }
 
-TEST(AdjacencySlabFuzzTest, DeletionHeavyDrainsToEmpty) {
+TEST(DiGraphSlabFuzzTest, DeletionHeavyDrainsToEmpty) {
   // Build up, then drain completely in shuffled order — the teardown
   // path walks every block down the ladder and ends with both arenas
   // fully released or parked.
-  AdjacencySlab g(40);
+  DiGraph g(40);
   RefGraph ref;
   std::vector<std::pair<NodeId, NodeId>> live;
   Rng rng(99);
@@ -290,7 +289,7 @@ TEST(AdjacencyCoalescingTest, AdjacentFreedBlocksMergeIntoOne) {
   // at offsets 0, 1, 2. Freeing the first two parks two ADJACENT
   // single-slot blocks; the coalescing pass must merge them into one
   // two-slot block (same slots, fewer blocks).
-  AdjacencySlab g(4);
+  DiGraph g(4);
   ASSERT_TRUE(g.AddEdge(0, 3).ok());
   ASSERT_TRUE(g.AddEdge(1, 3).ok());
   ASSERT_TRUE(g.AddEdge(2, 3).ok());
@@ -324,7 +323,7 @@ TEST(AdjacencyCoalescingTest, HighWaterStopsGrowingUnderSteadyChurn) {
   // the automatic coalescing threshold keeps fragmentation from
   // creeping the arena upward cycle after cycle.
   const std::size_t n = 64;
-  AdjacencySlab g(n);
+  DiGraph g(n);
   std::vector<std::pair<NodeId, NodeId>> live;
   Rng rng(4242);
   // The live population is held inside a fixed band (a free 50/50 walk

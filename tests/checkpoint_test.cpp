@@ -5,6 +5,7 @@
 // Corruption.
 
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -67,6 +68,30 @@ TEST(CheckpointTest, WrongMagicIsCorruption) {
   std::vector<uint8_t> read;
   const Status s = ReadFramedFile(path, kCheckpointMagic ^ 1, &read);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST(CheckpointTest, AnotherVersionIsCorruption) {
+  // An intact file of another layout version — valid magic, length and
+  // body CRC — must be refused, not misparsed: the version field sits
+  // outside the body CRC, so only the version check can catch it.
+  const std::string path = testing::TempDir() + "/ckpt_version.fppr";
+  ASSERT_TRUE(WriteFramedFile(path, kCheckpointMagic, MakeBody()).ok());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(path, &bytes).ok());
+  const uint32_t other = 2;
+  ASSERT_NE(other, kCheckpointVersion);
+  std::memcpy(bytes.data() + sizeof(uint64_t), &other, sizeof(other));
+  {
+    WritableFile f;
+    ASSERT_TRUE(WritableFile::Open(path, &f).ok());
+    ASSERT_TRUE(f.Append(bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE(f.Close().ok());
+  }
+  std::vector<uint8_t> read;
+  const Status s = ReadFramedFile(path, kCheckpointMagic, &read);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("unsupported version"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(CheckpointTest, EveryTruncationIsCorruption) {

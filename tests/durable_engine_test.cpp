@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <span>
@@ -311,6 +312,38 @@ TEST(DurableEngineTest, FlippedCheckpointBitIsCorruptionAtEngineLevel) {
   }
 }
 
+TEST(DurableEngineTest, CheckpointOfAnotherVersionIsCorruption) {
+  // An intact checkpoint whose header names another layout version is
+  // refused even beside a valid WAL: its body would misparse.
+  const std::string dir = FreshDir("other_version");
+  ShardedOptions sharding;
+  sharding.num_shards = 2;
+  ShardedEngine<IncrementalPageRank> live(60, Opts(8), sharding);
+  DurabilityOptions dopts;
+  dopts.directory = dir;
+  ASSERT_TRUE(live.EnableDurability(dopts).ok());
+  const auto events = MixedStream(60, 17, 0.1);
+  ApplyInWindows(&live, std::span<const EdgeEvent>(events.data(), 100), 25);
+
+  const std::string ckpt = dir + "/" + kCheckpointFileName;
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(ckpt, &bytes).ok());
+  const uint32_t other = 2;  // header: u64 magic | u32 version | ...
+  ASSERT_NE(other, kCheckpointVersion);
+  std::memcpy(bytes.data() + sizeof(uint64_t), &other, sizeof(other));
+  WritableFile f;
+  ASSERT_TRUE(WritableFile::Open(ckpt + ".tmp", &f).ok());
+  ASSERT_TRUE(f.Append(bytes.data(), bytes.size()).ok());
+  ASSERT_TRUE(f.Close().ok());
+  ASSERT_TRUE(AtomicReplace(ckpt + ".tmp", ckpt).ok());
+
+  std::unique_ptr<ShardedEngine<IncrementalPageRank>> out;
+  const Status s = ShardedEngine<IncrementalPageRank>::Recover(dir, 1, &out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("unsupported version"), std::string::npos)
+      << s.ToString();
+}
+
 TEST(DurableEngineTest, FailedWalAppendStopsIngestUntilCheckpoint) {
   // A WAL append that fails mid-record (ENOSPC, EIO) leaves a torn
   // prefix in the log. The engine must refuse that window AND every
@@ -483,6 +516,90 @@ TEST(DurableEngineTest, FailedPeriodicCheckpointLeavesTheWindowOk) {
                   .ok());
   EXPECT_EQ(info.checkpoint_window, 5u);
   EXPECT_EQ(info.replayed_windows, 0u);
+  EXPECT_EQ(recovered->SerializeState(), live.SerializeState());
+}
+
+TEST(DurableEngineTest, FailedWalRotationIsRetriedByTheNextWindow) {
+  // A periodic checkpoint whose WAL rotation fails has already renamed
+  // the new checkpoint, which covers its window, but it leaves no open
+  // log. The next window retries the checkpoint before it logs
+  // anything: a retry that fails refuses the window with its I/O error
+  // and changes nothing; one that succeeds rotates to a fresh log and
+  // lets the window through.
+  const std::size_t n = 80;
+  const auto events = MixedStream(n, 9753, 0.15);
+  constexpr std::size_t kWidth = 29;
+  const std::string dir = FreshDir("fail_rotation");
+  const std::string wal = dir + "/" + kWalFileName;
+  ShardedOptions sharding;
+  sharding.num_shards = 2;
+  ShardedEngine<IncrementalPageRank> live(n, Opts(6), sharding);
+  DurabilityOptions dopts;
+  dopts.directory = dir;
+  dopts.checkpoint_interval_windows = 4;
+  ASSERT_TRUE(live.EnableDurability(dopts).ok());
+  const auto window = [&](std::size_t w) {
+    return std::span<const EdgeEvent>(events.data() + w * kWidth, kWidth);
+  };
+  std::vector<uint64_t> wal_bytes;
+  for (std::size_t w = 0; w < 3; ++w) {
+    ASSERT_TRUE(live.ApplyEvents(window(w)).ok());
+    wal_bytes.push_back(std::filesystem::file_size(wal));
+  }
+  const obs::Counter* failures = live.metric_handles().checkpoint_failures;
+
+  // Window 3 appends a record as long as window 2's; its checkpoint then
+  // writes the 24-byte header gap, the body (the state after window 3,
+  // read off a twin engine) and the header; the rotation's new WAL
+  // header fails 10 bytes in.
+  ShardedEngine<IncrementalPageRank> twin(n, Opts(6), sharding);
+  for (std::size_t w = 0; w < 4; ++w) {
+    ASSERT_TRUE(twin.ApplyEvents(window(w)).ok());
+  }
+  const int64_t record = static_cast<int64_t>(wal_bytes[2] - wal_bytes[1]);
+  const auto checkpoint =
+      static_cast<int64_t>(24 + twin.SerializeState().size() + 24);
+  SetFailAfterBytesForTesting(record + checkpoint + 10);
+  const Status s = live.ApplyEvents(window(3));
+  SetFailAfterBytesForTesting(-1);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(failures->Value(), 1u);
+  EXPECT_EQ(std::filesystem::file_size(wal), 10u) << "the fault missed";
+  EXPECT_EQ(live.windows_applied(), 4u);
+  const std::vector<uint8_t> acked = live.SerializeState();
+  ASSERT_EQ(acked, twin.SerializeState());
+
+  // The renamed checkpoint covers window 3; the torn log holds nothing.
+  std::unique_ptr<ShardedEngine<IncrementalPageRank>> recovered;
+  RecoveryInfo info;
+  ASSERT_TRUE(ShardedEngine<IncrementalPageRank>::Recover(dir, 1,
+                                                          &recovered, &info)
+                  .ok());
+  EXPECT_EQ(info.checkpoint_window, 4u);
+  EXPECT_EQ(info.replayed_windows, 0u);
+  ASSERT_EQ(recovered->SerializeState(), acked);
+
+  // The next window retries the checkpoint first. With its fsync
+  // failing, the window is refused with that I/O error (not "WAL is not
+  // open") before any state changed, and the failure is counted.
+  SetFailNextSyncForTesting();
+  const Status refused = live.ApplyEvents(window(4));
+  EXPECT_EQ(refused.code(), Status::Code::kIOError) << refused.ToString();
+  EXPECT_EQ(failures->Value(), 2u);
+  EXPECT_EQ(live.windows_applied(), 4u);
+  ASSERT_EQ(live.SerializeState(), acked)
+      << "a refused window changed the engine";
+
+  // Re-submitted with nothing armed, the retry rotates the log and the
+  // window goes through; recovery replays it on top of the retried
+  // checkpoint.
+  ASSERT_TRUE(live.ApplyEvents(window(4)).ok());
+  EXPECT_EQ(failures->Value(), 2u);
+  ASSERT_TRUE(ShardedEngine<IncrementalPageRank>::Recover(dir, 1,
+                                                          &recovered, &info)
+                  .ok());
+  EXPECT_EQ(info.checkpoint_window, 4u);
+  EXPECT_EQ(info.replayed_windows, 1u);
   EXPECT_EQ(recovered->SerializeState(), live.SerializeState());
 }
 

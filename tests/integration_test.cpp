@@ -86,7 +86,7 @@ TEST(IntegrationTest, PersonalizedWalkOnEvolvedStore) {
   for (const Edge& e : edges) ASSERT_TRUE(engine.AddEdge(e.src, e.dst).ok());
 
   PersonalizedPageRankWalker walker(&engine.walk_store(),
-                                    &engine.social_store());
+                                    &engine.graph());
   const NodeId seed = 42;
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult walk;
@@ -117,7 +117,7 @@ TEST(IntegrationTest, SalsaRecommendationsOnEvolvedStore) {
   engine.CheckConsistency();
 
   PersonalizedSalsaWalker walker(&engine.walk_store(),
-                                 &engine.social_store());
+                                 &engine.graph());
   std::vector<ScoredNode> recs;
   ASSERT_TRUE(walker
                   .TopK(50, 10, 50000, /*exclude_friends=*/true, 10, &recs)

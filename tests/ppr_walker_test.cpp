@@ -15,21 +15,21 @@ namespace {
 struct Fixture {
   explicit Fixture(std::size_t n, std::size_t m, std::size_t R, double eps,
                    uint64_t seed)
-      : social(n) {
+      : graph(n) {
     Rng rng(seed);
     auto edges = ErdosRenyi(n, m, &rng);
     for (const Edge& e : edges) {
-      EXPECT_TRUE(social.AddEdge(e.src, e.dst).ok());
+      EXPECT_TRUE(graph.AddEdge(e.src, e.dst).ok());
     }
-    store.Init(social.graph(), R, eps, seed + 1);
+    store.Init(graph, R, eps, seed + 1);
   }
-  SocialStore social;
+  DiGraph graph;
   WalkStore store;
 };
 
 TEST(PprWalkerTest, WalkReachesRequestedLength) {
   Fixture f(50, 400, 5, 0.2, 1);
-  PersonalizedPageRankWalker walker(&f.store, &f.social);
+  PersonalizedPageRankWalker walker(&f.store, &f.graph);
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
   ASSERT_TRUE(walker.Walk(3, 5000, 2, &scratch, &result).ok());
@@ -44,7 +44,7 @@ TEST(PprWalkerTest, WalkReachesRequestedLength) {
 
 TEST(PprWalkerTest, InvalidSeedRejected) {
   Fixture f(10, 50, 3, 0.2, 3);
-  PersonalizedPageRankWalker walker(&f.store, &f.social);
+  PersonalizedPageRankWalker walker(&f.store, &f.graph);
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
   EXPECT_TRUE(
@@ -53,7 +53,7 @@ TEST(PprWalkerTest, InvalidSeedRejected) {
 
 TEST(PprWalkerTest, VisitDistributionMatchesExactPersonalizedPageRank) {
   Fixture f(40, 300, 10, 0.2, 5);
-  PersonalizedPageRankWalker walker(&f.store, &f.social);
+  PersonalizedPageRankWalker walker(&f.store, &f.graph);
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
   const NodeId seed = 7;
@@ -62,7 +62,7 @@ TEST(PprWalkerTest, VisitDistributionMatchesExactPersonalizedPageRank) {
   PowerIterationOptions opts;
   opts.epsilon = 0.2;
   auto exact =
-      PersonalizedPageRank(CsrGraph::FromDiGraph(f.social.graph()), seed,
+      PersonalizedPageRank(CsrGraph::FromDiGraph(f.graph), seed,
                            opts);
   double l1 = 0.0;
   for (NodeId v = 0; v < 40; ++v) {
@@ -77,7 +77,7 @@ TEST(PprWalkerTest, FetchBudgetExhaustionReported) {
   Fixture f(60, 500, 2, 0.2, 7);
   WalkerOptions opts;
   opts.max_fetches = 3;
-  PersonalizedPageRankWalker walker(&f.store, &f.social, opts);
+  PersonalizedPageRankWalker walker(&f.store, &f.graph, opts);
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
   Status s = walker.Walk(0, 100000, 8, &scratch, &result);
@@ -86,10 +86,10 @@ TEST(PprWalkerTest, FetchBudgetExhaustionReported) {
 
 TEST(PprWalkerTest, OneEdgeFetchModeCostsMoreFetches) {
   Fixture f(50, 400, 3, 0.2, 9);
-  PersonalizedPageRankWalker all_mode(&f.store, &f.social);
+  PersonalizedPageRankWalker all_mode(&f.store, &f.graph);
   WalkerOptions one_opts;
   one_opts.fetch_mode = FetchMode::kSegmentsAndOneEdge;
-  PersonalizedPageRankWalker one_mode(&f.store, &f.social, one_opts);
+  PersonalizedPageRankWalker one_mode(&f.store, &f.graph, one_opts);
 
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult all_result, one_result;
@@ -104,7 +104,7 @@ TEST(PprWalkerTest, OneEdgeFetchModeCostsMoreFetches) {
 
 TEST(PprWalkerTest, TopKExcludesSeedAndFriends) {
   Fixture f(30, 250, 5, 0.2, 11);
-  PersonalizedPageRankWalker walker(&f.store, &f.social);
+  PersonalizedPageRankWalker walker(&f.store, &f.graph);
   std::vector<ScoredNode> ranked;
   const NodeId seed = 4;
   ASSERT_TRUE(walker.TopK(seed, 10, 20000, /*exclude_friends=*/true, 12,
@@ -113,7 +113,7 @@ TEST(PprWalkerTest, TopKExcludesSeedAndFriends) {
   EXPECT_LE(ranked.size(), 10u);
   for (const ScoredNode& s : ranked) {
     EXPECT_NE(s.node, seed);
-    for (NodeId friend_node : f.social.graph().OutNeighbors(seed)) {
+    for (NodeId friend_node : f.graph.OutNeighbors(seed)) {
       EXPECT_NE(s.node, friend_node);
     }
   }
@@ -126,13 +126,13 @@ TEST(PprWalkerTest, TopKExcludesSeedAndFriends) {
 TEST(PprWalkerTest, TopKIncludesFriendsWhenNotExcluded) {
   // A tight cycle seeded at 0: node 1 (the only out-neighbour) dominates
   // the personalized scores and must appear when friends are allowed.
-  SocialStore social(5);
+  DiGraph graph(5);
   for (const Edge& e : DirectedCycle(5)) {
-    ASSERT_TRUE(social.AddEdge(e.src, e.dst).ok());
+    ASSERT_TRUE(graph.AddEdge(e.src, e.dst).ok());
   }
   WalkStore store;
-  store.Init(social.graph(), 5, 0.2, 13);
-  PersonalizedPageRankWalker walker(&store, &social);
+  store.Init(graph, 5, 0.2, 13);
+  PersonalizedPageRankWalker walker(&store, &graph);
   std::vector<ScoredNode> ranked;
   ASSERT_TRUE(
       walker.TopK(0, 2, 20000, /*exclude_friends=*/false, 14, &ranked).ok());
@@ -144,7 +144,7 @@ TEST(PprWalkerTest, FetchCountGrowsSublinearlyInWalkLength) {
   // Theorem 8: fetches grow like s^{1/alpha} / (nR)^{...}, far below s
   // for short-to-moderate walks; sanity-check the qualitative shape.
   Fixture f(2000, 30000, 10, 0.2, 15);
-  PersonalizedPageRankWalker walker(&f.store, &f.social);
+  PersonalizedPageRankWalker walker(&f.store, &f.graph);
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult short_walk, long_walk;
   ASSERT_TRUE(walker.Walk(0, 1000, 16, &scratch, &short_walk).ok());
@@ -156,11 +156,11 @@ TEST(PprWalkerTest, FetchCountGrowsSublinearlyInWalkLength) {
 TEST(PprWalkerTest, DanglingSeedStillWalks) {
   // The seed has no out-edges: every session resets immediately and the
   // walk is all seed visits.
-  SocialStore social(3);
-  ASSERT_TRUE(social.AddEdge(1, 0).ok());
+  DiGraph graph(3);
+  ASSERT_TRUE(graph.AddEdge(1, 0).ok());
   WalkStore store;
-  store.Init(social.graph(), 2, 0.2, 17);
-  PersonalizedPageRankWalker walker(&store, &social);
+  store.Init(graph, 2, 0.2, 17);
+  PersonalizedPageRankWalker walker(&store, &graph);
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
   ASSERT_TRUE(walker.Walk(0, 100, 18, &scratch, &result).ok());

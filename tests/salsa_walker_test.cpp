@@ -14,21 +14,21 @@ namespace {
 struct Fixture {
   explicit Fixture(std::size_t n, std::size_t m, std::size_t R, double eps,
                    uint64_t seed)
-      : social(n) {
+      : graph(n) {
     Rng rng(seed);
     auto edges = ErdosRenyi(n, m, &rng);
     for (const Edge& e : edges) {
-      EXPECT_TRUE(social.AddEdge(e.src, e.dst).ok());
+      EXPECT_TRUE(graph.AddEdge(e.src, e.dst).ok());
     }
-    store.Init(social.graph(), R, eps, seed + 1);
+    store.Init(graph, R, eps, seed + 1);
   }
-  SocialStore social;
+  DiGraph graph;
   SalsaWalkStore store;
 };
 
 TEST(SalsaWalkerTest, WalkReachesLengthAndCountsSplitBySide) {
   Fixture f(40, 300, 5, 0.2, 1);
-  PersonalizedSalsaWalker walker(&f.store, &f.social);
+  PersonalizedSalsaWalker walker(&f.store, &f.graph);
   BasicWalkScratch<SalsaSteps> scratch;
   PersonalizedWalkResult result;
   ASSERT_TRUE(walker.Walk(2, 8000, 2, &scratch, &result).ok());
@@ -47,7 +47,7 @@ TEST(SalsaWalkerTest, WalkReachesLengthAndCountsSplitBySide) {
 
 TEST(SalsaWalkerTest, MatchesExactPersonalizedSalsa) {
   Fixture f(30, 250, 10, 0.2, 3);
-  PersonalizedSalsaWalker walker(&f.store, &f.social);
+  PersonalizedSalsaWalker walker(&f.store, &f.graph);
   BasicWalkScratch<SalsaSteps> scratch;
   PersonalizedWalkResult result;
   const NodeId seed = 5;
@@ -56,7 +56,7 @@ TEST(SalsaWalkerTest, MatchesExactPersonalizedSalsa) {
   SalsaOptions opts;
   opts.epsilon = 0.2;
   auto exact = PersonalizedSalsaExact(
-      CsrGraph::FromDiGraph(f.social.graph()), seed, opts);
+      CsrGraph::FromDiGraph(f.graph), seed, opts);
   int64_t auth_total = 0;
   for (NodeId v : scratch.visited[1]) {
     auth_total += scratch.counts[1][v];
@@ -74,7 +74,7 @@ TEST(SalsaWalkerTest, MatchesExactPersonalizedSalsa) {
 
 TEST(SalsaWalkerTest, TopKExcludesFriends) {
   Fixture f(30, 250, 5, 0.2, 5);
-  PersonalizedSalsaWalker walker(&f.store, &f.social);
+  PersonalizedSalsaWalker walker(&f.store, &f.graph);
   std::vector<ScoredNode> ranked;
   const NodeId seed = 9;
   ASSERT_TRUE(walker
@@ -83,7 +83,7 @@ TEST(SalsaWalkerTest, TopKExcludesFriends) {
                   .ok());
   for (const ScoredNode& s : ranked) {
     EXPECT_NE(s.node, seed);
-    for (NodeId fr : f.social.graph().OutNeighbors(seed)) {
+    for (NodeId fr : f.graph.OutNeighbors(seed)) {
       EXPECT_NE(s.node, fr);
     }
   }
@@ -93,7 +93,7 @@ TEST(SalsaWalkerTest, FetchBudgetRespected) {
   Fixture f(50, 400, 2, 0.2, 7);
   WalkerOptions opts;
   opts.max_fetches = 2;
-  PersonalizedSalsaWalker walker(&f.store, &f.social, opts);
+  PersonalizedSalsaWalker walker(&f.store, &f.graph, opts);
   BasicWalkScratch<SalsaSteps> scratch;
   PersonalizedWalkResult result;
   EXPECT_TRUE(
@@ -102,7 +102,7 @@ TEST(SalsaWalkerTest, FetchBudgetRespected) {
 
 TEST(SalsaWalkerTest, InvalidSeed) {
   Fixture f(10, 60, 2, 0.2, 9);
-  PersonalizedSalsaWalker walker(&f.store, &f.social);
+  PersonalizedSalsaWalker walker(&f.store, &f.graph);
   BasicWalkScratch<SalsaSteps> scratch;
   PersonalizedWalkResult result;
   EXPECT_TRUE(
@@ -110,11 +110,11 @@ TEST(SalsaWalkerTest, InvalidSeed) {
 }
 
 TEST(SalsaWalkerTest, IsolatedSeedProducesSeedOnlyWalk) {
-  SocialStore social(4);
-  ASSERT_TRUE(social.AddEdge(1, 2).ok());
+  DiGraph graph(4);
+  ASSERT_TRUE(graph.AddEdge(1, 2).ok());
   SalsaWalkStore store;
-  store.Init(social.graph(), 3, 0.2, 11);
-  PersonalizedSalsaWalker walker(&store, &social);
+  store.Init(graph, 3, 0.2, 11);
+  PersonalizedSalsaWalker walker(&store, &graph);
   BasicWalkScratch<SalsaSteps> scratch;
   PersonalizedWalkResult result;
   ASSERT_TRUE(walker.Walk(0, 50, 12, &scratch, &result).ok());
@@ -125,10 +125,10 @@ TEST(SalsaWalkerTest, IsolatedSeedProducesSeedOnlyWalk) {
 
 TEST(SalsaWalkerTest, OneEdgeModeNeverCheaper) {
   Fixture f(40, 350, 3, 0.2, 13);
-  PersonalizedSalsaWalker all_mode(&f.store, &f.social);
+  PersonalizedSalsaWalker all_mode(&f.store, &f.graph);
   WalkerOptions one_opts;
   one_opts.fetch_mode = FetchMode::kSegmentsAndOneEdge;
-  PersonalizedSalsaWalker one_mode(&f.store, &f.social, one_opts);
+  PersonalizedSalsaWalker one_mode(&f.store, &f.graph, one_opts);
   BasicWalkScratch<SalsaSteps> scratch;
   PersonalizedWalkResult a, b;
   ASSERT_TRUE(all_mode.Walk(1, 15000, 14, &scratch, &a).ok());

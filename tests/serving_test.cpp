@@ -24,7 +24,7 @@
 #include "fastppr/serve/admission_queue.h"
 #include "fastppr/serve/deadline.h"
 #include "fastppr/serve/retry.h"
-#include "fastppr/store/social_store.h"
+#include "fastppr/graph/digraph.h"
 #include "fastppr/store/walk_store.h"
 
 namespace fastppr {
@@ -244,15 +244,15 @@ TEST(RetryTest, AttemptBudget) {
 
 struct FlatFixture {
   explicit FlatFixture(std::size_t n, std::size_t m, uint64_t seed)
-      : social(n) {
+      : graph(n) {
     Rng rng(seed);
     auto edges = ErdosRenyi(n, m, &rng);
     for (const Edge& e : edges) {
-      EXPECT_TRUE(social.AddEdge(e.src, e.dst).ok());
+      EXPECT_TRUE(graph.AddEdge(e.src, e.dst).ok());
     }
-    store.Init(social.graph(), /*R=*/3, /*eps=*/0.2, seed + 1);
+    store.Init(graph, /*R=*/3, /*eps=*/0.2, seed + 1);
   }
-  SocialStore social;
+  DiGraph graph;
   WalkStore store;
 };
 
@@ -260,7 +260,7 @@ TEST(WalkerDeadlineTest, ExpiredDeadlineDoesZeroAccumulation) {
   FlatFixture f(50, 400, 11);
   WalkerOptions opts;
   opts.deadline = Deadline::Expired(&FakeNow);
-  PersonalizedPageRankWalker walker(&f.store, &f.social, opts);
+  PersonalizedPageRankWalker walker(&f.store, &f.graph, opts);
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
   Status s = walker.Walk(3, 5000, 2, &scratch, &result);
@@ -278,7 +278,7 @@ TEST(WalkerDeadlineTest, MidWalkCooperativeCancellation) {
   g_stepping_now.store(0);
   WalkerOptions opts;
   opts.deadline = Deadline::AfterNanos(32'000, &SteppingNow);
-  PersonalizedPageRankWalker walker(&f.store, &f.social, opts);
+  PersonalizedPageRankWalker walker(&f.store, &f.graph, opts);
   PersonalizedWalkScratch scratch;
   PersonalizedWalkResult result;
   Status s = walker.Walk(3, 1'000'000, 2, &scratch, &result);
@@ -289,14 +289,14 @@ TEST(WalkerDeadlineTest, MidWalkCooperativeCancellation) {
 
 TEST(WalkerDeadlineTest, UnexpiredDeadlineDoesNotPerturbTheWalk) {
   FlatFixture f(50, 400, 17);
-  PersonalizedPageRankWalker plain(&f.store, &f.social);
+  PersonalizedPageRankWalker plain(&f.store, &f.graph);
   PersonalizedWalkScratch expected_scratch;
   PersonalizedWalkResult expected;
   ASSERT_TRUE(plain.Walk(5, 4000, 9, &expected_scratch, &expected).ok());
 
   WalkerOptions opts;
   opts.deadline = Deadline::AfterMillis(60'000);  // generous, real clock
-  PersonalizedPageRankWalker guarded(&f.store, &f.social, opts);
+  PersonalizedPageRankWalker guarded(&f.store, &f.graph, opts);
   PersonalizedWalkScratch got_scratch;
   PersonalizedWalkResult got;
   ASSERT_TRUE(guarded.Walk(5, 4000, 9, &got_scratch, &got).ok());

@@ -5,8 +5,8 @@
 //  * partition invariants — every source node is owned by exactly one
 //    shard's walk store;
 //  * shared-graph invariants — all shards read the engine's one
-//    epoch-versioned Social Store (no repair replica), and the epoch
-//    only moves in ingest phases;
+//    epoch-versioned DiGraph (no repair replica), and the epoch only
+//    moves in ingest phases;
 //  * the seqlock snapshot buffers stay coherent under concurrent
 //    reader/writer load;
 //  * personalized queries through the frozen snapshot views match the
@@ -220,31 +220,29 @@ TEST(ShardedEngineTest, FourShardsInvariantAcrossThreadCounts) {
   EXPECT_EQ(steps[0], steps[2]);
 }
 
-TEST(ShardedEngineTest, ShardsShareOneSocialStore) {
-  // All S shards read the engine's ONE epoch-versioned Social Store —
-  // the store the caller mutates: no per-shard graph replicas and no
-  // repair replica, so graph memory is paid once.
+TEST(ShardedEngineTest, ShardsShareOneGraph) {
+  // All S shards read the engine's ONE epoch-versioned DiGraph — the
+  // graph the caller mutates: no per-shard graph replicas and no repair
+  // replica, so graph memory is paid once.
   const std::size_t n = 120;
   const std::size_t S = 4;
   ShardedEngine<IncrementalPageRank> engine(n, Opts(2, 0.2, 3),
                                             ShardedOptions{S, 2});
   for (std::size_t s = 0; s < S; ++s) {
-    EXPECT_EQ(&engine.shard(s).social_store(), &engine.social_store());
     EXPECT_EQ(&engine.shard(s).graph(), &engine.graph());
   }
   EXPECT_GT(engine.GraphMemoryBytes(), 0u);
   EXPECT_EQ(engine.RepairReplicaBytes(), 0u);
 
   const auto events = MixedStream(n, 77, 0.2);
-  const uint64_t epoch_before = engine.social_store().epoch();
+  const uint64_t epoch_before = engine.graph().epoch();
   StreamWindows(events, [&](std::span<const EdgeEvent> w) {
     ASSERT_TRUE(engine.ApplyEvents(w).ok());
   });
-  // Every successful mutation bumped the store's epoch exactly once —
+  // Every successful mutation bumped the graph's epoch exactly once —
   // the single-writer contract's freeze token moved only in ingest
   // phases (a mutation during a parallel repair would have aborted).
-  EXPECT_EQ(engine.social_store().epoch(), epoch_before + events.size());
-  EXPECT_EQ(engine.social_store().writes(), events.size());
+  EXPECT_EQ(engine.graph().epoch(), epoch_before + events.size());
   EXPECT_EQ(engine.RepairReplicaBytes(), 0u);
   engine.CheckConsistency();
 }
@@ -480,7 +478,7 @@ TEST(QueryServiceTest, PersonalizedTopKMatchesFlatWalkerAtOneShard) {
   service.Quiesce();  // pipelined publishes are async; wait for the flip
 
   PersonalizedPageRankWalker walker(&flat.walk_store(),
-                                    &flat.social_store());
+                                    &flat.graph());
   std::vector<ScoredNode> flat_ranked;
   PersonalizedWalkResult flat_walk;
   ASSERT_TRUE(walker
@@ -561,7 +559,7 @@ TEST(QueryServiceTest, PersonalizedReadAtFrozenEpochMatchesFlatEngine) {
 
     const NodeId seed = static_cast<NodeId>((epoch * 37) % n);
     PersonalizedPageRankWalker walker(&flat.walk_store(),
-                                      &flat.social_store());
+                                      &flat.graph());
     std::vector<ScoredNode> flat_ranked;
     PersonalizedWalkResult flat_walk;
     ASSERT_TRUE(walker
@@ -612,9 +610,8 @@ class LiveShardedView {
     return engine_->shard(0).walk_store().epsilon();
   }
   WalkStore::SegmentView GetSegment(NodeId u, std::size_t k) const {
-    return engine_->shard(engine_->shard_of(u))
-        .walk_store()
-        .GetSegment(u, k);
+    const auto S = static_cast<uint32_t>(engine_->num_shards());
+    return engine_->shard(ShardOfNode(u, S)).walk_store().GetSegment(u, k);
   }
 
  private:

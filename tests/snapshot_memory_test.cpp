@@ -2,7 +2,7 @@
 // the compact slab + dense frozen-row work, enforced rather than
 // reported.
 //
-//  * AdjacencySlab::MemoryBytes() is audited against RAW allocation
+//  * DiGraph::MemoryBytes() is audited against RAW allocation
 //    counters — this test file interposes global operator new/delete
 //    with a size-header counter, so the slab's self-reported bytes must
 //    match what the allocator actually handed out while the graph was
@@ -20,8 +20,9 @@
 //    at the first publish after the last pin that could reach it drops,
 //    not before. The pinned-churn test doubles as the ASan probe for
 //    use-after-free across the publish/reclaim cycle. A window whose net
-//    delta is empty writes no segment version, and a second service on
-//    one engine aborts.
+//    delta is empty writes no segment version, yet a delete and
+//    re-insert of one edge still republishes the rows it reordered, and
+//    a second service on one engine aborts.
 
 #include <algorithm>
 #include <atomic>
@@ -40,6 +41,7 @@
 #include "fastppr/graph/generators.h"
 #include "fastppr/store/segment_snapshot.h"
 #include "fastppr/util/random.h"
+#include "fastppr/util/shard.h"
 
 // ---- raw allocation counters (test-binary-wide interposition) --------
 //
@@ -154,7 +156,7 @@ TEST(SlabMemoryAccountingTest, ChurnDoesNotLeakAgainstRawCounters) {
       ASSERT_TRUE(g.AddEdge(edges[i].src, edges[i].dst).ok());
     }
   }
-  g.slab().CheckConsistency();
+  g.CheckConsistency();
   const std::int64_t grown =
       g_live_bytes.load(std::memory_order_relaxed) - before;
   // Churn may settle blocks into marginally different classes, but the
@@ -258,7 +260,8 @@ LiveCopy CopyLive(Engine& engine) {
   LiveCopy copy;
   const std::size_t spn = engine.shard(0).walk_store().segments_per_node();
   for (NodeId u = 0; u < engine.num_nodes(); ++u) {
-    const WalkStore& store = engine.shard(engine.shard_of(u)).walk_store();
+    const auto S = static_cast<uint32_t>(engine.num_shards());
+    const WalkStore& store = engine.shard(ShardOfNode(u, S)).walk_store();
     for (std::size_t k = 0; k < spn; ++k) {
       const auto seg = store.GetSegment(u, k);
       std::vector<NodeId> ids;
@@ -532,6 +535,121 @@ TEST(FrozenRowTableTest, EmptyWindowWritesNoSegmentVersion) {
   EXPECT_EQ(table.versions(), after_churn)
       << "an empty window republished the previous window's segments";
   service.Unpin(pin);
+}
+
+/// A delete and re-insert of one edge (u, b) in one window nets to an
+/// empty delta, yet it reorders rows: RemoveEdge back-fills u's hole
+/// with the row's last slot and the insert appends b at the tail, and
+/// b's in-row moves the same way. Frozen walks sample by slot index, so
+/// the publish must write both rows (it names rows by the applied
+/// prefix): the pinned view follows the live rows slot for slot, the
+/// pin held from before the window still reads the old order, no
+/// segment version is written, and at S = 1 a frozen walk from u draws
+/// exactly what a live walk with the same RNG seed draws.
+template <typename EngineT>
+void ExpectDeleteReinsertRepublishesItsRows() {
+  using Steps = typename EngineT::WalkSteps;
+  constexpr bool kInSide = Steps::kSides > 1;
+  const std::size_t n = 400;
+  const auto edges = PowerLawEdges(n, 5, 71);
+  MonteCarloOptions mc;
+  mc.walks_per_node = 2;
+  mc.epsilon = 0.25;
+  mc.seed = 73;
+  ShardedEngine<EngineT> engine(n, mc, ShardedOptions{1, 1});
+  ASSERT_TRUE(engine.ApplyEvents(Inserts(edges)).ok());
+  QueryService<EngineT> service(&engine);
+  const DiGraph& g = engine.graph();
+
+  // u has out-degree >= 3 and one copy of (u, b), which sits neither in
+  // u's last out-slot nor, for u, in b's last in-slot.
+  NodeId u = kInvalidNode;
+  NodeId b = kInvalidNode;
+  for (NodeId x = 0; x < n && u == kInvalidNode; ++x) {
+    const auto outs = g.OutNeighbors(x);
+    if (outs.size() < 3) continue;
+    for (std::size_t p = 0; p + 1 < outs.size(); ++p) {
+      const auto ins = g.InNeighbors(outs[p]);
+      if (std::count(outs.begin(), outs.end(), outs[p]) == 1 &&
+          ins.back() != x) {
+        u = x;
+        b = outs[p];
+        break;
+      }
+    }
+  }
+  ASSERT_NE(u, kInvalidNode);
+  const auto copy = [](std::span<const NodeId> row) {
+    return std::vector<NodeId>(row.begin(), row.end());
+  };
+  const std::vector<NodeId> out_before = copy(g.OutNeighbors(u));
+  const std::vector<NodeId> in_before = copy(g.InNeighbors(b));
+
+  // A pin held across the window keeps every replaced version alive, so
+  // versions() moves only by what the publish writes.
+  const PublishPins::Pin before = service.Pin();
+  const std::size_t segment_versions = service.segment_table().versions();
+  const std::vector<EdgeEvent> window = {
+      EdgeEvent{EdgeEvent::Kind::kDelete, Edge{u, b}},
+      EdgeEvent{EdgeEvent::Kind::kInsert, Edge{u, b}}};
+  ASSERT_TRUE(service.Ingest(window).ok());
+  service.Quiesce();
+  EXPECT_EQ(service.segment_table().versions(), segment_versions)
+      << "an empty net delta wrote segment versions";
+
+  const std::vector<NodeId> out_after = copy(g.OutNeighbors(u));
+  EXPECT_NE(out_after, out_before) << "u's out-row kept its order";
+  EXPECT_TRUE(std::is_permutation(out_after.begin(), out_after.end(),
+                                  out_before.begin(), out_before.end()));
+  if constexpr (kInSide) {
+    EXPECT_NE(copy(g.InNeighbors(b)), in_before) << "b's in-row kept its order";
+  }
+
+  const PublishPins::Pin pin = service.Pin();
+  const FrozenAdjacency now = service.AdjacencyAt(pin);
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(copy(now.OutNeighbors(v)), copy(g.OutNeighbors(v)))
+        << "out-row " << v;
+    if constexpr (kInSide) {
+      ASSERT_EQ(copy(now.InNeighbors(v)), copy(g.InNeighbors(v)))
+          << "in-row " << v;
+    }
+  }
+  const FrozenAdjacency old = service.AdjacencyAt(before);
+  EXPECT_EQ(copy(old.OutNeighbors(u)), out_before);
+  if constexpr (kInSide) {
+    EXPECT_EQ(copy(old.InNeighbors(b)), in_before);
+  }
+
+  const BasicPersonalizedWalker<Steps, typename EngineT::Store> live(
+      &engine.shard(0).walk_store(), &g);
+  for (const uint64_t rng_seed : {81u, 82u, 83u}) {
+    std::vector<ScoredNode> frozen_ranked;
+    std::vector<ScoredNode> live_ranked;
+    ASSERT_TRUE(service
+                    .PersonalizedTopK(u, 10, 2000, /*exclude_friends=*/true,
+                                      rng_seed, &frozen_ranked)
+                    .ok());
+    ASSERT_TRUE(live.TopK(u, 10, 2000, /*exclude_friends=*/true, rng_seed,
+                          &live_ranked)
+                    .ok());
+    ASSERT_EQ(frozen_ranked.size(), live_ranked.size());
+    for (std::size_t i = 0; i < live_ranked.size(); ++i) {
+      EXPECT_EQ(frozen_ranked[i].node, live_ranked[i].node) << "rank " << i;
+      EXPECT_EQ(frozen_ranked[i].visits, live_ranked[i].visits)
+          << "rank " << i;
+    }
+  }
+  service.Unpin(pin);
+  service.Unpin(before);
+}
+
+TEST(FrozenRowTableTest, DeleteReinsertRepublishesReorderedOutRow) {
+  ExpectDeleteReinsertRepublishesItsRows<IncrementalPageRank>();
+}
+
+TEST(FrozenRowTableTest, DeleteReinsertRepublishesReorderedInRow) {
+  ExpectDeleteReinsertRepublishesItsRows<IncrementalSalsa>();
 }
 
 TEST(QueryServiceDeathTest, SecondServiceOnOneEngineAborts) {

@@ -203,7 +203,7 @@ TEST(TheoryTopKTest, TheoryLengthTopKWorks) {
   mc.epsilon = 0.2;
   IncrementalPageRank engine(g, mc);
   PersonalizedPageRankWalker walker(&engine.walk_store(),
-                                    &engine.social_store());
+                                    &engine.graph());
   std::vector<ScoredNode> ranked;
   PersonalizedWalkResult stats;
   ASSERT_TRUE(walker
@@ -217,11 +217,11 @@ TEST(TheoryTopKTest, TheoryLengthTopKWorks) {
 }
 
 TEST(TheoryTopKTest, RejectsBadParameters) {
-  SocialStore social(5);
+  DiGraph graph(5);
   WalkStore store;
   DiGraph g(5);
   store.Init(g, 1, 0.2, 17);
-  PersonalizedPageRankWalker walker(&store, &social);
+  PersonalizedPageRankWalker walker(&store, &graph);
   std::vector<ScoredNode> ranked;
   EXPECT_TRUE(walker.TopKWithTheoryLength(0, 10, 1.5, 5.0, true, 1, &ranked)
                   .IsInvalidArgument());
