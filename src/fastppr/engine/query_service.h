@@ -44,6 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -426,8 +427,10 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     return FrozenAdjacency(&out_, Steps::kSides > 1 ? &in_ : nullptr,
                            pin.seq);
   }
-  /// The global segment table (test hook: version and retire counts).
+  /// The row tables (test hooks: version, retire and pool byte counts).
   const VersionedRows& segment_table() const { return segments_; }
+  const VersionedRows& out_table() const { return out_; }
+  const VersionedRows& in_table() const { return in_; }
 
   /// Epoch of the current publish — the result cache's key component.
   /// Read under the view mutex, so it is exactly the epoch a
@@ -485,11 +488,23 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     if (hot) {
       (full ? om_.frozen_publishes_full : om_.frozen_publishes_delta)
           ->Add(1);
+      SetRowLedger();
       const uint64_t t1 = obs::NowNanos();
       om_.publish_phase->Record(t1 - t0);
       engine_->phase_tracer()->Record(engine_->publish_track(),
                                       obs::Phase::kPublish, ctx.epoch, t0,
                                       t1);
+    }
+  }
+
+  /// The row-table half of the memory ledger (stripes in the
+  /// EngineMetrics order: segments, out-adjacency, in-adjacency).
+  void SetRowLedger() {
+    const VersionedRows* tables[] = {&segments_, &out_, &in_};
+    static_assert(std::size(tables) == obs::EngineMetrics::kRowTables);
+    for (std::size_t t = 0; t < std::size(tables); ++t) {
+      om_.rows_live_bytes->Set(tables[t]->pool().live_bytes(), t);
+      om_.rows_held_bytes->Set(tables[t]->pool().held_bytes(), t);
     }
   }
 

@@ -54,6 +54,18 @@ struct EngineMetrics {
   Counter* serve_queue_depth_hw = nullptr;  ///< per-class admission-queue
                                             ///  high-water depth [class]
 
+  // --- memory ledger gauges, in bytes --------------------------------
+  // Walk-store slab arenas, one stripe per pool: shard s's pool p
+  // (BasicWalkStore::ForEachPool order) is stripe s * pools + p. Set at
+  // each window boundary.
+  Counter* slab_used_bytes = nullptr;       ///< rows' spans
+  Counter* slab_dead_bytes = nullptr;       ///< vacated, until compaction
+  Counter* slab_reserved_bytes = nullptr;   ///< allocated past the end
+  // Frozen row tables, one stripe per table (0 segments, 1 out-adjacency,
+  // 2 in-adjacency). Set at each publish.
+  Counter* rows_live_bytes = nullptr;       ///< versions not yet freed
+  Counter* rows_held_bytes = nullptr;       ///< the version pool's chunks
+
   // --- latency histograms (nanoseconds; exported in µs) --------------
   LatencyHistogram* ingest_phase = nullptr;   ///< per-window writer phase
   LatencyHistogram* repair_phase = nullptr;   ///< per-shard window repair
@@ -69,7 +81,11 @@ struct EngineMetrics {
   LatencyHistogram* serve_admitted_latency = nullptr;  ///< queue+service,
                                                        ///  admitted only
 
-  static EngineMetrics Register(MetricsRegistry* reg, std::size_t shards) {
+  static constexpr std::size_t kRowTables = 3;
+
+  /// `slab_pools` is the number of slab pools per shard's walk store.
+  static EngineMetrics Register(MetricsRegistry* reg, std::size_t shards,
+                                std::size_t slab_pools) {
     EngineMetrics m;
     m.events_ingested = reg->RegisterCounter("events_ingested");
     m.walks_repaired = reg->RegisterCounter("walks_repaired", shards);
@@ -100,6 +116,14 @@ struct EngineMetrics {
     m.serve_cache_evict = reg->RegisterCounter("serve_cache_evict", 8);
     m.windows_applied = reg->RegisterGauge("windows_applied");
     m.serve_queue_depth_hw = reg->RegisterGauge("serve_queue_depth_hw", 3);
+    m.slab_used_bytes =
+        reg->RegisterGauge("slab_used_bytes", shards * slab_pools);
+    m.slab_dead_bytes =
+        reg->RegisterGauge("slab_dead_bytes", shards * slab_pools);
+    m.slab_reserved_bytes =
+        reg->RegisterGauge("slab_reserved_bytes", shards * slab_pools);
+    m.rows_live_bytes = reg->RegisterGauge("rows_live_bytes", kRowTables);
+    m.rows_held_bytes = reg->RegisterGauge("rows_held_bytes", kRowTables);
     m.ingest_phase = reg->RegisterHistogram("ingest_phase");
     m.repair_phase = reg->RegisterHistogram("repair_phase");
     m.publish_phase = reg->RegisterHistogram("publish_phase");

@@ -48,7 +48,6 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -276,13 +275,15 @@ class ServingTier {
       case EnqueueOutcome::kQueued:
         break;
     }
-    queued_.fetch_add(1, std::memory_order_relaxed);
     // Skip the lock+notify when every worker is already busy draining —
     // at overload rates Submit runs hot and the condvar handshake is
-    // pure contention. A worker that races into its wait re-checks
-    // queued_ under the lock, and the wait is timed (1 ms) anyway, so a
-    // missed wakeup costs bounded latency, never liveness.
-    if (idle_workers_.load(std::memory_order_acquire) > 0) {
+    // pure contention. No wakeup is lost: this increment and the load
+    // below, and a sleeping worker's idle_workers_ increment and its
+    // check of queued_, are all seq_cst, so either the worker sees the
+    // request or this Submit sees the worker and notifies it (under
+    // wake_mu_, which the worker holds until it waits).
+    queued_.fetch_add(1, std::memory_order_seq_cst);
+    if (idle_workers_.load(std::memory_order_seq_cst) > 0) {
       std::lock_guard<std::mutex> lock(wake_mu_);
       wake_.notify_one();
     }
@@ -530,15 +531,16 @@ class ServingTier {
       ++rotate;
       if (did_work) continue;
       if (stopping_.load(std::memory_order_acquire)) return;
+      // Sleep until a Submit or Shutdown notifies (see Submit for why
+      // no wakeup is lost). A worker sleeps only with every queue empty,
+      // so nothing ages toward the controlled-delay horizon meanwhile.
       std::unique_lock<std::mutex> lock(wake_mu_);
-      idle_workers_.fetch_add(1, std::memory_order_acq_rel);
-      // Timed wait: queued entries age toward the controlled-delay
-      // horizon even when no new submission fires the condvar.
-      wake_.wait_for(lock, std::chrono::milliseconds(1), [this] {
-        return queued_.load(std::memory_order_relaxed) > 0 ||
+      idle_workers_.fetch_add(1, std::memory_order_seq_cst);
+      wake_.wait(lock, [this] {
+        return queued_.load(std::memory_order_seq_cst) > 0 ||
                stopping_.load(std::memory_order_acquire);
       });
-      idle_workers_.fetch_sub(1, std::memory_order_acq_rel);
+      idle_workers_.fetch_sub(1, std::memory_order_seq_cst);
     }
   }
 

@@ -12,7 +12,7 @@
 //
 // A VersionedRows table keeps one atomic head pointer per row. A publish
 // stamped with sequence number s writes, for each row it changed, an
-// immutable version {s, older, length, u32 node ids} and stores it to
+// immutable version {older, s, length, u32 node ids} and stores it to
 // the row's head with release; clean rows keep their head. A reader
 // pinned at publish p loads the head with acquire and follows `older`
 // while the version's seq is above p, so it sees every row as of p
@@ -25,9 +25,14 @@
 // is at or above s. The owner takes every pin, unpin and Oldest() read
 // under one mutex, so a reader's last access to a version happens
 // before the write that frees it, and readers never stall the writer.
+// Versions live in the table's own size-class pool (store/block_pool.h):
+// a freed version's block waits on its class's free list for the next
+// version of that class, so a publish makes no heap call and churn
+// leaves no holes in the heap.
 //
-// Thread contract: one writer at a time calls Write and Reclaim; any
-// number of readers call Row between their pin and unpin.
+// Thread contract: one writer at a time calls Write and Reclaim (and so
+// is the pool's only user); any number of readers call Row between
+// their pin and unpin.
 
 #include <atomic>
 #include <cstddef>
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "fastppr/graph/types.h"
+#include "fastppr/store/block_pool.h"
 #include "fastppr/util/check.h"
 #include "fastppr/util/random.h"
 
@@ -47,11 +53,19 @@ namespace fastppr {
 class VersionedRows {
  public:
   explicit VersionedRows(std::size_t num_rows) : heads_(num_rows) {}
+  /// Hands the oversize versions back to operator delete; the pool
+  /// releases its chunks, and with them every pooled version.
   ~VersionedRows() {
+    const auto release = [this](const Version* v) {
+      if (v != nullptr &&
+          Bytes(v->length()) > slab::BlockPool::kMaxBlockBytes) {
+        Free(v);
+      }
+    };
     for (const auto& head : heads_) {
-      Free(head.load(std::memory_order_relaxed));
+      release(head.load(std::memory_order_relaxed));
     }
-    for (const Retired& r : retired_) Free(r.version);
+    for (const Retired& r : retired_) release(r.version);
   }
 
   VersionedRows(const VersionedRows&) = delete;
@@ -62,30 +76,31 @@ class VersionedRows {
   /// Row `r` as a reader pinned at publish `seq` sees it.
   std::span<const NodeId> Row(uint64_t r, uint64_t seq) const {
     const Version* v = heads_[r].load(std::memory_order_acquire);
-    while (v != nullptr && v->seq > seq) v = v->older;
+    while (v != nullptr && v->seq() > seq) v = v->older;
     if (v == nullptr) return {};
-    return std::span<const NodeId>(v->ids(), v->length);
+    return std::span<const NodeId>(v->ids(), v->length());
   }
 
   /// Writer: publishes row `r` at `seq` as `len` ids, the i-th being
   /// `id(i)`. A row that already has a version at `seq` (named twice
   /// in one window's record) or that stays empty is left alone. Returns
-  /// the bytes allocated.
+  /// the version bytes written (header plus ids).
   template <typename IdAt>
   std::size_t Write(uint64_t r, uint64_t seq, std::size_t len,
                     const IdAt& id) {
     const Version* head = heads_[r].load(std::memory_order_relaxed);
-    if (head == nullptr ? len == 0 : head->seq == seq) return 0;
-    FASTPPR_CHECK_MSG(head == nullptr || head->seq < seq,
+    if (head == nullptr ? len == 0 : head->seq() == seq) return 0;
+    FASTPPR_CHECK_MSG(head == nullptr || head->seq() < seq,
                       "row publish sequence moved backwards");
-    const std::size_t bytes = sizeof(Version) + len * sizeof(NodeId);
-    Version* v = new (::operator new(bytes))
-        Version{seq, head, static_cast<uint32_t>(len)};
+    FASTPPR_CHECK_MSG(seq < kSeqLimit, "publish sequence exceeds 40 bits");
+    FASTPPR_CHECK_MSG(len <= kMaxLength, "row length exceeds 24 bits");
+    const std::size_t bytes = Bytes(len);
+    Version* v = new (pool_.Allocate(bytes))
+        Version{head, seq << kLengthBits | len};
     NodeId* ids = v->ids();
     for (std::size_t i = 0; i < len; ++i) ids[i] = id(i);
     heads_[r].store(v, std::memory_order_release);
     if (head != nullptr) retired_.push_back(Retired{seq, head});
-    version_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     versions_.fetch_add(1, std::memory_order_relaxed);
     return bytes;
   }
@@ -104,11 +119,10 @@ class VersionedRows {
     retired_.erase(retired_.begin(), retired_.begin() + done);
   }
 
-  /// Heap bytes held: the head array plus every version not yet freed
-  /// (retired ones included).
+  /// Bytes held for readers: the head array plus every version not yet
+  /// freed (retired ones included), headers and ids.
   std::size_t MemoryBytes() const {
-    return heads_.size() * sizeof(heads_[0]) +
-           version_bytes_.load(std::memory_order_relaxed);
+    return heads_.size() * sizeof(heads_[0]) + pool_.live_bytes();
   }
   /// Row metadata alone: the head array plus the version headers.
   std::size_t row_table_bytes() const {
@@ -125,33 +139,46 @@ class VersionedRows {
   uint64_t oldest_retired_seq() const {
     return retired_.empty() ? 0 : retired_.front().seq;
   }
+  /// The versions' allocator: its live bytes are the versions not yet
+  /// freed, its held bytes what it took from operator new.
+  const slab::BlockPool& pool() const { return pool_; }
 
  private:
+  /// Header bounds: a version packs its seq and length into one word.
+  static constexpr uint32_t kLengthBits = 24;
+  static constexpr uint64_t kMaxLength = (uint64_t{1} << kLengthBits) - 1;
+  static constexpr uint64_t kSeqLimit = uint64_t{1} << (64 - kLengthBits);
+
+  /// 16 bytes: the older version, then the seq (high 40 bits) and the
+  /// length (low 24 bits) in one word.
   struct Version {
-    uint64_t seq;
     const Version* older;
-    uint32_t length;
+    uint64_t seq_length;
+    uint64_t seq() const { return seq_length >> kLengthBits; }
+    std::size_t length() const { return seq_length & kMaxLength; }
     NodeId* ids() { return reinterpret_cast<NodeId*>(this + 1); }
     const NodeId* ids() const {
       return reinterpret_cast<const NodeId*>(this + 1);
     }
   };
+  static_assert(sizeof(Version) == 16);
   struct Retired {
     uint64_t seq;  ///< the publish that replaced `version`
     const Version* version;
   };
 
-  void Free(const Version* v) {
-    if (v == nullptr) return;
-    version_bytes_.fetch_sub(sizeof(Version) + v->length * sizeof(NodeId),
-                             std::memory_order_relaxed);
-    versions_.fetch_sub(1, std::memory_order_relaxed);
-    ::operator delete(const_cast<Version*>(v));
+  static std::size_t Bytes(std::size_t len) {
+    return sizeof(Version) + len * sizeof(NodeId);
   }
 
+  void Free(const Version* v) {
+    versions_.fetch_sub(1, std::memory_order_relaxed);
+    pool_.Free(const_cast<Version*>(v), Bytes(v->length()));
+  }
+
+  slab::BlockPool pool_;  ///< every version's block (writer only)
   std::vector<std::atomic<const Version*>> heads_;
   std::vector<Retired> retired_;  ///< ascending seq (writer only)
-  std::atomic<std::size_t> version_bytes_{0};
   std::atomic<std::size_t> versions_{0};
 };
 

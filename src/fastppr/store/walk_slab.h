@@ -51,6 +51,14 @@ constexpr uint64_t WithLo(uint64_t word, uint32_t lo) {
 /// doubled capacity (the vacated span is dead until the next
 /// compaction). External references address (row, index) pairs — never
 /// raw offsets — so relocation and compaction are invisible to callers.
+///
+/// The arena reserves room up to the compaction point, twice the rows'
+/// capacity, whenever it is laid out (reset, load, compaction): relocations
+/// then append inside the reservation instead of reallocating and
+/// copying the arena and leaving the old buffer behind. Untouched
+/// reserved pages cost address space, not resident memory. The
+/// reservation is not state: SaveTo writes the arena's words, never its
+/// capacity.
 class SlabPool {
  public:
   /// One row per entry of `sizes`, laid out back-to-back (size 0, ready
@@ -65,12 +73,26 @@ class SlabPool {
       rows_[r].cap = sizes[r] + (sizes[r] >> 1) + 2;
       total += rows_[r].cap;
     }
-    data_.assign(total, 0);
+    data_.clear();
+    data_.reserve(kHeadroom * total);
+    data_.resize(total, 0);
     dead_ = 0;
   }
 
   std::size_t num_rows() const { return rows_.size(); }
   uint32_t Size(std::size_t row) const { return rows_[row].size; }
+
+  /// The arena's ledger, in bytes; the three add up to its allocation.
+  /// Used: the rows' spans (their words and spare capacity). Dead: spans
+  /// vacated by relocation, until compaction. Reserved: allocated past
+  /// the arena's end, for relocations to come.
+  std::size_t used_bytes() const {
+    return (data_.size() - dead_) * sizeof(uint64_t);
+  }
+  std::size_t dead_bytes() const { return dead_ * sizeof(uint64_t); }
+  std::size_t reserved_bytes() const {
+    return (data_.capacity() - data_.size()) * sizeof(uint64_t);
+  }
 
   uint64_t Get(std::size_t row, uint32_t i) const {
     return data_[rows_[row].off + i];
@@ -137,12 +159,16 @@ class SlabPool {
   template <typename Src>
   bool LoadFrom(Src* r) {
     if (!r->Vec(&data_) || !r->Vec(&rows_) || !r->Pod(&dead_)) return false;
+    if (dead_ > data_.size()) {
+      return r->Fail("slab dead words past its arena");
+    }
     for (const Row& row : rows_) {
       if (row.size > row.cap || row.off > data_.size() ||
           row.cap > data_.size() - row.off) {
         return r->Fail("slab row outside its arena");
       }
     }
+    data_.reserve(kHeadroom * (data_.size() - dead_));
     return true;
   }
 
@@ -154,6 +180,9 @@ class SlabPool {
   };
   // Serialized raw (SaveTo/LoadFrom): must stay padding-free.
   static_assert(sizeof(Row) == 16);
+
+  /// Arena capacity per word of row capacity: the compaction point.
+  static constexpr uint64_t kHeadroom = 2;
 
   void Grow(std::size_t row) {
     Row& r = rows_[row];
@@ -185,7 +214,9 @@ class SlabPool {
     // caps — and with them the compacted arena — are bounded).
     uint64_t total = 0;
     for (const Row& r : rows_) total += r.cap;
-    std::vector<uint64_t> packed(total, 0);
+    std::vector<uint64_t> packed;
+    packed.reserve(kHeadroom * total);
+    packed.resize(total, 0);
     uint64_t at = 0;
     for (Row& r : rows_) {
       for (uint32_t i = 0; i < r.size; ++i) {

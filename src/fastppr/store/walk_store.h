@@ -295,6 +295,16 @@ class BasicWalkStore {
     return paths_.RowSpan(seg);
   }
 
+  /// The store's slab pools, in ledger order: the path rows, then each
+  /// side's step index, then each side's dangling index.
+  static constexpr std::size_t kNumPools = 1 + 2 * kSides;
+  template <typename Fn>
+  void ForEachPool(const Fn& fn) const {
+    fn(paths_);
+    for (const slab::SlabPool& pool : steps_) fn(pool);
+    for (const slab::SlabPool& pool : dangling_) fn(pool);
+  }
+
   /// Calls fn(seg) once for every segment the last RepairWindow
   /// repaired, in the order it repaired them: the window's own repair
   /// plan (the coupling of Proposition 2), which the snapshot publisher

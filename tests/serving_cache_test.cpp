@@ -18,6 +18,7 @@
 // alongside serving_test).
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>

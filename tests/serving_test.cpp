@@ -7,8 +7,10 @@
 #include "fastppr/serve/serving_tier.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <ctime>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -846,6 +848,113 @@ TEST(ServingTierTest, ConcurrentAdmissionRacingPublishRotation) {
                 r.status.IsDeadlineExceeded() || r.status.IsUnavailable())
         << r.status.ToString();
   }
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// An idle tier costs no CPU: its workers sleep on the condition
+// variable until a Submit or Shutdown notifies them, with no polling
+// timeout.
+TEST(ServingTierTest, IdleWorkersSleepUntilWorkArrives) {
+  TierFixture f(200, SmallTierOptions());
+  f.service.Quiesce();
+  Collector col;
+  const auto submit_score = [&](NodeId node) {
+    Request req;
+    req.cls = QueryClass::kScore;
+    req.node = node;
+    req.on_done = col.Callback();
+    f.tier.Submit(std::move(req));
+  };
+  submit_score(3);
+  ASSERT_TRUE(col.WaitFor(1, 10'000));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const double cpu0 = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double idle_cpu_s = ProcessCpuSeconds() - cpu0;
+  EXPECT_LT(idle_cpu_s, 0.005)
+      << "an idle tier burned " << idle_cpu_s * 1e3 << " ms of CPU in 0.5 s";
+
+  // Asleep, not gone: the next request still wakes a worker.
+  submit_score(4);
+  ASSERT_TRUE(col.WaitFor(2, 10'000));
+  EXPECT_TRUE(col.responses[1].status.ok());
+}
+
+/// One request at a time: Submit, then block until its callback fires
+/// or `timeout_ms` passes. Returns false on a timeout.
+bool SubmitAndWait(ServingTier<IncrementalPageRank>* tier, Request req,
+                   int timeout_ms, Status* status) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  req.on_done = [&](const Response& r) {
+    std::lock_guard<std::mutex> lock(mu);
+    *status = r.status;
+    done = true;
+    cv.notify_all();
+  };
+  tier->Submit(std::move(req));
+  std::unique_lock<std::mutex> lock(mu);
+  if (cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                  [&] { return done; })) {
+    return true;
+  }
+  // Leave no callback behind that refers to this frame: shutting down
+  // answers every queued request (on this thread, so unlock first).
+  lock.unlock();
+  tier->Shutdown();
+  lock.lock();
+  cv.wait(lock, [&] { return done; });
+  return false;
+}
+
+// Submit racing worker sleep: each request goes in just as the worker
+// that answered the previous one heads back to sleep, and nothing else
+// would wake a worker that missed it (workers wait without a timeout).
+// Every request must still resolve, alone and with several submitters
+// racing each other's wakeups.
+TEST(ServingTierTest, SubmitRacingWorkerSleepResolvesEveryRequest) {
+  TierFixture f(200, SmallTierOptions());
+  f.service.Quiesce();
+  const auto score = [](std::size_t i) {
+    Request req;
+    req.cls = QueryClass::kScore;
+    req.node = static_cast<NodeId>(i % 200);
+    return req;
+  };
+  for (std::size_t i = 0; i < 2000; ++i) {
+    Status status;
+    ASSERT_TRUE(SubmitAndWait(&f.tier, score(i), 10'000, &status))
+        << "request " << i << " was never answered";
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> lost{0};
+  std::atomic<std::size_t> failed{0};
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 500 && lost.load() == 0; ++i) {
+        Status status;
+        if (!SubmitAndWait(&f.tier, score(t * 500 + i), 10'000, &status)) {
+          lost.fetch_add(1);
+        } else if (!status.ok()) {
+          failed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  EXPECT_EQ(lost.load(), 0u) << "a request was never answered";
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(f.tier.outcomes().resolved(), f.tier.submitted());
 }
 
 }  // namespace

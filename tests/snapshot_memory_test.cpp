@@ -15,14 +15,19 @@
 //  * The frozen row tables (store/segment_snapshot.h): one global
 //    segment table resolves every row bit-identically to the live
 //    stores; a pin held across several publishes keeps reading exactly
-//    what it pinned; a delta publish keeps only its dirty rows' versions
-//    (audited against the raw counters); and a replaced version is freed
-//    at the first publish after the last pin that could reach it drops,
-//    not before. The pinned-churn test doubles as the ASan probe for
-//    use-after-free across the publish/reclaim cycle. A window whose net
-//    delta is empty writes no segment version, yet a delete and
-//    re-insert of one edge still republishes the rows it reordered, and
-//    a second service on one engine aborts.
+//    what it pinned; a delta publish keeps only its dirty rows' versions;
+//    and a replaced version is freed at the first publish after the last
+//    pin that could reach it drops, not before. Versions live in each
+//    table's block pool (store/block_pool.h), so these audits read the
+//    pool's live bytes, and the raw counters audit the pool itself: what
+//    operator new handed the tables is the pool's chunks, and a free
+//    hands nothing back. The pinned-churn test doubles as the ASan probe
+//    for use-after-free across the publish/reclaim cycle (freed blocks
+//    are poisoned). A window whose net delta is empty writes no segment
+//    version, yet a delete and re-insert of one edge still republishes
+//    the rows it reordered, and a second service on one engine aborts.
+//  * The memory ledger: every slab and row-table gauge the engine and
+//    the service set equals the structure's own accessor.
 
 #include <algorithm>
 #include <atomic>
@@ -39,7 +44,10 @@
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/digraph.h"
 #include "fastppr/graph/generators.h"
+#include "fastppr/obs/engine_metrics.h"
+#include "fastppr/store/block_pool.h"
 #include "fastppr/store/segment_snapshot.h"
+#include "fastppr/store/walk_slab.h"
 #include "fastppr/util/random.h"
 #include "fastppr/util/shard.h"
 
@@ -318,9 +326,9 @@ TEST(FrozenRowTableTest, GlobalSegmentTableMatchesLiveStoresThroughChurn) {
   const auto stats = service.FrozenStats();
   EXPECT_EQ(stats.segment_rows, n * spn);
   EXPECT_EQ(stats.segment_rows_global_model, S * n * spn);
-  // 8-byte heads plus one 24-byte header per version: the row metadata
+  // 8-byte heads plus one 16-byte header per version: the row metadata
   // of one global table, whatever S is.
-  EXPECT_EQ(stats.segment_row_table_bytes, n * spn * (8 + 24));
+  EXPECT_EQ(stats.segment_row_table_bytes, n * spn * (8 + 16));
 
   Churn churn(&edges, 5);
   for (std::size_t w = 0; w < 4; ++w) {
@@ -377,12 +385,28 @@ TEST(FrozenRowTableTest, PinHeldAcrossChurnPublishesReadsItsSeq) {
   for (const Held& h : held) service.Unpin(h.pin);
 }
 
+/// Live and held bytes of the service's three version pools.
+struct PoolBytes {
+  std::int64_t live = 0;
+  std::int64_t held = 0;
+};
+PoolBytes ServicePoolBytes(const Service& service) {
+  PoolBytes b;
+  for (const VersionedRows* t : {&service.segment_table(),
+                                 &service.out_table(), &service.in_table()}) {
+    b.live += static_cast<std::int64_t>(t->pool().live_bytes());
+    b.held += static_cast<std::int64_t>(t->pool().held_bytes());
+  }
+  return b;
+}
+
 TEST(FrozenRowTableTest, DeltaPublishKeepsOnlyDirtyRowVersions) {
   // A delta publish writes one version per dirty row and keeps nothing
-  // else: across a small window (with the engine's own buffers already
-  // at their steady size), the live bytes the raw allocation counters
-  // see grow by no more than the versions the publish wrote, which are
-  // a small fraction of one full table.
+  // else: across a small window, the live bytes of the tables' pools
+  // grow by no more than the versions the publish wrote, which are a
+  // small fraction of one full table. The raw allocation counters see
+  // only what the pools took as chunks (with the engine's own buffers
+  // already at their steady size).
   const std::size_t n = 2000;
   const auto edges = PowerLawEdges(n, 8, 31);
   MonteCarloOptions mc;
@@ -401,11 +425,14 @@ TEST(FrozenRowTableTest, DeltaPublishKeepsOnlyDirtyRowVersions) {
   }
   const std::vector<EdgeEvent> window = churn.Next();
   const uint64_t written_before = service.publish_volume().bytes_delta;
+  const PoolBytes pools_before = ServicePoolBytes(service);
   const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
   ASSERT_TRUE(service.Ingest(window).ok());
   service.Quiesce();
-  const std::int64_t kept =
+  const std::int64_t raw_kept =
       g_live_bytes.load(std::memory_order_relaxed) - before;
+  const PoolBytes pools_after = ServicePoolBytes(service);
+  const std::int64_t kept = pools_after.live - pools_before.live;
   const uint64_t written =
       service.publish_volume().bytes_delta - written_before;
 
@@ -413,10 +440,13 @@ TEST(FrozenRowTableTest, DeltaPublishKeepsOnlyDirtyRowVersions) {
   EXPECT_LT(written, table_bytes / 20)
       << "a small window's publish wrote a table-sized delta";
   // The versions the previous window replaced are freed inside this
-  // publish, so `kept` is usually below `written`; 4 KiB covers the
-  // engine's per-window bookkeeping.
-  EXPECT_LE(kept, static_cast<std::int64_t>(written) + 4096)
+  // publish, so `kept` is usually below `written`.
+  EXPECT_LE(kept, static_cast<std::int64_t>(written))
       << "the publish kept more than its dirty rows' versions";
+  // What the raw counters kept is the chunks the pools took, if any;
+  // 4 KiB covers the engine's per-window bookkeeping.
+  EXPECT_LE(raw_kept, pools_after.held - pools_before.held + 4096)
+      << "the tables allocated outside their pools";
 }
 
 TEST(FrozenRowTableTest, RetiredVersionsFreedAtFirstPublishAfterLastUnpin) {
@@ -439,7 +469,16 @@ TEST(FrozenRowTableTest, RetiredVersionsFreedAtFirstPublishAfterLastUnpin) {
     }
     pins.Advance(PublishPins::Pin{seq, seq});
   };
+  const auto live = [&rows] {
+    return static_cast<std::int64_t>(rows.pool().live_bytes());
+  };
+  // The first versions carve one chunk, and that chunk is everything
+  // the raw counters see the publish take.
+  const std::int64_t raw_empty = g_live_bytes.load(std::memory_order_relaxed);
   publish(1, 0);
+  EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed) - raw_empty,
+            static_cast<std::int64_t>(rows.pool().held_bytes()));
+  EXPECT_EQ(rows.pool().held_bytes(), slab::BlockPool::kChunkBytes);
   const PublishPins::Pin old_pin = pins.Acquire();
   publish(2, 4);  // rows 4..7 replaced at seq 2
   publish(3, 6);  // rows 6..7 replaced at seq 3
@@ -451,23 +490,27 @@ TEST(FrozenRowTableTest, RetiredVersionsFreedAtFirstPublishAfterLastUnpin) {
     EXPECT_EQ(row[2], content(r, 1)(2)) << "row " << r;
   }
 
-  const std::int64_t held = g_live_bytes.load(std::memory_order_relaxed);
+  const std::int64_t held = live();
   pins.Release(old_pin);
-  EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed), held)
+  EXPECT_EQ(live(), held)
       << "a release freed versions before the next publish";
   EXPECT_EQ(rows.retired(), 6u);
 
-  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  const std::int64_t before = live();
+  const std::int64_t raw_before = g_live_bytes.load(std::memory_order_relaxed);
   publish(4, 8);  // writes nothing: a pure reclamation point
-  const std::int64_t freed =
-      before - g_live_bytes.load(std::memory_order_relaxed);
+  const std::int64_t freed = before - live();
   EXPECT_EQ(rows.retired(), 0u);
-  // A version is a 24-byte header (seq, older, length) plus its ids.
-  constexpr std::int64_t kVersionBytes = 24 + 3 * sizeof(NodeId);
+  // A version is a 16-byte header (older; seq and length in one word)
+  // plus its ids.
+  constexpr std::int64_t kVersionBytes = 16 + 3 * sizeof(NodeId);
   EXPECT_EQ(freed, 6 * kVersionBytes)
       << "the first publish after the last unpin must free exactly the "
          "six replaced versions";
   EXPECT_EQ(rows.versions(), rows.num_rows());
+  // Freed blocks stay in the pool for the next versions.
+  EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed), raw_before)
+      << "a reclamation handed blocks back to operator delete";
 
   // The same rule through the service: a pin held across two publishes
   // keeps their replaced versions; the first publish after its release
@@ -650,6 +693,70 @@ TEST(FrozenRowTableTest, DeleteReinsertRepublishesReorderedOutRow) {
 
 TEST(FrozenRowTableTest, DeleteReinsertRepublishesReorderedInRow) {
   ExpectDeleteReinsertRepublishesItsRows<IncrementalSalsa>();
+}
+
+/// After churn windows, each memory-ledger gauge reads what its
+/// structure's accessor reads: the slab stripes (shard s, pool p at
+/// s * kNumPools + p) and the row-table stripes (segments, out, in).
+template <typename EngineT>
+void ExpectLedgerGaugesMatchStructures() {
+  using Store = typename EngineT::Store;
+  const std::size_t n = 500;
+  const std::size_t S = 2;
+  const auto edges = PowerLawEdges(n, 6, 83);
+  MonteCarloOptions mc;
+  mc.walks_per_node = 3;
+  mc.epsilon = 0.2;
+  mc.seed = 89;
+  ShardedEngine<EngineT> engine(n, mc, ShardedOptions{S, 2});
+  ASSERT_TRUE(engine.ApplyEvents(Inserts(edges)).ok());
+  QueryService<EngineT> service(&engine);
+  Churn churn(&edges, 5);
+  for (std::size_t w = 0; w < 6; ++w) {
+    ASSERT_TRUE(service.Ingest(churn.Next()).ok());
+  }
+  service.Quiesce();
+
+  const obs::EngineMetrics& om = engine.metric_handles();
+  ASSERT_EQ(om.slab_used_bytes->stripes(), S * Store::kNumPools);
+  std::size_t stripe = 0;
+  std::size_t dead = 0;
+  for (std::size_t s = 0; s < S; ++s) {
+    engine.shard(s).walk_store().ForEachPool([&](const slab::SlabPool& pool) {
+      EXPECT_EQ(om.slab_used_bytes->Value(stripe), pool.used_bytes())
+          << "stripe " << stripe;
+      EXPECT_EQ(om.slab_dead_bytes->Value(stripe), pool.dead_bytes())
+          << "stripe " << stripe;
+      EXPECT_EQ(om.slab_reserved_bytes->Value(stripe), pool.reserved_bytes())
+          << "stripe " << stripe;
+      EXPECT_GT(pool.used_bytes(), 0u) << "stripe " << stripe;
+      dead += pool.dead_bytes();
+      ++stripe;
+    });
+  }
+  EXPECT_EQ(stripe, S * Store::kNumPools);
+  EXPECT_GT(dead, 0u) << "the churn relocated no slab row";
+
+  const VersionedRows* tables[] = {&service.segment_table(),
+                                   &service.out_table(), &service.in_table()};
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(om.rows_live_bytes->Value(t), tables[t]->pool().live_bytes())
+        << "table " << t;
+    EXPECT_EQ(om.rows_held_bytes->Value(t), tables[t]->pool().held_bytes())
+        << "table " << t;
+    EXPECT_GE(tables[t]->pool().held_bytes(), tables[t]->pool().live_bytes());
+  }
+  EXPECT_GT(om.rows_live_bytes->Value(0), 0u);
+  EXPECT_EQ(om.rows_live_bytes->Value(2) > 0,
+            EngineT::WalkSteps::kSides > 1);
+}
+
+TEST(MemoryLedgerTest, PageRankGaugesMatchStructures) {
+  ExpectLedgerGaugesMatchStructures<IncrementalPageRank>();
+}
+
+TEST(MemoryLedgerTest, SalsaGaugesMatchStructures) {
+  ExpectLedgerGaugesMatchStructures<IncrementalSalsa>();
 }
 
 TEST(QueryServiceDeathTest, SecondServiceOnOneEngineAborts) {
