@@ -8,12 +8,26 @@
 namespace fastppr {
 
 std::shared_ptr<DiGraph> LoadInitialGraph(const DiGraph& initial) {
-  auto graph = std::make_shared<DiGraph>(initial.num_nodes());
-  for (NodeId u = 0; u < initial.num_nodes(); ++u) {
-    for (NodeId v : initial.OutNeighbors(u)) {
-      FASTPPR_CHECK(graph->AddEdge(u, v).ok());
+  const std::size_t n = initial.num_nodes();
+  std::vector<uint32_t> degrees(n);
+  std::vector<NodeId> ids;
+  std::vector<uint32_t> twins;
+  ids.reserve(initial.num_edges());
+  twins.reserve(initial.num_edges());
+  // Each in-row ranks its sources ascending, parallel copies in
+  // out-slot order: the order one AddEdge per edge by ascending source
+  // would produce, with the epoch such a replay would end on.
+  std::vector<uint32_t> in_rank(n, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    degrees[u] = static_cast<uint32_t>(initial.OutDegree(u));
+    for (const NodeId v : initial.OutNeighbors(u)) {
+      ids.push_back(v);
+      twins.push_back(in_rank[v]++);
     }
   }
+  auto graph = std::make_shared<DiGraph>(n);
+  FASTPPR_CHECK(
+      graph->AssignOutRows(degrees, ids, twins, initial.num_edges()));
   return graph;
 }
 
@@ -42,6 +56,8 @@ BasicIncrementalEngine<Steps>::BasicIncrementalEngine(
     : options_(opts), graph_(std::move(graph)),
       rng_(opts.seed ^ Steps::kRngSalt) {
   FASTPPR_CHECK(graph_ != nullptr);
+  walks_.Configure(opts.walks_per_node, opts.epsilon, opts.shard_index,
+                   opts.shard_count);
   walks_.set_update_policy(opts.update_policy);
 }
 

@@ -35,12 +35,12 @@ struct MonteCarloOptions {
   uint32_t shard_count = 1;
 };
 
-/// The engines' initial load: a graph over `initial`'s nodes that holds
-/// its edges, re-added by ascending source in slot order into an empty
-/// DiGraph. Never a copy: `initial`'s in-slot order and arena layout
-/// follow its own mutation history, while this load fixes them for
-/// every caller, so the graph bytes, SALSA's backward draws and every
-/// RNG stream depend only on `initial`'s out-rows.
+/// The engines' initial load: a graph over `initial`'s nodes with its
+/// out-rows in slot order, laid out exact-fit (DiGraph::AssignOutRows)
+/// with every in-row ranked by ascending source. Never a copy:
+/// `initial`'s in-slot order follows its own mutation history, while
+/// this load fixes it for every caller, so SALSA's backward draws and
+/// every RNG stream depend only on `initial`'s out-rows.
 std::shared_ptr<DiGraph> LoadInitialGraph(const DiGraph& initial);
 
 /// The paper's incremental system (Section 2): a DiGraph holding the
@@ -79,7 +79,8 @@ class BasicIncrementalEngine {
   /// Recovery construction (store/checkpoint.h): attaches to the graph
   /// WITHOUT generating walk segments — the caller's LoadFrom replaces
   /// every member immediately, so the nR/eps generation cost would be
-  /// pure waste. Useless outside recovery: the walk store starts empty.
+  /// pure waste. Useless outside recovery: the walk store starts empty,
+  /// configured with `opts`' parameters for LoadFrom to check against.
   struct ForRecovery {};
   BasicIncrementalEngine(ForRecovery, std::shared_ptr<DiGraph> graph,
                          const MonteCarloOptions& opts);
@@ -175,18 +176,18 @@ class BasicIncrementalEngine {
     w->Pod(arrivals_);
     w->Pod(removals_);
   }
+  /// Restores SaveTo's state over the already restored shared graph; a
+  /// ForRecovery engine's store checks the saved parameters against
+  /// this engine's options.
   template <typename Src>
   bool LoadFrom(Src* r) {
     std::array<uint64_t, 4> rng_state{};
-    if (!walks_.LoadFrom(r) || !r->Pod(&rng_state) ||
+    if (!walks_.LoadFrom(r, *graph_) || !r->Pod(&rng_state) ||
         !r->Pod(&last_stats_) || !r->Pod(&lifetime_stats_) ||
         !r->Pod(&arrivals_) || !r->Pod(&removals_)) {
       return false;
     }
     rng_.SetState(rng_state);
-    if (walks_.num_nodes() != graph_->num_nodes()) {
-      return r->Fail("walk store and graph disagree on node count");
-    }
     return true;
   }
 

@@ -56,6 +56,7 @@
 // mutates and repairs each window in exactly the same order).
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -506,9 +507,7 @@ class ShardedEngine {
       return Status::Corruption(
           "checkpoint was written by a different engine type");
     }
-    if (manifest.num_shards == 0 ||
-        manifest.update_policy >
-            static_cast<uint8_t>(UpdatePolicy::kRedoFromSource)) {
+    if (!ManifestFitsBody(manifest, body.size())) {
       return Status::Corruption("checkpoint manifest values out of range");
     }
 
@@ -525,7 +524,7 @@ class ShardedEngine {
     std::unique_ptr<ShardedEngine> engine(new ShardedEngine(
         typename Engine::ForRecovery{},
         static_cast<std::size_t>(manifest.num_nodes), opts, sharding));
-    FASTPPR_RETURN_IF_ERROR(engine->RestoreFrom(&r));
+    FASTPPR_RETURN_IF_ERROR(engine->RestoreFrom(&r, manifest.next_window));
     if (info) {
       *info = RecoveryInfo{};
       info->checkpoint_window =
@@ -570,6 +569,29 @@ class ShardedEngine {
   }
 
  private:
+  /// Whether a checkpoint manifest describes an engine this body could
+  /// hold, checked before anything is allocated from it: R >= 1, eps in
+  /// (0, 1), a known policy, and n, R and S no larger than the body
+  /// leaves room for. Each node writes at least its out-degree, each
+  /// owned segment at least its length, end reason and source, and each
+  /// shard at least its two RNG states and a row size per node and
+  /// index pool. Every quotient is taken before a product, so no garbage
+  /// value overflows.
+  static bool ManifestFitsBody(const DurableManifest& m, uint64_t bytes) {
+    constexpr uint64_t kSides = Engine::WalkSteps::kSides;
+    const uint64_t n = m.num_nodes;
+    const uint64_t spn = kSides * m.walks_per_node;
+    const uint64_t per_shard =
+        2 * sizeof(std::array<uint64_t, 4>) + 2 * kSides * 4 * n;
+    return m.walks_per_node >= 1 && m.epsilon > 0.0 && m.epsilon < 1.0 &&
+           m.update_policy <=
+               static_cast<uint8_t>(UpdatePolicy::kRedoFromSource) &&
+           m.num_shards >= 1 && n <= bytes / 4 &&
+           m.walks_per_node <= bytes &&
+           (n == 0 || spn <= bytes / (9 * n)) &&
+           m.num_shards <= bytes / per_shard;
+  }
+
   static std::size_t ResolveThreads(const ShardedOptions& sharding) {
     FASTPPR_CHECK(sharding.num_shards >= 1);
     if (sharding.num_threads != 0) return sharding.num_threads;
@@ -784,12 +806,18 @@ class ShardedEngine {
     for (const auto& shard : shards_) shard->SaveTo(w);
   }
 
-  Status RestoreFrom(ArenaReader* r) {
+  /// Restores SerializeTo's state; `next_window` is the manifest's,
+  /// which the writer set to the same window counter.
+  Status RestoreFrom(ArenaReader* r, uint64_t next_window) {
     uint64_t windows = 0;
     uint64_t shard_count = 0;
-    if (!r->Pod(&windows) || !graph_->LoadFrom(r) ||
-        !r->Pod(&shard_count)) {
-      return r->ToStatus("checkpoint body");
+    if (!r->Pod(&windows)) return r->ToStatus("checkpoint body");
+    if (windows != next_window) {
+      return Status::Corruption(
+          "checkpoint window counter disagrees with manifest");
+    }
+    if (!graph_->LoadFrom(r) || !r->Pod(&shard_count)) {
+      return r->ToStatus("checkpoint graph");
     }
     if (shard_count != shards_.size()) {
       return Status::Corruption(

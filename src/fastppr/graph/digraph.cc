@@ -305,6 +305,66 @@ Status DiGraph::RemoveEdge(NodeId src, NodeId dst) {
   return Status::OK();
 }
 
+bool DiGraph::LayOut(Side* side, std::span<const uint32_t> degrees) {
+  *side = Side{};
+  side->refs.resize(degrees.size());
+  uint64_t total = 0;
+  for (std::size_t v = 0; v < degrees.size(); ++v) {
+    if (degrees[v] == 0) continue;
+    BlockRef& ref = side->refs[v];
+    ref.off = static_cast<uint32_t>(total);
+    ref.deg = degrees[v];
+    ref.cls = ClassFor(degrees[v]);
+    total += ClassSlots(ref.cls);
+    if (total > std::numeric_limits<uint32_t>::max()) return false;
+  }
+  side->arena_size = static_cast<uint32_t>(total);
+  side->ids.assign(total, kInvalidNode);
+  side->twin_lo.assign(total, 0);
+  side->twin_hi.assign(total, 0);
+  return true;
+}
+
+bool DiGraph::AssignOutRows(std::span<const uint32_t> out_degrees,
+                            std::span<const NodeId> ids,
+                            std::span<const uint32_t> twins,
+                            uint64_t epoch) {
+  const std::size_t n = out_degrees.size();
+  uint64_t edges = 0;
+  for (const uint32_t d : out_degrees) {
+    if (d > kMaxDegree) return false;
+    edges += d;
+  }
+  if (ids.size() != edges || twins.size() != edges) return false;
+  std::vector<uint32_t> in_degrees(n, 0);
+  for (const NodeId v : ids) {
+    if (v >= n || in_degrees[v] == kMaxDegree) return false;
+    ++in_degrees[v];
+  }
+  if (!LayOut(&out_, out_degrees) || !LayOut(&in_, in_degrees)) return false;
+  std::size_t i = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const BlockRef& out = out_.refs[u];
+    for (uint32_t p = 0; p < out.deg; ++p, ++i) {
+      const NodeId v = ids[i];
+      const uint32_t twin = twins[i];
+      const BlockRef& in = in_.refs[v];
+      // Every in-slot is claimed exactly once: the twins of v's
+      // in-degree many out-slots must be a permutation of its row.
+      if (twin >= in.deg || in_.ids[in.off + twin] != kInvalidNode) {
+        return false;
+      }
+      out_.ids[out.off + p] = v;
+      out_.SetTwin(out.off + p, twin);
+      in_.ids[in.off + twin] = u;
+      in_.SetTwin(in.off + twin, p);
+    }
+  }
+  num_edges_ = static_cast<std::size_t>(edges);
+  epoch_ = epoch;
+  return true;
+}
+
 bool DiGraph::HasEdge(NodeId src, NodeId dst) const {
   if (src >= num_nodes() || dst >= num_nodes()) return false;
   const auto outs = OutNeighbors(src);

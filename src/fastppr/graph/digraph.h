@@ -80,6 +80,9 @@
 // from the out-list and back-fills the hole with the last slot; the
 // in-list removes the *twin* of that occurrence, the same swap-remove.
 // A delete and re-insert of one edge therefore reorders both rows.
+// Slot order and the twin pairing are the graph's whole state: a
+// checkpoint writes them (SaveTo), and blocks, free lists and offsets
+// are the allocator's alone.
 
 #include <algorithm>
 #include <bit>
@@ -214,30 +217,59 @@ class DiGraph {
   /// arena); test-only, aborts via FASTPPR_CHECK on violation.
   void CheckConsistency() const;
 
-  /// Serializes the graph verbatim — both sides' SoA columns (including
-  /// deterministic bytes in parked free blocks), block tables, free
-  /// lists, class masks and the epoch — so a restored graph is
-  /// bit-identical: same canonical slot order, same future allocator
-  /// decisions (DESIGN.md §8). `Sink` is store/arena_io.h's ArenaWriter
-  /// or store/checkpoint.h's FramedFileSink, `Src` an ArenaReader;
+  /// Lays the graph out from its out-rows, both sides exact-fit: each
+  /// node's block is the smallest class that holds its row, packed in
+  /// node order with no free block. Node u's out-row is the next
+  /// out_degrees[u] entries of `ids`, and twins[i] is out-slot i's
+  /// position in its target's in-row; the in-rows are rebuilt from the
+  /// twins. Slot order and the twin pairing are all that decides
+  /// neighbour draws and RemoveEdge's back-fill, so a graph laid out
+  /// from another's rows behaves identically whatever either's
+  /// allocation history. Returns false if an id, degree or twin is out
+  /// of range or two out-slots claim one in-slot (the graph is then
+  /// unspecified); never crashes on garbage input.
+  bool AssignOutRows(std::span<const uint32_t> out_degrees,
+                     std::span<const NodeId> ids,
+                     std::span<const uint32_t> twins, uint64_t epoch);
+
+  /// Serializes the graph as rows (DESIGN.md §8): the epoch, every
+  /// node's out-degree, the out-rows' neighbour ids in slot order, then
+  /// each out-slot's twin. No offset, capacity or free list: the layout
+  /// is the allocator's. `Sink` is store/arena_io.h's ArenaWriter or
+  /// store/checkpoint.h's FramedFileSink, `Src` an ArenaReader;
   /// templated so graph/ stays independent of store/.
   template <typename Sink>
   void SaveTo(Sink* w) const {
-    w->Pod(static_cast<uint64_t>(num_edges_));
     w->Pod(epoch_);
-    SaveSide(out_, w);
-    SaveSide(in_, w);
+    for (const BlockRef& ref : out_.refs) {
+      w->Pod(static_cast<uint32_t>(ref.deg));
+    }
+    for (NodeId u = 0; u < num_nodes(); ++u) w->Span(OutNeighbors(u));
+    std::vector<uint32_t> twins;  // one row at a time
+    for (const BlockRef& ref : out_.refs) {
+      twins.resize(ref.deg);
+      for (uint32_t p = 0; p < ref.deg; ++p) {
+        twins[p] = out_.Twin(ref.off + p);
+      }
+      w->Span(std::span<const uint32_t>(twins));
+    }
   }
 
-  /// Restores SaveTo state. Returns false (caller maps to Corruption)
-  /// on truncation or grossly inconsistent geometry; never crashes on
-  /// garbage input.
+  /// Restores SaveTo's rows over this graph's num_nodes() nodes through
+  /// AssignOutRows. Returns false (caller maps to Corruption) on
+  /// truncation or rows no writer could have produced.
   template <typename Src>
   bool LoadFrom(Src* r) {
+    uint64_t epoch = 0;
+    std::vector<uint32_t> degrees;
+    if (!r->Pod(&epoch) || !r->Append(num_nodes(), &degrees)) return false;
     uint64_t edges = 0;
-    if (!r->Pod(&edges) || !r->Pod(&epoch_)) return false;
-    num_edges_ = static_cast<std::size_t>(edges);
-    return LoadSide(&out_, r) && LoadSide(&in_, r);
+    for (const uint32_t d : degrees) edges += d;
+    std::vector<NodeId> ids;
+    std::vector<uint32_t> twins;
+    if (!r->Append(edges, &ids) || !r->Append(edges, &twins)) return false;
+    return AssignOutRows(degrees, ids, twins, epoch) ||
+           r->Fail("adjacency rows out of range or twins unpaired");
   }
 
  private:
@@ -312,53 +344,10 @@ class DiGraph {
     return count;
   }
 
-  template <typename Sink>
-  static void SaveSide(const Side& side, Sink* w) {
-    w->Vec(side.ids);
-    w->Vec(side.twin_lo);
-    w->Vec(side.twin_hi);
-    w->Vec(side.refs);
-    for (const auto& list : side.free_lists) w->Vec(list);
-    w->Pod(side.class_mask[0]);
-    w->Pod(side.class_mask[1]);
-    w->Pod(side.arena_size);
-    w->Pod(static_cast<uint64_t>(side.free_slots));
-    w->Pod(static_cast<uint64_t>(side.coalesce_trigger));
-  }
-
-  template <typename Src>
-  static bool LoadSide(Side* side, Src* r) {
-    if (!r->Vec(&side->ids) || !r->Vec(&side->twin_lo) ||
-        !r->Vec(&side->twin_hi) || !r->Vec(&side->refs)) {
-      return false;
-    }
-    for (auto& list : side->free_lists) {
-      if (!r->Vec(&list)) return false;
-    }
-    uint64_t free_slots = 0, trigger = 0;
-    if (!r->Pod(&side->class_mask[0]) || !r->Pod(&side->class_mask[1]) ||
-        !r->Pod(&side->arena_size) || !r->Pod(&free_slots) ||
-        !r->Pod(&trigger)) {
-      return false;
-    }
-    side->free_slots = static_cast<std::size_t>(free_slots);
-    side->coalesce_trigger = static_cast<std::size_t>(trigger);
-    if (side->ids.size() != side->twin_lo.size() ||
-        side->ids.size() != side->twin_hi.size() ||
-        side->arena_size > side->ids.size()) {
-      return r->Fail("adjacency side columns disagree on arena size");
-    }
-    for (const BlockRef& ref : side->refs) {
-      if (ref.cls == kNoClass) continue;
-      if (ref.cls >= kNumClasses ||
-          static_cast<uint64_t>(ref.off) + ClassSlots(ref.cls) >
-              side->arena_size ||
-          ref.deg > ClassSlots(ref.cls)) {
-        return r->Fail("adjacency block outside its arena");
-      }
-    }
-    return true;
-  }
+  /// Resets `side` to one exact-fit block per node with a nonzero
+  /// degree, packed in node order; every slot holds kInvalidNode until
+  /// written. False if the blocks exceed the arena's 2^32 slots.
+  static bool LayOut(Side* side, std::span<const uint32_t> degrees);
 
   /// Moves node v's block to class `cls`, preserving slot order.
   static void Relocate(Side* side, NodeId v, uint32_t cls);

@@ -83,8 +83,7 @@ class AdmissionQueue {
   /// Admits `*item` (moved from only on kQueued — a rejected caller
   /// still holds the request to answer) unless the queue is full or
   /// closed. On kFull sets `*retry_after_ns` to the backlog's estimated
-  /// drain time — the client-side backoff helper (serve/retry.h) treats
-  /// it as a floor. kClosed sets no hint: shutdown is not overload.
+  /// drain time. kClosed sets no hint: shutdown is not overload.
   EnqueueOutcome TryEnqueue(T* item, uint64_t* retry_after_ns = nullptr) {
     const uint64_t now = options_.clock();
     std::lock_guard<std::mutex> lock(mu_);

@@ -96,8 +96,7 @@ struct Response {
   bool degraded() const { return degrade != DegradeLevel::kFull; }
 
   /// Shed only: wait at least this long before retrying (the
-  /// admission queue's backlog-drain estimate; serve/retry.h treats it
-  /// as a floor under the jittered backoff).
+  /// admission queue's backlog-drain estimate).
   uint64_t retry_after_ns = 0;
 
   /// Which snapshot epochs the answer was computed from, and where the

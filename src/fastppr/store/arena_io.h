@@ -1,14 +1,18 @@
 #ifndef FASTPPR_STORE_ARENA_IO_H_
 #define FASTPPR_STORE_ARENA_IO_H_
 
-// Flat byte (de)serialization of the SoA arenas (see DESIGN.md §8).
+// Flat byte (de)serialization of engine state (see DESIGN.md §8).
 //
-// The slab stores are already structure-of-arrays: a checkpoint of an
-// engine is nothing but the concatenation of its flat columns plus a
-// handful of scalars (RNG state, counters, epoch). Every SaveTo is a
-// template over its sink, which takes trivially-copyable values (Pod)
-// and whole vectors (Vec) as raw little-endian bytes. ArenaWriter is
-// the in-memory sink: it collects them into one byte vector, the body
+// A checkpoint body is the engine's logical rows in their deterministic
+// order — the graph's out-rows with their twins, every owned walk
+// segment's node ids, every index row's (segment, position) entries —
+// plus a handful of scalars (RNG states, counters, epoch). It never
+// holds an arena: spare capacity, dead spans, free lists and offsets
+// are the allocators' business, so the format and the bit-identity
+// oracle do not change when the layout does. Every SaveTo is a template
+// over its sink, which takes trivially-copyable values (Pod) and runs
+// of them (Span) as raw little-endian bytes. ArenaWriter is the
+// in-memory sink: it collects them into one byte vector, the body
 // SerializeState() returns as the bit-identity oracle and the payload
 // of a WAL record. A checkpoint never builds that vector: the same
 // calls stream into the file through store/checkpoint.h's
@@ -18,21 +22,22 @@
 // garbage-length body surfaces as Status::Corruption — never a crash or
 // a multi-gigabyte allocation.
 //
-// The encoding is the in-memory representation (same-architecture,
-// same-build restore — the recovery use case). Integrity is guarded one
-// level up: every WAL record and checkpoint body carries a CRC32C
-// (store/wal.h, store/checkpoint.h), so by the time an ArenaReader
-// parses bytes they are already checksum-verified; reader-side bounds
-// checks exist to catch version/logic drift loudly, not flipped bits.
+// Values keep the host's byte order (same-architecture restore — the
+// recovery use case). Integrity is guarded one level up: every WAL
+// record and checkpoint body carries a CRC32C (store/wal.h,
+// store/checkpoint.h), so by the time an ArenaReader parses bytes they
+// are already checksum-verified. The loaders still check every id,
+// length and pairing against what a writer could have produced, so a
+// CRC-valid body that no writer made is Corruption too.
 //
 // Struct values serialized through Pod() must not contain padding bytes
 // (padding is indeterminate memory: it would leak garbage into the CRC
-// and break the bit-identical-recovery oracle). Vec() elements are
-// likewise raw-copied; every persisted struct in this codebase is
-// padding-free by construction (static_asserted at its definition).
+// and break the bit-identical-recovery oracle); every persisted struct
+// is padding-free by construction (static_asserted at its definition).
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -52,13 +57,13 @@ class ArenaSink {
     static_cast<Sink*>(this)->Bytes(&value, sizeof(T));
   }
 
-  /// u64 element count, then the elements as raw bytes.
+  /// The elements as raw bytes, no count: the reader knows it from
+  /// what it read before.
   template <typename T>
-  void Vec(const std::vector<T>& v) {
+  void Span(std::span<const T> run) {
     static_assert(std::is_trivially_copyable_v<T>);
-    Pod(static_cast<uint64_t>(v.size()));
-    if (!v.empty()) {
-      static_cast<Sink*>(this)->Bytes(v.data(), v.size() * sizeof(T));
+    if (!run.empty()) {
+      static_cast<Sink*>(this)->Bytes(run.data(), run.size_bytes());
     }
   }
 };
@@ -94,22 +99,21 @@ class ArenaReader {
     return true;
   }
 
+  /// Reads `count` elements written by Span and appends them to `*v`.
   template <typename T>
-  bool Vec(std::vector<T>* v) {
+  bool Append(uint64_t count, std::vector<T>* v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t count = 0;
-    if (!Pod(&count)) return false;
     // Bound BEFORE allocating: a garbage count must not OOM the
     // recovery process.
+    if (!ok_) return false;
     if (count > (size_ - pos_) / sizeof(T)) {
-      return Fail("vector length exceeds remaining bytes");
+      return Fail("row length exceeds remaining bytes");
     }
-    v->resize(static_cast<std::size_t>(count));
-    if (count > 0) {
-      std::memcpy(v->data(), data_ + pos_,
-                  static_cast<std::size_t>(count) * sizeof(T));
-      pos_ += static_cast<std::size_t>(count) * sizeof(T);
-    }
+    const std::size_t at = v->size();
+    const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
+    v->resize(at + static_cast<std::size_t>(count));
+    if (bytes > 0) std::memcpy(v->data() + at, data_ + pos_, bytes);
+    pos_ += bytes;
     return true;
   }
 

@@ -4,13 +4,14 @@
 // Atomic checkpoint files for the durability layer (DESIGN.md §8).
 //
 // A checkpoint is one framed file holding the engine's complete state —
-// the DurableManifest followed by the flat SoA arena dump produced by
-// the SaveTo chain (ShardedEngine -> DiGraph -> per shard engine ->
-// walk-store slab pools). The chain streams into the
-// file through a FramedFileSink: no copy of the body is ever built in
-// memory. The body goes to `<path>.tmp` behind a 24-byte gap, the header
-// is written into the gap last (its length and CRC are known only once
-// the body is out), and the file is fsync'd, atomically renamed over
+// the DurableManifest followed by the logical rows the SaveTo chain
+// writes (ShardedEngine -> DiGraph's out-rows and twins -> per shard
+// engine -> walk store's segments and index rows), never an arena. The
+// chain streams into the file row by row through a FramedFileSink: no
+// copy of the body, or of a column, is ever built in memory. The body
+// goes to `<path>.tmp` behind a 24-byte gap, the header is written into
+// the gap last (its length and CRC are known only once the body is
+// out), and the file is fsync'd, atomically renamed over
 // `path`, and the parent directory fsync'd — so the file named `path` is
 // always a COMPLETE checkpoint: old or new, never torn. Torn-tail
 // tolerance therefore belongs to the WAL alone; here every deviation
@@ -34,21 +35,23 @@
 namespace fastppr {
 
 inline constexpr uint64_t kCheckpointMagic = 0x4641535443484B31ull;  // FASTCHK1
-/// Bumped whenever a SaveTo column layout changes, so that a file in
-/// another layout is refused as Corruption instead of misparsed.
-inline constexpr uint32_t kCheckpointVersion = 3;
+/// Bumped whenever the SaveTo chain's encoding changes, so that a file
+/// in another encoding is refused as Corruption instead of misparsed.
+/// Version 4 writes rows, not arenas: a layout change in the allocators
+/// no longer bumps it.
+inline constexpr uint32_t kCheckpointVersion = 4;
 
 /// Canonical file names inside a durability directory.
 inline constexpr const char* kCheckpointFileName = "checkpoint.fppr";
 inline constexpr const char* kWalFileName = "wal.log";
 
 /// The body side of WriteFramedFile: the sink the SaveTo chain writes
-/// into (ArenaWriter's Pod/Vec encoding, store/arena_io.h), streaming
+/// into (ArenaWriter's Pod/Span encoding, store/arena_io.h), streaming
 /// into the tmp file. Every run of bytes extends the body's CRC32C and
-/// goes to the file: small fields through a staging buffer of at most
-/// 1 MiB, whole arena columns straight from their vectors. The first
-/// write error sticks: later calls write nothing, and Commit returns
-/// it. WriteFramedFile drives Open and Commit; callers use it.
+/// goes to the file: rows and fields through a staging buffer of at
+/// most 1 MiB, a run larger than that straight from its memory. The
+/// first write error sticks: later calls write nothing, and Commit
+/// returns it. WriteFramedFile drives Open and Commit; callers use it.
 class FramedFileSink : public ArenaSink<FramedFileSink> {
  public:
   FramedFileSink() = default;

@@ -53,12 +53,13 @@ constexpr uint64_t WithLo(uint64_t word, uint32_t lo) {
 /// raw offsets — so relocation and compaction are invisible to callers.
 ///
 /// The arena reserves room up to the compaction point, twice the rows'
-/// capacity, whenever it is laid out (reset, load, compaction): relocations
+/// capacity, whenever it is laid out (reset, compaction): relocations
 /// then append inside the reservation instead of reallocating and
 /// copying the arena and leaving the old buffer behind. Untouched
-/// reserved pages cost address space, not resident memory. The
-/// reservation is not state: SaveTo writes the arena's words, never its
-/// capacity.
+/// reserved pages cost address space, not resident memory. None of the
+/// layout is state: a checkpoint writes the rows' words in row order
+/// (store/walk_store.h), and loading lays them out through
+/// ResetWithCapacities like a fresh store.
 class SlabPool {
  public:
   /// One row per entry of `sizes`, laid out back-to-back (size 0, ready
@@ -140,46 +141,12 @@ class SlabPool {
     w = WithLo(w, lo);
   }
 
-  /// Serializes the pool verbatim — arena (including deterministic dead
-  /// words), row table, dead counter — so a restored pool is
-  /// bit-identical: identical row placement, identical future
-  /// relocation/compaction decisions (DESIGN.md §8). `Sink` is
-  /// ArenaWriter or FramedFileSink (templated to keep this header free
-  /// of store/arena_io and store/checkpoint).
-  template <typename Sink>
-  void SaveTo(Sink* w) const {
-    w->Vec(data_);
-    w->Vec(rows_);
-    w->Pod(dead_);
-  }
-
-  /// Restores SaveTo state. Returns false (reader failed, caller maps to
-  /// Corruption) on truncation or a row table that does not tile into
-  /// the arena; never crashes on garbage input.
-  template <typename Src>
-  bool LoadFrom(Src* r) {
-    if (!r->Vec(&data_) || !r->Vec(&rows_) || !r->Pod(&dead_)) return false;
-    if (dead_ > data_.size()) {
-      return r->Fail("slab dead words past its arena");
-    }
-    for (const Row& row : rows_) {
-      if (row.size > row.cap || row.off > data_.size() ||
-          row.cap > data_.size() - row.off) {
-        return r->Fail("slab row outside its arena");
-      }
-    }
-    data_.reserve(kHeadroom * (data_.size() - dead_));
-    return true;
-  }
-
  private:
   struct Row {
     uint64_t off = 0;
     uint32_t size = 0;
     uint32_t cap = 0;
   };
-  // Serialized raw (SaveTo/LoadFrom): must stay padding-free.
-  static_assert(sizeof(Row) == 16);
 
   /// Arena capacity per word of row capacity: the compaction point.
   static constexpr uint64_t kHeadroom = 2;

@@ -29,14 +29,8 @@ void BasicWalkStore<Steps>::Init(const DiGraph& g,
                                  std::size_t walks_per_node, double epsilon,
                                  uint64_t seed, uint32_t shard_index,
                                  uint32_t shard_count) {
-  FASTPPR_CHECK(walks_per_node >= 1);
-  FASTPPR_CHECK(epsilon > 0.0 && epsilon < 1.0);
-  FASTPPR_CHECK(shard_count >= 1 && shard_index < shard_count);
-  walks_per_node_ = walks_per_node;
-  epsilon_ = epsilon;
+  Configure(walks_per_node, epsilon, shard_index, shard_count);
   rng_ = Rng(seed);
-  shard_index_ = shard_index;
-  shard_count_ = shard_count;
 
   const std::size_t n = g.num_nodes();
   const std::size_t spn = segments_per_node();
@@ -85,9 +79,23 @@ void BasicWalkStore<Steps>::Init(const DiGraph& g,
 }
 
 template <typename Steps>
-void BasicWalkStore<Steps>::BuildFromFlatPaths(
+void BasicWalkStore<Steps>::Configure(std::size_t walks_per_node,
+                                      double epsilon, uint32_t shard_index,
+                                      uint32_t shard_count) {
+  FASTPPR_CHECK(walks_per_node >= 1);
+  FASTPPR_CHECK(epsilon > 0.0 && epsilon < 1.0);
+  FASTPPR_CHECK(shard_count >= 1 && shard_index < shard_count);
+  walks_per_node_ = walks_per_node;
+  epsilon_ = epsilon;
+  shard_index_ = shard_index;
+  shard_count_ = shard_count;
+}
+
+template <typename Steps>
+bool BasicWalkStore<Steps>::BuildFromFlatPaths(
     std::size_t n, const std::vector<NodeId>& nodes,
-    const std::vector<uint32_t>& lengths, const std::vector<uint8_t>& ends) {
+    const std::vector<uint32_t>& lengths, const std::vector<uint8_t>& ends,
+    const IndexRows* rows) {
   const std::size_t num_segs = lengths.size();
   seg_end_ = ends;
   for (uint32_t s = 0; s < kSides; ++s) {
@@ -95,37 +103,36 @@ void BasicWalkStore<Steps>::BuildFromFlatPaths(
     total_visits_[s] = 0;
   }
 
-  // Count exact per-node index rows so the pools are laid out dense.
-  std::array<std::vector<uint32_t>, kSides> step_count;
-  std::array<std::vector<uint32_t>, kSides> dang_count;
-  for (uint32_t s = 0; s < kSides; ++s) {
-    step_count[s].assign(n, 0);
-    dang_count[s].assign(n, 0);
-  }
-  {
+  // Exact per-node index rows, so the pools are laid out dense: counted
+  // from the paths, or the saved rows' sizes.
+  if (rows == nullptr) {
+    std::array<std::vector<uint32_t>, kIndexPools> sizes;
+    for (std::vector<uint32_t>& row_sizes : sizes) row_sizes.assign(n, 0);
     std::size_t at = 0;
     for (std::size_t seg = 0; seg < num_segs; ++seg) {
       const uint32_t len = lengths[seg];
       uint32_t side = StartSide(seg);
       for (uint32_t p = 0; p + 1 < len; ++p) {
-        ++step_count[side][nodes[at + p]];
+        ++sizes[side][nodes[at + p]];
         side = NextSide<Steps>(side);
       }
       if (ends[seg] != kEndReset) {
-        ++dang_count[Fold(ends[seg] - 1u)][nodes[at + len - 1]];
+        ++sizes[kSides + Fold(ends[seg] - 1u)][nodes[at + len - 1]];
       }
       at += len;
     }
-  }
-  for (uint32_t s = 0; s < kSides; ++s) {
-    steps_[s].ResetWithCapacities(step_count[s]);
-  }
-  for (uint32_t s = 0; s < kSides; ++s) {
-    dangling_[s].ResetWithCapacities(dang_count[s]);
+    for (uint32_t i = 0; i < kIndexPools; ++i) {
+      IndexPool(i).ResetWithCapacities(sizes[i]);
+    }
+  } else {
+    for (uint32_t i = 0; i < kIndexPools; ++i) {
+      IndexPool(i).ResetWithCapacities(rows->sizes[i]);
+    }
   }
   paths_.ResetWithCapacities(lengths);
 
   std::size_t at = 0;
+  uint64_t step_positions = 0, dangling_tails = 0;
   for (std::size_t seg = 0; seg < num_segs; ++seg) {
     const uint32_t len = lengths[seg];
     FASTPPR_CHECK(len < kNoSlot);  // positions must fit the 24-bit field
@@ -138,18 +145,56 @@ void BasicWalkStore<Steps>::BuildFromFlatPaths(
       ++total_visits_[side];
       side = NextSide<Steps>(side);
     }
-    side = start;
-    for (uint32_t p = 0; p + 1 < len; ++p) {
-      RegisterStep(seg, p, side);
-      side = NextSide<Steps>(side);
-    }
-    if (ends[seg] != kEndReset) {
-      RegisterDangling(seg, len - 1, ends[seg] - 1u);
+    if (rows == nullptr) {
+      side = start;
+      for (uint32_t p = 0; p + 1 < len; ++p) {
+        RegisterStep(seg, p, side);
+        side = NextSide<Steps>(side);
+      }
+      if (ends[seg] != kEndReset) {
+        RegisterDangling(seg, len - 1, ends[seg] - 1u);
+      }
+    } else if (len > 0) {
+      step_positions += len - 1;
+      dangling_tails += ends[seg] != kEndReset ? 1 : 0;
     }
     at += len;
   }
-
   scratch_.ResetSegments(num_segs);
+  if (rows == nullptr) return true;
+
+  // The saved rows, in saved order. An entry must name an unregistered
+  // position of its own side and node: a step entry a non-terminal one,
+  // a dangling entry a tail that ended there. With no duplicate, the
+  // counts then say every such position is registered exactly once.
+  uint64_t entries[2] = {0, 0};
+  for (uint32_t i = 0; i < kIndexPools; ++i) {
+    const bool dangling = i >= kSides;
+    const uint32_t side = dangling ? i - kSides : i;
+    slab::SlabPool& pool = IndexPool(i);
+    std::size_t next = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      for (uint32_t j = 0; j < rows->sizes[i][v]; ++j) {
+        const uint64_t word = rows->words[i][next++];
+        const uint64_t seg = slab::Hi(word);
+        const uint32_t pos = slab::Lo(word);
+        if (seg >= num_segs || pos >= lengths[seg]) return false;
+        const bool terminal = pos + 1 == lengths[seg];
+        const bool kind_ok =
+            dangling ? terminal && End(seg) == DanglingEnd(side)
+                     : !terminal && SideOf(seg, pos) == side;
+        if (!kind_ok || PathNode(seg, pos) != v ||
+            PathSlot(seg, pos) != kNoSlot) {
+          return false;
+        }
+        const uint32_t slot = pool.PushBack(v, word);
+        if (slot >= kNoSlot) return false;
+        SetPathSlot(seg, pos, slot);
+      }
+    }
+    entries[dangling ? 1 : 0] += next;
+  }
+  return entries[0] == step_positions && entries[1] == dangling_tails;
 }
 
 template <typename Steps>

@@ -220,6 +220,12 @@ class BasicWalkStore {
             uint64_t seed, uint32_t shard_index = 0,
             uint32_t shard_count = 1);
 
+  /// Sets the store's parameters without generating segments: Init's
+  /// first step, and the recovery path's, whose LoadFrom then requires
+  /// the saved parameters to match.
+  void Configure(std::size_t walks_per_node, double epsilon,
+                 uint32_t shard_index, uint32_t shard_count);
+
   /// True iff this store owns (stores the segments of) source node `u`.
   bool OwnsSource(NodeId u) const {
     return ShardOfNode(u, shard_count_) == shard_index_;
@@ -336,12 +342,17 @@ class BasicWalkStore {
   /// Aborts via FASTPPR_CHECK on violation.
   void CheckConsistency(const DiGraph& g) const;
 
-  /// Durability hooks (DESIGN.md §8): every behavior-bearing member
-  /// verbatim — path/index slab pools (including dead words, so future
-  /// relocation decisions replay identically), counters, and the
-  /// store's RNG state; the per-side columns follow in side order. The
-  /// transient repair scratch (the last window's plan included) is NOT
-  /// state: no later repair reads it.
+  /// Durability hooks (DESIGN.md §8): the store as rows. The scalars
+  /// and the RNG state; then every owned segment in ascending (source,
+  /// k) as its u32 length, end reason and u32 node ids; then every index
+  /// row (the pools in ForEachPool order, per node) as its u32 size and
+  /// (segment, position) words in row order, which is state: Floyd
+  /// sampling and the break scan consume the RNG in row order
+  /// (CollectPivot). Back-slots, visit counters, totals, the owned
+  /// source count and the rows of unowned segments are derived, and the
+  /// slab layout is the pools' own; none is written. The transient
+  /// repair scratch (the last window's plan included) is NOT state: no
+  /// later repair reads it.
   template <typename Sink>
   void SaveTo(Sink* w) const {
     w->Pod(static_cast<uint64_t>(walks_per_node_));
@@ -350,60 +361,104 @@ class BasicWalkStore {
     w->Pod(rng_.State());
     w->Pod(shard_index_);
     w->Pod(shard_count_);
-    w->Pod(static_cast<uint64_t>(owned_sources_));
-    paths_.SaveTo(w);
-    w->Vec(seg_end_);
-    for (const slab::SlabPool& pool : steps_) pool.SaveTo(w);
-    for (const slab::SlabPool& pool : dangling_) pool.SaveTo(w);
-    for (const std::vector<int64_t>& visits : visits_) w->Vec(visits);
-    for (const int64_t total : total_visits_) w->Pod(total);
+    std::vector<NodeId> ids;  // one segment at a time
+    for (NodeId u = 0; u < num_nodes(); ++u) {
+      if (!OwnsSource(u)) continue;
+      for (std::size_t k = 0; k < segments_per_node(); ++k) {
+        const uint64_t seg = SegId(u, k);
+        const std::span<const uint64_t> words = paths_.RowSpan(seg);
+        w->Pod(static_cast<uint32_t>(words.size()));
+        w->Pod(seg_end_[seg]);
+        ids.resize(words.size());
+        for (std::size_t p = 0; p < words.size(); ++p) {
+          ids[p] = static_cast<NodeId>(slab::Hi(words[p]));
+        }
+        w->Span(std::span<const NodeId>(ids));
+      }
+    }
+    for (uint32_t i = 0; i < kIndexPools; ++i) {
+      const slab::SlabPool& pool = IndexPool(i);
+      for (NodeId v = 0; v < num_nodes(); ++v) {
+        w->Pod(pool.Size(v));
+        w->Span(pool.RowSpan(v));
+      }
+    }
   }
 
-  /// Restores SaveTo state (the checkpoint path — raw trusted-by-CRC
-  /// columns). Returns false on any structural inconsistency; caller
-  /// maps to Corruption.
+  /// Restores SaveTo's rows into a store Configure()d with the manifest's
+  /// parameters, laying them out through BuildFromFlatPaths like Init.
+  /// `g` is the restored graph. Returns false (caller maps to
+  /// Corruption) on truncation, on parameters that disagree with
+  /// Configure's, or on rows no writer could have produced: an id past
+  /// the graph, a segment that does not start at its source, an end
+  /// reason its tail cannot have, or an index entry that does not
+  /// register a position exactly once on its own side and node.
   template <typename Src>
-  bool LoadFrom(Src* r) {
-    uint64_t wpn = 0, owned = 0;
+  bool LoadFrom(Src* r, const DiGraph& g) {
+    uint64_t wpn = 0;
+    double epsilon = 0.0;
     uint8_t policy = 0;
     std::array<uint64_t, 4> rng_state{};
-    if (!r->Pod(&wpn) || !r->Pod(&epsilon_) || !r->Pod(&policy) ||
-        !r->Pod(&rng_state) || !r->Pod(&shard_index_) ||
-        !r->Pod(&shard_count_) || !r->Pod(&owned)) {
+    uint32_t shard_index = 0, shard_count = 0;
+    if (!r->Pod(&wpn) || !r->Pod(&epsilon) || !r->Pod(&policy) ||
+        !r->Pod(&rng_state) || !r->Pod(&shard_index) ||
+        !r->Pod(&shard_count)) {
       return false;
     }
-    walks_per_node_ = static_cast<std::size_t>(wpn);
-    owned_sources_ = static_cast<std::size_t>(owned);
-    if (policy > static_cast<uint8_t>(UpdatePolicy::kRedoFromSource)) {
-      return r->Fail("bad update policy");
+    if (wpn != walks_per_node_ || epsilon != epsilon_ ||
+        policy != static_cast<uint8_t>(policy_) ||
+        shard_index != shard_index_ || shard_count != shard_count_) {
+      return r->Fail("walk store parameters disagree with the manifest");
     }
-    policy_ = static_cast<UpdatePolicy>(policy);
     rng_.SetState(rng_state);
-    if (!paths_.LoadFrom(r) || !r->Vec(&seg_end_)) return false;
-    for (slab::SlabPool& pool : steps_) {
-      if (!pool.LoadFrom(r)) return false;
+    const std::size_t n = g.num_nodes();
+    std::vector<NodeId> nodes;
+    std::vector<uint32_t> lengths(n * segments_per_node(), 0);
+    std::vector<uint8_t> ends(lengths.size(), kEndReset);
+    owned_sources_ = 0;
+    for (NodeId u = 0; u < n; ++u) {
+      if (!OwnsSource(u)) continue;
+      ++owned_sources_;
+      for (std::size_t k = 0; k < segments_per_node(); ++k) {
+        const uint64_t seg = SegId(u, k);
+        uint32_t len = 0;
+        const std::size_t at = nodes.size();
+        if (!r->Pod(&len) || !r->Pod(&ends[seg]) ||
+            !r->Append(len, &nodes)) {
+          return false;
+        }
+        if (len == 0 || len >= kNoSlot || nodes[at] != u) {
+          return r->Fail("walk segment does not start at its source");
+        }
+        for (std::size_t p = at + 1; p < nodes.size(); ++p) {
+          if (nodes[p] >= n) return r->Fail("walk node past the graph");
+        }
+        // A reset fires only before a side-0 step; a dangling tail sits
+        // on its own side, at a node with no edge there.
+        const uint32_t side = SideOf(seg, len - 1);
+        const bool end_ok =
+            ends[seg] == kEndReset
+                ? side == 0
+                : ends[seg] == DanglingEnd(side) &&
+                      SideDegree<Steps>(g, side, nodes.back()) == 0;
+        if (!end_ok) {
+          return r->Fail("walk segment end disagrees with its tail");
+        }
+        lengths[seg] = len;
+      }
     }
-    for (slab::SlabPool& pool : dangling_) {
-      if (!pool.LoadFrom(r)) return false;
+    IndexRows rows;
+    for (uint32_t i = 0; i < kIndexPools; ++i) {
+      rows.sizes[i].resize(n);
+      for (NodeId v = 0; v < n; ++v) {
+        if (!r->Pod(&rows.sizes[i][v]) ||
+            !r->Append(rows.sizes[i][v], &rows.words[i])) {
+          return false;
+        }
+      }
     }
-    for (std::vector<int64_t>& visits : visits_) {
-      if (!r->Vec(&visits)) return false;
-    }
-    for (int64_t& total : total_visits_) {
-      if (!r->Pod(&total)) return false;
-    }
-    const std::size_t n = visits_[0].size();
-    bool geometry = seg_end_.size() == paths_.num_rows() &&
-                    paths_.num_rows() == n * kSides * walks_per_node_;
-    for (uint32_t s = 0; s < kSides; ++s) {
-      geometry = geometry && visits_[s].size() == n &&
-                 steps_[s].num_rows() == n && dangling_[s].num_rows() == n;
-    }
-    if (!geometry) return r->Fail("walk store tables disagree on geometry");
-    // Re-size the transient repair machinery that Init() would normally
-    // set up; a recovered store skips Init entirely.
-    scratch_.ResetSegments(paths_.num_rows());
-    return true;
+    return BuildFromFlatPaths(n, nodes, lengths, ends, &rows) ||
+           r->Fail("walk index rows disagree with the segments");
   }
 
  private:
@@ -477,12 +532,35 @@ class BasicWalkStore {
   /// counters for positions (start, end).
   void FinishWalk(uint64_t seg, uint32_t start, uint32_t side, uint8_t end);
 
-  /// Lays out segments and rebuilds every index from flat path data:
-  /// `nodes` holds the concatenated paths, row r covering the next
-  /// lengths[r] entries. Exact-fit: no relocation, no dead space.
-  void BuildFromFlatPaths(std::size_t n, const std::vector<NodeId>& nodes,
+  /// The index pools, steps then dangling, each side in order: the
+  /// ForEachPool order after the path rows.
+  static constexpr uint32_t kIndexPools = 2 * kSides;
+  const slab::SlabPool& IndexPool(uint32_t i) const {
+    return i < kSides ? steps_[i] : dangling_[i - kSides];
+  }
+  slab::SlabPool& IndexPool(uint32_t i) {
+    return i < kSides ? steps_[i] : dangling_[i - kSides];
+  }
+
+  /// Saved index rows, per pool: each node's row size, and the rows'
+  /// packed (segment, position) words concatenated in node order.
+  struct IndexRows {
+    std::array<std::vector<uint32_t>, kIndexPools> sizes;
+    std::array<std::vector<uint64_t>, kIndexPools> words;
+  };
+
+  /// Lays out segments and their indexes from flat path data: `nodes`
+  /// holds the concatenated paths, row r covering the next lengths[r]
+  /// entries. Without `rows` (Init) each pool row holds its positions
+  /// in segment order; with them (LoadFrom) each holds its saved
+  /// entries in saved order, and false means an entry does not
+  /// register a position exactly once on its own side and node.
+  /// Either way the visit counters are recounted from the paths.
+  /// Exact-fit: no relocation, no dead space.
+  bool BuildFromFlatPaths(std::size_t n, const std::vector<NodeId>& nodes,
                           const std::vector<uint32_t>& lengths,
-                          const std::vector<uint8_t>& ends);
+                          const std::vector<uint8_t>& ends,
+                          const IndexRows* rows = nullptr);
 
   // --- window-repair scratch (see RepairWindow) ---------------------
   /// One scheduled segment repair: the earliest affected position per

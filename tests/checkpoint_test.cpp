@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -142,19 +143,19 @@ TEST(CheckpointTest, EveryBitFlipIsCorruption) {
   }
 }
 
-/// A SaveTo-shaped chain: small fields, an empty column and columns
-/// larger than the sink's 1 MiB staging buffer, which go to the file
-/// straight from their vectors. Not inlined: GCC 12 misreads the
-/// ArenaWriter's growth when it sees these sizes as constants.
+/// A SaveTo-shaped chain: small fields, an empty run and runs larger
+/// than the sink's 1 MiB staging buffer, which go to the file straight
+/// from their vectors. Not inlined: GCC 12 misreads the ArenaWriter's
+/// growth when it sees these sizes as constants.
 template <typename Sink>
 [[gnu::noinline]] void SaveColumns(Sink* w, const std::vector<uint64_t>& big,
                                    const std::vector<uint16_t>& small) {
   w->Pod(uint32_t{0xABCD});
-  w->Vec(small);
-  w->Vec(big);
+  w->Span(std::span<const uint16_t>(small));
+  w->Span(std::span<const uint64_t>(big));
   w->Pod(uint8_t{5});
-  w->Vec(std::vector<uint8_t>{});
-  w->Vec(big);
+  w->Span(std::span<const uint8_t>());
+  w->Span(std::span<const uint64_t>(big));
   w->Pod(uint64_t{42});
 }
 

@@ -236,9 +236,10 @@ void RunCrashSweep(std::size_t num_shards, uint64_t budget_seed,
 TEST(CrashRecoveryTest, RandomizedKillPointsSingleShard) {
   CrashTally tally;
   // Budgets concentrated small (initial checkpoint + first WAL
-  // appends) and spread wide (later checkpoints, rotation windows).
-  RunCrashSweep(1, 17, 60, 64 * 1024, &tally);
-  RunCrashSweep(1, 18, 45, 1024 * 1024, &tally);
+  // appends) and spread wide (later checkpoints, rotation windows). A
+  // whole run writes ~45 KB at S = 1 and ~50 KB at S = 2.
+  RunCrashSweep(1, 17, 60, 16 * 1024, &tally);
+  RunCrashSweep(1, 18, 45, 256 * 1024, &tally);
   // Most budgets must actually land mid-run: a sweep that always runs
   // to completion proves nothing.
   EXPECT_GE(tally.recovered_ok + tally.loud_loss - tally.ran_to_end, 50);
@@ -249,8 +250,8 @@ TEST(CrashRecoveryTest, RandomizedKillPointsSingleShard) {
 
 TEST(CrashRecoveryTest, RandomizedKillPointsTwoShards) {
   CrashTally tally;
-  RunCrashSweep(2, 19, 60, 64 * 1024, &tally);
-  RunCrashSweep(2, 20, 45, 1024 * 1024, &tally);
+  RunCrashSweep(2, 19, 60, 16 * 1024, &tally);
+  RunCrashSweep(2, 20, 45, 256 * 1024, &tally);
   EXPECT_GE(tally.recovered_ok + tally.loud_loss - tally.ran_to_end, 50);
   EXPECT_GE(tally.recovered_ok, 1);
 }

@@ -1,9 +1,12 @@
 // Durable ShardedEngine tests (engine/sharded_engine.h + store/wal.h +
 // store/checkpoint.h): the tentpole oracle is BIT-IDENTICAL recovery —
 // SerializeState() of a recovered engine equals the live engine's, at
-// S = 1 and S = 4, for PageRank and SALSA, across checkpoint rotations
-// — plus the loud-failure taxonomy (NotFound / DataLoss / Corruption)
-// for every way a durability directory can be incomplete.
+// S = 1 and S = 4, for PageRank and SALSA, across checkpoint rotations;
+// and since a recovered engine lays its rows out compactly while the
+// live one keeps its churned arenas, the two must then stay in step,
+// state and answers, window after window — plus the loud-failure
+// taxonomy (NotFound / DataLoss / Corruption) for every way a
+// durability directory can be incomplete.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,6 +21,7 @@
 #include <unistd.h>
 
 #include "fastppr/core/incremental_pagerank.h"
+#include "fastppr/engine/query_service.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/generators.h"
 #include "fastppr/store/checkpoint.h"
@@ -98,6 +102,33 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// What a client reads, as the pinned-stream regression reads it: the
+/// merged snapshot counts and their total, then the (node, visits)
+/// pairs of fixed personalized top-10 answers.
+template <typename EngineT>
+std::vector<int64_t> Answers(QueryService<EngineT>* service,
+                             std::size_t num_nodes) {
+  service->Quiesce();
+  ReadScratch read;
+  int64_t total = 0;
+  std::vector<int64_t> out = service->SnapshotCountsInto(&read, &total);
+  out.push_back(total);
+  std::vector<ScoredNode> ranked;
+  for (uint64_t i = 0; i < 8; ++i) {
+    const auto seed = static_cast<NodeId>((i * 37 + 11) % num_nodes);
+    EXPECT_TRUE(service
+                    ->PersonalizedTopK(seed, 10, 2000,
+                                       /*exclude_friends=*/true, 7000 + i,
+                                       &ranked)
+                    .ok());
+    for (const ScoredNode& scored : ranked) {
+      out.push_back(scored.node);
+      out.push_back(scored.visits);
+    }
+  }
+  return out;
+}
+
 template <typename EngineT>
 void ExpectBitIdenticalRecovery(const std::string& tag,
                                 std::size_t num_shards,
@@ -131,15 +162,35 @@ void ExpectBitIdenticalRecovery(const std::string& tag,
       << tag << ": recovered state diverged";
 
   // The recovered engine must also BEHAVE identically: the same future
-  // windows produce the same state (RNG streams, slab layout and
-  // counters all resumed exactly).
+  // windows produce the same state and answers (RNG streams, row order
+  // and counters all resumed exactly), although it holds compact rows
+  // and the live engine its churned arenas. Halfway through, a second
+  // recovery replaces it with a fresh compact layout while the live
+  // engine keeps its own.
+  constexpr std::size_t kTailWindows = 40;
+  constexpr std::size_t kTailWidth = 12;
   const auto more = MixedStream(n, 777, 0.1);
-  const std::span<const EdgeEvent> tail(more.data(),
-                                        std::min<std::size_t>(200, more.size()));
-  ApplyInWindows(&live, tail, 23);
-  ApplyInWindows(recovered.get(), tail, 23);
-  ASSERT_EQ(recovered->SerializeState(), live.SerializeState())
-      << tag << ": divergence after post-recovery ingestion";
+  ASSERT_GE(more.size(), kTailWindows * kTailWidth);
+  const std::span<const EdgeEvent> tail(more);
+  auto live_service = std::make_unique<QueryService<EngineT>>(&live);
+  auto recovered_service =
+      std::make_unique<QueryService<EngineT>>(recovered.get());
+  for (std::size_t w = 0; w < kTailWindows; ++w) {
+    if (w == kTailWindows / 2) {
+      recovered_service.reset();
+      ASSERT_TRUE(ShardedEngine<EngineT>::Recover(dir, 2, &recovered).ok());
+      recovered_service =
+          std::make_unique<QueryService<EngineT>>(recovered.get());
+    }
+    const auto window = tail.subspan(w * kTailWidth, kTailWidth);
+    ASSERT_TRUE(live_service->Ingest(window).ok());
+    ASSERT_TRUE(recovered_service->Ingest(window).ok());
+    ASSERT_EQ(recovered->SerializeState(), live.SerializeState())
+        << tag << ": state diverged after tail window " << w;
+    ASSERT_EQ(Answers(recovered_service.get(), n),
+              Answers(live_service.get(), n))
+        << tag << ": answers diverged after tail window " << w;
+  }
 
   // Recovery is read-only and therefore idempotent.
   std::unique_ptr<ShardedEngine<EngineT>> again;

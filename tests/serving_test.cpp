@@ -25,7 +25,6 @@
 #include "fastppr/graph/generators.h"
 #include "fastppr/serve/admission_queue.h"
 #include "fastppr/serve/deadline.h"
-#include "fastppr/serve/retry.h"
 #include "fastppr/graph/digraph.h"
 #include "fastppr/store/walk_store.h"
 
@@ -38,11 +37,9 @@ using serve::Deadline;
 using serve::DegradeLevel;
 using serve::DequeueOutcome;
 using serve::EnqueueOutcome;
-using serve::JitteredBackoff;
 using serve::QueryClass;
 using serve::Request;
 using serve::Response;
-using serve::RetryPolicy;
 using serve::ServingTier;
 using serve::ServingTierOptions;
 
@@ -191,55 +188,6 @@ TEST(AdmissionQueueTest, ClosedReportsClosedEvenWhenFull) {
   EXPECT_EQ(q.TryEnqueue(&b), EnqueueOutcome::kFull);
   q.Close();
   EXPECT_EQ(q.TryEnqueue(&b), EnqueueOutcome::kClosed);
-}
-
-// ---- retry backoff --------------------------------------------------
-
-TEST(RetryTest, DeterministicForSameSeed) {
-  RetryPolicy policy;
-  JitteredBackoff a(policy, 42);
-  JitteredBackoff b(policy, 42);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(a.NextDelayNanos(), b.NextDelayNanos());
-  }
-}
-
-TEST(RetryTest, JitterWindowDoublesUpToCap) {
-  RetryPolicy policy;
-  policy.base_delay_ns = 1000;
-  policy.max_delay_ns = 6000;
-  policy.max_attempts = 10;
-  JitteredBackoff backoff(policy, 1);
-  EXPECT_EQ(backoff.JitterWindowNanos(0), 1000u);
-  EXPECT_EQ(backoff.JitterWindowNanos(1), 2000u);
-  EXPECT_EQ(backoff.JitterWindowNanos(2), 4000u);
-  EXPECT_EQ(backoff.JitterWindowNanos(3), 6000u);  // capped
-  EXPECT_EQ(backoff.JitterWindowNanos(9), 6000u);
-  for (std::size_t attempt = 0; attempt < 6; ++attempt) {
-    const uint64_t window = backoff.JitterWindowNanos(attempt);
-    const uint64_t d = backoff.NextDelayNanos();
-    EXPECT_LE(d, window);
-  }
-}
-
-TEST(RetryTest, ServerHintIsAFloor) {
-  RetryPolicy policy;
-  policy.base_delay_ns = 10;
-  policy.max_delay_ns = 20;
-  JitteredBackoff backoff(policy, 3);
-  EXPECT_GE(backoff.NextDelayNanos(/*server_hint_ns=*/999999), 999999u);
-}
-
-TEST(RetryTest, AttemptBudget) {
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  JitteredBackoff backoff(policy, 5);
-  EXPECT_TRUE(backoff.ShouldRetry());       // attempt 0 done, 1 allowed
-  backoff.NextDelayNanos();
-  EXPECT_TRUE(backoff.ShouldRetry());
-  backoff.NextDelayNanos();
-  EXPECT_FALSE(backoff.ShouldRetry());      // all 3 attempts consumed
-  EXPECT_EQ(backoff.attempts_consumed(), 2u);
 }
 
 // ---- walker deadline cancellation -----------------------------------

@@ -1,8 +1,8 @@
 // The walk stores' slab pool (store/walk_slab.h): its arena reserves
 // room up to the compaction point, so relocations under churn append in
-// place instead of reallocating the arena; the reservation is not
-// state, so a reserved pool serializes the same bytes as an unreserved
-// one; and the ledger's used, dead and reserved bytes tile the arena.
+// place instead of reallocating the arena; the reservation changes no
+// row, so a reserved pool holds the same rows as an unreserved one; and
+// the ledger's used, dead and reserved bytes tile the arena.
 
 #include <cstddef>
 #include <cstdint>
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fastppr/store/arena_io.h"
 #include "fastppr/store/walk_slab.h"
 #include "fastppr/util/random.h"
 
@@ -23,10 +22,14 @@ std::size_t ArenaBytes(const SlabPool& pool) {
   return pool.used_bytes() + pool.dead_bytes() + pool.reserved_bytes();
 }
 
-std::vector<uint8_t> Serialized(const SlabPool& pool) {
-  ArenaWriter w;
-  pool.SaveTo(&w);
-  return w.buffer();
+/// Every row's words, in row order: what a checkpoint writes of a pool.
+std::vector<std::vector<uint64_t>> Rows(const SlabPool& pool) {
+  std::vector<std::vector<uint64_t>> rows;
+  for (std::size_t r = 0; r < pool.num_rows(); ++r) {
+    const auto row = pool.RowSpan(r);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
 }
 
 /// One churn step, the walk stores' row operations: grow a row, cut it
@@ -69,7 +72,7 @@ TEST(SlabPoolTest, ChurnBelowTheCompactionPointNeverMovesTheArena) {
   // the reservation.
   SlabPool unreserved = pool;
   ASSERT_EQ(unreserved.reserved_bytes(), 0u);
-  ASSERT_EQ(Serialized(unreserved), Serialized(pool));
+  ASSERT_EQ(Rows(unreserved), Rows(pool));
 
   // Row 0 is never touched, so its span moves only with the arena.
   const uint64_t* arena = pool.RowSpan(0).data();
@@ -92,41 +95,8 @@ TEST(SlabPoolTest, ChurnBelowTheCompactionPointNeverMovesTheArena) {
   EXPECT_GT(pool.dead_bytes(), 0u);
   EXPECT_GT(pool.reserved_bytes(), 0u);
   EXPECT_TRUE(unreserved_moved);
-  // The reservation is not state.
-  EXPECT_EQ(Serialized(unreserved), Serialized(pool));
-}
-
-TEST(SlabPoolTest, LoadFromRestoresTheReservation) {
-  Rng rng(11);
-  std::vector<uint32_t> sizes(1000);
-  for (uint32_t& s : sizes) s = static_cast<uint32_t>(rng.UniformIndex(9));
-  SlabPool pool;
-  pool.ResetWithCapacities(sizes);
-  uint64_t next_word = 1;
-  for (int step = 0; step < 5000; ++step) ChurnStep(&pool, &rng, &next_word);
-  ASSERT_GT(pool.dead_bytes(), 0u);
-  const std::vector<uint8_t> bytes = Serialized(pool);
-
-  SlabPool loaded;
-  ArenaReader r(bytes);
-  ASSERT_TRUE(loaded.LoadFrom(&r));
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(Serialized(loaded), bytes);
-  EXPECT_EQ(loaded.used_bytes(), pool.used_bytes());
-  EXPECT_EQ(loaded.dead_bytes(), pool.dead_bytes());
-  // Room up to twice the rows' capacity, counted from the arena's end.
-  EXPECT_EQ(ArenaBytes(loaded), 2 * loaded.used_bytes());
-}
-
-TEST(SlabPoolTest, LoadFromRejectsMoreDeadWordsThanTheArena) {
-  ArenaWriter w;
-  w.Vec(std::vector<uint64_t>(8, 0));
-  w.Vec(std::vector<uint64_t>{});  // no rows
-  w.Pod(uint64_t{9});               // dead words past the arena
-  SlabPool pool;
-  ArenaReader r(w.buffer());
-  EXPECT_FALSE(pool.LoadFrom(&r));
-  EXPECT_FALSE(r.ok());
+  // The reservation changes no row.
+  EXPECT_EQ(Rows(unreserved), Rows(pool));
 }
 
 }  // namespace
