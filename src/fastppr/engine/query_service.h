@@ -497,14 +497,16 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     }
   }
 
-  /// The row-table half of the memory ledger (stripes in the
-  /// EngineMetrics order: segments, out-adjacency, in-adjacency).
+  /// The row tables' stripes of the memory ledger, after the shards'
+  /// (in the EngineMetrics order: segments, out-adjacency,
+  /// in-adjacency).
   void SetRowLedger() {
     const VersionedRows* tables[] = {&segments_, &out_, &in_};
     static_assert(std::size(tables) == obs::EngineMetrics::kRowTables);
+    const std::size_t first = engine_->num_shards();
     for (std::size_t t = 0; t < std::size(tables); ++t) {
-      om_.rows_live_bytes->Set(tables[t]->pool().live_bytes(), t);
-      om_.rows_held_bytes->Set(tables[t]->pool().held_bytes(), t);
+      om_.pool_live_bytes->Set(tables[t]->pool().live_bytes(), first + t);
+      om_.pool_held_bytes->Set(tables[t]->pool().held_bytes(), first + t);
     }
   }
 

@@ -78,9 +78,9 @@
 #include "fastppr/graph/edge_stream.h"
 #include "fastppr/graph/types.h"
 #include "fastppr/store/arena_io.h"
+#include "fastppr/store/block_pool.h"
 #include "fastppr/store/checkpoint.h"
 #include "fastppr/store/wal.h"
-#include "fastppr/store/walk_slab.h"
 #include "fastppr/util/check.h"
 #include "fastppr/util/file_io.h"
 #include "fastppr/util/shard.h"
@@ -630,8 +630,7 @@ class ShardedEngine {
     shard_ptrs_.reserve(S);
     for (const auto& shard : shards_) shard_ptrs_.push_back(shard.get());
     metrics_registry_ = std::make_unique<obs::MetricsRegistry>();
-    om_ = obs::EngineMetrics::Register(metrics_registry_.get(), S,
-                                       Engine::Store::kNumPools);
+    om_ = obs::EngineMetrics::Register(metrics_registry_.get(), S);
     // Tracks: S repair lanes + writer + publish.
     tracer_.Init(S + 2);
     pipeline_ = std::thread([this] { PipelineLoop(); });
@@ -743,7 +742,7 @@ class ShardedEngine {
         om_.walks_repaired->Add(st.segments_updated, s);
         om_.walk_steps->Add(st.walk_steps, s);
       }
-      SetSlabLedger();
+      SetPoolLedger();
     }
     if (BoundarySink* sink = sink_.load(std::memory_order_acquire)) {
       sink->OnWindowBoundary(Boundary(epoch, slot_.applied));
@@ -756,17 +755,13 @@ class ShardedEngine {
     slot_cv_.notify_all();
   }
 
-  /// The slab half of the memory ledger, read while the stores are
-  /// quiescent (at a window boundary).
-  void SetSlabLedger() {
-    std::size_t stripe = 0;
-    for (const auto& shard : shards_) {
-      shard->walk_store().ForEachPool([&](const slab::SlabPool& pool) {
-        om_.slab_used_bytes->Set(pool.used_bytes(), stripe);
-        om_.slab_dead_bytes->Set(pool.dead_bytes(), stripe);
-        om_.slab_reserved_bytes->Set(pool.reserved_bytes(), stripe);
-        ++stripe;
-      });
+  /// The walk stores' stripes of the memory ledger (one per shard),
+  /// read while the stores are quiescent (at a window boundary).
+  void SetPoolLedger() {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const slab::BlockPool& pool = shards_[s]->walk_store().pool();
+      om_.pool_live_bytes->Set(pool.live_bytes(), s);
+      om_.pool_held_bytes->Set(pool.held_bytes(), s);
     }
   }
 

@@ -10,10 +10,11 @@
 // RandomOutNeighbor calls, and every event is a graph mutation. Both
 // out- and in-adjacency are kept, so forward (PageRank) and alternating
 // forward/backward (SALSA) walks sample a neighbour in O(1). All
-// adjacency lists live in two flat arenas, the idiom store/walk_slab.h
-// applies to the walk stores. Parallel edges are allowed (a user may be
-// followed through several products); self-loops are allowed but the
-// generators avoid them.
+// adjacency lists live in two flat arenas; the walk stores instead keep
+// each row in its own block of a size-class pool (store/walk_slab.h),
+// which would cost the graph more bytes per edge (DESIGN.md section 5).
+// Parallel edges are allowed (a user may be followed through several
+// products); self-loops are allowed but the generators avoid them.
 //
 // Layout. Each node's out-list occupies one *block* — a contiguous slot
 // run of a quarter-spaced size class (1..8, then {5,6,7,8} << k: at most
@@ -32,10 +33,10 @@
 // position of the edge's mirror entry inside the other endpoint's
 // block, i.e. an offset relative to that block's size-class base — is
 // 24 bits, stored as split uint16/uint8 columns (6 bytes of
-// backpointers per edge). 24 bits matches the system-wide ordinal bound
-// of store/walk_slab.h: per-node degree is capped at 2^24 per side and
-// the arena at 2^32 slots per side, both enforced by FASTPPR_CHECK
-// rather than silent wraparound.
+// backpointers per edge). 24 bits matches the ordinal field of the walk
+// stores' packed words (store/walk_slab.h): per-node degree is capped at
+// 2^24 per side and the arena at 2^32 slots per side, both enforced by
+// FASTPPR_CHECK rather than silent wraparound.
 //
 // Freed blocks park on per-class free lists (O(1) push/pop — the hot
 // mutation path never searches). An allocation whose exact class list

@@ -55,16 +55,11 @@ struct EngineMetrics {
                                             ///  high-water depth [class]
 
   // --- memory ledger gauges, in bytes --------------------------------
-  // Walk-store slab arenas, one stripe per pool: shard s's pool p
-  // (BasicWalkStore::ForEachPool order) is stripe s * pools + p. Set at
-  // each window boundary.
-  Counter* slab_used_bytes = nullptr;       ///< rows' spans
-  Counter* slab_dead_bytes = nullptr;       ///< vacated, until compaction
-  Counter* slab_reserved_bytes = nullptr;   ///< allocated past the end
-  // Frozen row tables, one stripe per table (0 segments, 1 out-adjacency,
-  // 2 in-adjacency). Set at each publish.
-  Counter* rows_live_bytes = nullptr;       ///< versions not yet freed
-  Counter* rows_held_bytes = nullptr;       ///< the version pool's chunks
+  // One stripe per slab::BlockPool: stripe s is shard s's walk store
+  // (set at each window boundary), stripe S + t frozen row table t (0
+  // segments, 1 out-adjacency, 2 in-adjacency; set at each publish).
+  Counter* pool_live_bytes = nullptr;       ///< blocks handed out
+  Counter* pool_held_bytes = nullptr;       ///< taken from operator new
 
   // --- latency histograms (nanoseconds; exported in µs) --------------
   LatencyHistogram* ingest_phase = nullptr;   ///< per-window writer phase
@@ -83,9 +78,7 @@ struct EngineMetrics {
 
   static constexpr std::size_t kRowTables = 3;
 
-  /// `slab_pools` is the number of slab pools per shard's walk store.
-  static EngineMetrics Register(MetricsRegistry* reg, std::size_t shards,
-                                std::size_t slab_pools) {
+  static EngineMetrics Register(MetricsRegistry* reg, std::size_t shards) {
     EngineMetrics m;
     m.events_ingested = reg->RegisterCounter("events_ingested");
     m.walks_repaired = reg->RegisterCounter("walks_repaired", shards);
@@ -116,14 +109,10 @@ struct EngineMetrics {
     m.serve_cache_evict = reg->RegisterCounter("serve_cache_evict", 8);
     m.windows_applied = reg->RegisterGauge("windows_applied");
     m.serve_queue_depth_hw = reg->RegisterGauge("serve_queue_depth_hw", 3);
-    m.slab_used_bytes =
-        reg->RegisterGauge("slab_used_bytes", shards * slab_pools);
-    m.slab_dead_bytes =
-        reg->RegisterGauge("slab_dead_bytes", shards * slab_pools);
-    m.slab_reserved_bytes =
-        reg->RegisterGauge("slab_reserved_bytes", shards * slab_pools);
-    m.rows_live_bytes = reg->RegisterGauge("rows_live_bytes", kRowTables);
-    m.rows_held_bytes = reg->RegisterGauge("rows_held_bytes", kRowTables);
+    m.pool_live_bytes =
+        reg->RegisterGauge("pool_live_bytes", shards + kRowTables);
+    m.pool_held_bytes =
+        reg->RegisterGauge("pool_held_bytes", shards + kRowTables);
     m.ingest_phase = reg->RegisterHistogram("ingest_phase");
     m.repair_phase = reg->RegisterHistogram("repair_phase");
     m.publish_phase = reg->RegisterHistogram("publish_phase");

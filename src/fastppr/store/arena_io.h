@@ -7,9 +7,9 @@
 // order — the graph's out-rows with their twins, every owned walk
 // segment's node ids, every index row's (segment, position) entries —
 // plus a handful of scalars (RNG states, counters, epoch). It never
-// holds an arena: spare capacity, dead spans, free lists and offsets
-// are the allocators' business, so the format and the bit-identity
-// oracle do not change when the layout does. Every SaveTo is a template
+// holds an arena or a block: spare capacity, free lists, addresses and
+// offsets are the allocators' business, so the format and the
+// bit-identity oracle do not change when the layout does. Every SaveTo is a template
 // over its sink, which takes trivially-copyable values (Pod) and runs
 // of them (Span) as raw little-endian bytes. ArenaWriter is the
 // in-memory sink: it collects them into one byte vector, the body

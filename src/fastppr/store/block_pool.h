@@ -2,12 +2,15 @@
 #define FASTPPR_STORE_BLOCK_POOL_H_
 
 // A size-class block pool for one single-threaded owner (see DESIGN.md
-// section 6): the allocator of the frozen row versions.
+// sections 2 and 6): the allocator of the walk stores' rows and of the
+// frozen row versions.
 //
-// A row version is written once per publish that changes its row and
-// freed a few publishes later, so a malloc and a free per version leave
-// the heap full of holes under churn: freed chunks of every size that
-// glibc keeps resident but cannot hand back. The pool carves blocks from
+// Both allocate and free variable-size rows all the time: a walk row
+// moves to a bigger or smaller block as repairs grow and shrink it, and
+// a row version is written once per publish that changes its row and
+// freed a few publishes later. A malloc and a free per row leave the
+// heap full of holes under churn: freed chunks of every size that glibc
+// keeps resident but cannot hand back. The pool carves blocks from
 // large chunks instead, rounds each request up to a size class, and
 // keeps each class's freed blocks on a LIFO free list for the next
 // request of that class (Bonwick, "The Slab Allocator", USENIX Summer
@@ -19,8 +22,9 @@
 // 0..15 are 1..16 grains (16..256 bytes), class 16 + i is
 // (5 + i % 4) << (i / 4 + 2) grains (320, 384, 448, 512, 640, ...), so
 // a block wastes at most 25% above 256 bytes. The last class is 16 KiB;
-// larger requests go straight to operator new and back to operator
-// delete.
+// a larger request gets its own operator new allocation, behind one
+// grain that links it to the other live ones, and goes back to operator
+// delete when it is freed or, at the latest, when the pool dies.
 //
 // Freed blocks and uncarved chunk space are poisoned under
 // AddressSanitizer, so a reader that follows a freed block still trips
@@ -51,11 +55,11 @@ class BlockPool {
  public:
   static constexpr std::size_t kGrain = 16;
   static constexpr uint32_t kNumClasses = 40;
-  /// Chunks the blocks are carved from. A chunk's first grain links the
-  /// previous chunk, so the chunks are all the pool takes from operator
-  /// new.
+  /// Chunks the blocks are carved from.
   static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
-  static constexpr std::size_t kChunkLinkBytes = kGrain;
+  /// Every chunk and every block past the last class starts with one
+  /// grain of links, so the pool can hand them all back when it dies.
+  static constexpr std::size_t kLinkBytes = kGrain;
 
   static constexpr std::size_t ClassBytes(uint32_t cls) {
     const std::size_t grains =
@@ -81,7 +85,14 @@ class BlockPool {
   }
 
   BlockPool() = default;
+  /// Releases every chunk, and with them every pooled block, and every
+  /// block past the last class that is still allocated.
   ~BlockPool() {
+    while (oversize_ != nullptr) {
+      Oversize* next = oversize_->next;
+      ::operator delete(oversize_);
+      oversize_ = next;
+    }
     while (chunks_ != nullptr) {
       char* older = nullptr;
       std::memcpy(&older, chunks_, sizeof(older));
@@ -96,23 +107,27 @@ class BlockPool {
 
   /// A block of at least `bytes` (>= 1), aligned to 16 bytes.
   void* Allocate(std::size_t bytes) {
-    void* block = nullptr;
-    if (bytes > kMaxBlockBytes) {
-      block = ::operator new(bytes);
-      Bump(&held_bytes_, bytes);
-    } else {
-      block = Take(ClassFor(bytes));
-    }
     Bump(&live_bytes_, bytes);
-    return block;
+    if (bytes <= kMaxBlockBytes) return Take(ClassFor(bytes));
+    auto* big = static_cast<Oversize*>(::operator new(kLinkBytes + bytes));
+    big->prev = nullptr;
+    big->next = oversize_;
+    if (oversize_ != nullptr) oversize_->prev = big;
+    oversize_ = big;
+    Bump(&held_bytes_, kLinkBytes + bytes);
+    return reinterpret_cast<char*>(big) + kLinkBytes;
   }
 
   /// Returns a block Allocate(bytes) handed out, with the same `bytes`.
   void Free(void* block, std::size_t bytes) {
     Bump(&live_bytes_, 0 - bytes);
     if (bytes > kMaxBlockBytes) {
-      Bump(&held_bytes_, 0 - bytes);
-      ::operator delete(block);
+      auto* big = reinterpret_cast<Oversize*>(static_cast<char*>(block) -
+                                              kLinkBytes);
+      (big->prev != nullptr ? big->prev->next : oversize_) = big->next;
+      if (big->next != nullptr) big->next->prev = big->prev;
+      Bump(&held_bytes_, 0 - (kLinkBytes + bytes));
+      ::operator delete(big);
       return;
     }
     const uint32_t cls = ClassFor(bytes);
@@ -126,12 +141,20 @@ class BlockPool {
     return live_bytes_.load(std::memory_order_relaxed);
   }
   /// Bytes taken from operator new and not given back: every chunk,
-  /// plus the live blocks past the last class.
+  /// plus the live blocks past the last class with their links.
   std::size_t held_bytes() const {
     return held_bytes_.load(std::memory_order_relaxed);
   }
 
  private:
+  /// The link grain in front of a block past the last class: the live
+  /// ones form a doubly linked list, so Free unlinks one in O(1).
+  struct Oversize {
+    Oversize* prev;
+    Oversize* next;
+  };
+  static_assert(sizeof(Oversize) == kLinkBytes);
+
   /// A block of class `cls`: the last one freed, or the next one carved.
   void* Take(uint32_t cls) {
     const std::size_t size = ClassBytes(cls);
@@ -146,9 +169,9 @@ class BlockPool {
       char* chunk = static_cast<char*>(::operator new(kChunkBytes));
       std::memcpy(chunk, &chunks_, sizeof(chunks_));
       chunks_ = chunk;
-      next_ = chunk + kChunkLinkBytes;
+      next_ = chunk + kLinkBytes;
       end_ = chunk + kChunkBytes;
-      Poison(next_, kChunkBytes - kChunkLinkBytes);
+      Poison(next_, kChunkBytes - kLinkBytes);
       Bump(&held_bytes_, kChunkBytes);
     }
     block = next_;
@@ -180,6 +203,7 @@ class BlockPool {
   char* chunks_ = nullptr;  ///< the newest chunk, linked to the older ones
   char* next_ = nullptr;    ///< the newest chunk's uncarved span
   char* end_ = nullptr;
+  Oversize* oversize_ = nullptr;  ///< the live blocks past the last class
   std::atomic<std::size_t> live_bytes_{0};
   std::atomic<std::size_t> held_bytes_{0};
 };

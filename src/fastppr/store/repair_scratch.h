@@ -2,8 +2,8 @@
 #define FASTPPR_STORE_REPAIR_SCRATCH_H_
 
 // Window-repair collection machinery of the walk store
-// (BasicWalkStore, both estimators; companion to SlabPool, see DESIGN.md
-// §1). The store collects every switch/break/resume decision of an
+// (BasicWalkStore, both estimators; companion to its rows, BlockRows in
+// store/walk_slab.h; see DESIGN.md §1). The store collects every switch/break/resume decision of an
 // ingestion window, on every side, *before* re-simulating any suffix —
 // a fresh suffix is already distributed for the post-window graph and
 // must never be switched twice — keeping only the earliest affected
@@ -25,14 +25,14 @@
 namespace fastppr::slab {
 
 /// Swap-removes index entry (node, slot) — known to reference
-/// (seg, pos) — from `pool`, fixing up the moved entry's backpointer in
-/// the path arena. Does NOT clear the removed path word's slot field;
+/// (seg, pos) — from `index`, fixing up the moved entry's backpointer in
+/// the path rows. Does NOT clear the removed path word's slot field;
 /// callers deleting the entry skip that write, others must reset it
 /// themselves.
-inline void RemoveIndexEntry(SlabPool* pool, SlabPool* paths, NodeId node,
+inline void RemoveIndexEntry(BlockRows* index, BlockRows* paths, NodeId node,
                              uint32_t slot, uint64_t seg, uint32_t pos) {
   const uint64_t here = Pack(seg, pos);
-  const uint64_t moved = pool->VerifiedSwapRemove(node, slot, here);
+  const uint64_t moved = index->VerifiedSwapRemove(node, slot, here);
   if (moved != here) {
     paths->SetLo(Hi(moved), Lo(moved), slot);
   }
@@ -94,7 +94,7 @@ class RepairScratch {
   const std::vector<Repair>& pending() const { return pending_; }
 
   /// Large pending sets are applied in segment order so the repair pass
-  /// walks the path arena sequentially (repairs are independent, so the
+  /// walks the path rows in order (repairs are independent, so the
   /// ordering is free to choose).
   void OrderForApply() {
     if (pending_.size() <= 32) return;

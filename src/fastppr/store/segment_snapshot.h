@@ -6,9 +6,10 @@
 //
 // PersonalizedTopK stitches a walk through the stored segments and takes
 // manual steps on the social graph, both of which the single-writer
-// ingest/repair machinery mutates in place (slab rows relocate, arenas
-// compact), so walking them live would race with ingestion. Readers
-// walk versioned copies of the rows instead.
+// ingest/repair machinery mutates in place (walk rows move between pool
+// blocks, adjacency blocks between arena spans), so walking them live
+// would race with ingestion. Readers walk versioned copies of the rows
+// instead.
 //
 // A VersionedRows table keeps one atomic head pointer per row. A publish
 // stamped with sequence number s writes, for each row it changed, an
@@ -52,21 +53,8 @@ namespace fastppr {
 /// comment).
 class VersionedRows {
  public:
+  /// Every version lives in the pool, which releases them when it dies.
   explicit VersionedRows(std::size_t num_rows) : heads_(num_rows) {}
-  /// Hands the oversize versions back to operator delete; the pool
-  /// releases its chunks, and with them every pooled version.
-  ~VersionedRows() {
-    const auto release = [this](const Version* v) {
-      if (v != nullptr &&
-          Bytes(v->length()) > slab::BlockPool::kMaxBlockBytes) {
-        Free(v);
-      }
-    };
-    for (const auto& head : heads_) {
-      release(head.load(std::memory_order_relaxed));
-    }
-    for (const Retired& r : retired_) release(r.version);
-  }
 
   VersionedRows(const VersionedRows&) = delete;
   VersionedRows& operator=(const VersionedRows&) = delete;

@@ -1,15 +1,17 @@
 #ifndef FASTPPR_STORE_WALK_SLAB_H_
 #define FASTPPR_STORE_WALK_SLAB_H_
 
-// Slab-backed storage primitives for the walk stores (see DESIGN.md).
+// Row storage for the walk stores (see DESIGN.md section 2).
 //
 // The PageRank Store is exercised once per edge arrival, so its constant
 // factor is the product. The seed layout paid one heap allocation per
 // segment (std::vector<PathEntry>) and per node (std::vector<VisitRef>
 // inverted-index rows); every reroute chased pointers across the heap.
-// This header replaces both with the randgraph-style flat layout: walk
-// state packed into 8-byte words stored in contiguous slab arenas, with
-// per-row offset/length spans on top.
+// This header packs walk state into 8-byte words and keeps each row of
+// words (a segment's path, a node's index row) in one block of its
+// store's size-class pool (store/block_pool.h), so a row's memory follows
+// its size and a moved row's old block waits on a free list for the next
+// row of its class.
 //
 // A word packs a 40-bit id in the high bits and a 24-bit ordinal in the
 // low bits:
@@ -21,9 +23,11 @@
 // Overflow aborts via FASTPPR_CHECK rather than wrapping.
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
+#include "fastppr/store/block_pool.h"
 #include "fastppr/util/check.h"
 
 namespace fastppr::slab {
@@ -45,160 +49,130 @@ constexpr uint64_t WithLo(uint64_t word, uint32_t lo) {
   return (word & ~kLoMask) | (lo & kLoMask);
 }
 
-/// A pool of variable-length rows of packed words backed by one flat
-/// arena. Rows support append, pop-back and swap-remove in O(1); a row
-/// that outgrows its reserved span is relocated to the arena tail with
-/// doubled capacity (the vacated span is dead until the next
-/// compaction). External references address (row, index) pairs — never
-/// raw offsets — so relocation and compaction are invisible to callers.
+/// Variable-length rows of packed words, each row in its own block of a
+/// BlockPool that the store's row sets share. Append, truncate and
+/// swap-remove are O(1) amortized. A full row moves to a block of twice
+/// its capacity; a row that fills a quarter of its block or less moves
+/// to a block of twice its size (Trim, which swap-remove runs itself),
+/// the hysteresis DiGraph's blocks use. Either way the old block goes
+/// back to its class's free list, so the rows' blocks follow their
+/// sizes, not their history. External references address (row, index)
+/// pairs, never blocks, so moves are invisible to callers; a RowSpan is
+/// not, and reading one after its row moved reads a freed block, which
+/// the pool poisons for AddressSanitizer. None of the layout is state: a
+/// checkpoint writes the rows' words in row order (store/walk_store.h).
 ///
-/// The arena reserves room up to the compaction point, twice the rows'
-/// capacity, whenever it is laid out (reset, compaction): relocations
-/// then append inside the reservation instead of reallocating and
-/// copying the arena and leaving the old buffer behind. Untouched
-/// reserved pages cost address space, not resident memory. None of the
-/// layout is state: a checkpoint writes the rows' words in row order
-/// (store/walk_store.h), and loading lays them out through
-/// ResetWithCapacities like a fresh store.
-class SlabPool {
+/// The pool owns the blocks: destroying the rows frees nothing, and the
+/// pool hands every block back when it dies.
+class BlockRows {
  public:
-  /// One row per entry of `sizes`, laid out back-to-back (size 0, ready
-  /// for bulk fill). Each row gets `size + size/2 + 2` capacity, so
-  /// steady-state churn (truncate/re-extend, swap-remove/push) does not
-  /// immediately relocate every touched row.
-  void ResetWithCapacities(const std::vector<uint32_t>& sizes) {
+  BlockRows() = default;
+  BlockRows(const BlockRows&) = delete;
+  BlockRows& operator=(const BlockRows&) = delete;
+
+  /// One row per entry of `sizes`, empty and ready for bulk fill, in
+  /// blocks of `pool`; the rows' previous blocks go back to their pool.
+  /// A row gets a block of `size + size/2 + 2` words, so steady-state
+  /// churn (truncate/re-extend, swap-remove/push) does not immediately
+  /// move every touched row; a row of size 0 gets no block.
+  void Reset(BlockPool* pool, const std::vector<uint32_t>& sizes) {
+    for (Row& r : rows_) Move(&r, 0);
+    pool_ = pool;
     rows_.assign(sizes.size(), Row{});
-    uint64_t total = 0;
     for (std::size_t r = 0; r < sizes.size(); ++r) {
-      rows_[r].off = total;
-      rows_[r].cap = sizes[r] + (sizes[r] >> 1) + 2;
-      total += rows_[r].cap;
+      if (sizes[r] > 0) Move(&rows_[r], sizes[r] + (sizes[r] >> 1) + 2);
     }
-    data_.clear();
-    data_.reserve(kHeadroom * total);
-    data_.resize(total, 0);
-    dead_ = 0;
   }
 
   std::size_t num_rows() const { return rows_.size(); }
   uint32_t Size(std::size_t row) const { return rows_[row].size; }
-
-  /// The arena's ledger, in bytes; the three add up to its allocation.
-  /// Used: the rows' spans (their words and spare capacity). Dead: spans
-  /// vacated by relocation, until compaction. Reserved: allocated past
-  /// the arena's end, for relocations to come.
-  std::size_t used_bytes() const {
-    return (data_.size() - dead_) * sizeof(uint64_t);
-  }
-  std::size_t dead_bytes() const { return dead_ * sizeof(uint64_t); }
-  std::size_t reserved_bytes() const {
-    return (data_.capacity() - data_.size()) * sizeof(uint64_t);
-  }
+  /// Words the row's block holds.
+  uint32_t Capacity(std::size_t row) const { return rows_[row].cap; }
 
   uint64_t Get(std::size_t row, uint32_t i) const {
-    return data_[rows_[row].off + i];
+    return rows_[row].data[i];
   }
 
   std::span<const uint64_t> RowSpan(std::size_t row) const {
-    return {data_.data() + rows_[row].off, rows_[row].size};
+    return {rows_[row].data, rows_[row].size};
   }
 
   /// Appends and returns the index the word landed at.
   uint32_t PushBack(std::size_t row, uint64_t word) {
     Row& r = rows_[row];
-    if (r.size == r.cap) Grow(row);
-    const uint32_t at = rows_[row].size++;
-    data_[rows_[row].off + at] = word;
-    return at;
+    if (r.size == r.cap) Move(&r, r.cap == 0 ? kMinWords : 2 * r.cap);
+    r.data[r.size] = word;
+    return r.size++;
   }
 
-  /// Shrinks the row to `new_size` (<= current size) in O(1).
+  /// Shrinks the row to `new_size` (<= current size) in O(1). The block
+  /// stays: a repair re-extends the row right away (see Trim).
   void Truncate(std::size_t row, uint32_t new_size) {
     Row& r = rows_[row];
     FASTPPR_CHECK(new_size <= r.size);
     r.size = new_size;
   }
 
+  /// Moves the row to a block of twice its size if it fills a quarter of
+  /// its block or less; a row of size 0 gives its block back.
+  void Trim(std::size_t row) { MaybeShrink(&rows_[row]); }
+
   /// Replaces element `i` — which must equal `expect` (corruption check,
-  /// aborts otherwise) — with the last element and shrinks the row.
-  /// Returns the word that now occupies index `i` (identical to the
-  /// removed word when `i` was the last index). One row binding: this
-  /// sits on the hottest path of the walk stores.
+  /// aborts otherwise) — with the last element, shrinks the row and
+  /// trims it. Returns the word that now occupies index `i` (identical
+  /// to the removed word when `i` was the last index). One row binding:
+  /// this sits on the hottest path of the walk stores.
   uint64_t VerifiedSwapRemove(std::size_t row, uint32_t i, uint64_t expect) {
     Row& r = rows_[row];
     FASTPPR_CHECK(i < r.size);
-    uint64_t* base = data_.data() + r.off;
-    FASTPPR_CHECK(base[i] == expect);
-    const uint64_t moved = base[r.size - 1];
-    base[i] = moved;
-    --r.size;
+    FASTPPR_CHECK(r.data[i] == expect);
+    const uint64_t moved = r.data[--r.size];
+    r.data[i] = moved;
+    MaybeShrink(&r);
     return moved;
   }
 
   /// Overwrites only the low 24 bits of element `i` (one row binding).
   void SetLo(std::size_t row, uint32_t i, uint32_t lo) {
-    uint64_t& w = data_[rows_[row].off + i];
+    uint64_t& w = rows_[row].data[i];
     w = WithLo(w, lo);
   }
 
  private:
   struct Row {
-    uint64_t off = 0;
+    uint64_t* data = nullptr;
     uint32_t size = 0;
     uint32_t cap = 0;
   };
 
-  /// Arena capacity per word of row capacity: the compaction point.
-  static constexpr uint64_t kHeadroom = 2;
+  /// The smallest block: one grain.
+  static constexpr uint32_t kMinWords = BlockPool::kGrain / sizeof(uint64_t);
 
-  void Grow(std::size_t row) {
-    Row& r = rows_[row];
-    if (r.off + r.cap == data_.size()) {
-      // Tail row: extend the arena in place.
-      const uint32_t add = r.cap == 0 ? 4 : r.cap;
-      data_.resize(data_.size() + add);
-      r.cap += add;
-      return;
-    }
-    // Relocate to the tail with doubled capacity; the old span is dead.
-    const uint32_t new_cap = r.cap == 0 ? 4 : 2 * r.cap;
-    const uint64_t new_off = data_.size();
-    data_.resize(data_.size() + new_cap);
-    for (uint32_t i = 0; i < r.size; ++i) {
-      data_[new_off + i] = data_[r.off + i];
-    }
-    dead_ += r.cap;
-    r.off = new_off;
-    r.cap = new_cap;
-    MaybeCompact();
+  void MaybeShrink(Row* r) {
+    if (r->size <= r->cap / 4) Move(r, 2 * r->size);
   }
 
-  void MaybeCompact() {
-    if (data_.size() < 4096 || dead_ * 2 < data_.size()) return;
-    // Squeeze out the relocation garbage between rows. Caps are
-    // preserved: trimming them would put every row right back on the
-    // relocation treadmill (each row's cap is its high-water mark, so
-    // caps — and with them the compacted arena — are bounded).
-    uint64_t total = 0;
-    for (const Row& r : rows_) total += r.cap;
-    std::vector<uint64_t> packed;
-    packed.reserve(kHeadroom * total);
-    packed.resize(total, 0);
-    uint64_t at = 0;
-    for (Row& r : rows_) {
-      for (uint32_t i = 0; i < r.size; ++i) {
-        packed[at + i] = data_[r.off + i];
+  /// Copies the row into a block that holds at least `words` (>= its
+  /// size) words, its class's whole block; 0 leaves it without one.
+  void Move(Row* r, uint32_t words) {
+    uint64_t* block = nullptr;
+    std::size_t bytes = std::size_t{words} * sizeof(uint64_t);
+    if (words > 0) {
+      if (bytes <= BlockPool::kMaxBlockBytes) {
+        bytes = BlockPool::ClassBytes(BlockPool::ClassFor(bytes));
       }
-      r.off = at;
-      at += r.cap;
+      block = static_cast<uint64_t*>(pool_->Allocate(bytes));
+      if (r->size > 0) {
+        std::memcpy(block, r->data, r->size * sizeof(uint64_t));
+      }
     }
-    data_.swap(packed);
-    dead_ = 0;
+    if (r->cap > 0) pool_->Free(r->data, r->cap * sizeof(uint64_t));
+    r->data = block;
+    r->cap = static_cast<uint32_t>(bytes / sizeof(uint64_t));
   }
 
-  std::vector<uint64_t> data_;
+  BlockPool* pool_ = nullptr;
   std::vector<Row> rows_;
-  uint64_t dead_ = 0;
 };
 
 }  // namespace fastppr::slab

@@ -38,9 +38,8 @@ void BasicWalkStore<Steps>::Init(const DiGraph& g,
   FASTPPR_CHECK(num_segs < slab::kHiLimit);
 
   // Phase 1: simulate every owned segment into flat scratch (unowned
-  // sources keep zero-length rows). Laying the arena out afterwards with
-  // exact-fit capacities packs the rows back-to-back with no relocation
-  // and no dead space.
+  // sources keep zero-length rows). Laying the rows out afterwards sizes
+  // each one once, before it is filled: no row moves while it fills.
   std::vector<NodeId> nodes;
   nodes.reserve(static_cast<std::size_t>(
       static_cast<double>(num_segs * kSides) / epsilon * 1.1 /
@@ -103,10 +102,10 @@ bool BasicWalkStore<Steps>::BuildFromFlatPaths(
     total_visits_[s] = 0;
   }
 
-  // Exact per-node index rows, so the pools are laid out dense: counted
+  // Exact per-node index row sizes, so every row is sized once: counted
   // from the paths, or the saved rows' sizes.
   if (rows == nullptr) {
-    std::array<std::vector<uint32_t>, kIndexPools> sizes;
+    std::array<std::vector<uint32_t>, kIndexRowSets> sizes;
     for (std::vector<uint32_t>& row_sizes : sizes) row_sizes.assign(n, 0);
     std::size_t at = 0;
     for (std::size_t seg = 0; seg < num_segs; ++seg) {
@@ -121,15 +120,15 @@ bool BasicWalkStore<Steps>::BuildFromFlatPaths(
       }
       at += len;
     }
-    for (uint32_t i = 0; i < kIndexPools; ++i) {
-      IndexPool(i).ResetWithCapacities(sizes[i]);
+    for (uint32_t i = 0; i < kIndexRowSets; ++i) {
+      IndexRowSet(i).Reset(&pool_, sizes[i]);
     }
   } else {
-    for (uint32_t i = 0; i < kIndexPools; ++i) {
-      IndexPool(i).ResetWithCapacities(rows->sizes[i]);
+    for (uint32_t i = 0; i < kIndexRowSets; ++i) {
+      IndexRowSet(i).Reset(&pool_, rows->sizes[i]);
     }
   }
-  paths_.ResetWithCapacities(lengths);
+  paths_.Reset(&pool_, lengths);
 
   std::size_t at = 0;
   uint64_t step_positions = 0, dangling_tails = 0;
@@ -168,10 +167,10 @@ bool BasicWalkStore<Steps>::BuildFromFlatPaths(
   // a dangling entry a tail that ended there. With no duplicate, the
   // counts then say every such position is registered exactly once.
   uint64_t entries[2] = {0, 0};
-  for (uint32_t i = 0; i < kIndexPools; ++i) {
+  for (uint32_t i = 0; i < kIndexRowSets; ++i) {
     const bool dangling = i >= kSides;
     const uint32_t side = dangling ? i - kSides : i;
-    slab::SlabPool& pool = IndexPool(i);
+    slab::BlockRows& index = IndexRowSet(i);
     std::size_t next = 0;
     for (NodeId v = 0; v < n; ++v) {
       for (uint32_t j = 0; j < rows->sizes[i][v]; ++j) {
@@ -187,7 +186,7 @@ bool BasicWalkStore<Steps>::BuildFromFlatPaths(
             PathSlot(seg, pos) != kNoSlot) {
           return false;
         }
-        const uint32_t slot = pool.PushBack(v, word);
+        const uint32_t slot = index.PushBack(v, word);
         if (slot >= kNoSlot) return false;
         SetPathSlot(seg, pos, slot);
       }
@@ -316,7 +315,9 @@ void BasicWalkStore<Steps>::FinishWalk(uint64_t seg, uint32_t start,
   }
   for (uint32_t s = 0; s < kSides; ++s) total_visits_[s] += added[s];
   if (end != kEndReset) RegisterDangling(seg, len - 1, end - 1u);
-  // A reset tail keeps its pending kNoSlot slot.
+  // A reset tail keeps its pending kNoSlot slot. The row is trimmed
+  // here, not at its truncation, which its re-extension would undo.
+  paths_.Trim(seg);
 }
 
 template <typename Steps>
@@ -377,7 +378,7 @@ void BasicWalkStore<Steps>::CollectPivot(const DiGraph& g, uint32_t side,
                                          const WindowDelta::Pivot& p,
                                          Rng* rng, WalkUpdateStats* stats) {
   const NodeId u = p.node;
-  const slab::SlabPool& steps = steps_[Fold(side)];
+  const slab::BlockRows& steps = steps_[Fold(side)];
   const uint8_t tag = static_cast<uint8_t>(side);
   const std::span<const WindowDelta::Removed> removed = pivots.RemovedOf(p);
   if (!removed.empty()) {

@@ -9,6 +9,7 @@
 #include "fastppr/graph/digraph.h"
 #include "fastppr/graph/edge_stream.h"
 #include "fastppr/graph/types.h"
+#include "fastppr/store/block_pool.h"
 #include "fastppr/store/repair_scratch.h"
 #include "fastppr/store/walk_slab.h"
 #include "fastppr/util/random.h"
@@ -128,11 +129,12 @@ NodeId SideNeighbor(const Graph& g, uint32_t side, NodeId v, Rng* rng) {
 /// with mean (1-eps)/eps, so the expected node count is 1/eps; SALSA's
 /// forward-start segments average 2/eps nodes.
 ///
-/// Storage layout (DESIGN.md): all path entries live in one flat slab
-/// arena of packed 8-byte words (40-bit node, 24-bit index back-slot) with
-/// per-segment offset/length spans. Each side has its own step index,
-/// dangling index and visit counters: pooled flat rows of packed (40-bit
-/// segment, 24-bit position) words with swap-remove semantics — no
+/// Storage layout (DESIGN.md §2): a segment's path is one row of packed
+/// 8-byte words (40-bit node, 24-bit index back-slot). Each side has its
+/// own step index, dangling index and visit counters; an index row is a
+/// node's packed (40-bit segment, 24-bit position) words with
+/// swap-remove semantics. Every row is one block of the store's own
+/// size-class pool (slab::BlockRows over slab::BlockPool) — no
 /// per-segment or per-node heap vectors.
 ///
 /// Incremental maintenance implements the coupling argument of
@@ -179,8 +181,8 @@ class BasicWalkStore {
     return static_cast<uint8_t>(1 + side);
   }
 
-  /// Read-only view of one stored segment: a span over the packed entry
-  /// arena. Invalidated by any mutating call on the store.
+  /// Read-only view of one stored segment: a span over its row's packed
+  /// words. Invalidated by any mutating call on the store.
   class SegmentView {
    public:
     SegmentView(std::span<const uint64_t> words, uint8_t end)
@@ -301,15 +303,9 @@ class BasicWalkStore {
     return paths_.RowSpan(seg);
   }
 
-  /// The store's slab pools, in ledger order: the path rows, then each
-  /// side's step index, then each side's dangling index.
-  static constexpr std::size_t kNumPools = 1 + 2 * kSides;
-  template <typename Fn>
-  void ForEachPool(const Fn& fn) const {
-    fn(paths_);
-    for (const slab::SlabPool& pool : steps_) fn(pool);
-    for (const slab::SlabPool& pool : dangling_) fn(pool);
-  }
+  /// The allocator of every row (paths and index rows): its live bytes
+  /// are the rows' blocks, its held bytes what it took from operator new.
+  const slab::BlockPool& pool() const { return pool_; }
 
   /// Calls fn(seg) once for every segment the last RepairWindow
   /// repaired, in the order it repaired them: the window's own repair
@@ -345,12 +341,13 @@ class BasicWalkStore {
   /// Durability hooks (DESIGN.md §8): the store as rows. The scalars
   /// and the RNG state; then every owned segment in ascending (source,
   /// k) as its u32 length, end reason and u32 node ids; then every index
-  /// row (the pools in ForEachPool order, per node) as its u32 size and
+  /// row (the index row sets in IndexRowSet order, per node) as its u32
+  /// size and
   /// (segment, position) words in row order, which is state: Floyd
   /// sampling and the break scan consume the RNG in row order
   /// (CollectPivot). Back-slots, visit counters, totals, the owned
   /// source count and the rows of unowned segments are derived, and the
-  /// slab layout is the pools' own; none is written. The transient
+  /// rows' blocks are the pool's business; none is written. The transient
   /// repair scratch (the last window's plan included) is NOT state: no
   /// later repair reads it.
   template <typename Sink>
@@ -376,11 +373,11 @@ class BasicWalkStore {
         w->Span(std::span<const NodeId>(ids));
       }
     }
-    for (uint32_t i = 0; i < kIndexPools; ++i) {
-      const slab::SlabPool& pool = IndexPool(i);
+    for (uint32_t i = 0; i < kIndexRowSets; ++i) {
+      const slab::BlockRows& index = IndexRowSet(i);
       for (NodeId v = 0; v < num_nodes(); ++v) {
-        w->Pod(pool.Size(v));
-        w->Span(pool.RowSpan(v));
+        w->Pod(index.Size(v));
+        w->Span(index.RowSpan(v));
       }
     }
   }
@@ -448,7 +445,7 @@ class BasicWalkStore {
       }
     }
     IndexRows rows;
-    for (uint32_t i = 0; i < kIndexPools; ++i) {
+    for (uint32_t i = 0; i < kIndexRowSets; ++i) {
       rows.sizes[i].resize(n);
       for (NodeId v = 0; v < n; ++v) {
         if (!r->Pod(&rows.sizes[i][v]) ||
@@ -497,10 +494,10 @@ class BasicWalkStore {
   void RegisterDangling(uint64_t seg, uint32_t pos, uint32_t side);
   /// Removes the dangling tail at `pos`; its side follows from End(seg).
   void UnregisterDangling(uint64_t seg, uint32_t pos);
-  /// slab::RemoveIndexEntry bound to this store's path arena.
-  void RemoveIndexAt(slab::SlabPool* pool, NodeId node, uint32_t slot,
+  /// slab::RemoveIndexEntry bound to this store's path rows.
+  void RemoveIndexAt(slab::BlockRows* index, NodeId node, uint32_t slot,
                      uint64_t seg, uint32_t pos) {
-    slab::RemoveIndexEntry(pool, &paths_, node, slot, seg, pos);
+    slab::RemoveIndexEntry(index, &paths_, node, slot, seg, pos);
   }
 
   /// Drops all path entries with index > keep_pos (counters + index).
@@ -529,34 +526,34 @@ class BasicWalkStore {
 
   /// Registration sweep for a finished walk whose tail position `start`
   /// sits on `side`: end reason, step/dangling index entries and visit
-  /// counters for positions (start, end).
+  /// counters for positions (start, end), then the path row's trim.
   void FinishWalk(uint64_t seg, uint32_t start, uint32_t side, uint8_t end);
 
-  /// The index pools, steps then dangling, each side in order: the
-  /// ForEachPool order after the path rows.
-  static constexpr uint32_t kIndexPools = 2 * kSides;
-  const slab::SlabPool& IndexPool(uint32_t i) const {
+  /// The index row sets, steps then dangling, each side in order: the
+  /// checkpoint's order.
+  static constexpr uint32_t kIndexRowSets = 2 * kSides;
+  const slab::BlockRows& IndexRowSet(uint32_t i) const {
     return i < kSides ? steps_[i] : dangling_[i - kSides];
   }
-  slab::SlabPool& IndexPool(uint32_t i) {
+  slab::BlockRows& IndexRowSet(uint32_t i) {
     return i < kSides ? steps_[i] : dangling_[i - kSides];
   }
 
-  /// Saved index rows, per pool: each node's row size, and the rows'
+  /// Saved index rows, per row set: each node's row size, and the rows'
   /// packed (segment, position) words concatenated in node order.
   struct IndexRows {
-    std::array<std::vector<uint32_t>, kIndexPools> sizes;
-    std::array<std::vector<uint64_t>, kIndexPools> words;
+    std::array<std::vector<uint32_t>, kIndexRowSets> sizes;
+    std::array<std::vector<uint64_t>, kIndexRowSets> words;
   };
 
   /// Lays out segments and their indexes from flat path data: `nodes`
   /// holds the concatenated paths, row r covering the next lengths[r]
-  /// entries. Without `rows` (Init) each pool row holds its positions
+  /// entries. Without `rows` (Init) each index row holds its positions
   /// in segment order; with them (LoadFrom) each holds its saved
   /// entries in saved order, and false means an entry does not
   /// register a position exactly once on its own side and node.
-  /// Either way the visit counters are recounted from the paths.
-  /// Exact-fit: no relocation, no dead space.
+  /// Either way the visit counters are recounted from the paths. Every
+  /// row is sized once, before it is filled (BlockRows::Reset).
   bool BuildFromFlatPaths(std::size_t n, const std::vector<NodeId>& nodes,
                           const std::vector<uint32_t>& lengths,
                           const std::vector<uint8_t>& ends,
@@ -591,15 +588,17 @@ class BasicWalkStore {
   uint32_t shard_count_ = 1;
   std::size_t owned_sources_ = 0;
 
+  /// The blocks of every row below.
+  slab::BlockPool pool_;
   /// Packed (node, slot) path entries; row = segment.
-  slab::SlabPool paths_;
-  /// Per-segment end reason (uint8_t to keep the arena words pure).
+  slab::BlockRows paths_;
+  /// Per-segment end reason (uint8_t to keep the path words pure).
   std::vector<uint8_t> seg_end_;
   /// Per side: inverted index of non-terminal visits; row = node, words
   /// = (seg, pos).
-  std::array<slab::SlabPool, kSides> steps_;
+  std::array<slab::BlockRows, kSides> steps_;
   /// Per side: segments terminally dangling at each node; row = node.
-  std::array<slab::SlabPool, kSides> dangling_;
+  std::array<slab::BlockRows, kSides> dangling_;
   std::array<std::vector<int64_t>, kSides> visits_;
   std::array<int64_t, kSides> total_visits_{};
 

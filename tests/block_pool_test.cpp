@@ -1,8 +1,9 @@
-// The size-class block pool behind the frozen row versions
-// (store/block_pool.h): class rounding, LIFO reuse of freed blocks,
-// requests past the last class, chunk carving, poisoned free blocks
-// under AddressSanitizer, and held bytes that stop growing once a
-// churning row table's free lists cover its peak.
+// The size-class block pool behind the walk rows and the frozen row
+// versions (store/block_pool.h): class rounding, LIFO reuse of freed
+// blocks, requests past the last class (freed by the pool when it dies
+// with them still allocated), chunk carving, poisoned free blocks under
+// AddressSanitizer, and held bytes that stop growing once a churning row
+// table's free lists cover its peak.
 
 #include <algorithm>
 #include <cstddef>
@@ -94,8 +95,8 @@ TEST(BlockPoolTest, RequestsPastTheLastClassBypassThePool) {
   BlockPool pool;
   const std::size_t big = BlockPool::kMaxBlockBytes + 1;
   void* p = pool.Allocate(big);
-  // No chunk is carved for it: it is its own allocation.
-  EXPECT_EQ(pool.held_bytes(), big);
+  // No chunk is carved for it: it is its own allocation, behind its link.
+  EXPECT_EQ(pool.held_bytes(), BlockPool::kLinkBytes + big);
   EXPECT_EQ(pool.live_bytes(), big);
   static_cast<char*>(p)[big - 1] = 1;
   pool.Free(p, big);
@@ -107,11 +108,43 @@ TEST(BlockPoolTest, RequestsPastTheLastClassBypassThePool) {
   pool.Free(q, BlockPool::kMaxBlockBytes);
 }
 
+TEST(BlockPoolTest, DyingPoolFreesTheBlocksPastTheLastClass) {
+  // Three blocks past the last class; the middle one is freed, the
+  // other two are still allocated when the pool dies, which hands them
+  // back to operator delete (LeakSanitizer reports them otherwise).
+  const std::size_t sizes[] = {BlockPool::kMaxBlockBytes + 1,
+                               3 * BlockPool::kMaxBlockBytes,
+                               BlockPool::kChunkBytes + 8};
+  BlockPool pool;
+  char* blocks[3];
+  std::size_t held = 0;
+  for (int i = 0; i < 3; ++i) {
+    blocks[i] = static_cast<char*>(pool.Allocate(sizes[i]));
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(blocks[i]) % 16, 0u);
+    std::fill(blocks[i], blocks[i] + sizes[i], static_cast<char>(i + 1));
+    held += BlockPool::kLinkBytes + sizes[i];
+    EXPECT_EQ(pool.held_bytes(), held);
+  }
+  pool.Free(blocks[1], sizes[1]);
+  held -= BlockPool::kLinkBytes + sizes[1];
+  EXPECT_EQ(pool.held_bytes(), held);
+  EXPECT_EQ(pool.live_bytes(), sizes[0] + sizes[2]);
+  // Unlinking the middle block kept its neighbours intact.
+  EXPECT_EQ(blocks[0][sizes[0] - 1], 1);
+  EXPECT_EQ(blocks[2][0], 3);
+  char* again = static_cast<char*>(pool.Allocate(sizes[1]));
+  again[0] = 4;
+  pool.Free(blocks[0], sizes[0]);
+  EXPECT_EQ(pool.live_bytes(), sizes[1] + sizes[2]);
+  EXPECT_EQ(pool.held_bytes(),
+            2 * BlockPool::kLinkBytes + sizes[1] + sizes[2]);
+}
+
 TEST(BlockPoolTest, CarvesBlocksFromChunksBackToBack) {
   BlockPool pool;
   constexpr std::size_t kBlock = 1024;
   constexpr std::size_t kPerChunk =
-      (BlockPool::kChunkBytes - BlockPool::kChunkLinkBytes) / kBlock;
+      (BlockPool::kChunkBytes - BlockPool::kLinkBytes) / kBlock;
   std::vector<char*> blocks;
   for (std::size_t i = 0; i <= kPerChunk; ++i) {
     blocks.push_back(static_cast<char*>(pool.Allocate(kBlock)));

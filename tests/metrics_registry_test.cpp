@@ -61,15 +61,14 @@ TEST(MetricsRegistryTest, ExportJsonContainsEverything) {
 
 TEST(MetricsRegistryTest, EngineMetricsSchemaRegisters) {
   MetricsRegistry reg;
-  EngineMetrics m = EngineMetrics::Register(&reg, 4, 3);
+  EngineMetrics m = EngineMetrics::Register(&reg, 4);
   ASSERT_NE(m.walks_repaired, nullptr);
   EXPECT_EQ(m.walks_repaired->stripes(), 4u);
   EXPECT_EQ(m.wal_records->stripes(), 1u);
-  // The memory ledger: one stripe per slab pool of every shard, one per
-  // frozen row table.
-  EXPECT_EQ(m.slab_used_bytes->stripes(), 12u);
-  EXPECT_EQ(m.slab_reserved_bytes->stripes(), 12u);
-  EXPECT_EQ(m.rows_held_bytes->stripes(), EngineMetrics::kRowTables);
+  // The memory ledger: one stripe per block pool, every shard's walk
+  // store and then every frozen row table.
+  EXPECT_EQ(m.pool_live_bytes->stripes(), 4u + EngineMetrics::kRowTables);
+  EXPECT_EQ(m.pool_held_bytes->stripes(), 4u + EngineMetrics::kRowTables);
   m.walks_repaired->Add(10, 3);
   m.ingest_phase->Record(5000);
   const std::string json = reg.ExportJson();

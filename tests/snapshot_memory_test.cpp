@@ -26,8 +26,10 @@
 //    are poisoned). A window whose net delta is empty writes no segment
 //    version, yet a delete and re-insert of one edge still republishes
 //    the rows it reordered, and a second service on one engine aborts.
-//  * The memory ledger: every slab and row-table gauge the engine and
-//    the service set equals the structure's own accessor.
+//  * The memory ledger: every pool gauge the engine and the service set
+//    equals the pool's own accessor, and the walk stores' pools follow
+//    their rows' state through a long stationary churn, not its
+//    history.
 
 #include <algorithm>
 #include <atomic>
@@ -47,7 +49,6 @@
 #include "fastppr/obs/engine_metrics.h"
 #include "fastppr/store/block_pool.h"
 #include "fastppr/store/segment_snapshot.h"
-#include "fastppr/store/walk_slab.h"
 #include "fastppr/util/random.h"
 #include "fastppr/util/shard.h"
 
@@ -695,12 +696,11 @@ TEST(FrozenRowTableTest, DeleteReinsertRepublishesReorderedInRow) {
   ExpectDeleteReinsertRepublishesItsRows<IncrementalSalsa>();
 }
 
-/// After churn windows, each memory-ledger gauge reads what its
-/// structure's accessor reads: the slab stripes (shard s, pool p at
-/// s * kNumPools + p) and the row-table stripes (segments, out, in).
+/// After churn windows, each memory-ledger gauge reads what its pool's
+/// accessors read: shard s's walk store at stripe s, then the row tables
+/// (segments, out, in) at stripes S, S + 1, S + 2.
 template <typename EngineT>
 void ExpectLedgerGaugesMatchStructures() {
-  using Store = typename EngineT::Store;
   const std::size_t n = 500;
   const std::size_t S = 2;
   const auto edges = PowerLawEdges(n, 6, 83);
@@ -718,36 +718,30 @@ void ExpectLedgerGaugesMatchStructures() {
   service.Quiesce();
 
   const obs::EngineMetrics& om = engine.metric_handles();
-  ASSERT_EQ(om.slab_used_bytes->stripes(), S * Store::kNumPools);
-  std::size_t stripe = 0;
-  std::size_t dead = 0;
+  ASSERT_EQ(om.pool_live_bytes->stripes(), S + 3);
+  ASSERT_EQ(om.pool_held_bytes->stripes(), S + 3);
+  std::vector<const slab::BlockPool*> pools;
   for (std::size_t s = 0; s < S; ++s) {
-    engine.shard(s).walk_store().ForEachPool([&](const slab::SlabPool& pool) {
-      EXPECT_EQ(om.slab_used_bytes->Value(stripe), pool.used_bytes())
-          << "stripe " << stripe;
-      EXPECT_EQ(om.slab_dead_bytes->Value(stripe), pool.dead_bytes())
-          << "stripe " << stripe;
-      EXPECT_EQ(om.slab_reserved_bytes->Value(stripe), pool.reserved_bytes())
-          << "stripe " << stripe;
-      EXPECT_GT(pool.used_bytes(), 0u) << "stripe " << stripe;
-      dead += pool.dead_bytes();
-      ++stripe;
-    });
+    pools.push_back(&engine.shard(s).walk_store().pool());
   }
-  EXPECT_EQ(stripe, S * Store::kNumPools);
-  EXPECT_GT(dead, 0u) << "the churn relocated no slab row";
-
-  const VersionedRows* tables[] = {&service.segment_table(),
-                                   &service.out_table(), &service.in_table()};
-  for (std::size_t t = 0; t < 3; ++t) {
-    EXPECT_EQ(om.rows_live_bytes->Value(t), tables[t]->pool().live_bytes())
-        << "table " << t;
-    EXPECT_EQ(om.rows_held_bytes->Value(t), tables[t]->pool().held_bytes())
-        << "table " << t;
-    EXPECT_GE(tables[t]->pool().held_bytes(), tables[t]->pool().live_bytes());
+  for (const VersionedRows* table : {&service.segment_table(),
+                                     &service.out_table(),
+                                     &service.in_table()}) {
+    pools.push_back(&table->pool());
   }
-  EXPECT_GT(om.rows_live_bytes->Value(0), 0u);
-  EXPECT_EQ(om.rows_live_bytes->Value(2) > 0,
+  for (std::size_t stripe = 0; stripe < pools.size(); ++stripe) {
+    EXPECT_EQ(om.pool_live_bytes->Value(stripe), pools[stripe]->live_bytes())
+        << "stripe " << stripe;
+    EXPECT_EQ(om.pool_held_bytes->Value(stripe), pools[stripe]->held_bytes())
+        << "stripe " << stripe;
+    EXPECT_GE(pools[stripe]->held_bytes(), pools[stripe]->live_bytes())
+        << "stripe " << stripe;
+  }
+  for (std::size_t s = 0; s < S; ++s) {
+    EXPECT_GT(om.pool_live_bytes->Value(s), 0u) << "shard " << s;
+  }
+  EXPECT_GT(om.pool_live_bytes->Value(S), 0u);
+  EXPECT_EQ(om.pool_live_bytes->Value(S + 2) > 0,
             EngineT::WalkSteps::kSides > 1);
 }
 
@@ -757,6 +751,70 @@ TEST(MemoryLedgerTest, PageRankGaugesMatchStructures) {
 
 TEST(MemoryLedgerTest, SalsaGaugesMatchStructures) {
   ExpectLedgerGaugesMatchStructures<IncrementalSalsa>();
+}
+
+/// Walk memory follows the stores' state, not their churn history. A
+/// stationary churn (each window deletes a 32nd of the edges and
+/// re-inserts the previous window's) moves rows to bigger and smaller
+/// blocks all the time. Over the first windows the rows' blocks settle
+/// from the layout's fill (a third of spare room) to the grow/trim
+/// hysteresis's, ~20% more bytes at this scale; from then on each walk
+/// store's pool keeps its live bytes within 10% of their value at the
+/// middle window, and its free lists serve the moves: over the second
+/// half the bytes it holds beyond its live blocks grow by at most one
+/// chunk. (Its held bytes also follow the rows past the last class,
+/// each its own allocation.) A pool whose memory followed churn history
+/// grows through the second half as through the first.
+template <typename EngineT>
+void ExpectWalkMemoryFollowsState() {
+  const std::size_t n = 10000;
+  const std::size_t S = 2;
+  Rng graph_rng(97);
+  ChungLuOptions gen;
+  gen.num_nodes = n;
+  gen.num_edges = 8 * n;
+  auto edges = ChungLuDirected(gen, &graph_rng);
+  graph_rng.Shuffle(&edges);
+  MonteCarloOptions mc;
+  mc.walks_per_node = 4;
+  mc.epsilon = 0.2;
+  mc.seed = 101;
+  ShardedEngine<EngineT> engine(n, mc, ShardedOptions{S, 2});
+  ASSERT_TRUE(engine.ApplyEvents(Inserts(edges)).ok());
+  QueryService<EngineT> service(&engine);
+  Churn churn(&edges, 32);
+  constexpr std::size_t kWindows = 120;
+  std::vector<std::size_t> live_mid(S), spare_mid(S);
+  for (std::size_t w = 1; w <= kWindows; ++w) {
+    ASSERT_TRUE(service.Ingest(churn.Next()).ok());
+    service.Quiesce();
+    for (std::size_t s = 0; s < S; ++s) {
+      const slab::BlockPool& pool = engine.shard(s).walk_store().pool();
+      if (w == kWindows / 2) {
+        live_mid[s] = pool.live_bytes();
+        spare_mid[s] = pool.held_bytes() - pool.live_bytes();
+      }
+      if (w < kWindows / 2) continue;
+      const double ratio = static_cast<double>(pool.live_bytes()) /
+                           static_cast<double>(live_mid[s]);
+      ASSERT_LE(ratio, 1.1) << "window " << w << " shard " << s;
+      ASSERT_GE(ratio, 0.9) << "window " << w << " shard " << s;
+    }
+  }
+  for (std::size_t s = 0; s < S; ++s) {
+    const slab::BlockPool& pool = engine.shard(s).walk_store().pool();
+    EXPECT_LE(pool.held_bytes() - pool.live_bytes(),
+              spare_mid[s] + slab::BlockPool::kChunkBytes)
+        << "shard " << s;
+  }
+}
+
+TEST(MemoryLedgerTest, PageRankWalkMemoryFollowsState) {
+  ExpectWalkMemoryFollowsState<IncrementalPageRank>();
+}
+
+TEST(MemoryLedgerTest, SalsaWalkMemoryFollowsState) {
+  ExpectWalkMemoryFollowsState<IncrementalSalsa>();
 }
 
 TEST(QueryServiceDeathTest, SecondServiceOnOneEngineAborts) {
